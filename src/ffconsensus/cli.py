@@ -309,11 +309,14 @@ def cmd_synthesize(args) -> int:
         print(f"synthesis refused: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     k_row = gain.to_rows()[0]
+    bk = net.sys.b @ gain
+    degree_of: dict[int, int | None] = {}  # nilpotent degree of A - d bK, per distinct d
     closed_degrees = {}
     for gi, g in enumerate(net.graphs):
         for i, d in g.in_degrees().items():
-            closed = net.sys.A - (net.sys.b @ gain).scale(d.value)
-            closed_degrees[f"graph{gi}.follower{i}"] = closed.nilpotent_degree()
+            if d.value not in degree_of:
+                degree_of[d.value] = (net.sys.A - bk.scale(d.value)).nilpotent_degree()
+            closed_degrees[f"graph{gi}.follower{i}"] = degree_of[d.value]
     doc = cfg.to_dict()
     doc["K"] = k_row
     doc["certificate"] = {
@@ -359,6 +362,9 @@ def _traj_json(traj, trial: int, bound: int | None) -> dict:
 
 
 def cmd_simulate(args) -> int:
+    if args.trials < 1:
+        print(f"error: --trials must be >= 1 (got {args.trials})", file=sys.stderr)
+        return EXIT_CONFIG
     cfg = load_config(args.config)
     net = cfg.network()
     if net.gain is None:
@@ -374,6 +380,10 @@ def cmd_simulate(args) -> int:
     except ValueError:
         bound = None
     horizon = args.horizon or cfg.steps or default_horizon(net)
+    if cfg.switching is not None and cfg.switching["kind"] == "explicit":
+        length = len(cfg.switching["sequence"])
+        _require(length >= horizon, "switching.sequence",
+                 f"explicit sequence has {length} entries but the simulation horizon is {horizon}")
 
     summary_stream = sys.stdout if args.out else sys.stderr
     field = cfg.field()

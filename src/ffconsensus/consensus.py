@@ -6,17 +6,27 @@ The stacked follower-minus-leader errors evolve linearly:
 
 with (X) the Kronecker product, Abar the follower adjacency and Dbar the
 diagonal of leader-inclusive in-degrees.  Consensus from every initial
-condition is exactly nilpotency of that error matrix.  When the follower
-graph is acyclic the error matrix is block-triangularizable with diagonal
-blocks A - d_i * bK, which reduces the network question to N small
-nilpotency checks and yields the achievability characterization:
+condition is exactly nilpotency of that error matrix M.
+
+M is never built on the analysis paths: ordered by the strongly
+connected components (SCCs) of the follower support, M is block-
+triangular with one diagonal block I (X) A + (Abar_SS - Dbar_SS) (X) bK
+per SCC S, so M is nilpotent iff every SCC block is (proof at
+``_error_block_results``).  Each distinct block is tested once.  An
+acyclic follower graph has only singleton SCCs with blocks A - d_i * bK,
+which reduces the network question to small n x n checks and yields the
+achievability characterization:
 
   * A nilpotent: the zero gain always works, any graphs;
   * otherwise, over an acyclic follower graph, a suitable gain exists
     iff (A, b) is stabilizable and all followers share one nonzero
     in-degree d; the deadbeat gain for that d is a constructive witness;
   * cyclic follower graphs are only decided when a gain is supplied
-    (direct nilpotency test); synthesis for them is refused.
+    (one |S|n x |S|n nilpotency test per distinct SCC block); synthesis
+    for them is refused.
+
+``error_dynamics_matrix`` builds the full Nn x Nn matrix; it is the
+definition that the blockwise test is checked against.
 
 For switching topologies the same data gives a sufficiency check (union
 of follower supports acyclic, one degree d across all graphs and agents)
@@ -141,18 +151,59 @@ def error_dynamics_matrix(net: LeaderFollowerNetwork, graph_index: int = 0) -> M
     return kron(eye, net.sys.A) + kron(a_bar - d_bar, bk)
 
 
-def per_agent_closed_loops(
-    net: LeaderFollowerNetwork, graph_index: int = 0
-) -> dict[int, MatrixFF]:
-    """A - d_i * bK for each follower i (requires a gain)."""
+def _error_block_results(net: LeaderFollowerNetwork, graph_indices, test) -> list[list]:
+    """For each listed graph, the diagonal blocks of its error matrix as
+    (followers, test(block)) pairs, one per strongly connected component
+    of the follower support, sources first.
+
+    Claim: with S_1, ..., S_m the SCCs in a topological order of the
+    condensation (Tarjan, SIAM J. Comput. 1, 1972), M is block lower
+    triangular with diagonal blocks
+
+        M_SS = I_|S| (X) A + (Abar_SS - Dbar_SS) (X) bK,
+
+    after the followers are listed SCC by SCC (a permutation similarity
+    P (X) I_n, which preserves nilpotency), so M is nilpotent iff every
+    M_SS is.  Proof: the n x n block (i, j) of M is
+    [i = j] A + (Abar_ij - [i = j] d_i) bK, and Abar_ij is the weight of
+    the edge j -> i.  If i lies in S_a, j in S_b and that edge exists,
+    then S_b = S_a or S_b precedes S_a, so b <= a: every block of M above
+    the SCC block diagonal is zero.  The characteristic polynomial of a
+    block-triangular matrix is the product of those of its diagonal
+    blocks, and a square matrix over a field is nilpotent iff its
+    characteristic polynomial is x^dim; hence the claim.  Dbar keeps the
+    full leader-inclusive in-degrees, and a follower self-loop stays in
+    its singleton block as Abar_ii = w_ii.
+
+    ``test`` (for example ``MatrixFF.is_nilpotent``) runs once per
+    distinct block across all listed graphs: a block is keyed on the
+    entries of Abar_SS - Dbar_SS mod p, which for a singleton {i} is the
+    effective diagonal w_ii - d_i.  A chain of N followers with one
+    degree therefore costs a single n x n test.
+    """
     if net.gain is None:
-        raise ValueError("closed loops require a gain K")
-    g = net.graphs[graph_index]
+        raise ValueError("error dynamics require a gain K")
+    field = net.field
+    p = field.p
+    A = net.sys.A
     bk = net.sys.b @ net.gain
-    return {
-        i: net.sys.A - bk.scale(d.value)
-        for i, d in g.in_degrees().items()
-    }
+    results: dict = {}
+    per_graph = []
+    for gi in graph_indices:
+        g = net.graphs[gi]
+        degs = g.in_degrees()
+        blocks = []
+        for comp in g.strongly_connected_components():
+            key = tuple(
+                tuple((g.weight(j, i) - (degs[i].value if i == j else 0)) % p for j in comp)
+                for i in comp
+            )
+            if key not in results:
+                block = kron(MatrixFF.identity(field, len(comp)), A) + kron(MatrixFF(field, key), bk)
+                results[key] = test(block)
+            blocks.append((comp, results[key]))
+        per_graph.append(blocks)
+    return per_graph
 
 
 def blockwise_nilpotency_check(
@@ -162,8 +213,8 @@ def blockwise_nilpotency_check(
 
     Valid as a consensus test only over an acyclic follower graph (the
     error matrix is then block-triangular with exactly these diagonal
-    blocks); rejects cyclic graphs so callers fall back to the direct
-    nilpotency test on the full error matrix.
+    blocks); rejects cyclic graphs, whose SCC blocks are not per-follower
+    (``analyze`` decides those).
     """
     g = net.graphs[graph_index]
     if not g.is_dag():
@@ -171,7 +222,8 @@ def blockwise_nilpotency_check(
             "blockwise check requires an acyclic follower graph; "
             "use is_nilpotent(error_dynamics_matrix(...)) instead"
         )
-    return {i: m.is_nilpotent() for i, m in per_agent_closed_loops(net, graph_index).items()}
+    [blocks] = _error_block_results(net, [graph_index], MatrixFF.is_nilpotent)
+    return {i: ok for (i,), ok in sorted(blocks)}
 
 
 # ----------------------------------------------------------------------
@@ -218,23 +270,15 @@ def _closed_loop_block_degrees(net: LeaderFollowerNetwork) -> list[int]:
         if k is None:
             raise ValueError("zero coupling with a non-nilpotent A never converges")
         return [k] * net.num_followers
-    u = union(list(net.graphs))
-    order = u.topological_order()  # raises GraphCycleError when cyclic
-    degs_by_graph = [g.in_degrees() for g in net.graphs]
-    out: list[int] = []
-    for node in order:
-        d_values = {degs[node].value for degs in degs_by_graph}
-        block_degrees = []
-        for dv in sorted(d_values):
-            block = work.sys.A - bk.scale(dv)
-            k = block.nilpotent_degree()
+    order = union(list(net.graphs)).topological_order()  # raises GraphCycleError when cyclic
+    # the union is acyclic, so every graph's blocks are the singletons A - d_i bK
+    worst: dict[int, int] = {}
+    for blocks in _error_block_results(work, range(len(net.graphs)), MatrixFF.nilpotent_degree):
+        for (node,), k in blocks:
             if k is None:
-                raise ValueError(
-                    f"closed loop A - {dv}*bK for follower {node} is not nilpotent"
-                )
-            block_degrees.append(k)
-        out.append(max(block_degrees))
-    return out
+                raise ValueError(f"closed loop A - d_i*bK for follower {node} is not nilpotent")
+            worst[node] = max(worst.get(node, 0), k)
+    return [worst[node] for node in order]
 
 
 def convergence_bound(net: LeaderFollowerNetwork) -> int:
@@ -291,15 +335,16 @@ def analyze(net: LeaderFollowerNetwork) -> AnalysisReport:
     return check_switching(net)
 
 
-def _supplied_gain_checks(net: LeaderFollowerNetwork, graph_index: int, checks: dict) -> bool:
-    m = error_dynamics_matrix(net, graph_index)
-    m_nil = m.is_nilpotent()
-    checks["supplied_gain_error_matrix_nilpotent"] = m_nil
-    if net.graphs[graph_index].is_dag():
-        checks["per_agent_nilpotent"] = {
-            str(i): ok for i, ok in blockwise_nilpotency_check(net, graph_index).items()
-        }
-    return m_nil
+def _supplied_gain_blocks(net: LeaderFollowerNetwork, graph_indices, diagnostics: dict) -> list[list]:
+    """Nilpotency of each SCC block of the listed graphs' error matrices
+    under the supplied gain, recording the block count and largest block
+    dimension under ``diagnostics["error_matrix_blocks"]``."""
+    per_graph = _error_block_results(net, graph_indices, MatrixFF.is_nilpotent)
+    diagnostics["error_matrix_blocks"] = {
+        "count": sum(len(blocks) for blocks in per_graph),
+        "max_dim": max(len(comp) for blocks in per_graph for comp, _ in blocks) * net.sys.dim,
+    }
+    return per_graph
 
 
 def check_static(net: LeaderFollowerNetwork, graph_index: int = 0) -> AnalysisReport:
@@ -325,7 +370,11 @@ def check_static(net: LeaderFollowerNetwork, graph_index: int = 0) -> AnalysisRe
 
     supplied_ok = None
     if net.gain is not None:
-        supplied_ok = _supplied_gain_checks(net, graph_index, checks)
+        [blocks] = _supplied_gain_blocks(net, [graph_index], diagnostics)
+        supplied_ok = all(ok for _, ok in blocks)
+        checks["supplied_gain_error_matrix_nilpotent"] = supplied_ok
+        if dag:
+            checks["per_agent_nilpotent"] = {str(i): ok for (i,), ok in sorted(blocks)}
         witness["supplied_gain"] = net.gain.to_rows()[0]
 
     bounds: dict = {"static": None, "switching": None}
@@ -436,7 +485,8 @@ def check_switching(net: LeaderFollowerNetwork) -> AnalysisReport:
     if net.gain is not None:
         witness["supplied_gain"] = net.gain.to_rows()[0]
         checks["supplied_gain_error_matrices_nilpotent"] = [
-            error_dynamics_matrix(net, i).is_nilpotent() for i in range(len(net.graphs))
+            all(ok for _, ok in blocks)
+            for blocks in _supplied_gain_blocks(net, range(len(net.graphs)), diagnostics)
         ]
 
     bounds: dict = {"static": None, "switching": None}

@@ -8,8 +8,9 @@ including the leader's edge, reduced mod p; this leader-inclusive
 convention is what the error-dynamics derivation requires and is used
 consistently everywhere in the package.
 
-DAG detection and the topological permutation operate on the edge
-support of the follower subgraph, never on mod-p weight sums.
+DAG detection, the topological permutation and the strongly connected
+components operate on the edge support of the follower subgraph, never
+on mod-p weight sums.
 """
 
 from __future__ import annotations
@@ -189,6 +190,59 @@ class WeightedDigraphFF:
     def topological_order(self) -> list[int]:
         """Follower nodes sorted sources-first; raises GraphCycleError."""
         return self._topological_order()
+
+    def strongly_connected_components(self) -> list[tuple[int, ...]]:
+        """Strongly connected components of the follower support, each a
+        sorted tuple, listed sources first: every follower edge runs from
+        a component to itself or to a later one.
+
+        Tarjan's algorithm (SIAM J. Comput. 1, 1972) with an explicit
+        stack, so long chains cannot exhaust the recursion limit.  Tarjan
+        completes a component only after every component reachable from
+        it, so the completion order reversed is a topological order of
+        the condensation.  A follower with a self-loop is a one-node
+        component like any other; acyclic graphs give N singletons.
+        """
+        succ = self.follower_successors()
+        index: dict[int, int] = {}
+        low: dict[int, int] = {}
+        on_stack: set[int] = set()
+        stack: list[int] = []
+        components: list[tuple[int, ...]] = []
+        for root in succ:
+            if root in index:
+                continue
+            index[root] = low[root] = len(index)
+            stack.append(root)
+            on_stack.add(root)
+            work = [(root, iter(succ[root]))]
+            while work:
+                v, targets = work[-1]
+                for t in targets:
+                    if t not in index:
+                        index[t] = low[t] = len(index)
+                        stack.append(t)
+                        on_stack.add(t)
+                        work.append((t, iter(succ[t])))
+                        break
+                    if t in on_stack:
+                        low[v] = min(low[v], index[t])
+                else:
+                    work.pop()
+                    if work:
+                        parent = work[-1][0]
+                        low[parent] = min(low[parent], low[v])
+                    if low[v] == index[v]:
+                        component = []
+                        while True:
+                            t = stack.pop()
+                            on_stack.discard(t)
+                            component.append(t)
+                            if t == v:
+                                break
+                        components.append(tuple(sorted(component)))
+        components.reverse()
+        return components
 
     def topo_permutation(self) -> list[int]:
         """0-based index permutation that strictly upper-triangularizes

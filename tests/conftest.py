@@ -125,3 +125,52 @@ def random_network(
         else None
     )
     return LeaderFollowerNetwork(sys=sys_pair, graphs=graphs, gain=gain)
+
+
+def random_scc_graph(rng: random.Random, field: PrimeField, num_followers: int) -> WeightedDigraphFF:
+    """Random follower graph with several strongly connected parts.
+
+    The followers are split, in random order, into groups of up to three;
+    most groups are closed into a directed cycle, edges run forward
+    between groups, and an occasional random edge may merge groups.
+    Self-loops and leader edges are sprinkled (some followers get no
+    leader edge), and sometimes one follower's in-weights are made to
+    cancel to in-degree 0 mod p.
+    """
+    p = field.p
+    nodes = list(range(1, num_followers + 1))
+    rng.shuffle(nodes)
+    groups = []
+    i = 0
+    while i < num_followers:
+        size = rng.randint(1, min(3, num_followers - i))
+        groups.append(nodes[i : i + size])
+        i += size
+    edges: dict[tuple[int, int], int] = {}
+
+    def add(src, tgt):
+        edges[(src, tgt)] = rng.randrange(1, p)
+
+    for grp in groups:
+        if len(grp) > 1 and rng.random() < 0.8:
+            for src, tgt in zip(grp, grp[1:] + grp[:1]):
+                add(src, tgt)
+    for a in range(num_followers):
+        for b in range(a + 1, num_followers):
+            if rng.random() < 0.3:
+                add(nodes[a], nodes[b])
+    if rng.random() < 0.3:
+        add(rng.choice(nodes), rng.choice(nodes))
+    for v in nodes:
+        if rng.random() < 0.2:
+            add(v, v)
+        if rng.random() < 0.6:
+            add(0, v)
+    if rng.random() < 0.3:
+        v = rng.choice(nodes)
+        others = sum(w for (src, tgt), w in edges.items() if tgt == v and src != 0) % p
+        if others:
+            edges[(0, v)] = -others % p
+        else:
+            edges.pop((0, v), None)
+    return WeightedDigraphFF(field, num_followers, [(s, t, w) for (s, t), w in edges.items()])

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -188,6 +189,36 @@ def test_analyze_constant_signal_treated_as_static(tmp_path, capsys):
     assert out["diagnostics"]["constant_signal_graph"] == 1
 
 
+# analyze reports of the reference config (with and without a gain)
+# and of chains with a self-loop or a two-cycle, recorded before the
+# error matrix was tested one strongly connected block at a time
+GOLDEN = json.loads((Path(__file__).parent / "data" / "analyze_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_analyze_report_fields_unchanged(case, tmp_path, capsys):
+    expected = GOLDEN[case]
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(expected["config"]))
+    assert main(["analyze", str(path)]) == expected["exit"]
+    report = json.loads(capsys.readouterr().out)
+    blocks = report["diagnostics"].pop("error_matrix_blocks", None)
+    assert json.dumps(report) == json.dumps(expected["report"])
+    assert (blocks is None) == (expected["config"].get("K") is None)
+
+
+@pytest.mark.parametrize("case, expected", [
+    ("chain_two_cycle", {"count": 3, "max_dim": 4}),  # blocks {1}, {2, 3}, {4}; n = 2
+    ("chain_self_loop_guaranteed", {"count": 4, "max_dim": 2}),
+    ("leader_f3_with_gain", {"count": 8, "max_dim": 5}),  # two acyclic graphs, N = 4
+])
+def test_analyze_reports_error_matrix_blocks(case, expected, tmp_path, capsys):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(GOLDEN[case]["config"]))
+    main(["analyze", str(path)])
+    assert json.loads(capsys.readouterr().out)["diagnostics"]["error_matrix_blocks"] == expected
+
+
 # ---------------------------------------------------------
 # synthesize
 # ---------------------------------------------------------
@@ -300,6 +331,31 @@ def test_simulate_explicit_zero_error_init(tmp_path, ref_config_path):
     assert main(["simulate", str(path), "--format", "json", "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["trials"][0]["consensus_step"] == 0
+
+
+def test_simulate_explicit_switching_shorter_than_horizon(tmp_path, ref_config_path, capsys):
+    synthesized_config(tmp_path, ref_config_path)
+    doc = json.loads((tmp_path / "with_gain.json").read_text())
+    doc["switching"] = {"kind": "explicit", "sequence": [0, 1, 0]}
+    doc["steps"] = 25
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["simulate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "switching.sequence" in err and "3 entries" in err and "25" in err
+    # the same sequence covers a horizon of 3
+    assert main(["simulate", str(path), "--horizon", "3"]) == 0
+
+
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_simulate_rejects_nonpositive_trials(tmp_path, ref_config_path, capsys, trials):
+    cfg = synthesized_config(tmp_path, ref_config_path)
+    capsys.readouterr()
+    assert main(["simulate", cfg, "--trials", trials]) == 1
+    captured = capsys.readouterr()
+    assert "--trials" in captured.err
+    assert captured.out == ""
 
 
 # ---------------------------------------------------------

@@ -22,10 +22,12 @@ from ffconsensus.consensus import GainSynthesisError
 from conftest import (
     F2,
     F3,
+    F5,
     REF_GAIN,
     random_matrix,
     random_network,
     random_nilpotent,
+    random_scc_graph,
 )
 
 
@@ -108,6 +110,56 @@ def test_blockwise_agrees_with_direct_nilpotency():
         block = all(blockwise_nilpotency_check(net, 0).values())
         direct = error_dynamics_matrix(net, 0).is_nilpotent()
         assert block == direct
+
+
+def test_blockwise_tests_each_distinct_block_once(monkeypatch):
+    # a 40-follower chain with one degree has 40 equal blocks A - d bK
+    net = single_graph_net(
+        F3, [[1, 1], [0, 1]], [0, 1], [(0, 1, 1)] + [(i, i + 1, 1) for i in range(1, 40)], 40,
+        gain=[1, 2],
+    )
+    calls = []
+    original = MatrixFF.is_nilpotent
+    monkeypatch.setattr(MatrixFF, "is_nilpotent", lambda m: calls.append(m.rows) or original(m))
+    assert blockwise_nilpotency_check(net) == {i: True for i in range(1, 41)}
+    assert calls == [2]
+
+
+def test_scc_block_verdicts_match_dense_error_matrix():
+    """The SCC-block decision of analyze against the Nn x Nn definition,
+    on random small networks with cyclic follower graphs."""
+    rng = random.Random(2718)
+    seen = {"multi_scc_cyclic": 0, "self_loop": 0, "leaderless": 0, "zero_degree": 0,
+            "switching": 0, "nilpotent": 0, "not_nilpotent": 0, "nilpotent_coupled_cycle": 0}
+    for _ in range(2000):
+        field = (F2, F3, F5)[rng.randrange(3)]
+        n, N = rng.randint(1, 3), rng.randint(1, 5)
+        a = random_nilpotent(rng, field, n) if rng.random() < 0.3 else random_matrix(rng, field, n, n)
+        sys_ = LinearSystemFF(a, random_matrix(rng, field, n, 1))
+        graphs = tuple(random_scc_graph(rng, field, N) for _ in range(1 if rng.random() < 0.8 else 2))
+        gain = random_matrix(rng, field, 1, n) if rng.random() < 0.8 else MatrixFF.zeros(field, 1, n)
+        net = LeaderFollowerNetwork(sys=sys_, graphs=graphs, gain=gain)
+        dense = [error_dynamics_matrix(net, gi).is_nilpotent() for gi in range(len(graphs))]
+        if net.is_static:
+            report = check_static(net)
+            assert report.checks["supplied_gain_error_matrix_nilpotent"] == dense[0]
+        else:
+            seen["switching"] += 1
+            report = check_switching(net)
+            assert report.checks["supplied_gain_error_matrices_nilpotent"] == dense
+        blocks = report.diagnostics["error_matrix_blocks"]
+        comps = [g.strongly_connected_components() for g in graphs]
+        assert blocks == {"count": sum(map(len, comps)),
+                          "max_dim": n * max(len(c) for cs in comps for c in cs)}
+        coupled = not (sys_.b @ gain).is_zero()
+        for g, cs, nil in zip(graphs, comps, dense):
+            seen["nilpotent_coupled_cycle"] += nil and coupled and any(len(c) > 1 for c in cs)
+            seen["multi_scc_cyclic"] += len(cs) > 1 and any(len(c) > 1 for c in cs)
+            seen["self_loop"] += any(g.weight(i, i) for i in range(1, N + 1))
+            seen["leaderless"] += any(not g.weight(0, i) for i in range(1, N + 1))
+            seen["zero_degree"] += any(d.value == 0 for d in g.in_degrees().values())
+        seen["nilpotent" if all(dense) else "not_nilpotent"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 # ---------------------------------------------------------

@@ -9,7 +9,7 @@ from ffconsensus import (
     union,
 )
 
-from conftest import F2, F3, F5, random_dag_graph
+from conftest import F2, F3, F5, random_dag_graph, random_scc_graph
 
 
 # ---------------------------------------------------------
@@ -130,6 +130,57 @@ def test_cycle_witness_is_a_cycle():
     assert len(cyc) >= 2
     for a, b in zip(cyc, cyc[1:] + cyc[:1]):
         assert g.weight(a, b) != 0
+
+
+# ---------------------------------------------------------
+# Strongly connected components
+# ---------------------------------------------------------
+
+def _reachable(g, src):
+    succ = g.follower_successors()
+    seen, frontier = {src}, [src]
+    while frontier:
+        for t in succ[frontier.pop()]:
+            if t not in seen:
+                seen.add(t)
+                frontier.append(t)
+    return seen
+
+
+def test_scc_matches_mutual_reachability_and_orders_edges_forward():
+    rng = random.Random(131)
+    for _ in range(200):
+        field = (F2, F3, F5)[rng.randrange(3)]
+        g = random_scc_graph(rng, field, rng.randint(1, 8))
+        comps = g.strongly_connected_components()
+        assert sorted(v for c in comps for v in c) == list(range(1, g.num_followers + 1))
+        reach = {v: _reachable(g, v) for v in range(1, g.num_followers + 1)}
+        position = {}
+        for k, comp in enumerate(comps):
+            assert list(comp) == sorted(comp)
+            for v in comp:
+                position[v] = k
+                assert {u for u in reach if v in reach[u] and u in reach[v]} == set(comp)
+        for src, tgt, _ in g.edges():
+            if src >= 1:
+                assert position[src] <= position[tgt]
+
+
+def test_scc_of_dag_is_singletons_and_self_loop_is_singleton():
+    rng = random.Random(137)
+    for _ in range(20):
+        g = random_dag_graph(rng, F3, rng.randint(1, 8))
+        assert all(len(c) == 1 for c in g.strongly_connected_components())
+    g = WeightedDigraphFF(F3, 3, [(1, 1, 1), (1, 2, 1), (2, 3, 1), (3, 2, 2)])
+    assert g.strongly_connected_components() == [(1,), (2, 3)]
+
+
+def test_scc_long_chain_is_iterative():
+    n = 5000  # far past the default recursion limit
+    g = WeightedDigraphFF(F2, n, [(i, i + 1, 1) for i in range(1, n)] + [(n, 1, 1), (0, 1, 1)])
+    assert g.strongly_connected_components() == [tuple(range(1, n + 1))]
+    chain = WeightedDigraphFF(F2, n, [(i, i + 1, 1) for i in range(n)])
+    assert chain.strongly_connected_components() == [(i,) for i in range(1, n + 1)]
 
 
 # ---------------------------------------------------------
