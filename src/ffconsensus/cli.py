@@ -5,7 +5,7 @@ are reduced mod p on load (with a warning to stderr when the reduction
 changed a value); edge weights that reduce to 0 are rejected, since a
 zero weight means "no edge".  Exit codes for ``analyze``: 0 consensus
 guaranteed, 2 impossible, 3 inconclusive; malformed configs and usage
-errors exit 1.
+errors exit 1, as does a run whose reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from .field import PrimeField, is_prime
 from .graphs import WeightedDigraphFF
 from .linsys import DEFAULT_STATE_BOUND, LinearSystemFF, autonomous_cycle_structure
 from .matrix import MatrixFF, VectorFF
-from .sim import NetworkState, default_horizon, random_state, simulate
+from .sim import NetworkState, random_state, simulate
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -362,9 +363,10 @@ def _traj_json(traj, trial: int, bound: int | None) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    if args.trials < 1:
-        print(f"error: --trials must be >= 1 (got {args.trials})", file=sys.stderr)
-        return EXIT_CONFIG
+    for flag, value in (("--trials", args.trials), ("--horizon", args.horizon)):
+        if value is not None and value < 1:
+            print(f"error: {flag} must be >= 1 (got {value})", file=sys.stderr)
+            return EXIT_CONFIG
     cfg = load_config(args.config)
     net = cfg.network()
     if net.gain is None:
@@ -379,7 +381,9 @@ def cmd_simulate(args) -> int:
         bound = convergence_bound(net)
     except ValueError:
         bound = None
-    horizon = args.horizon or cfg.steps or default_horizon(net)
+    horizon = args.horizon if args.horizon is not None else cfg.steps
+    if horizon is None:
+        horizon = bound + 5 if bound is not None else 4 * cfg.num_followers * cfg.n
     if cfg.switching is not None and cfg.switching["kind"] == "explicit":
         length = len(cfg.switching["sequence"])
         _require(length >= horizon, "switching.sequence",
@@ -523,6 +527,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except BrokenPipeError:
+        # the reader closed stdout early (`... | head`); send what is still
+        # buffered to devnull so the interpreter's final flush does not fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_CONFIG
 
 

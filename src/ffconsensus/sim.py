@@ -6,6 +6,16 @@ control u_i = K * sum_j a_ij (x_j - x_i) before advancing.  Tracking
 errors are reported with ordinary integer arithmetic on the canonical
 residues (e_i = sum of componentwise absolute differences), so e_i = 0
 exactly when the follower matches the leader componentwise.
+
+The update rule is written once, in ``_stepper``: built once per graph,
+it advances a tuple of N+1 integer agent states, leader first.
+``simulate``, ``step`` and every route of the brute-force oracle use it.
+The oracle's error route needs no second stepper.  Pinned at 0, the
+leader stays there (A 0 = 0), so each follower's state is its error
+delta_i = x_i - x_0, and since x_0 - x_i = -delta_i and d_i counts the
+leader edge, the rule reads delta_i' = A delta_i + bK (sum_{j>=1} abar_ij
+delta_j - d_i delta_i): the recurrence whose stacked matrix is the error
+matrix I_N (x) A + (Abar - Dbar) (x) bK.
 """
 
 from __future__ import annotations
@@ -62,30 +72,52 @@ def random_state(field: PrimeField, n: int, num_followers: int, rng: random.Rand
     return NetworkState(step=0, leader=draw(), followers=tuple(draw() for _ in range(num_followers)))
 
 
-def step(net: LeaderFollowerNetwork, state: NetworkState, graph_index: int = 0) -> NetworkState:
-    """One synchronous update under the chosen graph."""
+def _stepper(net: LeaderFollowerNetwork, graph_index: int):
+    """The agent update rule under one graph, on integer tables.
+
+    Returns ``advance``, which maps a tuple of N+1 agent states (leader
+    first, each a tuple of n residues) to the next one.  In-edges come
+    from ``g.edges()``, leader edges and self-loops included (a self-loop
+    adds w (x_i - x_i) = 0).  u_i = K sum_j a_ij (x_j - x_i) is evaluated
+    as sum_j a_ij (K x_j - K x_i), so each agent's K x is formed once.
+    """
     if net.gain is None:
         raise ValueError("stepping requires a gain K")
-    A = net.sys.A
-    b = net.sys.b.col(0)
-    K = net.gain
-    g = net.graphs[graph_index]
-    field = net.field
-    n = net.sys.dim
+    p = net.field.p
+    a_rows = net.sys.A.to_rows()
+    b = net.sys.b.col(0).entries
+    k_row = net.gain.to_rows()[0]
+    in_edges: list[list[tuple[int, int]]] = [[] for _ in range(net.num_followers + 1)]
+    for src, tgt, w in net.graphs[graph_index].edges():
+        in_edges[tgt].append((src, w))
 
-    all_states = (state.leader,) + state.followers
-    new_leader = A @ state.leader
-    new_followers = []
-    for i in range(1, net.num_followers + 1):
-        x_i = all_states[i]
-        rel = VectorFF(field, [0] * n)
-        for j in range(net.num_followers + 1):
-            w = g.weight(j, i)
-            if w:
-                rel = rel + (all_states[j] - x_i).scale(w)
-        u = sum(K.entry_int(0, t) * rel.entries[t] for t in range(n)) % field.p
-        new_followers.append((A @ x_i) + b.scale(u))
-    return NetworkState(step=state.step + 1, leader=new_leader, followers=tuple(new_followers))
+    def advance(states: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+        kx = [sum(k * x for k, x in zip(k_row, s)) for s in states]
+        out = [tuple(sum(a * x for a, x in zip(row, states[0])) % p for row in a_rows)]
+        for i in range(1, len(states)):
+            x_i = states[i]
+            u = sum(w * (kx[j] - kx[i]) for j, w in in_edges[i]) % p
+            out.append(tuple(
+                (sum(a * x for a, x in zip(row, x_i)) + bt * u) % p for row, bt in zip(a_rows, b)
+            ))
+        return tuple(out)
+
+    return advance
+
+
+def _agent_ints(state: NetworkState) -> tuple[tuple[int, ...], ...]:
+    return (state.leader.entries,) + tuple(f.entries for f in state.followers)
+
+
+def _network_state(field: PrimeField, step_no: int, agents) -> NetworkState:
+    vecs = [VectorFF(field, x) for x in agents]
+    return NetworkState(step=step_no, leader=vecs[0], followers=tuple(vecs[1:]))
+
+
+def step(net: LeaderFollowerNetwork, state: NetworkState, graph_index: int = 0) -> NetworkState:
+    """One synchronous update under the chosen graph."""
+    agents = _stepper(net, graph_index)(_agent_ints(state))
+    return _network_state(net.field, state.step + 1, agents)
 
 
 def simulate(
@@ -107,9 +139,12 @@ def simulate(
     if bad:
         raise ValueError(f"switching signal emitted invalid graph indices {bad}")
 
+    steppers = [_stepper(net, gi) for gi in range(len(net.graphs))]
+    agents = _agent_ints(init)
     states = [init]
-    for k in range(horizon):
-        states.append(step(net, states[-1], indices[k]))
+    for k, gi in enumerate(indices, start=1):
+        agents = steppers[gi](agents)
+        states.append(_network_state(net.field, init.step + k, agents))
     errors = [tuple(s.errors()) for s in states]
 
     consensus_step: int | None = None
@@ -135,47 +170,6 @@ def simulate(
 # ----------------------------------------------------------------------
 
 
-def _delta_stepper(net: LeaderFollowerNetwork, graph_index: int):
-    """Stepper for the stacked error state, straight from the agent
-    recurrence delta_i' = A delta_i + bK (sum_j abar_ij delta_j - d_i delta_i);
-    graph tables are precomputed once."""
-    g = net.graphs[graph_index]
-    p = net.field.p
-    n = net.sys.dim
-    N = net.num_followers
-    a_rows = net.sys.A.to_rows()
-    b = net.sys.b.col(0).entries
-    k_row = net.gain.to_rows()[0]
-    degs = [d.value for _, d in sorted(g.in_degrees().items())]
-    in_edges: list[list[tuple[int, int]]] = [[] for _ in range(N)]
-    for src, tgt, w in g.edges():
-        if src >= 1:
-            in_edges[tgt - 1].append((src - 1, w))
-
-    def advance(deltas: tuple[tuple[int, ...], ...]):
-        out = []
-        for i in range(N):
-            acc = [0] * n
-            for j, w in in_edges[i]:
-                dj = deltas[j]
-                for t in range(n):
-                    acc[t] += w * dj[t]
-            di = degs[i]
-            d_i = deltas[i]
-            for t in range(n):
-                acc[t] = (acc[t] - di * d_i[t]) % p
-            u = sum(k_row[t] * acc[t] for t in range(n)) % p
-            out.append(
-                tuple(
-                    (sum(a_rows[t][r] * d_i[r] for r in range(n)) + b[t] * u) % p
-                    for t in range(n)
-                )
-            )
-        return tuple(out)
-
-    return advance
-
-
 def exhaustive_consensus_oracle(
     net: LeaderFollowerNetwork,
     horizon: int,
@@ -190,69 +184,46 @@ def exhaustive_consensus_oracle(
     sets are advanced under every graph at every step, which decides all
     q^horizon switching sequences at once without enumerating them.
 
-    Enumerates full network states (leader included, via the agent update
-    rule) when p^(n(N+1)) fits the bound, otherwise the errors directly;
-    both routes are independent of the Kronecker-assembled error matrix.
+    Enumerates full network states (leader included) when p^(n(N+1))
+    fits the bound, otherwise the errors directly, as follower states
+    under a leader pinned at 0 (see the module docstring); every route
+    runs the agent update rule, independent of the Kronecker-assembled
+    error matrix.
     """
-    if net.gain is None:
-        raise ValueError("the oracle requires a gain K")
+    steppers = [_stepper(net, gi) for gi in range(len(net.graphs))]
     p = net.field.p
     n = net.sys.dim
     N = net.num_followers
     full_count = p ** (n * (N + 1))
     delta_count = p ** (n * N)
+    cells = list(product(range(p), repeat=n))
+    zero = (0,) * n
+    error_starts = lambda: ((zero,) + deltas for deltas in product(cells, repeat=N))
 
     if all_signals:
         if delta_count > state_bound:
             raise ValueError(
                 f"error state space {delta_count} exceeds the oracle bound {state_bound}"
             )
-        steppers = [_delta_stepper(net, gi) for gi in range(len(net.graphs))]
-        current = set(product(product(range(p), repeat=n), repeat=N))
+        current = set(error_starts())
         for _ in range(horizon):
-            current = {adv(deltas) for deltas in current for adv in steppers}
-        zero = tuple(tuple([0] * n) for _ in range(N))
-        return current == {zero}
+            current = {adv(agents) for agents in current for adv in steppers}
+        return current == {(zero,) * (N + 1)}
 
     if signal is None:
         signal = SwitchingSignal.constant(0)
     indices = signal.realize(horizon)
-
     if full_count <= state_bound:
-        field = net.field
-        zero_errors = True
-        for flat in product(range(p), repeat=n * (N + 1)):
-            vecs = [
-                VectorFF(field, flat[a * n : (a + 1) * n]) for a in range(N + 1)
-            ]
-            st = NetworkState(step=0, leader=vecs[0], followers=tuple(vecs[1:]))
-            for k in range(horizon):
-                st = step(net, st, indices[k])
-            if any(st.errors()):
-                zero_errors = False
-                break
-        return zero_errors
-
-    if delta_count > state_bound:
+        starts = product(cells, repeat=N + 1)
+    elif delta_count <= state_bound:
+        starts = error_starts()
+    else:
         raise ValueError(
             f"state space sizes {full_count} / {delta_count} exceed the oracle bound {state_bound}"
         )
-    steppers = [_delta_stepper(net, gi) for gi in range(len(net.graphs))]
-    zero = tuple(tuple([0] * n) for _ in range(N))
-    for deltas in product(product(range(p), repeat=n), repeat=N):
-        cur = deltas
-        for k in range(horizon):
-            cur = steppers[indices[k]](cur)
-        if cur != zero:
+    for agents in starts:
+        for gi in indices:
+            agents = steppers[gi](agents)
+        if any(x != agents[0] for x in agents[1:]):
             return False
     return True
-
-
-def default_horizon(net: LeaderFollowerNetwork) -> int:
-    """Bound + 5 when the consensus hypotheses hold, else 4*N*n."""
-    from .consensus import convergence_bound
-
-    try:
-        return convergence_bound(net) + 5
-    except ValueError:
-        return 4 * net.num_followers * net.sys.dim

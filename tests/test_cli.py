@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from ffconsensus import consensus
 from ffconsensus.cli import ConfigError, ScenarioConfig, load_config, main
 
 from conftest import REF_A_ROWS, REF_B, REF_GRAPH1_EDGES, REF_GRAPH2_EDGES
@@ -356,6 +360,77 @@ def test_simulate_rejects_nonpositive_trials(tmp_path, ref_config_path, capsys, 
     captured = capsys.readouterr()
     assert "--trials" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("horizon", ["0", "-3"])
+def test_simulate_rejects_nonpositive_horizon(tmp_path, ref_config_path, capsys, horizon):
+    cfg = synthesized_config(tmp_path, ref_config_path)
+    capsys.readouterr()
+    assert main(["simulate", cfg, "--horizon", horizon]) == 1
+    captured = capsys.readouterr()
+    assert "--horizon" in captured.err
+    assert captured.out == ""
+
+
+def test_simulate_analyses_the_network_once(tmp_path, ref_config_path, monkeypatch, capsys):
+    # no `steps` and no --horizon: the horizon comes from the bound
+    cfg = synthesized_config(tmp_path, ref_config_path)
+    calls = []
+    real_analyze = consensus.analyze
+
+    def counting_analyze(net):
+        calls.append(net)
+        return real_analyze(net)
+
+    monkeypatch.setattr(consensus, "analyze", counting_analyze)
+    capsys.readouterr()
+    assert main(["simulate", cfg, "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(calls) == 1
+    assert doc["horizon"] == doc["bound"] + 5
+
+
+# simulate output (stdout and stderr, CSV and JSON) recorded before the
+# update rule was merged into one integer stepper: the reference config
+# with a gain under periodic (no `steps`: horizon = bound + 5), random and
+# explicit switching (explicit initial states), and a cyclic follower
+# graph with self-loops, once with consensus and once without (horizon
+# 4 N n)
+SIM_GOLDEN = json.loads((Path(__file__).parent / "data" / "simulate_golden.json").read_text())
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case", sorted(SIM_GOLDEN))
+def test_simulate_output_unchanged(case, fmt, tmp_path, capsys):
+    expected = SIM_GOLDEN[case]
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(expected["config"]))
+    assert main(["simulate", str(path), *expected["args"], "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected[fmt]["stdout"]
+    assert captured.err == expected[fmt]["stderr"]
+
+
+def test_simulate_closed_pipe_exits_without_traceback(tmp_path):
+    path = tmp_path / "with_k.json"
+    path.write_text(json.dumps(ref_config_dict(K=[2, 1, 2, 0, 1], steps=25)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    # about 0.8 MB of JSON, far beyond a pipe's buffer, so the writer
+    # is still writing when the reader goes away
+    err_path = tmp_path / "stderr.txt"
+    with open(err_path, "wb") as err_file:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ffconsensus.cli", "simulate", str(path),
+             "--trials", "50", "--format", "json"],
+            stdout=subprocess.PIPE, stderr=err_file, env=env,
+        )
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+    err = err_path.read_text()
+    assert "trial 49" in err
+    assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
 # ---------------------------------------------------------

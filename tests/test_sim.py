@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,7 +20,16 @@ from ffconsensus import (
     synthesize_gain,
 )
 
-from conftest import F2, F3, REF_A_ROWS, REF_B, random_network
+from conftest import (
+    F2,
+    F3,
+    REF_A_ROWS,
+    REF_B,
+    random_matrix,
+    random_network,
+    random_nilpotent,
+    random_scc_graph,
+)
 
 
 def vec(field, *entries):
@@ -229,6 +239,74 @@ def test_oracle_bound_guard():
     net = random_network(rng, F3, n=3, num_followers=3)
     with pytest.raises(ValueError):
         exhaustive_consensus_oracle(net, horizon=2, state_bound=10)
+
+
+def test_simulate_makes_no_weight_lookups(ref_network, monkeypatch):
+    net = ref_network.with_gain(synthesize_gain(ref_network))
+
+    def no_lookup(self, src, tgt):
+        raise AssertionError("simulate looked up an edge weight")
+
+    monkeypatch.setattr(WeightedDigraphFF, "weight", no_lookup)
+    sig = SwitchingSignal(kind="random", num_graphs=2, seed=4)
+    traj = simulate(net, random_state(F3, 5, 4, random.Random(4)), signal=sig, horizon=20)
+    assert traj.consensus_step is not None
+
+
+def test_stepper_routes_agree_on_cyclic_networks():
+    """simulate and the oracle's full-state, error (leader pinned at 0)
+    and all-signals routes, against the error matrices, on follower
+    graphs with cycles, self-loops and zero in-degrees."""
+    rng = random.Random(23)
+    seen = Counter()
+    for _ in range(100):
+        field = (F2, F3)[rng.randrange(2)]
+        p = field.p
+        n = rng.randint(1, 2)
+        N = rng.randint(1, 3 if p ** (2 * n) <= 16 else 2)
+        a = random_nilpotent(rng, field, n) if rng.random() < 0.4 else random_matrix(rng, field, n, n)
+        graphs = tuple(random_scc_graph(rng, field, N) for _ in range(rng.randint(1, 2)))
+        gain = random_matrix(rng, field, 1, n) if rng.random() < 0.8 else MatrixFF.zeros(field, 1, n)
+        net = LeaderFollowerNetwork(sys=LinearSystemFF(a, random_matrix(rng, field, n, 1)),
+                                    graphs=graphs, gain=gain)
+        q = len(graphs)
+        mats = [error_dynamics_matrix(net, gi) for gi in range(q)]
+        horizon = N * n
+        sig = SwitchingSignal(kind="random", num_graphs=q, seed=rng.randrange(10**6))
+
+        traj = simulate(net, random_state(field, n, N, rng), signal=sig, horizon=horizon)
+        delta = stacked_error(traj.states[0])
+        for k in range(1, horizon + 1):
+            m = mats[traj.signal_indices[k - 1]]
+            delta = [
+                sum(m.entry_int(i, j) * delta[j] for j in range(len(delta))) % p
+                for i in range(len(delta))
+            ]
+            assert delta == stacked_error(traj.states[k])
+
+        along_signal = MatrixFF.identity(field, N * n)
+        for gi in sig.realize(horizon):
+            along_signal = mats[gi] @ along_signal
+        products = {MatrixFF.identity(field, N * n)}
+        for _ in range(horizon):
+            products = {m @ prod for prod in products for m in mats}
+        if q == 1:  # a power N*n of an N*n x N*n matrix vanishes iff it is nilpotent
+            assert along_signal.is_zero() == mats[0].is_nilpotent()
+        assert exhaustive_consensus_oracle(net, horizon, signal=sig) == along_signal.is_zero()
+        assert exhaustive_consensus_oracle(
+            net, horizon, signal=sig, state_bound=p ** (n * N)
+        ) == along_signal.is_zero()
+        assert exhaustive_consensus_oracle(net, horizon, all_signals=True) == all(
+            prod.is_zero() for prod in products
+        )
+
+        seen["consensus" if along_signal.is_zero() else "no_consensus"] += 1
+        seen["switching"] += q > 1
+        for g in graphs:
+            seen["cyclic"] += any(len(c) > 1 for c in g.strongly_connected_components())
+            seen["self_loop"] += any(g.weight(i, i) for i in range(1, N + 1))
+            seen["zero_degree"] += any(d.value == 0 for d in g.in_degrees().values())
+    assert min(seen.values()) >= 15, seen
 
 
 # ---------------------------------------------------------
