@@ -92,7 +92,11 @@ class ScenarioConfig:
             _require(key in doc, key, "required field is missing")
 
         p = _int_at(doc["p"], "p")
-        _require(is_prime(p), "p", f"{p} is not prime")
+        try:
+            prime = is_prime(p)
+        except ValueError as exc:
+            raise ConfigError("p", str(exc)) from exc
+        _require(prime, "p", f"{p} is not prime")
         n = _int_at(doc["n"], "n")
         _require(n >= 1, "n", "state dimension must be >= 1")
         N = _int_at(doc["N"], "N")
@@ -476,10 +480,6 @@ def cmd_cycles(args) -> int:
         lines.append("bijective-part factors (factor | ascending coeffs | multiplicity | order of x):")
         for g, mult, order in cs.factor_orders:
             lines.append(f"  {g.format()} | {g.coefficient_list()} | {mult} | {order}")
-        lines.append(
-            "note: polynomial mode assumes minimal = characteristic polynomial; "
-            "enumeration mode is authoritative"
-        )
     _emit("\n".join(lines), args.out)
     return EXIT_OK
 

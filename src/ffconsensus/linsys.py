@@ -14,6 +14,7 @@ reproducible run to run.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from math import lcm
 
@@ -22,6 +23,7 @@ from .matrix import MatrixFF, VectorFF
 from .poly import PolyFF, factor, split_nilpotent_bijective, _order_mod_prime_power
 
 DEFAULT_STATE_BOUND = 10**6
+_PACK_SLICE = 4096
 
 
 @dataclass(frozen=True)
@@ -229,9 +231,8 @@ class CycleStructure:
 
     ``cycles`` maps cycle length -> number of cycles of that length.
     ``tree_depth`` is the number of steps after which every state has
-    entered a cycle (enumeration mode: exact; polynomial mode: the
-    multiplicity s of the root 0 of the characteristic polynomial, which
-    is exact whenever the minimal and characteristic polynomials agree).
+    entered a cycle.  Both modes are exact and return the same fields,
+    except ``factor_orders``, which only polynomial mode fills.
     """
 
     method: str
@@ -254,14 +255,11 @@ def autonomous_cycle_structure(
 ) -> CycleStructure:
     """Cycle multiset and transient depth of the map x -> Ax on F_p^n.
 
-    Enumeration mode walks the whole functional graph and is the
-    authoritative answer; it requires p^n <= state_bound.  Polynomial
-    mode derives the structure from the characteristic polynomial
-    (multiplicities of x give the transient part; cycle lengths come from
-    orders of x modulo the irreducible factor powers of the bijective
-    part and their lcm combinations).  The polynomial route assumes the
-    state module is cyclic, i.e. minimal polynomial = characteristic
-    polynomial; callers can cross-check with enumeration when in doubt.
+    Enumeration mode evaluates A x for all p^n states and walks the
+    functional graph; it requires p^n <= state_bound.  Polynomial mode
+    derives the same structure from the factors of the characteristic
+    polynomial and the kernel dimensions of their powers evaluated at A
+    (see ``_cycles_by_polynomial``); its cost does not grow with p^n.
     """
     if not A.is_square:
         raise ValueError("cycle structure requires a square matrix")
@@ -272,69 +270,82 @@ def autonomous_cycle_structure(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _cycles_by_enumeration(A: MatrixFF, state_bound: int) -> CycleStructure:
+def _successor_table(A: MatrixFF) -> list[int]:
+    """succ[x] = A x for every state of F_p^n, packed base p.
+
+    Coordinate j of a state is its digit j.  The table is built one output
+    coordinate at a time: by linearity, the values of (A x)_i over the
+    states of digits 0..j are p copies of its values over the states of
+    digits 0..j-1, copy d shifted by a_ij * d.  Each coordinate is then
+    folded into the packed successor Horner-style.
+    """
     p = A.field.p
     n = A.rows
     total = p**n
+    rows = A.to_rows()
+    wrap = list(range(p)) * 2  # wrap[c : c + p][v] == (v + c) % p
+
+    succ = [0]  # the single state when n = 0
+    for i in range(n - 1, -1, -1):
+        first, *rest = rows[i]
+        vals = [first * d % p for d in range(p)]
+        for a in rest:
+            shifted = [wrap[c : c + p] for c in [a * d % p for d in range(p)]]
+            vals = [t[v] for t in shifted for v in vals]
+        if i == n - 1:
+            succ = vals
+            continue
+        # fold in slices, so that no second full table of packed ints is
+        # alive at once
+        for lo in range(0, total, _PACK_SLICE):
+            hi = lo + _PACK_SLICE
+            succ[lo:hi] = [s * p + v for s, v in zip(succ[lo:hi], vals[lo:hi])]
+    return succ
+
+
+def _cycles_by_enumeration(A: MatrixFF, state_bound: int) -> CycleStructure:
+    """Cycle structure from the successor table of all p^n states.
+
+    Tree depth is the number of rounds needed to peel the states that
+    have no predecessor left; the states that are never peeled lie on
+    cycles and are walked once.
+    """
+    total = A.field.p ** A.rows
     if total > state_bound:
         raise ValueError(
             f"state space size {total} exceeds the enumeration bound {state_bound}"
         )
-    rows = A.to_rows()
+    succ = _successor_table(A)
 
-    def successor(x: int) -> int:
-        digits = []
-        t = x
-        for _ in range(n):
-            t, r = divmod(t, p)
-            digits.append(r)
-        out = 0
-        for i in range(n - 1, -1, -1):
-            row = rows[i]
-            out = out * p + (sum(row[j] * digits[j] for j in range(n)) % p)
-        return out
+    indeg = [0] * total
+    for y in succ:
+        indeg[y] += 1
+    frontier = array("l", (x for x in range(total) if not indeg[x]))
+    depth = 0
+    transient = 0
+    while frontier:
+        depth += 1
+        transient += len(frontier)
+        peeled = array("l")
+        for x in frontier:
+            y = succ[x]
+            indeg[y] -= 1
+            if not indeg[y]:
+                peeled.append(y)
+        frontier = peeled
 
-    succ = [successor(x) for x in range(total)]
-
-    UNSEEN, DONE = 0, 1
-    color = [UNSEEN] * total
-    on_cycle = [False] * total
+    # the states with predecessors left are exactly those on cycles
     cycles: dict[int, int] = {}
     for start in range(total):
-        if color[start] != UNSEEN:
-            continue
-        path: list[int] = []
-        pos: dict[int, int] = {}
-        v = start
-        while color[v] == UNSEEN and v not in pos:
-            pos[v] = len(path)
-            path.append(v)
-            v = succ[v]
-        if color[v] == UNSEEN:  # closed a brand-new cycle
-            length = len(path) - pos[v]
+        if indeg[start]:
+            length = 0
+            v = start
+            while indeg[v]:
+                indeg[v] = 0
+                v = succ[v]
+                length += 1
             cycles[length] = cycles.get(length, 0) + 1
-            for u in path[pos[v] :]:
-                on_cycle[u] = True
-        for u in path:
-            color[u] = DONE
 
-    # transient depth: longest distance to a cycle
-    dist = [0 if on_cycle[x] else -1 for x in range(total)]
-    depth = 0
-    for start in range(total):
-        if dist[start] >= 0:
-            continue
-        stack = [start]
-        v = succ[start]
-        while dist[v] < 0:
-            stack.append(v)
-            v = succ[v]
-        base = dist[v]
-        for i, u in enumerate(reversed(stack), start=1):
-            dist[u] = base + i
-        depth = max(depth, dist[start])
-
-    transient = total - sum(length * count for length, count in cycles.items())
     return CycleStructure(
         method="enumeration",
         tree_depth=depth,
@@ -344,25 +355,62 @@ def _cycles_by_enumeration(A: MatrixFF, state_bound: int) -> CycleStructure:
     )
 
 
+def _kernel_dims(g: PolyFF, A: MatrixFF, e: int) -> list[int]:
+    """dim ker g(A)^k for k = 0..e, where g^e exactly divides charpoly(A).
+
+    ker g(A)^e is the whole g-primary component, of dimension
+    deg(g) * e, so only the powers below e are computed.
+    """
+    dims = [0]
+    if e > 1:
+        eye = MatrixFF.identity(A.field, A.rows)
+        gA = MatrixFF.zeros(A.field, A.rows, A.rows)
+        for c in reversed(g.coeffs):  # Horner
+            gA = gA @ A + eye.scale(c)
+        power = eye
+        for _ in range(e - 1):
+            power = power @ gA
+            dims.append(A.rows - power.rank())
+    return dims + [g.degree * e]
+
+
 def _cycles_by_polynomial(A: MatrixFF) -> CycleStructure:
+    """Exact cycle structure from the primary decomposition of F_p^n.
+
+    Write the characteristic polynomial as x^s * prod g^e over monic
+    irreducibles g with g(0) != 0.  The states on cycles form the
+    bijective part, the direct sum of the primary components ker g(A)^e
+    (dimension deg(g) * e each), and every other state is transient, so
+    p^n - p^(n-s) states are transient.  The tree depth is the first k
+    with rank A^k = rank A^(k+1), i.e. with nullity(A^k) = s.  Inside a
+    primary component, a state whose annihilator is exactly g^k has
+    period order(x mod g^k), and there are
+    p^nullity(g(A)^k) - p^nullity(g(A)^(k-1)) such states; periods of a
+    sum over components combine by lcm.  The nullities come from the
+    matrix, not from the polynomial, so the count holds whether or not
+    the minimal and characteristic polynomials agree (Elspas 1959).
+    """
     p = A.field.p
     n = A.rows
     s, Q = split_nilpotent_bijective(A.char_poly())
     _, factors = factor(Q)
 
-    # per irreducible power g^e: elements killed by exactly g^k have
-    # period order(x mod g^k); combine across factors by lcm of periods
+    # x reaches a cycle within k steps iff its component in ker A^s (the
+    # x-primary part) lies in ker A^k: the depth is the first k with dim s
+    depth = _kernel_dims(PolyFF.x(A.field), A, s).index(s)
+
     acc: dict[int, int] = {1: 1}
     table: list[tuple[PolyFF, int, int]] = []
     for g, e in factors:
-        m = g.degree
+        dims = _kernel_dims(g, A, e)
         local: dict[int, int] = {1: 1}  # the zero element
         for k in range(1, e + 1):
-            order = _order_mod_prime_power(g, k)
-            count = p ** (m * k) - p ** (m * (k - 1))
-            local[order] = local.get(order, 0) + count
-            if k == 1:
-                table.append((g, e, order))
+            count = p ** dims[k] - p ** dims[k - 1]
+            if count:
+                order = _order_mod_prime_power(g, k)
+                local[order] = local.get(order, 0) + count
+                if k == 1:
+                    table.append((g, e, order))
         new: dict[int, int] = {}
         for l1, c1 in acc.items():
             for l2, c2 in local.items():
@@ -379,7 +427,7 @@ def _cycles_by_polynomial(A: MatrixFF) -> CycleStructure:
     transient = total - p ** (n - s)
     return CycleStructure(
         method="polynomial",
-        tree_depth=s,
+        tree_depth=depth,
         cycles=cycles,
         total_states=total,
         transient_states=transient,

@@ -450,7 +450,28 @@ def test_cycles_polynomial_table(ref_config_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "λ^4+λ^3+2λ+1 | [1, 2, 0, 1, 1] | 1 | 20" in out
-    assert "enumeration mode is authoritative" in out
+    assert "note:" not in out  # polynomial mode is exact: no caveat
+
+
+def test_cycles_polynomial_non_cyclic(tmp_path, capsys):
+    # the identity on F_3^2 has nine fixed points, not 1x3 + 3x2
+    doc = {"p": 3, "n": 2, "N": 1, "A": [[1, 0], [0, 1]], "b": [1, 0], "graphs": [[[0, 1, 1]]]}
+    path = tmp_path / "ident.json"
+    path.write_text(json.dumps(doc))
+    assert main(["cycles", str(path), "--poly"]) == 0
+    assert "cycles (length x count): 1x9" in capsys.readouterr().out
+
+
+def test_large_prime_modulus(tmp_path, ref_config_path, capsys):
+    doc = json.loads(Path(ref_config_path).read_text())
+    doc["p"] = 2**61 - 1  # trial division up to its square root did not finish
+    path = tmp_path / "p61.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) in (0, 2, 3)
+    doc["p"] = 2**89 - 1  # prime, but above the proven bound of the test
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", str(path)]) == 1
+    assert "config error: p: " in capsys.readouterr().err
 
 
 def test_cycles_bound_guard(tmp_path, capsys):

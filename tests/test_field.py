@@ -3,6 +3,7 @@ import random
 import pytest
 
 from ffconsensus import PrimeField, is_prime
+from ffconsensus.field import PRIMALITY_BOUND
 
 AXIOM_PRIMES = [2, 3, 5, 7, 31, 97]
 
@@ -25,6 +26,38 @@ def test_prime_moduli_accepted():
 def test_is_prime_small_range():
     known = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47}
     assert {n for n in range(50) if is_prime(n)} == known
+
+
+def test_is_prime_matches_trial_division_below_1e5():
+    limit = 10**5
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for q in range(2, int(limit**0.5) + 1):
+        if sieve[q]:
+            sieve[q * q :: q] = bytes(len(range(q * q, limit, q)))
+    assert [n for n in range(limit) if is_prime(n)] == [n for n in range(limit) if sieve[n]]
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to base 2; to 2, 3, 5, 7; to the primes up to 31;
+    # and to the primes up to 37 (why the 13th base, 41, is needed)
+    for n in (2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+
+
+def test_is_prime_large_primes():
+    for p in (2**31 - 1, 2**61 - 1, 2**79 - 67):
+        assert is_prime(p)
+        assert PrimeField(p).p == p
+    assert not is_prime((2**61 - 1) * (2**19 - 1))
+    assert not is_prime(561)  # Carmichael
+
+
+def test_is_prime_refuses_above_its_proven_bound():
+    with pytest.raises(ValueError, match="cannot be certified"):
+        is_prime(PRIMALITY_BOUND)
+    with pytest.raises(ValueError):
+        PrimeField(2**89 - 1)
 
 
 def test_canonical_residues():

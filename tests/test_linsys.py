@@ -6,12 +6,15 @@ import pytest
 from ffconsensus import (
     LinearSystemFF,
     MatrixFF,
+    PrimeField,
+    VectorFF,
     autonomous_cycle_structure,
     controllability_matrix,
     deadbeat_gain,
     is_stabilizable,
     kalman_decompose,
 )
+from ffconsensus.linsys import _successor_table
 
 from conftest import (
     F2,
@@ -286,3 +289,162 @@ def test_nilpotent_map_depth_equals_degree():
         cs = autonomous_cycle_structure(m)
         assert cs.cycles == {1: 1}  # only the origin survives
         assert cs.tree_depth == m.nilpotent_degree()
+
+
+# ---------------------------------------------------------
+# Differential tests of both cycle-structure modes
+# ---------------------------------------------------------
+
+F7 = PrimeField(7)
+CYCLE_KINDS = ("identity", "zero", "nilpotent", "diag_bb", "permutation", "singular", "random")
+
+
+def block_diag(field, blocks):
+    n = sum(b.rows for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b.to_rows()):
+            rows[at + i][at : at + b.rows] = row
+        at += b.rows
+    return MatrixFF(field, rows)
+
+
+def cycle_test_matrix(rng, kind, field, n):
+    """A seeded n x n matrix of the given kind (n >= 2 for diag_bb, singular)."""
+    if kind == "identity":
+        return MatrixFF.identity(field, n)
+    if kind == "zero":
+        return MatrixFF.zeros(field, n, n)
+    if kind == "nilpotent":
+        return random_nilpotent(rng, field, n)
+    if kind == "permutation":
+        perm = list(range(n))
+        rng.shuffle(perm)
+        return MatrixFF(field, [[int(j == perm[i]) for j in range(n)] for i in range(n)])
+    if kind == "random":
+        return random_matrix(rng, field, n, n)
+    if kind == "diag_bb":  # B repeated, plus a random scalar when n is odd
+        b = random_matrix(rng, field, n // 2, n // 2)
+        m = block_diag(field, [b, b] + [random_matrix(rng, field, 1, 1)] * (n % 2))
+    else:  # singular, not nilpotent: an invertible block beside a nilpotent one
+        r = rng.randrange(1, n)
+        m = block_diag(field, [random_invertible(rng, field, r), random_nilpotent(rng, field, n - r)])
+    t = random_invertible(rng, field, n)
+    return (t @ m) @ t.inverse()
+
+
+def unpack(x, p, n):
+    return [x // p**j % p for j in range(n)]
+
+
+def naive_cycle_structure(succ):
+    """Iterate every state until it repeats or meets a known cycle state."""
+    cycle_len: dict[int, int] = {}  # state on a cycle -> its cycle's length
+    depth = 0
+    for x in range(len(succ)):
+        seen: dict[int, int] = {}  # state -> steps from x
+        v = x
+        while v not in seen and v not in cycle_len:
+            seen[v] = len(seen)
+            v = succ[v]
+        if v in seen:  # a new cycle, entered seen[v] steps from x
+            tail = seen[v]
+            for u, k in seen.items():
+                if k >= tail:
+                    cycle_len[u] = len(seen) - tail
+        else:
+            tail = len(seen)
+        depth = max(depth, tail)
+    cycles: dict[int, int] = {}
+    for length in cycle_len.values():
+        cycles[length] = cycles.get(length, 0) + 1
+    return depth, {l: c // l for l, c in cycles.items()}, len(succ) - len(cycle_len)
+
+
+def test_enumeration_matches_naive_walker():
+    rng = random.Random(97)
+    kinds: dict[str, int] = {}
+    fields: dict[int, int] = {}
+    depths, lengths = set(), set()
+    for t in range(336):
+        kind = CYCLE_KINDS[t % len(CYCLE_KINDS)]
+        field = (F2, F3, F5, F7)[t // len(CYCLE_KINDS) % 4]
+        p = field.p
+        n = rng.randrange(2 if kind in ("diag_bb", "singular") else 1, 6)
+        while p**n > 2500:
+            n -= 1
+        a = cycle_test_matrix(rng, kind, field, n)
+        expected = []
+        for x in range(p**n):
+            y = (a @ VectorFF(field, unpack(x, p, n))).to_ints()
+            expected.append(sum(c * p**j for j, c in enumerate(y)))
+        assert _successor_table(a) == expected, (kind, a)
+
+        cs = autonomous_cycle_structure(a)
+        depth, cycles, transient = naive_cycle_structure(expected)
+        assert (cs.tree_depth, cs.cycles, cs.transient_states) == (depth, cycles, transient), (kind, a)
+        assert cs.total_states == p**n
+        kinds[kind] = kinds.get(kind, 0) + 1
+        fields[p] = fields.get(p, 0) + 1
+        depths.add(depth)
+        lengths.update(cycles)
+    assert min(kinds.values()) >= 48 and min(fields.values()) >= 84
+    assert {0, 1, 2, 3} <= depths and max(lengths) > 20
+
+
+def test_enumeration_across_pack_slices():
+    # state spaces larger than one packing slice (linsys._PACK_SLICE states)
+    rng = random.Random(103)
+    for field, n in ((F2, 13), (F3, 9), (F7, 5)):
+        p = field.p
+        a = random_matrix(rng, field, n, n)
+        expected = []
+        for x in range(p**n):
+            y = (a @ VectorFF(field, unpack(x, p, n))).to_ints()
+            expected.append(sum(c * p**j for j, c in enumerate(y)))
+        assert _successor_table(a) == expected
+        cs = autonomous_cycle_structure(a)
+        assert (cs.tree_depth, cs.cycles, cs.transient_states) == naive_cycle_structure(expected)
+
+
+def minimal_poly_degree(a):
+    """Rank of I, A, ..., A^(n-1) as vectors: n iff A is cyclic."""
+    power = MatrixFF.identity(a.field, a.rows)
+    flat = []
+    for _ in range(a.rows):
+        flat.append([v for row in power.to_rows() for v in row])
+        power = power @ a
+    return MatrixFF(a.field, flat).rank()
+
+
+def test_polynomial_mode_matches_enumeration():
+    rng = random.Random(101)
+    non_cyclic = 0
+    for t in range(420):
+        kind = CYCLE_KINDS[t % len(CYCLE_KINDS)]
+        field = (F2, F3)[t // len(CYCLE_KINDS) % 2]
+        n = rng.randrange(2 if kind in ("diag_bb", "singular") else 1, 7)
+        a = cycle_test_matrix(rng, kind, field, n)
+        enum = autonomous_cycle_structure(a, mode="enumeration")
+        poly = autonomous_cycle_structure(a, mode="polynomial")
+        assert (poly.tree_depth, poly.cycles, poly.transient_states, poly.total_states) == (
+            enum.tree_depth, enum.cycles, enum.transient_states, enum.total_states
+        ), (kind, a)
+        non_cyclic += minimal_poly_degree(a) < n
+    assert non_cyclic >= 105
+
+
+def test_polynomial_mode_non_cyclic_regressions():
+    # the identity and zero maps, whose minimal polynomial is not x^n or (x-1)^n
+    ident = autonomous_cycle_structure(MatrixFF.identity(F3, 2), mode="polynomial")
+    assert (ident.cycles, ident.tree_depth, ident.transient_states) == ({1: 9}, 0, 0)
+    zero = autonomous_cycle_structure(MatrixFF.zeros(F3, 3, 3), mode="polynomial")
+    assert (zero.cycles, zero.tree_depth, zero.transient_states) == ({1: 1}, 1, 26)
+
+
+def test_empty_matrix_cycle_structure():
+    empty = MatrixFF.zeros(F3, 0, 0)
+    for mode in ("enumeration", "polynomial"):
+        cs = autonomous_cycle_structure(empty, mode=mode)
+        assert (cs.cycles, cs.tree_depth, cs.total_states, cs.transient_states) == ({1: 1}, 0, 1, 0)
