@@ -337,7 +337,6 @@ def _trajectory_rows(traj) -> list[tuple[int, int, int]]:
     for k, errs in enumerate(traj.errors):
         for agent, e in enumerate(errs, start=1):
             rows.append((k, agent, e))
-    rows.sort(key=lambda r: (r[0], r[1]))
     return rows
 
 
@@ -395,6 +394,7 @@ def cmd_simulate(args) -> int:
 
     summary_stream = sys.stdout if args.out else sys.stderr
     field = cfg.field()
+    config_hash = cfg.config_hash()
     trials = []
     for t in range(args.trials):
         init_seed = None
@@ -410,7 +410,7 @@ def cmd_simulate(args) -> int:
             init_seed = base + 1000003 * t
             init = random_state(field, cfg.n, cfg.num_followers, random.Random(init_seed))
         signal = cfg.signal(seed_offset=t)
-        meta = {"trial": t, "config_hash": cfg.config_hash()}
+        meta = {"trial": t, "config_hash": config_hash}
         if init_seed is not None:
             meta["init_seed"] = init_seed
         meta["consensus_detection"] = (
@@ -442,7 +442,7 @@ def cmd_simulate(args) -> int:
             _emit("".join(_traj_csv(tr) for tr in trials).rstrip("\n"), args.out)
     else:
         doc = {
-            "config_hash": cfg.config_hash(),
+            "config_hash": config_hash,
             "horizon": horizon,
             "bound": bound,
             "trials": [_traj_json(tr, t, bound) for t, tr in enumerate(trials)],

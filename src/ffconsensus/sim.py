@@ -16,6 +16,17 @@ delta_i = x_i - x_0, and since x_0 - x_i = -delta_i and d_i counts the
 leader edge, the rule reads delta_i' = A delta_i + bK (sum_{j>=1} abar_ij
 delta_j - d_i delta_i): the recurrence whose stacked matrix is the error
 matrix I_N (x) A + (Abar - Dbar) (x) bK.
+
+Agreement is absorbing under every graph: if x_i = x_0 for every
+follower, every difference x_j - x_i in u_i = K sum_j a_ij (x_j - x_i)
+(the leader's j = 0 and self-loops included) is x_0 - x_0 = 0, so
+u_i = 0 and every agent advances by A alone, to the same A x_0 (in
+error form: every error matrix fixes delta = 0).  ``simulate`` therefore
+stops stepping the followers at the first step where they all equal the
+leader and from there computes only the leader's orbit.  The oracle and
+``step`` deliberately step every agent on every step: they are the
+independent reference that the shortcut, and the argument itself, are
+tested against.
 """
 
 from __future__ import annotations
@@ -23,6 +34,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from itertools import product
+from operator import mul, sub
 
 from .consensus import LeaderFollowerNetwork, SwitchingSignal
 from .field import PrimeField
@@ -41,10 +53,7 @@ class NetworkState:
 
     def errors(self) -> list[int]:
         """Integer error e_i per follower (componentwise |x_i - x_0| sums)."""
-        x0 = self.leader.entries
-        return [
-            sum(abs(a - b) for a, b in zip(f.entries, x0)) for f in self.followers
-        ]
+        return list(_errors(_agent_ints(self)))
 
     def error_vectors(self) -> list[VectorFF]:
         """Follower-minus-leader differences over F_p (stacked error state)."""
@@ -92,17 +101,29 @@ def _stepper(net: LeaderFollowerNetwork, graph_index: int):
         in_edges[tgt].append((src, w))
 
     def advance(states: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-        kx = [sum(k * x for k, x in zip(k_row, s)) for s in states]
-        out = [tuple(sum(a * x for a, x in zip(row, states[0])) % p for row in a_rows)]
+        kx = [sum(map(mul, k_row, s)) for s in states]
+        out = [_apply(a_rows, states[0], p)]
         for i in range(1, len(states)):
             x_i = states[i]
             u = sum(w * (kx[j] - kx[i]) for j, w in in_edges[i]) % p
             out.append(tuple(
-                (sum(a * x for a, x in zip(row, x_i)) + bt * u) % p for row, bt in zip(a_rows, b)
+                (sum(map(mul, row, x_i)) + bt * u) % p for row, bt in zip(a_rows, b)
             ))
         return tuple(out)
 
     return advance
+
+
+def _apply(rows: list[list[int]], x: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """The matrix with integer ``rows`` times x, over F_p."""
+    return tuple(sum(map(mul, row, x)) % p for row in rows)
+
+
+def _errors(agents: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """e_i = sum_c |x_i[c] - x_0[c]| per follower, on integer agent states
+    (leader first), with ordinary integer arithmetic on the residues."""
+    x0 = agents[0]
+    return tuple(sum(map(abs, map(sub, x, x0))) for x in agents[1:])
 
 
 def _agent_ints(state: NetworkState) -> tuple[tuple[int, ...], ...]:
@@ -129,7 +150,12 @@ def simulate(
 ) -> Trajectory:
     """Run ``horizon`` steps, recording states, errors, and the first step
     from which every error stays zero through the horizon (None if the
-    errors are still nonzero at the end)."""
+    errors are still nonzero at the end).
+
+    Agreement is absorbing (see the module docstring), so the agents are
+    stepped only until every follower equals the leader; after that only
+    the leader's A x_0 is computed, and one shared ``VectorFF`` stands
+    for the leader and every follower."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if signal is None:
@@ -142,16 +168,24 @@ def simulate(
     steppers = [_stepper(net, gi) for gi in range(len(net.graphs))]
     agents = _agent_ints(init)
     states = [init]
-    for k, gi in enumerate(indices, start=1):
-        agents = steppers[gi](agents)
+    errors = [_errors(agents)]
+    k = 0
+    while k < horizon and any(errors[-1]):
+        agents = steppers[indices[k]](agents)
+        k += 1
         states.append(_network_state(net.field, init.step + k, agents))
-    errors = [tuple(s.errors()) for s in states]
+        errors.append(_errors(agents))
 
     consensus_step: int | None = None
-    for k in range(len(errors) - 1, -1, -1):
-        if any(errors[k]):
-            break
+    if not any(errors[-1]):
         consensus_step = k
+        a_rows = net.sys.A.to_rows()
+        x0, zero = agents[0], errors[-1]
+        for k in range(consensus_step + 1, horizon + 1):
+            x0 = _apply(a_rows, x0, net.field.p)
+            v = VectorFF(net.field, x0)
+            states.append(NetworkState(init.step + k, v, (v,) * len(zero)))
+            errors.append(zero)
     meta = dict(metadata or {})
     meta.setdefault("signal_kind", signal.kind)
     if signal.seed is not None:

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from ffconsensus import sim
 from ffconsensus import (
     LeaderFollowerNetwork,
     LinearSystemFF,
@@ -23,6 +24,7 @@ from ffconsensus import (
 from conftest import (
     F2,
     F3,
+    F5,
     REF_A_ROWS,
     REF_B,
     random_matrix,
@@ -307,6 +309,78 @@ def test_stepper_routes_agree_on_cyclic_networks():
             seen["self_loop"] += any(g.weight(i, i) for i in range(1, N + 1))
             seen["zero_degree"] += any(d.value == 0 for d in g.in_degrees().values())
     assert min(seen.values()) >= 15, seen
+
+
+def test_simulate_matches_stepping_every_agent(monkeypatch):
+    """simulate, which stops stepping the followers once they agree with
+    the leader, against ``step`` on every agent at every step; the
+    per-graph steppers run exactly until agreement."""
+    rng = random.Random(29)
+    seen = Counter()
+    real_stepper = sim._stepper
+    calls = Counter()
+
+    def counting_stepper(net, gi):
+        advance = real_stepper(net, gi)
+
+        def counted(agents):
+            calls[gi] += 1
+            return advance(agents)
+
+        return counted
+
+    monkeypatch.setattr(sim, "_stepper", counting_stepper)
+    for _ in range(300):
+        field = (F2, F3, F5)[rng.randrange(3)]
+        n = rng.randint(1, 3)
+        N = rng.randint(1, 4)
+        a = random_nilpotent(rng, field, n) if rng.random() < 0.4 else random_matrix(rng, field, n, n)
+        graphs = tuple(random_scc_graph(rng, field, N) for _ in range(rng.randint(1, 2)))
+        gain = random_matrix(rng, field, 1, n) if rng.random() < 0.8 else MatrixFF.zeros(field, 1, n)
+        net = LeaderFollowerNetwork(sys=LinearSystemFF(a, random_matrix(rng, field, n, 1)),
+                                    graphs=graphs, gain=gain)
+        q = len(graphs)
+        horizon = rng.randint(1, N * n + 5)
+        if rng.random() < 0.5:
+            sig = SwitchingSignal(kind="random", num_graphs=q, seed=rng.randrange(10**6))
+        else:
+            sig = SwitchingSignal(kind="explicit", num_graphs=q,
+                                  sequence=tuple(rng.randrange(q) for _ in range(horizon)))
+        init = random_state(field, n, N, rng)
+        if rng.random() < 0.15:
+            init = NetworkState(step=3, leader=init.leader, followers=(init.leader,) * N)
+
+        calls.clear()
+        traj = simulate(net, init, signal=sig, horizon=horizon)
+        stepped = Counter(traj.signal_indices[: traj.consensus_step])
+        assert calls == stepped
+
+        states = [init]
+        for gi in traj.signal_indices:
+            states.append(step(net, states[-1], gi))
+        errors = [tuple(st.errors()) for st in states]
+        agreed = [k for k in range(horizon + 1) if not any(errors[k])]
+        consensus_step = agreed[0] if agreed else None
+        if agreed:  # absorbing in the reference too
+            assert agreed == list(range(consensus_step, horizon + 1))
+        assert traj.signal_indices == tuple(sig.realize(horizon))
+        assert traj.states == tuple(states)
+        assert traj.errors == tuple(errors)
+        assert traj.consensus_step == consensus_step
+
+        seen[f"{q}_graphs"] += 1
+        seen[sig.kind] += 1
+        seen["self_loop"] += any(g.weight(i, i) for g in graphs for i in range(1, N + 1))
+        cyclic = any(len(c) > 1 for g in graphs for c in g.strongly_connected_components())
+        seen["cyclic"] += cyclic
+        seen["cyclic_agrees_later"] += cyclic and bool(consensus_step)
+        if consensus_step is None:
+            seen["never_agrees"] += 1
+        elif consensus_step == 0:
+            seen["agrees_initially"] += 1
+        else:
+            seen["agrees_later"] += 1
+    assert min(seen.values()) >= 25 and len(seen) == 10, seen
 
 
 # ---------------------------------------------------------
