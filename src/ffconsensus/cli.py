@@ -11,6 +11,7 @@ errors exit 1, as does a run whose reader closes stdout early.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -19,14 +20,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .consensus import (
-    GainSynthesisError,
-    LeaderFollowerNetwork,
-    SwitchingSignal,
-    analyze,
-    convergence_bound,
-    synthesize_gain,
-)
+from .consensus import LeaderFollowerNetwork, SwitchingSignal, analyze, convergence_bound
 from .field import PrimeField, is_prime
 from .graphs import WeightedDigraphFF
 from .linsys import DEFAULT_STATE_BOUND, LinearSystemFF, autonomous_cycle_structure
@@ -308,20 +302,16 @@ def cmd_synthesize(args) -> int:
     if report.verdict != "guaranteed":
         print(f"synthesis refused: {report.reason}", file=sys.stderr)
         return _VERDICT_EXIT[report.verdict]
-    try:
-        gain = synthesize_gain(net)
-    except GainSynthesisError as exc:  # unreachable when verdict is guaranteed
-        print(f"synthesis refused: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
-    k_row = gain.to_rows()[0]
-    bk = net.sys.b @ gain
-    degree_of: dict[int, int | None] = {}  # nilpotent degree of A - d bK, per distinct d
-    closed_degrees = {}
-    for gi, g in enumerate(net.graphs):
-        for i, d in g.in_degrees().items():
-            if d.value not in degree_of:
-                degree_of[d.value] = (net.sys.A - bk.scale(d.value)).nilpotent_degree()
-            closed_degrees[f"graph{gi}.follower{i}"] = degree_of[d.value]
+    k_row = report.witness["synthesized_gain"]
+    # every follower of every graph shares the witness closed loop: A - d*bK
+    # for the deadbeat gain, A itself for the zero gain
+    degree = report.witness.get("gain_certificate_degree")
+    if degree is None:
+        degree = net.sys.A.nilpotent_degree()
+    closed_degrees = {
+        f"graph{gi}.follower{i}": degree
+        for gi, g in enumerate(net.graphs) for i in range(1, g.num_followers + 1)
+    }
     doc = cfg.to_dict()
     doc["K"] = k_row
     doc["certificate"] = {
@@ -520,9 +510,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and reused: building
+    it costs about a millisecond, paid once per process, not per command."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -14,23 +14,36 @@ triangular with one diagonal block I (X) A + (Abar_SS - Dbar_SS) (X) bK
 per SCC S, so M is nilpotent iff every SCC block is (proof at
 ``_error_block_results``).  Each distinct block is tested once.  An
 acyclic follower graph has only singleton SCCs with blocks A - d_i * bK,
-which reduces the network question to small n x n checks and yields the
-achievability characterization:
-
-  * A nilpotent: the zero gain always works, any graphs;
-  * otherwise, over an acyclic follower graph, a suitable gain exists
-    iff (A, b) is stabilizable and all followers share one nonzero
-    in-degree d; the deadbeat gain for that d is a constructive witness;
-  * cyclic follower graphs are only decided when a gain is supplied
-    (one |S|n x |S|n nilpotency test per distinct SCC block); synthesis
-    for them is refused.
+which reduces the network question to small n x n checks.
 
 ``error_dynamics_matrix`` builds the full Nn x Nn matrix; it is the
 definition that the blockwise test is checked against.
 
-For switching topologies the same data gives a sufficiency check (union
-of follower supports acyclic, one degree d across all graphs and agents)
-and a horizon T after which every product of error matrices vanishes.
+Every verdict, witness gain and bound comes from one pass of facts
+(``_facts``: A nilpotent, one Kalman decomposition of (A, b), each
+graph's DAG flag and in-degrees, the union of the follower supports,
+and the SCC blocks under a supplied gain) and one rule over them
+(``_decide``).  A single graph is the static case.  Without a gain:
+
+  * A nilpotent: guaranteed, the zero gain works under any graphs;
+  * acyclic graph (union of the graphs), (A, b) stabilizable and one
+    nonzero in-degree d shared by every follower in every graph:
+    guaranteed, the deadbeat gain for d is the witness;
+  * otherwise one acyclic graph is impossible (the conditions above are
+    also necessary there), and anything else is inconclusive: cyclic
+    graphs are not synthesized, and for several graphs the conditions
+    are only sufficient.
+
+With a supplied gain K the verdict is about K:
+
+  * some graph's error matrix under K is not nilpotent: impossible (the
+    signal that stays on that graph never converges); the reason points
+    to ``witness.synthesized_gain`` when some other gain works;
+  * otherwise guaranteed when there is one graph, bK = 0 or the union is
+    acyclic, and inconclusive when bK != 0 over a cyclic union.
+
+Bounds: N*n for one graph; under switching, ``product_vanishing_bound``
+of the per-follower closed-loop degrees in the union's topological order.
 """
 
 from __future__ import annotations
@@ -40,8 +53,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 from .field import PrimeField
-from .graphs import GraphCycleError, WeightedDigraphFF, union
-from .linsys import LinearSystemFF, deadbeat_gain, kalman_decompose
+from .graphs import DegreeCheck, WeightedDigraphFF, union
+from .linsys import ControllabilityDecomposition, LinearSystemFF, deadbeat_gain, kalman_decompose
 from .matrix import MatrixFF, kron
 
 
@@ -248,55 +261,214 @@ def product_vanishing_bound(degrees: Sequence[int]) -> int:
     return total
 
 
-def static_error_degree_bound(net: LeaderFollowerNetwork) -> int:
-    """Upper bound N*n on the nilpotent degree of the static error matrix."""
-    return net.num_followers * net.sys.dim
-
-
-def _closed_loop_block_degrees(net: LeaderFollowerNetwork) -> list[int]:
-    """Per-agent nilpotent degrees of the diagonal error blocks, in the
-    union graph's topological order.
-
-    Uses the network's gain when present (raising if some block is not
-    nilpotent); otherwise uses the canonical synthesized gain.  With the
-    zero gain and nilpotent A every block is A itself.
-    """
-    work = net if net.gain is not None else net.with_gain(synthesize_gain(net))
-    bk = work.sys.b @ work.gain
-    if bk.is_zero():
-        # error matrices are block diagonal with every block equal to A:
-        # no ordering is needed and A itself must be nilpotent
-        k = work.sys.A.nilpotent_degree()
-        if k is None:
-            raise ValueError("zero coupling with a non-nilpotent A never converges")
-        return [k] * net.num_followers
-    order = union(list(net.graphs)).topological_order()  # raises GraphCycleError when cyclic
-    # the union is acyclic, so every graph's blocks are the singletons A - d_i bK
-    worst: dict[int, int] = {}
-    for blocks in _error_block_results(work, range(len(net.graphs)), MatrixFF.nilpotent_degree):
-        for (node,), k in blocks:
-            if k is None:
-                raise ValueError(f"closed loop A - d_i*bK for follower {node} is not nilpotent")
-            worst[node] = max(worst.get(node, 0), k)
-    return [worst[node] for node in order]
-
-
 def convergence_bound(net: LeaderFollowerNetwork) -> int:
-    """Steps after which every admissible trajectory has zero error.
-
-    Static case: N*n.  Switching case: the product-vanishing bound over
-    the per-agent closed-loop degrees taken in the union graph's
-    topological order.  Requires the consensus hypotheses to hold.
-    """
+    """Steps after which every admissible trajectory has zero error: the
+    bound of the network's ``analyze`` report, which must be guaranteed."""
     report = analyze(net)
     if report.verdict != "guaranteed":
         raise ValueError(
             f"convergence bound requires a consensus-guaranteed network "
             f"(verdict: {report.verdict})"
         )
+    return report.bounds["static" if net.is_static else "switching"]
+
+
+# ----------------------------------------------------------------------
+# Facts and the decision
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Facts:
+    """Everything the consensus rule reads, computed once per network."""
+
+    a_nilpotent: bool
+    decomp: ControllabilityDecomposition
+    stabilizable: bool
+    dags: tuple[bool, ...]  # per graph
+    degrees: tuple[DegreeCheck, ...]  # per graph
+    union: WeightedDigraphFF  # the graph itself when there is one
+    union_dag: bool
+    shared_degree: int | None  # one nonzero in-degree of every follower in every graph
+    bk_zero: bool
+    # per graph, the supplied gain's SCC blocks as (followers, result);
+    # the result is the block's nilpotent degree (None when not nilpotent)
+    # where the switching bound needs it, else is_nilpotent
+    blocks: list[list] | None
+
+
+def _facts(net: LeaderFollowerNetwork) -> _Facts:
+    graphs = net.graphs
+    u = graphs[0] if net.is_static else union(list(graphs))
+    union_dag = u.is_dag()
+    degrees = tuple(g.common_degree() for g in graphs)
+    values = {dc.degree.value for dc in degrees if dc.ok}
+    decomp = kalman_decompose(net.sys)
+    blocks = None
+    if net.gain is not None:
+        test = MatrixFF.is_nilpotent if net.is_static or not union_dag else MatrixFF.nilpotent_degree
+        blocks = _error_block_results(net, range(len(graphs)), test)
+    return _Facts(
+        a_nilpotent=net.sys.A.is_nilpotent(),
+        decomp=decomp,
+        stabilizable=decomp.A_uc.is_nilpotent(),
+        # every subgraph of an acyclic union is acyclic
+        dags=(union_dag,) * len(graphs) if union_dag or net.is_static
+        else tuple(g.is_dag() for g in graphs),
+        degrees=degrees,
+        union=u,
+        union_dag=union_dag,
+        shared_degree=values.pop() if len(values) == 1 and all(dc.ok for dc in degrees) else None,
+        bk_zero=net.gain is not None and (net.sys.b.is_zero() or net.gain.is_zero()),
+        blocks=blocks,
+    )
+
+
+@dataclass(frozen=True)
+class _Decision:
+    verdict: str  # "guaranteed" | "impossible" | "inconclusive"
+    reason: str
+    witness_degree: int | None  # the witness gain: 0 the zero gain, d the deadbeat gain for d, None no gain
+
+
+def _decide(f: _Facts, graph_indices: Sequence[int]) -> _Decision:
+    """The consensus rule (module docstring) for the listed graphs.
+
+    Without a gain it is the paper's characterization: exact for one
+    graph, sufficient for several.  A supplied gain K is judged on its
+    own; the argument for each case:
+
+    * a graph whose error matrix is not nilpotent never converges under
+      the signal that stays on it, so no signal family containing it
+      converges: impossible;
+    * one graph whose error matrix is nilpotent converges within N*n;
+    * bK = 0: every error matrix is I (X) A, nilpotent since it passed;
+    * acyclic union: every error matrix is block-triangular in the
+      union's topological order with per-follower diagonal blocks
+      A - d*bK, all nilpotent.  The input is single, so in Kalman
+      coordinates (K -> [k, c]) A - d*bK is [[A_c - d*e_s*k, A_cc - d*e_s*c],
+      [0, A_uc]] with A_c a companion matrix whose bottom row a - d*k must
+      vanish.  If two degrees d != d' pass, then k = 0 and a = 0, so A_c
+      is the shift J, and a product of m such blocks has corner
+      sum_j J^(j-1) (A_cc - d_j*e_s*c) A_uc^(m-j); the vectors J^(j-1) e_s
+      are independent, so once the constant products of length m vanish
+      every term does, and so do the mixed ones.  Otherwise all blocks
+      share one d.  Either way every product of a follower's blocks
+      vanishes after its worst degree, and ``product_vanishing_bound``
+      applies;
+    * a cyclic union with bK != 0 is inconclusive: each graph converging
+      alone does not make the switched products vanish.
+    """
+    one = len(graph_indices) == 1
+    if one:
+        [gi] = graph_indices
+        acyclic, dc = f.dags[gi], f.degrees[gi]
+        d = dc.degree.value if dc.ok else None
+    else:
+        acyclic, d = f.union_dag, f.shared_degree
+
+    if f.a_nilpotent:
+        scope = "regardless of the graphs" if one else "under any switching"
+        base = _Decision("guaranteed", f"A is nilpotent: the zero gain synchronizes every agent {scope}", 0)
+    elif acyclic and f.stabilizable and d is not None:
+        if one:
+            reason = (
+                f"acyclic follower graph with uniform nonzero in-degree {d} and a stabilizable "
+                "pair: a gain making the error dynamics nilpotent exists"
+            )
+        else:
+            reason = (
+                "union of follower supports is acyclic, the pair is stabilizable, and "
+                f"every follower has in-degree {d} in every graph: one gain makes "
+                "all error matrices simultaneously block-triangular and nilpotent"
+            )
+        base = _Decision("guaranteed", reason, d)
+    elif one and acyclic:
+        if not f.stabilizable:
+            reason = (
+                "pair (A, b) is not stabilizable: the uncontrollable block is not "
+                "nilpotent, so no gain can make the error dynamics nilpotent"
+            )
+        elif dc.reason == "zero_degree":
+            reason = (
+                f"followers {list(dc.offenders)} have in-degree 0 mod p: "
+                "their error blocks reduce to the non-nilpotent A for every gain"
+            )
+        else:
+            reason = (
+                f"follower in-degrees differ (offenders {list(dc.offenders)}): "
+                "no single gain can cancel distinct degrees over a field "
+                "without zero divisors"
+            )
+        base = _Decision("impossible", reason, None)
+    elif one:
+        base = _Decision("inconclusive", (
+            "cyclic follower graph without a supplied gain: synthesis would "
+            "require solving multivariate polynomial systems and is not supported"
+        ), None)
+    else:
+        failed = []
+        if not acyclic:
+            failed.append("union of follower supports has a directed cycle")
+        if not f.stabilizable:
+            failed.append("pair (A, b) is not stabilizable")
+        if d is None:
+            failed.append("no single nonzero in-degree is shared by all followers in all graphs")
+        base = _Decision("inconclusive", "sufficiency conditions not met: " + "; ".join(failed), None)
+    if f.blocks is None:
+        return base
+
+    pointer = "; the gain in witness.synthesized_gain works" if base.witness_degree is not None else ""
+    failing = [gi for gi in graph_indices if not all(ok for _, ok in f.blocks[gi])]
+    if failing:
+        head = "error matrix is not" if one else f"error matrices of graphs {failing} are not"
+        if base.verdict == "impossible":
+            tail = f"; no gain works: {base.reason}"
+        elif base.verdict == "guaranteed" or not one:
+            tail = pointer
+        else:
+            tail = " (verdict is for this gain; synthesis over cyclic follower graphs is not supported)"
+        reason = f"{head} nilpotent for the supplied gain: some initial error recurs forever{tail}"
+        return _Decision("impossible", reason, base.witness_degree)
+    if one or f.bk_zero or f.union_dag:
+        # a gain passing over an acyclic union shows that the base is guaranteed
+        reason = base.reason if base.verdict == "guaranteed" else (
+            "supplied gain makes the error matrix nilpotent (cyclic follower graph decided directly)"
+        )
+        return _Decision("guaranteed", reason, base.witness_degree)
+    return _Decision("inconclusive", (
+        "the supplied gain makes every graph's error matrix nilpotent, but bK != 0 and the union "
+        "of follower supports has a directed cycle: switched products are not decided" + pointer
+    ), base.witness_degree)
+
+
+def _witness_gain(net: LeaderFollowerNetwork, f: _Facts, dec: _Decision) -> tuple[MatrixFF, int | None]:
+    """The decision's witness gain and, for a deadbeat gain, the nilpotent
+    degree of its closed loop A - d*bK (None if, against the
+    construction, that loop is not nilpotent)."""
+    d = dec.witness_degree
+    if d == 0:
+        return MatrixFF.zeros(net.field, 1, net.sys.dim), None
+    k = deadbeat_gain(f.decomp, d)
+    return k, (net.sys.A - (net.sys.b @ k).scale(d)).nilpotent_degree()
+
+
+def _bound(net: LeaderFollowerNetwork, f: _Facts, certificate: int | None) -> int:
+    """Convergence bound of a guaranteed network (``certificate``: the
+    witness closed loop's degree, None for the zero gain)."""
     if net.is_static:
-        return static_error_degree_bound(net)
-    return product_vanishing_bound(_closed_loop_block_degrees(net))
+        return net.num_followers * net.sys.dim
+    if net.gain is not None and not f.bk_zero:
+        # acyclic union (``_decide``): worst closed-loop degree of each follower
+        worst: dict[int, int] = {}
+        for blocks in f.blocks:
+            for (node,), k in blocks:
+                worst[node] = max(worst.get(node, 0), k)
+        return product_vanishing_bound([worst[node] for node in f.union.topological_order()])
+    # every diagonal block is one closed loop: the witness's A - d*bK, or A
+    # itself under the zero gain or bK = 0; the bound for s equal degrees k is s*k
+    k = certificate if certificate is not None else net.sys.A.nilpotent_degree()
+    return net.num_followers * k
 
 
 # ----------------------------------------------------------------------
@@ -335,277 +507,104 @@ def analyze(net: LeaderFollowerNetwork) -> AnalysisReport:
     return check_switching(net)
 
 
-def _supplied_gain_blocks(net: LeaderFollowerNetwork, graph_indices, diagnostics: dict) -> list[list]:
-    """Nilpotency of each SCC block of the listed graphs' error matrices
-    under the supplied gain, recording the block count and largest block
-    dimension under ``diagnostics["error_matrix_blocks"]``."""
-    per_graph = _error_block_results(net, graph_indices, MatrixFF.is_nilpotent)
-    diagnostics["error_matrix_blocks"] = {
-        "count": sum(len(blocks) for blocks in per_graph),
-        "max_dim": max(len(comp) for blocks in per_graph for comp, _ in blocks) * net.sys.dim,
-    }
-    return per_graph
+def _report(net: LeaderFollowerNetwork, mode: str, f: _Facts, checks: dict, witness: dict) -> AnalysisReport:
+    """Complete a mode's checks and witness with the decision over all the
+    network's graphs, its witness gain, the bound and the diagnostics."""
+    everything = range(len(net.graphs))
+    dec = _decide(f, everything)
+    diagnostics: dict = {}
+    if net.gain is not None:
+        witness["supplied_gain"] = net.gain.to_rows()[0]
+        diagnostics["error_matrix_blocks"] = {
+            "count": sum(len(blocks) for blocks in f.blocks),
+            "max_dim": max(len(comp) for blocks in f.blocks for comp, _ in blocks) * net.sys.dim,
+        }
+    certificate = None
+    if dec.witness_degree is not None:
+        gain, certificate = _witness_gain(net, f, dec)
+        witness["synthesized_gain"] = gain.to_rows()[0]
+        if dec.witness_degree:
+            witness["gain_certificate_degree"] = certificate
+    bounds: dict = {"static": None, "switching": None}
+    if dec.verdict == "guaranteed":
+        bounds[mode] = _bound(net, f, certificate)
+    if mode == "switching" and dec.verdict == "inconclusive":
+        diagnostics["per_graph_static"] = [
+            {"graph": gi, "verdict": _decide(f, [gi]).verdict} for gi in everything
+        ]
+    return AnalysisReport(
+        verdict=dec.verdict,
+        mode=mode,
+        reason=dec.reason,
+        checks=checks,
+        bounds=bounds,
+        witness=witness,
+        diagnostics=diagnostics,
+    )
 
 
 def check_static(net: LeaderFollowerNetwork, graph_index: int = 0) -> AnalysisReport:
-    """Decide consensus achievability for a single fixed graph."""
+    """Decide consensus for the single fixed graph ``graph_index``."""
     g = net.graphs[graph_index]
-    checks: dict = {}
-    witness: dict = {}
-    diagnostics: dict = {}
-
-    a_nil = net.sys.A.is_nilpotent()
-    checks["a_nilpotent"] = a_nil
-    dag = g.is_dag()
-    checks["follower_graph_dag"] = dag
-    decomp = kalman_decompose(net.sys)
-    stab = decomp.A_uc.is_nilpotent()
-    checks["stabilizable"] = stab
-    deg = g.common_degree()
-    checks["common_degree"] = deg.to_dict()
-    witness["in_degrees"] = {str(i): d.value for i, d in g.in_degrees().items()}
-    witness["leader_globally_reachable"] = g.leader_globally_reachable()
-    if dag:
-        witness["topo_permutation"] = g.topo_permutation()
-
-    supplied_ok = None
+    if not net.is_static:
+        net = LeaderFollowerNetwork(sys=net.sys, graphs=(g,), gain=net.gain)
+    f = _facts(net)
+    checks: dict = {
+        "a_nilpotent": f.a_nilpotent,
+        "follower_graph_dag": f.union_dag,
+        "stabilizable": f.stabilizable,
+        "common_degree": f.degrees[0].to_dict(),
+    }
     if net.gain is not None:
-        [blocks] = _supplied_gain_blocks(net, [graph_index], diagnostics)
-        supplied_ok = all(ok for _, ok in blocks)
-        checks["supplied_gain_error_matrix_nilpotent"] = supplied_ok
-        if dag:
+        [blocks] = f.blocks
+        checks["supplied_gain_error_matrix_nilpotent"] = all(ok for _, ok in blocks)
+        if f.union_dag:
             checks["per_agent_nilpotent"] = {str(i): ok for (i,), ok in sorted(blocks)}
-        witness["supplied_gain"] = net.gain.to_rows()[0]
-
-    bounds: dict = {"static": None, "switching": None}
-
-    if a_nil:
-        verdict = "guaranteed"
-        reason = "A is nilpotent: the zero gain synchronizes every agent regardless of the graphs"
-        witness["synthesized_gain"] = [0] * net.sys.dim
-        bounds["static"] = static_error_degree_bound(net)
-    elif dag:
-        if stab and deg.ok:
-            verdict = "guaranteed"
-            reason = (
-                "acyclic follower graph with uniform nonzero in-degree "
-                f"{deg.degree.value} and a stabilizable pair: a gain making the "
-                "error dynamics nilpotent exists"
-            )
-            k = deadbeat_gain(decomp, deg.degree)
-            witness["synthesized_gain"] = k.to_rows()[0]
-            closed = net.sys.A - (net.sys.b @ k).scale(deg.degree.value)
-            witness["gain_certificate_degree"] = closed.nilpotent_degree()
-            bounds["static"] = static_error_degree_bound(net)
-        elif not stab:
-            verdict = "impossible"
-            reason = (
-                "pair (A, b) is not stabilizable: the uncontrollable block is not "
-                "nilpotent, so no gain can make the error dynamics nilpotent"
-            )
-        else:
-            verdict = "impossible"
-            if deg.reason == "zero_degree":
-                reason = (
-                    f"followers {list(deg.offenders)} have in-degree 0 mod p: "
-                    "their error blocks reduce to the non-nilpotent A for every gain"
-                )
-            else:
-                reason = (
-                    f"follower in-degrees differ (offenders {list(deg.offenders)}): "
-                    "no single gain can cancel distinct degrees over a field "
-                    "without zero divisors"
-                )
-    else:
-        if net.gain is not None:
-            if supplied_ok:
-                verdict = "guaranteed"
-                reason = "supplied gain makes the error matrix nilpotent (cyclic follower graph decided directly)"
-                bounds["static"] = static_error_degree_bound(net)
-            else:
-                verdict = "impossible"
-                reason = (
-                    "error matrix is not nilpotent for the supplied gain: some "
-                    "initial error recurs forever (verdict is for this gain; "
-                    "synthesis over cyclic follower graphs is not supported)"
-                )
-        else:
-            verdict = "inconclusive"
-            reason = (
-                "cyclic follower graph without a supplied gain: synthesis would "
-                "require solving multivariate polynomial systems and is not supported"
-            )
-
-    return AnalysisReport(
-        verdict=verdict,
-        mode="static",
-        reason=reason,
-        checks=checks,
-        bounds=bounds,
-        witness=witness,
-        diagnostics=diagnostics,
-    )
+    witness: dict = {
+        "in_degrees": {str(i): v for i, v in f.degrees[0].degrees.items()},
+        "leader_globally_reachable": g.leader_globally_reachable(),
+    }
+    if f.union_dag:
+        witness["topo_permutation"] = g.topo_permutation()
+    return _report(net, "static", f, checks, witness)
 
 
 def check_switching(net: LeaderFollowerNetwork) -> AnalysisReport:
-    """Sufficiency analysis under arbitrary switching between the graphs.
-
-    Guaranteed when A is nilpotent, or when the union of follower
-    supports is acyclic, (A, b) is stabilizable, and a single nonzero
-    degree d matches every follower in every graph.  The conditions are
-    sufficient only, so their failure yields "inconclusive" with
-    per-graph static diagnostics, never "impossible".
-    """
-    checks: dict = {}
-    witness: dict = {}
-    diagnostics: dict = {}
-
-    a_nil = net.sys.A.is_nilpotent()
-    checks["a_nilpotent"] = a_nil
-    u = union(list(net.graphs))
-    union_dag = u.is_dag()
-    checks["union_dag"] = union_dag
-    decomp = kalman_decompose(net.sys)
-    stab = decomp.A_uc.is_nilpotent()
-    checks["stabilizable"] = stab
-
-    per_graph_deg = [g.common_degree() for g in net.graphs]
-    degree_values = {d.degree.value for d in per_graph_deg if d.ok}
-    uniform = all(d.ok for d in per_graph_deg) and len(degree_values) == 1
-    checks["per_graph_common_degree"] = [d.to_dict() for d in per_graph_deg]
-    checks["uniform_degree_across_graphs"] = uniform
-    if uniform:
-        checks["common_degree_value"] = next(iter(degree_values))
-    witness["per_graph_in_degrees"] = [
-        {str(i): d.value for i, d in g.in_degrees().items()} for g in net.graphs
-    ]
-    if union_dag:
-        witness["union_topo_permutation"] = u.topo_permutation()
-
+    """Analysis under arbitrary switching between the graphs; when it is
+    inconclusive, the diagnostics carry each graph's static verdict."""
+    f = _facts(net)
+    checks: dict = {
+        "a_nilpotent": f.a_nilpotent,
+        "union_dag": f.union_dag,
+        "stabilizable": f.stabilizable,
+        "per_graph_common_degree": [dc.to_dict() for dc in f.degrees],
+        "uniform_degree_across_graphs": f.shared_degree is not None,
+    }
+    if f.shared_degree is not None:
+        checks["common_degree_value"] = f.shared_degree
     if net.gain is not None:
-        witness["supplied_gain"] = net.gain.to_rows()[0]
         checks["supplied_gain_error_matrices_nilpotent"] = [
-            all(ok for _, ok in blocks)
-            for blocks in _supplied_gain_blocks(net, range(len(net.graphs)), diagnostics)
+            all(ok for _, ok in blocks) for blocks in f.blocks
         ]
-
-    bounds: dict = {"static": None, "switching": None}
-
-    if a_nil:
-        verdict = "guaranteed"
-        reason = "A is nilpotent: the zero gain synchronizes every agent under any switching"
-        witness["synthesized_gain"] = [0] * net.sys.dim
-        zero_gain = net.with_gain(MatrixFF.zeros(net.field, 1, net.sys.dim))
-        if net.gain is not None:
-            try:
-                bounds["switching"] = product_vanishing_bound(_closed_loop_block_degrees(net))
-            except (ValueError, GraphCycleError):
-                bounds["switching"] = product_vanishing_bound(
-                    _closed_loop_block_degrees(zero_gain)
-                )
-                diagnostics["bound_uses_synthesized_gain"] = True
-        else:
-            bounds["switching"] = product_vanishing_bound(_closed_loop_block_degrees(zero_gain))
-    elif union_dag and stab and uniform:
-        d_val = next(iter(degree_values))
-        verdict = "guaranteed"
-        reason = (
-            "union of follower supports is acyclic, the pair is stabilizable, and "
-            f"every follower has in-degree {d_val} in every graph: one gain makes "
-            "all error matrices simultaneously block-triangular and nilpotent"
-        )
-        k = deadbeat_gain(decomp, d_val)
-        witness["synthesized_gain"] = k.to_rows()[0]
-        closed = net.sys.A - (net.sys.b @ k).scale(d_val)
-        witness["gain_certificate_degree"] = closed.nilpotent_degree()
-        work = net if net.gain is not None else net.with_gain(k)
-        try:
-            bounds["switching"] = product_vanishing_bound(_closed_loop_block_degrees(work))
-        except ValueError:
-            # supplied gain does not stabilize the blocks: bound from the
-            # synthesized gain instead, recorded as such
-            bounds["switching"] = product_vanishing_bound(
-                _closed_loop_block_degrees(net.with_gain(k))
-            )
-            diagnostics["bound_uses_synthesized_gain"] = True
-    else:
-        verdict = "inconclusive"
-        failed = []
-        if not union_dag:
-            failed.append("union of follower supports has a directed cycle")
-        if not stab:
-            failed.append("pair (A, b) is not stabilizable")
-        if not uniform:
-            failed.append("no single nonzero in-degree is shared by all followers in all graphs")
-        reason = "sufficiency conditions not met: " + "; ".join(failed)
-        diagnostics["per_graph_static"] = [
-            {
-                "graph": i,
-                "verdict": check_static(
-                    LeaderFollowerNetwork(sys=net.sys, graphs=(g,), gain=net.gain), 0
-                ).verdict,
-            }
-            for i, g in enumerate(net.graphs)
-        ]
-
-    return AnalysisReport(
-        verdict=verdict,
-        mode="switching",
-        reason=reason,
-        checks=checks,
-        bounds=bounds,
-        witness=witness,
-        diagnostics=diagnostics,
-    )
+    witness: dict = {
+        "per_graph_in_degrees": [{str(i): v for i, v in dc.degrees.items()} for dc in f.degrees],
+    }
+    if f.union_dag:
+        witness["union_topo_permutation"] = f.union.topo_permutation()
+    return _report(net, "switching", f, checks, witness)
 
 
 def synthesize_gain(net: LeaderFollowerNetwork) -> MatrixFF:
-    """Construct a gain for a network whose achievability conditions hold.
-
-    Nilpotent A yields the zero gain.  Otherwise the follower graph (or
-    union, in the switching case) must be acyclic with one nonzero shared
-    degree d and a stabilizable pair; the result is the deadbeat gain for
-    d.  The nilpotency postcondition is verified before returning.
-    """
-    A = net.sys.A
-    n = net.sys.dim
-    if A.is_nilpotent():
-        return MatrixFF.zeros(net.field, 1, n)
-
-    if net.is_static:
-        g = net.graphs[0]
-        if not g.is_dag():
-            raise GainSynthesisError(
-                "gain synthesis requires an acyclic follower graph "
-                "(cyclic graphs need multivariate polynomial solving, unsupported)"
-            )
-        degree_checks = [g.common_degree()]
-    else:
-        if not union(list(net.graphs)).is_dag():
-            raise GainSynthesisError("union of follower supports has a directed cycle")
-        degree_checks = [g.common_degree() for g in net.graphs]
-
-    if not all(dc.ok for dc in degree_checks):
-        bad = next(dc for dc in degree_checks if not dc.ok)
-        raise GainSynthesisError(
-            f"followers do not share a nonzero in-degree ({bad.reason}: {list(bad.offenders)})"
-        )
-    values = {dc.degree.value for dc in degree_checks}
-    if len(values) > 1:
-        raise GainSynthesisError(
-            f"in-degrees differ across graphs: {sorted(values)}"
-        )
-    d = values.pop()
-
-    decomp = kalman_decompose(net.sys)
-    if not decomp.A_uc.is_nilpotent():
-        uc_deg = decomp.A_uc.rows
-        raise GainSynthesisError(
-            f"pair (A, b) is not stabilizable: the {uc_deg} x {uc_deg} "
-            "uncontrollable block is not nilpotent"
-        )
-    k = deadbeat_gain(decomp, d)
-    closed = A - (net.sys.b @ k).scale(d)
-    if not closed.is_nilpotent():
+    """The witness gain of the network analysed without its gain: zero for
+    a nilpotent A, else the deadbeat gain for the shared degree d.
+    Raises GainSynthesisError with the decision's reason when the rule
+    names no gain; the closed loop's nilpotency is verified."""
+    bare = LeaderFollowerNetwork(sys=net.sys, graphs=net.graphs)
+    f = _facts(bare)
+    dec = _decide(f, range(len(net.graphs)))
+    if dec.witness_degree is None:
+        raise GainSynthesisError(dec.reason)
+    k, certificate = _witness_gain(bare, f, dec)
+    if dec.witness_degree and certificate is None:
         raise AssertionError("postcondition failed: deadbeat closed loop is not nilpotent")
     return k

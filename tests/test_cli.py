@@ -9,7 +9,7 @@ import pytest
 from ffconsensus import consensus
 from ffconsensus.cli import ConfigError, ScenarioConfig, load_config, main
 
-from conftest import REF_A_ROWS, REF_B, REF_GRAPH1_EDGES, REF_GRAPH2_EDGES
+from conftest import REF_A_ROWS, REF_B, REF_GAIN, REF_GRAPH1_EDGES, REF_GRAPH2_EDGES
 
 
 def ref_config_dict(**overrides):
@@ -168,6 +168,21 @@ def test_analyze_inconclusive_exit_three(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] == "inconclusive"
 
 
+def test_analyze_supplied_gain_that_fails_exits_two(tmp_path, capsys):
+    # graph 0 of the reference config admits a gain, but not this one:
+    # its error matrix is not nilpotent, so simulate never agrees
+    doc = ref_config_dict(graphs=[ref_config_dict()["graphs"][0]], switching=None, K=[1, 0, 0, 0, 0])
+    path = tmp_path / "bad_k.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["analyze", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert rc == 2 and out["verdict"] == "impossible"
+    assert out["bounds"] == {"static": None, "switching": None}
+    assert out["checks"]["supplied_gain_error_matrix_nilpotent"] is False
+    assert "supplied gain" in out["reason"] and "witness.synthesized_gain" in out["reason"]
+    assert "synthesized_gain" in out["witness"]
+
+
 def test_analyze_malformed_exit_one(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json")
@@ -195,7 +210,11 @@ def test_analyze_constant_signal_treated_as_static(tmp_path, capsys):
 
 # analyze reports of the reference config (with and without a gain)
 # and of chains with a self-loop or a two-cycle, recorded before the
-# error matrix was tested one strongly connected block at a time
+# error matrix was tested one strongly connected block at a time; the
+# switching_* and static_* cases (a cyclic union with per-graph static
+# verdicts, nilpotent A under switching, unequal and zero in-degrees)
+# were recorded before one decision replaced the separate static,
+# switching and synthesis statements of the consensus rule
 GOLDEN = json.loads((Path(__file__).parent / "data" / "analyze_golden.json").read_text())
 
 
@@ -269,6 +288,32 @@ def test_synthesize_nilpotent_a_zero_gain(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["synthesize", str(path)]) == 0
     assert json.loads(capsys.readouterr().out)["K"] == [0, 0]
+
+
+# synthesize output (stdout, stderr, exit code, and the --out file) of the
+# reference config, its one-graph static form, a nilpotent A under
+# switching over cyclic graphs, and an unstabilizable and a cyclic
+# refusal, recorded before synthesize took its gain and certificate from
+# the analysis report
+SYNTH_GOLDEN = json.loads((Path(__file__).parent / "data" / "synthesize_golden.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(SYNTH_GOLDEN))
+def test_synthesize_output_unchanged(case, tmp_path, capsys):
+    expected = SYNTH_GOLDEN[case]
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(expected["config"]))
+    assert main(["synthesize", str(path)]) == expected["stdout"]["exit"]
+    captured = capsys.readouterr()
+    assert captured.out == expected["stdout"]["stdout"]
+    assert captured.err == expected["stdout"]["stderr"]
+
+    out = tmp_path / "out.json"
+    assert main(["synthesize", str(path), "--out", str(out)]) == expected["out"]["exit"]
+    captured = capsys.readouterr()
+    assert captured.out == expected["out"]["stdout"]
+    assert captured.err == expected["out"]["stderr"]
+    assert (out.read_text() if out.exists() else None) == expected["out"]["file"]
 
 
 # ---------------------------------------------------------
@@ -388,6 +433,38 @@ def test_simulate_analyses_the_network_once(tmp_path, ref_config_path, monkeypat
     doc = json.loads(capsys.readouterr().out)
     assert len(calls) == 1
     assert doc["horizon"] == doc["bound"] + 5
+
+
+# the reference config, its one-graph static form, and a switching config
+# whose union of follower supports has a cycle (analyze is inconclusive)
+ANALYSED_ONCE = {
+    "reference": ref_config_dict(),
+    "reference_static": ref_config_dict(graphs=[ref_config_dict()["graphs"][0]], switching=None),
+    "cyclic_union": ref_config_dict(graphs=[
+        [[s, t, w] for (s, t, w) in REF_GRAPH1_EDGES],
+        [[s, t, w] for (s, t, w) in REF_GRAPH2_EDGES] + [[4, 1, 1]],
+    ]),
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "synthesize", "simulate"])
+@pytest.mark.parametrize("case", sorted(ANALYSED_ONCE))
+def test_each_command_decomposes_and_analyses_once(case, command, tmp_path, monkeypatch, capsys):
+    doc = ANALYSED_ONCE[case]
+    if command == "simulate":
+        doc = {**doc, "K": REF_GAIN}
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(doc))
+    calls = {"kalman_decompose": 0, "check_static": 0, "check_switching": 0}
+    for name in calls:
+        def counting(*args, _real=getattr(consensus, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(consensus, name, counting)
+    main([command, str(path), "--out", str(tmp_path / "out")])
+    assert calls["kalman_decompose"] == 1, calls
+    assert calls["check_static"] + calls["check_switching"] == 1, calls
 
 
 # simulate output (stdout and stderr, CSV and JSON) recorded before the

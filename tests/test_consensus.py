@@ -8,11 +8,15 @@ from ffconsensus import (
     LinearSystemFF,
     MatrixFF,
     WeightedDigraphFF,
+    analyze,
     blockwise_nilpotency_check,
     check_static,
     check_switching,
     convergence_bound,
+    deadbeat_gain,
     error_dynamics_matrix,
+    exhaustive_consensus_oracle,
+    kalman_decompose,
     kron,
     product_vanishing_bound,
     synthesize_gain,
@@ -24,6 +28,7 @@ from conftest import (
     F3,
     F5,
     REF_GAIN,
+    random_dag_graph,
     random_matrix,
     random_network,
     random_nilpotent,
@@ -235,7 +240,16 @@ def test_static_verdict_consistent_with_checks():
         )
         report = check_static(net)
         c = report.checks
-        if c["a_nilpotent"]:
+        if net.gain is not None:
+            # a supplied gain is judged on its own; whether some gain
+            # exists still shows as the witness gain
+            ok = c["supplied_gain_error_matrix_nilpotent"]
+            assert report.verdict == ("guaranteed" if ok else "impossible")
+            if c["a_nilpotent"] or c["follower_graph_dag"]:
+                exists = c["a_nilpotent"] or (c["stabilizable"] and c["common_degree"]["ok"])
+                assert ("synthesized_gain" in report.witness) == exists
+                assert exists or not ok
+        elif c["a_nilpotent"]:
             assert report.verdict == "guaranteed"
         elif c["follower_graph_dag"]:
             expected = "guaranteed" if (c["stabilizable"] and c["common_degree"]["ok"]) else "impossible"
@@ -285,6 +299,76 @@ def test_switching_never_claims_impossible():
             num_graphs=rng.randrange(2, 4), with_gain=False,
         )
         assert check_switching(net).verdict in ("guaranteed", "inconclusive")
+
+
+def _with_degree(field, graph, d):
+    """The graph with its leader weights reset so that every follower has
+    in-degree d (the leader edge is dropped where d is met without it)."""
+    edges = [(s, t, w) for s, t, w in graph.edges() if s != 0]
+    for i in range(1, graph.num_followers + 1):
+        w = (d - sum(w for _, t, w in edges if t == i)) % field.p
+        if w:
+            edges.append((0, i, w))
+    return WeightedDigraphFF(field, graph.num_followers, edges)
+
+
+def test_analyze_matches_the_oracle():
+    """analyze against exhaustive_consensus_oracle (every initial state,
+    every switching sequence): a guaranteed verdict converges by its
+    bound, an impossible one never does (for the supplied gain, or for
+    every gain), an inconclusive one with a gain converges on each graph
+    alone, and any witness gain converges within N*n."""
+    rng = random.Random(4093)
+    seen = {"guaranteed": 0, "impossible": 0, "inconclusive": 0, "static": 0, "switching": 0,
+            "cyclic": 0, "acyclic": 0, "nilpotent_a": 0, "no_gain": 0, "random_gain": 0,
+            "deadbeat_gain": 0}
+    for _ in range(400):
+        field = (F2, F3)[rng.randrange(2)]
+        n, N = rng.randint(1, 2), rng.randint(1, 3)
+        a = random_nilpotent(rng, field, n) if rng.random() < 0.25 else random_matrix(rng, field, n, n)
+        sys_ = LinearSystemFF(a, random_matrix(rng, field, n, 1))
+        cyclic = rng.random() < 0.4
+        d = rng.randrange(1, field.p)
+        graphs = []
+        for _ in range(rng.randint(1, 2)):
+            g = random_scc_graph(rng, field, N) if cyclic else random_dag_graph(rng, field, N)
+            graphs.append(_with_degree(field, g, d) if rng.random() < 0.7 else g)
+        kind = ("no_gain", "random_gain", "deadbeat_gain")[rng.randrange(3)]
+        decomp = kalman_decompose(sys_)
+        if kind == "deadbeat_gain" and decomp.A_uc.is_nilpotent():
+            gain = deadbeat_gain(decomp, d)
+        else:
+            kind = "random_gain" if kind == "deadbeat_gain" else kind
+            gain = None if kind == "no_gain" else random_matrix(rng, field, 1, n)
+        net = LeaderFollowerNetwork(sys=sys_, graphs=tuple(graphs), gain=gain)
+        report = analyze(net)
+
+        def works(k, horizon, graph_list=net.graphs):
+            trial = LeaderFollowerNetwork(sys=sys_, graphs=tuple(graph_list), gain=k)
+            return exhaustive_consensus_oracle(trial, horizon, all_signals=True)
+
+        verdict = report.verdict
+        if verdict == "guaranteed":
+            k = gain if gain is not None else MatrixFF.row_vector(field, report.witness["synthesized_gain"])
+            assert works(k, report.bounds[report.mode]), report.to_dict()
+        elif verdict == "impossible" and gain is not None:
+            assert not works(gain, N * n), report.to_dict()
+            assert "supplied gain" in report.reason
+            assert ("synthesized_gain" in report.witness) == ("witness.synthesized_gain" in report.reason)
+        elif verdict == "impossible":
+            assert net.is_static
+            assert not any(works(MatrixFF.row_vector(field, k), N * n)
+                           for k in itertools.product(range(field.p), repeat=n))
+        elif gain is not None:
+            assert all(works(gain, N * n, [g]) for g in net.graphs), report.to_dict()
+        if "synthesized_gain" in report.witness:
+            assert works(MatrixFF.row_vector(field, report.witness["synthesized_gain"]), N * n)
+        seen[verdict] += 1
+        seen["static" if net.is_static else "switching"] += 1
+        seen["cyclic" if cyclic else "acyclic"] += 1
+        seen["nilpotent_a"] += a.is_nilpotent()
+        seen[kind] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 # ---------------------------------------------------------
@@ -366,6 +450,35 @@ def test_convergence_bound_requires_guaranteed():
     net = single_graph_net(F3, [[1]], [1], [(1, 2, 1), (2, 1, 1)], 2)
     with pytest.raises(ValueError):
         convergence_bound(net)
+
+
+def test_worst_degree_bounds_mixed_closed_loops_when_k_c_is_zero():
+    """Two distinct degrees can both pass only with A nilpotent and a gain
+    that is zero on the controllable coordinates; the closed loops
+    A - d*bK then differ per degree, and every product of them vanishes
+    after the largest single degree, which is what the switching bound
+    takes per follower."""
+    rng = random.Random(131)
+    checked = 0
+    while checked < 60:
+        field = (F3, F5)[rng.randrange(2)]
+        n = rng.randint(2, 3)
+        sys_ = LinearSystemFF(random_nilpotent(rng, field, n), random_matrix(rng, field, n, 1))
+        decomp = kalman_decompose(sys_)
+        if not 0 < decomp.s < n:
+            continue
+        coords = [0] * decomp.s + [rng.randrange(field.p) for _ in range(n - decomp.s)]
+        bk = sys_.b @ (MatrixFF.row_vector(field, coords) @ decomp.Q)
+        loops = [sys_.A - bk.scale(d) for d in rng.sample(range(field.p), 3)]
+        if len(set(loops)) < 3:
+            continue
+        worst = max(m.nilpotent_degree() for m in loops)
+        for seq in itertools.product(loops, repeat=worst):
+            prod = MatrixFF.identity(field, n)
+            for m in seq:
+                prod = prod @ m
+            assert prod.is_zero()
+        checked += 1
 
 
 # ---------------------------------------------------------
