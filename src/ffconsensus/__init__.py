@@ -19,7 +19,7 @@ from .linsys import (
     is_stabilizable,
     kalman_decompose,
 )
-from .graphs import DegreeCheck, GraphCycleError, WeightedDigraphFF, union
+from .graphs import DegreeCheck, EdgeError, GraphCycleError, WeightedDigraphFF, union
 from .consensus import (
     AnalysisReport,
     GainSynthesisError,
@@ -52,7 +52,7 @@ __all__ = [
     "ControllabilityDecomposition", "CycleStructure", "LinearSystemFF",
     "autonomous_cycle_structure", "controllability_matrix", "deadbeat_gain",
     "is_stabilizable", "kalman_decompose",
-    "DegreeCheck", "GraphCycleError", "WeightedDigraphFF", "union",
+    "DegreeCheck", "EdgeError", "GraphCycleError", "WeightedDigraphFF", "union",
     "AnalysisReport", "GainSynthesisError", "LeaderFollowerNetwork", "SwitchingSignal",
     "analyze", "blockwise_nilpotency_check", "check_static", "check_switching",
     "convergence_bound", "error_dynamics_matrix", "product_vanishing_bound",

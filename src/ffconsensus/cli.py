@@ -2,10 +2,15 @@
 
 Scenario configs are single JSON documents.  Matrix and vector entries
 are reduced mod p on load (with a warning to stderr when the reduction
-changed a value); edge weights that reduce to 0 are rejected, since a
-zero weight means "no edge".  Exit codes for ``analyze``: 0 consensus
-guaranteed, 2 impossible, 3 inconclusive; malformed configs and usage
-errors exit 1, as does a run whose reader closes stdout early.
+changed a value).  The loader checks only the JSON shape and types; the
+modulus, the edges and the switching sequence are validated by the
+``PrimeField``, ``WeightedDigraphFF`` and ``SwitchingSignal`` it builds,
+and their errors are reported with the config's field path.  Every
+command analyses ``ScenarioConfig.analysed_network``: the one graph of
+a constant signal, else every graph.  Exit codes for ``analyze``: 0
+consensus guaranteed, 2 impossible, 3 inconclusive; malformed or
+unreadable configs, an unwritable ``--out`` and usage errors exit 1
+with one line on stderr, as does a run whose reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -17,12 +22,12 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .consensus import LeaderFollowerNetwork, SwitchingSignal, analyze, convergence_bound
-from .field import PrimeField, is_prime
-from .graphs import WeightedDigraphFF
+from .field import PrimeField
+from .graphs import EdgeError, WeightedDigraphFF
 from .linsys import DEFAULT_STATE_BOUND, LinearSystemFF, autonomous_cycle_structure
 from .matrix import MatrixFF, VectorFF
 from .sim import NetworkState, random_state, simulate
@@ -57,16 +62,21 @@ def _int_at(value, field_path: str) -> int:
     return value
 
 
-def _reduced(value: int, p: int, field_path: str) -> int:
-    r = value % p
-    if r != value:
-        _warn(f"{field_path}: reduced {value} to {r} (mod {p})")
-    return r
+def _residues(values, length: int, p: int, field_path: str) -> list[int]:
+    """``length`` integers, each reduced mod p with a warning if it changed."""
+    _require(isinstance(values, list) and len(values) == length, field_path, f"expected {length} entries")
+    out = []
+    for i, v in enumerate(values):
+        out.append(_int_at(v, f"{field_path}[{i}]") % p)
+        if out[-1] != v:
+            _warn(f"{field_path}[{i}]: reduced {v} to {out[-1]} (mod {p})")
+    return out
 
 
 @dataclass
 class ScenarioConfig:
-    """Canonical, validated scenario: everything already reduced mod p."""
+    """Canonical, validated scenario: everything already reduced mod p,
+    with the field, graphs and signal that validation built."""
 
     p: int
     n: int
@@ -74,10 +84,13 @@ class ScenarioConfig:
     a_rows: list[list[int]]
     b_entries: list[int]
     k_entries: list[int] | None
-    graph_edges: list[list[tuple[int, int, int]]]
+    graph_edges: list[list[tuple[int, int, int]]]  # input order, as written back
     switching: dict | None
     steps: int | None
     init: dict | None
+    field: PrimeField
+    graphs: tuple[WeightedDigraphFF, ...]
+    switching_signal: SwitchingSignal
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
@@ -87,10 +100,9 @@ class ScenarioConfig:
 
         p = _int_at(doc["p"], "p")
         try:
-            prime = is_prime(p)
+            field = PrimeField(p)
         except ValueError as exc:
             raise ConfigError("p", str(exc)) from exc
-        _require(prime, "p", f"{p} is not prime")
         n = _int_at(doc["n"], "n")
         _require(n >= 1, "n", "state dimension must be >= 1")
         N = _int_at(doc["N"], "N")
@@ -98,62 +110,53 @@ class ScenarioConfig:
 
         a_in = doc["A"]
         _require(isinstance(a_in, list) and len(a_in) == n, "A", f"expected {n} rows")
-        a_rows = []
-        for i, row in enumerate(a_in):
-            _require(isinstance(row, list) and len(row) == n, f"A[{i}]", f"expected {n} entries")
-            a_rows.append([_reduced(_int_at(v, f"A[{i}][{j}]"), p, f"A[{i}][{j}]") for j, v in enumerate(row)])
-
-        b_in = doc["b"]
-        _require(isinstance(b_in, list) and len(b_in) == n, "b", f"expected {n} entries")
-        b_entries = [_reduced(_int_at(v, f"b[{i}]"), p, f"b[{i}]") for i, v in enumerate(b_in)]
-
-        k_entries = None
-        if doc.get("K") is not None:
-            k_in = doc["K"]
-            _require(isinstance(k_in, list) and len(k_in) == n, "K", f"expected {n} entries")
-            k_entries = [_reduced(_int_at(v, f"K[{i}]"), p, f"K[{i}]") for i, v in enumerate(k_in)]
+        a_rows = [_residues(row, n, p, f"A[{i}]") for i, row in enumerate(a_in)]
+        b_entries = _residues(doc["b"], n, p, "b")
+        k_entries = _residues(doc["K"], n, p, "K") if doc.get("K") is not None else None
 
         graphs_in = doc["graphs"]
         _require(isinstance(graphs_in, list) and len(graphs_in) >= 1, "graphs", "expected a nonempty list")
         graph_edges: list[list[tuple[int, int, int]]] = []
+        graphs = []
         for gi, edges in enumerate(graphs_in):
             _require(isinstance(edges, list), f"graphs[{gi}]", "expected an edge list")
-            seen: set[tuple[int, int]] = set()
             out = []
             for ei, e in enumerate(edges):
                 path = f"graphs[{gi}][{ei}]"
                 _require(isinstance(e, list) and len(e) == 3, path, "expected [source, target, weight]")
-                src = _int_at(e[0], path + "[0]")
-                tgt = _int_at(e[1], path + "[1]")
-                w_raw = _int_at(e[2], path + "[2]")
-                _require(0 <= src <= N, path, f"source {src} out of range 0..{N}")
-                _require(1 <= tgt <= N, path, f"target {tgt} must be a follower 1..{N}")
-                _require((src, tgt) not in seen, path, f"duplicate edge ({src}->{tgt})")
+                src, tgt, w_raw = (_int_at(v, f"{path}[{j}]") for j, v in enumerate(e))
                 w = w_raw % p
                 if w != w_raw:
                     _warn(f"{path}: reduced weight {w_raw} to {w} (mod {p})")
-                _require(w != 0, path, f"weight {w_raw} is 0 mod {p}: not an edge")
-                seen.add((src, tgt))
                 out.append((src, tgt, w))
+            try:
+                graphs.append(WeightedDigraphFF(field, N, out))
+            except EdgeError as exc:
+                raise ConfigError(f"graphs[{gi}][{exc.index}]", str(exc)) from exc
             graph_edges.append(out)
 
         switching = None
+        # without a switching field: the one graph, or random switching with seed 0
+        spec = {"kind": "periodic", "sequence": [0]} if len(graphs) == 1 else {"kind": "random", "seed": 0}
         if doc.get("switching") is not None:
             sw = doc["switching"]
             _require(isinstance(sw, dict), "switching", "expected an object")
             kind = sw.get("kind")
-            _require(kind in ("explicit", "periodic", "random"), "switching.kind",
-                     "expected one of explicit|periodic|random")
-            switching = {"kind": kind}
-            if kind in ("explicit", "periodic"):
-                seq = sw.get("sequence")
-                _require(isinstance(seq, list) and seq, "switching.sequence", "expected a nonempty list")
-                idx = [_int_at(v, f"switching.sequence[{i}]") for i, v in enumerate(seq)]
-                bad = [v for v in idx if not (0 <= v < len(graph_edges))]
-                _require(not bad, "switching.sequence", f"graph indices {bad} out of range")
-                switching["sequence"] = idx
+            _require(kind in SwitchingSignal.KINDS, "switching.kind",
+                     "expected one of " + "|".join(SwitchingSignal.KINDS))
+            if kind == "random":
+                switching = {"kind": kind, "seed": _int_at(sw.get("seed", 0), "switching.seed")}
             else:
-                switching["seed"] = _int_at(sw.get("seed", 0), "switching.seed")
+                seq = sw.get("sequence")
+                _require(isinstance(seq, list), "switching.sequence", "expected a list")
+                switching = {"kind": kind,
+                             "sequence": [_int_at(v, f"switching.sequence[{i}]") for i, v in enumerate(seq)]}
+            spec = switching
+        try:
+            signal = SwitchingSignal(kind=spec["kind"], num_graphs=len(graphs),
+                                     sequence=tuple(spec.get("sequence", ())), seed=spec.get("seed"))
+        except ValueError as exc:
+            raise ConfigError("switching.sequence", str(exc)) from exc
 
         steps = None
         if doc.get("steps") is not None:
@@ -167,20 +170,11 @@ class ScenarioConfig:
             if "states" in raw:
                 st = raw["states"]
                 _require(isinstance(st, dict), "init.states", "expected an object")
-                leader = st.get("leader")
-                _require(isinstance(leader, list) and len(leader) == n, "init.states.leader",
-                         f"expected {n} entries")
+                lead = _residues(st.get("leader"), n, p, "init.states.leader")
                 followers = st.get("followers")
                 _require(isinstance(followers, list) and len(followers) == N, "init.states.followers",
                          f"expected {N} rows")
-                lead = [_reduced(_int_at(v, f"init.states.leader[{i}]"), p, f"init.states.leader[{i}]")
-                        for i, v in enumerate(leader)]
-                fols = []
-                for fi, row in enumerate(followers):
-                    path = f"init.states.followers[{fi}]"
-                    _require(isinstance(row, list) and len(row) == n, path, f"expected {n} entries")
-                    fols.append([_reduced(_int_at(v, f"{path}[{i}]"), p, f"{path}[{i}]")
-                                 for i, v in enumerate(row)])
+                fols = [_residues(row, n, p, f"init.states.followers[{fi}]") for fi, row in enumerate(followers)]
                 init = {"states": {"leader": lead, "followers": fols}}
             elif "seed" in raw:
                 init = {"seed": _int_at(raw["seed"], "init.seed")}
@@ -190,7 +184,7 @@ class ScenarioConfig:
         return cls(
             p=p, n=n, num_followers=N, a_rows=a_rows, b_entries=b_entries,
             k_entries=k_entries, graph_edges=graph_edges, switching=switching,
-            steps=steps, init=init,
+            steps=steps, init=init, field=field, graphs=tuple(graphs), switching_signal=signal,
         )
 
     # -- canonical form -------------------------------------------------
@@ -220,41 +214,44 @@ class ScenarioConfig:
 
     # -- object construction ---------------------------------------------
 
-    def field(self) -> PrimeField:
-        return PrimeField(self.p)
-
     def network(self) -> LeaderFollowerNetwork:
-        field = self.field()
+        """The scenario over every graph."""
         sys_pair = LinearSystemFF(
-            MatrixFF(field, self.a_rows), MatrixFF.column(field, self.b_entries)
+            MatrixFF(self.field, self.a_rows), MatrixFF.column(self.field, self.b_entries)
         )
-        graphs = tuple(
-            WeightedDigraphFF(field, self.num_followers, edges) for edges in self.graph_edges
-        )
-        gain = MatrixFF.row_vector(field, self.k_entries) if self.k_entries is not None else None
-        return LeaderFollowerNetwork(sys=sys_pair, graphs=graphs, gain=gain)
+        gain = MatrixFF.row_vector(self.field, self.k_entries) if self.k_entries is not None else None
+        return LeaderFollowerNetwork(sys=sys_pair, graphs=self.graphs, gain=gain)
+
+    @property
+    def constant_graph(self) -> int | None:
+        """The one graph index of an explicit or periodic sequence that
+        names no other, when there are several graphs; else None."""
+        s = self.switching_signal
+        if len(self.graphs) > 1 and s.kind != "random" and len(set(s.sequence)) == 1:
+            return s.sequence[0]
+        return None
+
+    def analysed_network(self, net: LeaderFollowerNetwork | None = None) -> LeaderFollowerNetwork:
+        """What every command analyses: the constant graph alone (the
+        conditions are exact for a fixed graph, only sufficient under
+        switching), else every graph; ``net``: ``network()`` if built."""
+        net = self.network() if net is None else net
+        i = self.constant_graph
+        return net if i is None else LeaderFollowerNetwork(sys=net.sys, graphs=(net.graphs[i],), gain=net.gain)
 
     def signal(self, seed_offset: int = 0) -> SwitchingSignal:
-        q = len(self.graph_edges)
-        if self.switching is None:
-            if q == 1:
-                return SwitchingSignal(kind="periodic", num_graphs=1, sequence=(0,))
-            return SwitchingSignal(kind="random", num_graphs=q, seed=seed_offset)
-        kind = self.switching["kind"]
-        if kind == "random":
-            return SwitchingSignal(kind="random", num_graphs=q,
-                                   seed=self.switching.get("seed", 0) + seed_offset)
-        return SwitchingSignal(kind=kind, num_graphs=q,
-                               sequence=tuple(self.switching["sequence"]))
+        s = self.switching_signal
+        return replace(s, seed=s.seed + seed_offset) if s.kind == "random" and seed_offset else s
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
-    p = Path(path)
-    if not p.exists():
-        raise ConfigError("<file>", f"config file not found: {p}")
     try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError("<file>", f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError("<file>", f"{path} is not UTF-8 text: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
         raise ConfigError("<file>", f"invalid JSON: {exc}") from exc
     return ScenarioConfig.from_dict(doc)
 
@@ -273,20 +270,9 @@ def _emit(text: str, out: str | None) -> None:
 
 def cmd_analyze(args) -> int:
     cfg = load_config(args.config)
-    net = cfg.network()
-    # several graphs driven by a constant signal are a static scenario
-    constant_index = None
-    if len(net.graphs) > 1 and cfg.switching is not None:
-        seq = cfg.switching.get("sequence")
-        if cfg.switching["kind"] in ("explicit", "periodic") and seq and len(set(seq)) == 1:
-            constant_index = seq[0]
-    if constant_index is not None:
-        from .consensus import check_static
-
-        report = check_static(net, graph_index=constant_index)
-        report.diagnostics["constant_signal_graph"] = constant_index
-    else:
-        report = analyze(net)
+    report = analyze(cfg.analysed_network())
+    if cfg.constant_graph is not None:
+        report.diagnostics["constant_signal_graph"] = cfg.constant_graph
     _emit(json.dumps(report.to_dict(), indent=2), args.out)
     return _VERDICT_EXIT[report.verdict]
 
@@ -297,7 +283,7 @@ def cmd_synthesize(args) -> int:
         print("error: config already contains a gain K; remove it to re-synthesize",
               file=sys.stderr)
         return EXIT_CONFIG
-    net = cfg.network()
+    net = cfg.analysed_network()
     report = analyze(net)
     if report.verdict != "guaranteed":
         print(f"synthesis refused: {report.reason}", file=sys.stderr)
@@ -308,9 +294,9 @@ def cmd_synthesize(args) -> int:
     degree = report.witness.get("gain_certificate_degree")
     if degree is None:
         degree = net.sys.A.nilpotent_degree()
+    graph_ids = range(len(net.graphs)) if cfg.constant_graph is None else [cfg.constant_graph]
     closed_degrees = {
-        f"graph{gi}.follower{i}": degree
-        for gi, g in enumerate(net.graphs) for i in range(1, g.num_followers + 1)
+        f"graph{gi}.follower{i}": degree for gi in graph_ids for i in range(1, cfg.num_followers + 1)
     }
     doc = cfg.to_dict()
     doc["K"] = k_row
@@ -371,19 +357,18 @@ def cmd_simulate(args) -> int:
         return EXIT_CONFIG
 
     try:
-        bound = convergence_bound(net)
+        bound = convergence_bound(cfg.analysed_network(net))
     except ValueError:
         bound = None
     horizon = args.horizon if args.horizon is not None else cfg.steps
     if horizon is None:
         horizon = bound + 5 if bound is not None else 4 * cfg.num_followers * cfg.n
-    if cfg.switching is not None and cfg.switching["kind"] == "explicit":
-        length = len(cfg.switching["sequence"])
-        _require(length >= horizon, "switching.sequence",
-                 f"explicit sequence has {length} entries but the simulation horizon is {horizon}")
+    try:
+        cfg.signal().realize(horizon)  # an explicit sequence must cover the horizon
+    except ValueError as exc:
+        raise ConfigError("switching.sequence", str(exc)) from exc
 
     summary_stream = sys.stdout if args.out else sys.stderr
-    field = cfg.field()
     config_hash = cfg.config_hash()
     trials = []
     for t in range(args.trials):
@@ -392,13 +377,13 @@ def cmd_simulate(args) -> int:
             st = cfg.init["states"]
             init = NetworkState(
                 step=0,
-                leader=VectorFF(field, st["leader"]),
-                followers=tuple(VectorFF(field, row) for row in st["followers"]),
+                leader=VectorFF(cfg.field, st["leader"]),
+                followers=tuple(VectorFF(cfg.field, row) for row in st["followers"]),
             )
         else:
             base = cfg.init["seed"] if cfg.init is not None else args.seed
             init_seed = base + 1000003 * t
-            init = random_state(field, cfg.n, cfg.num_followers, random.Random(init_seed))
+            init = random_state(cfg.field, cfg.n, cfg.num_followers, random.Random(init_seed))
         signal = cfg.signal(seed_offset=t)
         meta = {"trial": t, "config_hash": config_hash}
         if init_seed is not None:
@@ -443,8 +428,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_cycles(args) -> int:
     cfg = load_config(args.config)
-    field = cfg.field()
-    A = MatrixFF(field, cfg.a_rows)
+    A = MatrixFF(cfg.field, cfg.a_rows)
     total = cfg.p**cfg.n
     if args.poly:
         cs = autonomous_cycle_structure(A, mode="polynomial")
@@ -528,6 +512,9 @@ def main(argv=None) -> int:
         # the reader closed stdout early (`... | head`); send what is still
         # buffered to devnull so the interpreter's final flush does not fail too
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_CONFIG
+    except OSError as exc:  # configs are read in load_config: this is --out
+        print(f"error: --out: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

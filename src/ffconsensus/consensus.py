@@ -111,13 +111,15 @@ class SwitchingSignal:
     with the given seed (reproducible).
     """
 
+    KINDS = ("explicit", "periodic", "random")
+
     kind: str
     num_graphs: int
     sequence: tuple[int, ...] = ()
     seed: int | None = None
 
     def __post_init__(self):
-        if self.kind not in ("explicit", "periodic", "random"):
+        if self.kind not in self.KINDS:
             raise ValueError(f"unknown switching kind {self.kind!r}")
         if self.kind in ("explicit", "periodic"):
             if not self.sequence:
@@ -543,11 +545,9 @@ def _report(net: LeaderFollowerNetwork, mode: str, f: _Facts, checks: dict, witn
     )
 
 
-def check_static(net: LeaderFollowerNetwork, graph_index: int = 0) -> AnalysisReport:
-    """Decide consensus for the single fixed graph ``graph_index``."""
-    g = net.graphs[graph_index]
-    if not net.is_static:
-        net = LeaderFollowerNetwork(sys=net.sys, graphs=(g,), gain=net.gain)
+def check_static(net: LeaderFollowerNetwork) -> AnalysisReport:
+    """Decide consensus for a network with one fixed graph."""
+    [g] = net.graphs
     f = _facts(net)
     checks: dict = {
         "a_nilpotent": f.a_nilpotent,

@@ -31,6 +31,14 @@ class GraphCycleError(ValueError):
         self.cycle = cycle
 
 
+class EdgeError(ValueError):
+    """Raised for an invalid edge; carries its position in the edge list."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
 class WeightedDigraphFF:
     """Digraph on {0, 1, ..., N} with weights in F_p; node 0 is the leader."""
 
@@ -47,18 +55,18 @@ class WeightedDigraphFF:
         self.field = field
         self.num_followers = num_followers
         edge_map: dict[tuple[int, int], int] = {}
-        for src, tgt, w in edges:
+        for index, (src, tgt, w) in enumerate(edges):
             if not (0 <= src <= num_followers):
-                raise ValueError(f"edge source {src} out of range 0..{num_followers}")
+                raise EdgeError(index, f"edge source {src} out of range 0..{num_followers}")
             if not (1 <= tgt <= num_followers):
-                raise ValueError(
-                    f"edge target {tgt} invalid: targets must be followers 1..{num_followers}"
+                raise EdgeError(
+                    index, f"edge target {tgt} invalid: targets must be followers 1..{num_followers}"
                 )
             wv = (w.value if isinstance(w, Scalar) else int(w)) % field.p
             if wv == 0:
-                raise ValueError(f"edge ({src}->{tgt}) has weight 0 mod {field.p}: not an edge")
+                raise EdgeError(index, f"edge ({src}->{tgt}) has weight 0 mod {field.p}: not an edge")
             if (src, tgt) in edge_map:
-                raise ValueError(f"duplicate edge ({src}->{tgt})")
+                raise EdgeError(index, f"duplicate edge ({src}->{tgt})")
             edge_map[(src, tgt)] = wv
         self._edges = dict(sorted(edge_map.items()))
 

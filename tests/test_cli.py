@@ -1,12 +1,14 @@
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from ffconsensus import consensus
+from ffconsensus import PrimeField, SwitchingSignal, WeightedDigraphFF, consensus
 from ffconsensus.cli import ConfigError, ScenarioConfig, load_config, main
 
 from conftest import REF_A_ROWS, REF_B, REF_GAIN, REF_GRAPH1_EDGES, REF_GRAPH2_EDGES
@@ -46,31 +48,10 @@ def test_missing_field_named():
     assert exc.value.field_path == "graphs"
 
 
-def test_composite_p_rejected():
-    with pytest.raises(ConfigError) as exc:
-        ScenarioConfig.from_dict(ref_config_dict(p=9))
-    assert exc.value.field_path == "p"
-
-
 def test_bad_matrix_shape_named():
     with pytest.raises(ConfigError) as exc:
         ScenarioConfig.from_dict(ref_config_dict(A=[[1, 2], [3, 4]]))
     assert exc.value.field_path == "A"
-
-
-def test_zero_weight_edge_named():
-    doc = ref_config_dict()
-    doc["graphs"][0][0][2] = 3  # 3 = 0 mod 3
-    with pytest.raises(ConfigError) as exc:
-        ScenarioConfig.from_dict(doc)
-    assert "graphs[0][0]" in exc.value.field_path
-
-
-def test_duplicate_edge_rejected():
-    doc = ref_config_dict()
-    doc["graphs"][0].append(doc["graphs"][0][0][:])
-    with pytest.raises(ConfigError):
-        ScenarioConfig.from_dict(doc)
 
 
 def test_bad_switching_kind():
@@ -108,6 +89,136 @@ def test_config_roundtrip_identity():
 def test_load_config_missing_file():
     with pytest.raises(ConfigError):
         load_config("/nonexistent/scenario.json")
+
+
+def _write(tmp_path, doc):
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _write_bytes(tmp_path, data):
+    path = tmp_path / "case.json"
+    path.write_bytes(data)
+    return str(path)
+
+
+def _with_edge_entry(ei, position, value):
+    doc = ref_config_dict()
+    doc["graphs"][0][ei][position] = value
+    return doc
+
+
+# each bad input, the command it is given to, and the field path that the
+# one `config error:` line names; rules enforced by the library (primality,
+# edges, switching sequences) keep the paths the config loader gave them
+CONFIG_ERRORS = [
+    pytest.param(lambda t: ["analyze", _write(t, ref_config_dict(p=9))], "p", id="composite_p"),
+    pytest.param(lambda t: ["analyze", _write(t, ref_config_dict(p=1))], "p", id="p_one"),
+    pytest.param(lambda t: ["analyze", _write(t, _with_edge_entry(1, 0, 7))], "graphs[0][1]",
+                 id="source_out_of_range"),
+    pytest.param(lambda t: ["analyze", _write(t, _with_edge_entry(2, 1, 0))], "graphs[0][2]",
+                 id="edge_into_leader"),
+    pytest.param(lambda t: ["analyze", _write(t, ref_config_dict(graphs=[
+        [list(e) for e in REF_GRAPH1_EDGES + REF_GRAPH1_EDGES[:1]],
+        [list(e) for e in REF_GRAPH2_EDGES],
+    ]))], "graphs[0][5]", id="duplicate_edge"),
+    pytest.param(lambda t: ["analyze", _write(t, _with_edge_entry(0, 2, 3))], "graphs[0][0]",
+                 id="zero_weight"),  # 3 = 0 mod 3
+    pytest.param(lambda t: ["analyze", _write(t, ref_config_dict(
+        switching={"kind": "explicit", "sequence": [0, 2]}))], "switching.sequence",
+        id="switching_index_out_of_range"),
+    pytest.param(lambda t: ["simulate", _write(t, ref_config_dict(
+        K=REF_GAIN, steps=25, switching={"kind": "explicit", "sequence": [0, 1, 0]}))],
+        "switching.sequence", id="explicit_sequence_shorter_than_horizon"),
+    pytest.param(lambda t: ["analyze", str(t / "absent.json")], "<file>", id="missing_file"),
+    pytest.param(lambda t: ["analyze", str(t)], "<file>", id="directory"),
+    pytest.param(lambda t: ["analyze", _write_bytes(t, b'{"p": 3, "\xff\xfe": 1}')], "<file>",
+                 id="non_utf8"),
+    pytest.param(lambda t: ["analyze", _write_bytes(t, b"{not json")], "<file>", id="invalid_json"),
+    pytest.param(lambda t: ["analyze", _write(t, ref_config_dict()), "--out", str(t / "absent" / "r.json")],
+                 "--out", id="unwritable_out"),
+]
+
+
+@pytest.mark.parametrize("argv, field_path", CONFIG_ERRORS)
+def test_bad_input_exits_one_naming_the_field(argv, field_path, tmp_path, capsys):
+    assert main(argv(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    errors = [line for line in captured.err.splitlines() if not line.startswith("warning: ")]
+    prefix = "error: --out: " if field_path == "--out" else f"config error: {field_path}: "
+    assert len(errors) == 1 and errors[0].startswith(prefix), captured.err
+
+
+# a field path as ``ScenarioConfig.from_dict`` and ``load_config`` name it
+FIELD_PATH = re.compile(r"config error: (<root>|<file>|[A-Za-z]+(\.[a-z]+|\[\d+\])*): ")
+
+
+def _fuzz_slots(node, out):
+    """Every (container, key) pair below ``node``."""
+    for key in list(node.keys() if isinstance(node, dict) else range(len(node))):
+        out.append((node, key))
+        if isinstance(node[key], (dict, list)):
+            _fuzz_slots(node[key], out)
+    return out
+
+
+def _mutate(doc, rng):
+    """One type swap, out-of-range integer, dropped key or wrong length."""
+    slots = _fuzz_slots(doc, [])
+    kind = rng.choice(("type", "int", "drop", "length"))
+    if kind == "drop":
+        node, key = rng.choice([s for s in slots if isinstance(s[0], dict)])
+        del node[key]
+        return
+    if kind == "length":
+        lists = [node[key] for node, key in slots if isinstance(node[key], list) and node[key]]
+        target = rng.choice(lists)
+        rng.choice((target.pop, lambda: target.append(target[-1]), target.clear))()
+        return
+    if kind == "int":
+        ints = [(n, k) for n, k in slots if type(n[k]) is int]
+        node, key = rng.choice(ints)
+        v = node[key]
+        # small magnitudes only: a large N, n or horizon is valid but slow
+        node[key] = rng.choice((-1, 0, -v - 1, v + rng.randint(1, 5)))
+        return
+    node, key = rng.choice(slots)
+    node[key] = rng.choice(("5", 1.5, None, True, [], {}, [[1]]))
+
+
+def test_mutated_configs_never_escape(tmp_path, capsys):
+    base = json.loads((Path(__file__).resolve().parents[1] / "configs" / "leader_f3.json").read_text())
+    bases = [
+        base,
+        {**base, "K": REF_GAIN},
+        {**base, "K": REF_GAIN, "switching": {"kind": "explicit", "sequence": [0, 1] * 15}},
+        {**base, "K": REF_GAIN, "switching": {"kind": "periodic", "sequence": [1]}},
+    ]
+    rng = random.Random(20261018)
+    path = tmp_path / "case.json"
+    exits = {}
+    for _ in range(1000):
+        doc = json.loads(json.dumps(rng.choice(bases)))
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            _mutate(doc, rng)
+        path.write_text(json.dumps(doc))
+        for command in ("analyze", "synthesize", "simulate", "cycles"):
+            try:
+                code = main([command, str(path)])
+            except Exception as exc:  # reported with the config that raised it
+                pytest.fail(f"{command} raised {exc!r} on {json.dumps(doc)}")
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2, 3), (command, doc)
+            assert "Traceback" not in err, (command, doc)
+            for line in err.splitlines():
+                if line.startswith("config error:"):
+                    assert FIELD_PATH.match(line), line
+            exits[code] = exits.get(code, 0) + 1
+    # the mutations reach both the validator and the commands
+    assert exits.get(0, 0) > 200 and exits.get(1, 0) > 200, exits
 
 
 # ---------------------------------------------------------
@@ -195,6 +306,44 @@ def test_analyze_out_file(ref_config_path, tmp_path):
     rc = main(["analyze", ref_config_path, "--out", str(out)])
     assert rc == 0
     assert json.loads(out.read_text())["verdict"] == "guaranteed"
+
+
+def _constant_signal_configs():
+    """The reference dynamics and gain under a signal that only ever selects
+    graph 1: once with graph 0 replaced by a graph with a 1 <-> 2 cycle
+    (periodic), once over the reference graphs (explicit, 30 steps)."""
+    cyclic = [[0, 1, 1], [1, 2, 1], [2, 1, 1], [0, 3, 1], [3, 4, 1]]
+    return {
+        "cyclic_graph_0": ref_config_dict(K=REF_GAIN, graphs=[cyclic, ref_config_dict()["graphs"][1]],
+                                          switching={"kind": "periodic", "sequence": [1]}),
+        "reference_graphs": ref_config_dict(K=REF_GAIN, switching={"kind": "explicit", "sequence": [1] * 30}),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_constant_signal_configs()))
+def test_constant_signal_analysed_alike_by_every_command(case, tmp_path, capsys):
+    doc = _constant_signal_configs()[case]
+    with_gain = _write(tmp_path, doc)
+    assert main(["analyze", with_gain]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["mode"] == "static" and report["diagnostics"]["constant_signal_graph"] == 1
+
+    # synthesize: the constant graph's witness
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps({k: v for k, v in doc.items() if k != "K"}))
+    assert main(["synthesize", str(bare)]) == 0
+    synthesized = json.loads(capsys.readouterr().out)
+    assert sorted(synthesized["certificate"]["closed_loop_nilpotent_degrees"]) == [
+        f"graph1.follower{i}" for i in range(1, 5)]
+    net = ScenarioConfig.from_dict(synthesized).network()
+    assert consensus.error_dynamics_matrix(net, 1).is_nilpotent()
+
+    # simulate: analyze's static bound, decided exactly
+    assert main(["simulate", with_gain, "--format", "json"]) == 0
+    sim = json.loads(capsys.readouterr().out)
+    assert sim["bound"] == report["bounds"]["static"] == 20
+    assert sim["horizon"] == sim["bound"] + 5
+    assert all(t["metadata"]["consensus_detection"] == "bounded-exact" for t in sim["trials"])
 
 
 def test_analyze_constant_signal_treated_as_static(tmp_path, capsys):
@@ -435,8 +584,9 @@ def test_simulate_analyses_the_network_once(tmp_path, ref_config_path, monkeypat
     assert doc["horizon"] == doc["bound"] + 5
 
 
-# the reference config, its one-graph static form, and a switching config
-# whose union of follower supports has a cycle (analyze is inconclusive)
+# the reference config, its one-graph static form, a switching config
+# whose union of follower supports has a cycle (analyze is inconclusive),
+# and a constant signal over a cyclic and an acyclic graph
 ANALYSED_ONCE = {
     "reference": ref_config_dict(),
     "reference_static": ref_config_dict(graphs=[ref_config_dict()["graphs"][0]], switching=None),
@@ -444,6 +594,8 @@ ANALYSED_ONCE = {
         [[s, t, w] for (s, t, w) in REF_GRAPH1_EDGES],
         [[s, t, w] for (s, t, w) in REF_GRAPH2_EDGES] + [[4, 1, 1]],
     ]),
+    # a cyclic graph 0 that the periodic signal never selects
+    "constant_signal": {k: v for k, v in _constant_signal_configs()["cyclic_graph_0"].items() if k != "K"},
 }
 
 
@@ -465,6 +617,25 @@ def test_each_command_decomposes_and_analyses_once(case, command, tmp_path, monk
     main([command, str(path), "--out", str(tmp_path / "out")])
     assert calls["kalman_decompose"] == 1, calls
     assert calls["check_static"] + calls["check_switching"] == 1, calls
+
+
+@pytest.mark.parametrize("command", ["analyze", "synthesize", "simulate", "cycles"])
+def test_validation_builds_field_graphs_and_signal_once(command, tmp_path, monkeypatch, capsys):
+    # a constant signal: every command analyses one graph, so no union is built
+    doc = _constant_signal_configs()["cyclic_graph_0"]
+    if command == "synthesize":
+        doc = {k: v for k, v in doc.items() if k != "K"}
+    built = {PrimeField: 0, WeightedDigraphFF: 0, SwitchingSignal: 0}
+    for cls in built:
+        attr = "__post_init__" if cls is SwitchingSignal else "__init__"
+
+        def counting(self, *args, _real=getattr(cls, attr), _cls=cls, **kwargs):
+            built[_cls] += 1
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, attr, counting)
+    assert main([command, _write(tmp_path, doc), "--out", str(tmp_path / "out")]) == 0
+    assert built == {PrimeField: 1, WeightedDigraphFF: 2, SwitchingSignal: 1}
 
 
 # simulate output (stdout and stderr, CSV and JSON) recorded before the

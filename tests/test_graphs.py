@@ -3,6 +3,7 @@ import random
 import pytest
 
 from ffconsensus import (
+    EdgeError,
     GraphCycleError,
     WeightedDigraphFF,
     permute_similarity,
@@ -36,6 +37,18 @@ def test_out_of_range_nodes_rejected():
         WeightedDigraphFF(F3, 2, [(3, 1, 1)])
     with pytest.raises(ValueError):
         WeightedDigraphFF(F3, 2, [(0, 3, 1)])
+
+
+@pytest.mark.parametrize("edges, index", [
+    ([(0, 1, 1), (3, 1, 1)], 1),  # source out of range
+    ([(0, 1, 1), (1, 2, 1), (2, 0, 1)], 2),  # edge into the leader
+    ([(0, 1, 3)], 0),  # weight 0 mod 3
+    ([(0, 1, 1), (1, 2, 1), (0, 1, 2)], 2),  # duplicate of edge 0
+])
+def test_edge_error_names_the_offending_edge(edges, index):
+    with pytest.raises(EdgeError) as exc:
+        WeightedDigraphFF(F3, 2, edges)
+    assert exc.value.index == index
 
 
 def test_weights_reduced_canonically():
