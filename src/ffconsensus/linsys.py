@@ -6,10 +6,12 @@ controller-companion block plus an uncontrollable block, stabilizability
 (the uncontrollable block must be nilpotent), deadbeat gain synthesis,
 and the cycle/tree structure of the autonomous map x -> Ax.
 
-The decomposition basis is built greedily: the Krylov chain
-b, Ab, A^2 b, ... is kept while independent, then extended with the first
+The decomposition basis is the pivot columns of [ctrb(A, b) | I]: the
+Krylov chain b, Ab, A^2 b, ... while independent, then the first
 standard basis vectors that remain independent, so the transform Q is
-reproducible run to run.
+reproducible run to run.  One Gauss-Jordan elimination of that matrix
+yields the basis and its inverse, and the companion block is read off
+the first Krylov dependence (see ``kalman_decompose``).
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from math import lcm
+from operator import mul
 
 from .field import PrimeField
-from .matrix import MatrixFF, VectorFF
+from .matrix import MatrixFF, _echelon
 from .poly import PolyFF, factor, split_nilpotent_bijective, _order_mod_prime_power
 
 DEFAULT_STATE_BOUND = 10**6
@@ -89,108 +92,62 @@ def controllability_matrix(sys: LinearSystemFF) -> MatrixFF:
     cols = [sys.b.col(0)]
     for _ in range(n - 1):
         cols.append(sys.A @ cols[-1])
-    return MatrixFF(sys.field, [[cols[j].entries[i] for j in range(n)] for i in range(n)])
-
-
-class _Echelon:
-    """Incremental independence test over F_p (row echelon accumulator)."""
-
-    def __init__(self, field: PrimeField, n: int):
-        self.p = field.p
-        self.n = n
-        self.pivots: dict[int, list[int]] = {}
-
-    def try_add(self, vec: list[int]) -> bool:
-        v = [x % self.p for x in vec]
-        for col, row in self.pivots.items():
-            if v[col]:
-                f = v[col]
-                v = [(a - f * b) % self.p for a, b in zip(v, row)]
-        lead = next((i for i, x in enumerate(v) if x), None)
-        if lead is None:
-            return False
-        inv = pow(v[lead], self.p - 2, self.p)
-        self.pivots[lead] = [(x * inv) % self.p for x in v]
-        return True
+    return MatrixFF.from_flat(sys.field, n, n, [cols[j].entries[i] for i in range(n) for j in range(n)])
 
 
 def kalman_decompose(sys: LinearSystemFF) -> ControllabilityDecomposition:
-    """Deterministic controllability decomposition of a single-input pair."""
-    field = sys.field
-    n = sys.dim
+    """Deterministic controllability decomposition of a single-input pair.
 
-    # 1. independent Krylov vectors b, Ab, ... (stops at the first dependence)
-    chain: list[VectorFF] = []
-    ech = _Echelon(field, n)
-    v = sys.b.col(0)
-    while ech.try_add(list(v.entries)):
-        chain.append(v)
-        v = sys.A @ v
-    s = len(chain)
+    The basis V is the pivot columns of [ctrb(A, b) | I]: the Krylov
+    vectors b, Ab, ..., A^(s-1) b, independent up to the first dependence
+    A^s b = sum_j c_j A^j b, followed by the first standard vectors
+    independent of them.  Gauss-Jordan elimination turns those pivot
+    columns into I, so it leaves V^-1 in the right half.  In that basis
+    V^-1 b = e_1 and
 
-    # 2. extend with standard basis vectors to a full basis V (columns)
-    basis = list(chain)
-    for i in range(n):
-        if len(basis) == n:
-            break
-        e = VectorFF(field, [1 if j == i else 0 for j in range(n)])
-        if ech.try_add(list(e.entries)):
-            basis.append(e)
-    V = MatrixFF(field, [[basis[j].entries[i] for j in range(n)] for i in range(n)])
-    V_inv = V.inverse()
-    A_V = (V_inv @ sys.A) @ V
+        V^-1 A V = [[A1, X], [0, Y]],
 
-    if s == 0:
-        Q = V_inv
-        return ControllabilityDecomposition(
-            Q=Q,
-            s=0,
-            A_c=MatrixFF.zeros(field, 0, 0),
-            A_cc=MatrixFF.zeros(field, 0, n),
-            A_uc=A_V,
-            b_c=MatrixFF.zeros(field, 0, 1),
-            companion_coeffs=(),
-        )
+    where A1 maps e_j to e_(j+1) and e_s to c (ones below the diagonal,
+    last column c).  Let T be the s x s matrix whose rows are e_s A1^i for
+    i < s.  Then T e_1 = e_s, and T A1 = C T, where C is the companion of
+    c (ones above the diagonal, bottom row c): row i of T A1 is row i + 1
+    of T, and the last is e_s A1^s = sum_j c_j e_s A1^j by Cayley-Hamilton.
+    So Q = diag(T, I) V^-1 gives A_c = C, A_cc = T X, A_uc = Y and
+    b_c = e_s.  c is the top of V^-1 A (A^(s-1) b), and since
+    Q A V = [[T A1, T X], [0, Y]], A_cc and A_uc are the columns of Q A at
+    the chosen standard vectors.
+    """
+    field, p, n = sys.field, sys.field.p, sys.dim
+    ctrb = controllability_matrix(sys)
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(ctrb.to_rows())]
+    reduced, pivots, _ = _echelon(aug, p)
+    s = sum(j < n for j in pivots)
+    std = [j - n for j in pivots[s:]]
+    V_inv = MatrixFF.from_flat(field, n, n, [x for row in reduced for x in row[n:]])
+    c = (V_inv @ (sys.A @ ctrb.col(s - 1))).entries[:s] if s else ()
 
-    # 3. controller companion form inside the controllable coordinates:
-    #    with A1 the leading s x s block and b1 = e_1, take q = last row of
-    #    ctrb(A1, b1)^-1 and stack q, qA1, ..., qA1^(s-1); this sends b1 to
-    #    e_s and A1 to companion form with superdiagonal ones.
-    A1 = MatrixFF(field, [[A_V.entry_int(i, j) for j in range(s)] for i in range(s)])
-    b1 = MatrixFF.column(field, [1] + [0] * (s - 1))
-    W1 = controllability_matrix(LinearSystemFF(A1, b1))
-    q = W1.inverse().row(s - 1)
     t_rows = []
-    row = q
+    t = [0] * (s - 1) + [1]
     for _ in range(s):
-        t_rows.append(list(row.entries))
-        row = VectorFF(field, ((A1.transpose()) @ row).entries)
-    T = MatrixFF(field, t_rows)
-
-    # full transform: companion change on the controllable block only
-    full_rows = []
-    for i in range(s):
-        full_rows.append(t_rows[i] + [0] * (n - s))
-    for i in range(n - s):
-        full_rows.append([0] * s + [1 if j == i else 0 for j in range(n - s)])
-    Q = MatrixFF(field, full_rows) @ V_inv
-
-    A_Q = (Q @ sys.A) @ Q.inverse()
-    A_c = MatrixFF(field, [[A_Q.entry_int(i, j) for j in range(s)] for i in range(s)])
-    A_cc = (
-        MatrixFF(field, [[A_Q.entry_int(i, j) for j in range(s, n)] for i in range(s)])
-        if n > s
-        else MatrixFF.zeros(field, s, 0)
+        t_rows.append(t)
+        t = t[1:] + [sum(map(mul, t, c)) % p]
+    diag_T_I = MatrixFF.from_flat(
+        field, n, n,
+        [x for row in t_rows for x in row + [0] * (n - s)]
+        + [int(j == i) for i in range(s, n) for j in range(n)],
     )
-    A_uc = (
-        MatrixFF(field, [[A_Q.entry_int(i, j) for j in range(s, n)] for i in range(s, n)])
-        if n > s
-        else MatrixFF.zeros(field, 0, 0)
-    )
-    b_c = MatrixFF.column(field, [0] * (s - 1) + [1])
-    coeffs = tuple(A_c.entry_int(s - 1, j) for j in range(s))
+    Q = diag_T_I @ V_inv
+    QA = (Q @ sys.A).to_rows()
     return ControllabilityDecomposition(
-        Q=Q, s=s, A_c=A_c, A_cc=A_cc, A_uc=A_uc, b_c=b_c, companion_coeffs=coeffs
+        Q=Q,
+        s=s,
+        A_c=MatrixFF.from_flat(
+            field, s, s, [int(j == i + 1) for i in range(s - 1) for j in range(s)] + list(c)
+        ),
+        A_cc=MatrixFF.from_flat(field, s, n - s, [QA[i][j] for i in range(s) for j in std]),
+        A_uc=MatrixFF.from_flat(field, n - s, n - s, [QA[i][j] for i in range(s, n) for j in std]),
+        b_c=MatrixFF.from_flat(field, s, 1, [int(i == s - 1) for i in range(s)]),
+        companion_coeffs=c,
     )
 
 

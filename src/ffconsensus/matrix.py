@@ -1,9 +1,10 @@
 """Dense matrices and vectors over F_p.
 
 Matrices are immutable row-major tuples of canonical residues; every
-operation returns a new value.  Rank, inverse, and determinant use
-Gaussian elimination with exact field division (the pivot is always the
-first nonzero entry in column order, so results are deterministic).  The
+operation returns a new value, reduced mod p once, in ``from_flat``.
+Rank, inverse, and determinant read one Gauss-Jordan elimination routine,
+``_echelon``, with exact field division (the pivot is always the first
+nonzero entry in column order, so results are deterministic).  The
 characteristic polynomial is computed with the Berkowitz algorithm, which
 is division-free and therefore valid over any F_p regardless of how few
 elements the field has.  Nilpotency is decided from matrix powers, never
@@ -37,6 +38,15 @@ class VectorFF:
         self.field = field
         self.entries = tuple(_as_int(field, v) for v in entries)
 
+    @classmethod
+    def from_flat(cls, field: PrimeField, entries: Iterable[int]) -> "VectorFF":
+        """Trusted constructor for integer entries: reduces each mod p once
+        and skips the type checks of ``__init__``."""
+        v = object.__new__(cls)
+        v.field = field
+        v.entries = tuple(x % field.p for x in entries)
+        return v
+
     @property
     def dim(self) -> int:
         return len(self.entries)
@@ -51,15 +61,15 @@ class VectorFF:
 
     def __add__(self, other: "VectorFF") -> "VectorFF":
         self._check(other)
-        return VectorFF(self.field, (a + b for a, b in zip(self.entries, other.entries)))
+        return VectorFF.from_flat(self.field, (a + b for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "VectorFF") -> "VectorFF":
         self._check(other)
-        return VectorFF(self.field, (a - b for a, b in zip(self.entries, other.entries)))
+        return VectorFF.from_flat(self.field, (a - b for a, b in zip(self.entries, other.entries)))
 
     def scale(self, c) -> "VectorFF":
         cv = _as_int(self.field, c)
-        return VectorFF(self.field, (cv * a for a in self.entries))
+        return VectorFF.from_flat(self.field, (cv * a for a in self.entries))
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
@@ -149,10 +159,10 @@ class MatrixFF:
         return [list(self._e[i * c : (i + 1) * c]) for i in range(self.rows)]
 
     def col(self, j: int) -> VectorFF:
-        return VectorFF(self.field, (self._e[i * self.cols + j] for i in range(self.rows)))
+        return VectorFF.from_flat(self.field, self._e[j :: self.cols])
 
     def row(self, i: int) -> VectorFF:
-        return VectorFF(self.field, self._e[i * self.cols : (i + 1) * self.cols])
+        return VectorFF.from_flat(self.field, self._e[i * self.cols : (i + 1) * self.cols])
 
     @property
     def is_square(self) -> bool:
@@ -188,30 +198,24 @@ class MatrixFF:
         self._check_same_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch for addition")
-        p = self.field.p
         return MatrixFF.from_flat(
-            self.field, self.rows, self.cols,
-            [(a + b) % p for a, b in zip(self._e, other._e)],
+            self.field, self.rows, self.cols, [a + b for a, b in zip(self._e, other._e)]
         )
 
     def __sub__(self, other: "MatrixFF") -> "MatrixFF":
         self._check_same_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch for subtraction")
-        p = self.field.p
         return MatrixFF.from_flat(
-            self.field, self.rows, self.cols,
-            [(a - b) % p for a, b in zip(self._e, other._e)],
+            self.field, self.rows, self.cols, [a - b for a, b in zip(self._e, other._e)]
         )
 
     def __neg__(self) -> "MatrixFF":
-        p = self.field.p
-        return MatrixFF.from_flat(self.field, self.rows, self.cols, [-a % p for a in self._e])
+        return MatrixFF.from_flat(self.field, self.rows, self.cols, [-a for a in self._e])
 
     def scale(self, c) -> "MatrixFF":
         cv = _as_int(self.field, c)
-        p = self.field.p
-        return MatrixFF.from_flat(self.field, self.rows, self.cols, [(cv * a) % p for a in self._e])
+        return MatrixFF.from_flat(self.field, self.rows, self.cols, [cv * a for a in self._e])
 
     def __mul__(self, other) -> "MatrixFF":
         if isinstance(other, (int, Scalar)):
@@ -226,18 +230,15 @@ class MatrixFF:
                 raise ValueError("modulus mismatch")
             if other.dim != self.cols:
                 raise ValueError("shape mismatch for matrix-vector product")
-            p = self.field.p
             e = self._e
             c = self.cols
             v = other.entries
-            return VectorFF(
-                self.field,
-                (sum(e[i * c + k] * v[k] for k in range(c)) % p for i in range(self.rows)),
+            return VectorFF.from_flat(
+                self.field, (sum(e[i * c + k] * v[k] for k in range(c)) for i in range(self.rows))
             )
         self._check_same_field(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch for matrix product")
-        p = self.field.p
         n, m, q = self.rows, self.cols, other.cols
         a, b = self._e, other._e
         out = [0] * (n * q)
@@ -251,7 +252,7 @@ class MatrixFF:
                     brow = b[k * q : (k + 1) * q]
                     for j in range(q):
                         orow[base + j] += aik * brow[j]
-        return MatrixFF.from_flat(self.field, n, q, [v % p for v in out])
+        return MatrixFF.from_flat(self.field, n, q, out)
 
     def __pow__(self, k: int) -> "MatrixFF":
         """Repeated squaring; the 0th power is the identity."""
@@ -276,75 +277,26 @@ class MatrixFF:
 
     # -- elimination-based queries -------------------------------------
 
-    def _echelon(self) -> tuple[list[list[int]], int, int]:
-        """Forward elimination; returns (rows, rank, det_of_square_part).
-
-        det is only meaningful for square input: product of pivots times
-        the swap sign, 0 when rank-deficient.
-        """
-        p = self.field.p
-        work = self.to_rows()
-        rank = 0
-        det = 1
-        for col in range(self.cols):
-            piv = next((r for r in range(rank, self.rows) if work[r][col] % p), None)
-            if piv is None:
-                det = 0
-                continue
-            if piv != rank:
-                work[rank], work[piv] = work[piv], work[rank]
-                det = -det
-            det = (det * work[rank][col]) % p
-            inv = pow(work[rank][col], p - 2, p)
-            work[rank] = [(x * inv) % p for x in work[rank]]
-            for r in range(self.rows):
-                if r != rank and work[r][col]:
-                    f = work[r][col]
-                    work[r] = [(x - f * y) % p for x, y in zip(work[r], work[rank])]
-            rank += 1
-            if rank == self.rows:
-                # remaining columns cannot add pivots but would zero det
-                if self.is_square and rank < self.cols:
-                    det = 0
-                break
-        if rank < min(self.rows, self.cols):
-            det = 0
-        return work, rank, det % p
-
     def rank(self) -> int:
-        if self.rows == 0 or self.cols == 0:
-            return 0
-        return self._echelon()[1]
+        return len(_echelon(self.to_rows(), self.field.p)[1])
 
     def determinant(self) -> Scalar:
         if not self.is_square:
             raise ValueError("determinant requires a square matrix")
-        if self.rows == 0:
-            return self.field.one
-        return Scalar(self.field, self._echelon()[2])
+        _, pivots, det = _echelon(self.to_rows(), self.field.p)
+        return Scalar(self.field, det if len(pivots) == self.rows else 0)
 
     def inverse(self) -> "MatrixFF":
+        """Gauss-Jordan elimination of [M | I]: M is invertible iff the
+        pivots are columns 0..n-1, and then the right half is M^-1."""
         if not self.is_square:
             raise ValueError("inverse requires a square matrix")
         n = self.rows
-        if n == 0:
-            return self
-        p = self.field.p
-        aug = [row + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(self.to_rows())]
-        r = 0
-        for col in range(n):
-            piv = next((i for i in range(r, n) if aug[i][col] % p), None)
-            if piv is None:
-                raise ValueError("matrix is singular")
-            aug[r], aug[piv] = aug[piv], aug[r]
-            inv = pow(aug[r][col], p - 2, p)
-            aug[r] = [(x * inv) % p for x in aug[r]]
-            for i in range(n):
-                if i != r and aug[i][col]:
-                    f = aug[i][col]
-                    aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[r])]
-            r += 1
-        return MatrixFF(self.field, [row[n:] for row in aug])
+        aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(self.to_rows())]
+        reduced, pivots, _ = _echelon(aug, self.field.p)
+        if pivots != list(range(n)):
+            raise ValueError("matrix is singular")
+        return MatrixFF.from_flat(self.field, n, n, [x for row in reduced for x in row[n:]])
 
     # -- characteristic polynomial & nilpotency -------------------------
 
@@ -399,21 +351,50 @@ class MatrixFF:
             raise ValueError("nilpotency requires a square matrix")
         if self.rows == 0:
             return 0
-        if not self.is_nilpotent():
-            return None
         power = self
-        k = 1
-        while not power.is_zero():
+        for k in range(1, self.rows):
+            if power.is_zero():
+                return k
             power = power @ self
-            k += 1
-        return k
+        return self.rows if power.is_zero() else None
+
+
+def _echelon(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int], int]:
+    """Gauss-Jordan elimination of integer rows of residues mod p.
+
+    Returns (reduced rows, pivot columns, det).  Each column's pivot is
+    the first nonzero entry at or below the current row, so the result is
+    deterministic.  det is the product of the pivots and the swap sign:
+    the determinant of a square matrix whenever its rank is full.  The
+    list ``rows`` is reordered in place.
+    """
+    pivots: list[int] = []
+    det = 1
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            det = -det
+        det = det * rows[r][col] % p
+        inv = pow(rows[r][col], p - 2, p)
+        rows[r] = pivot_row = [x * inv % p for x in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != r:
+                rows[i] = [(x - f * y) % p for x, y in zip(row, pivot_row)]
+        pivots.append(col)
+    return rows, pivots, det % p
 
 
 def kron(a: MatrixFF, b: MatrixFF) -> MatrixFF:
     """Kronecker product: block (i, j) is a[i][j] * B."""
     if a.field != b.field:
         raise ValueError("modulus mismatch")
-    p = a.field.p
     rows = a.rows * b.rows
     cols = a.cols * b.cols
     flat = [0] * (rows * cols)
@@ -425,7 +406,7 @@ def kron(a: MatrixFF, b: MatrixFF) -> MatrixFF:
             for bi in range(b.rows):
                 base = (i * b.rows + bi) * cols + j * b.cols
                 for bj in range(b.cols):
-                    flat[base + bj] = (aij * b.entry_int(bi, bj)) % p
+                    flat[base + bj] = aij * b.entry_int(bi, bj)
     return MatrixFF.from_flat(a.field, rows, cols, flat)
 
 

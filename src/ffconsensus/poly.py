@@ -7,9 +7,13 @@ used by the dynamics analysis: splitting off the power of x that carries
 the transient part, irreducibility testing, full factorization, and the
 multiplicative order of x modulo a polynomial (the cycle-length source).
 
-Factorization and order computation use exhaustive trial division, which
-is exact and fast at the scales this package targets (p <= 7, degree <= 8
-for factoring; p^deg below ~10^7 for orders).
+Factorization and order computation use exhaustive trial division.  It
+is exact, but factoring tries all p^d monic candidates of each degree d,
+so its cost grows with p^d: small fields are fast (p <= 7 at degree <= 8
+takes milliseconds), while at p = 1000003 ``cycles --poly`` on a 5 x 5
+matrix does not finish within 30 s, although ``cycles`` suggests the
+polynomial route whenever p^n passes 10^6 states.  Orders likewise
+need p^deg below ~10^7.
 """
 
 from __future__ import annotations

@@ -77,7 +77,7 @@ class Trajectory:
 
 def random_state(field: PrimeField, n: int, num_followers: int, rng: random.Random) -> NetworkState:
     """Uniform initial condition over F_p^n per agent."""
-    draw = lambda: VectorFF(field, [rng.randrange(field.p) for _ in range(n)])
+    draw = lambda: VectorFF.from_flat(field, [rng.randrange(field.p) for _ in range(n)])
     return NetworkState(step=0, leader=draw(), followers=tuple(draw() for _ in range(num_followers)))
 
 
@@ -131,7 +131,7 @@ def _agent_ints(state: NetworkState) -> tuple[tuple[int, ...], ...]:
 
 
 def _network_state(field: PrimeField, step_no: int, agents) -> NetworkState:
-    vecs = [VectorFF(field, x) for x in agents]
+    vecs = [VectorFF.from_flat(field, x) for x in agents]
     return NetworkState(step=step_no, leader=vecs[0], followers=tuple(vecs[1:]))
 
 
@@ -183,7 +183,7 @@ def simulate(
         x0, zero = agents[0], errors[-1]
         for k in range(consensus_step + 1, horizon + 1):
             x0 = _apply(a_rows, x0, net.field.p)
-            v = VectorFF(net.field, x0)
+            v = VectorFF.from_flat(net.field, x0)
             states.append(NetworkState(init.step + k, v, (v,) * len(zero)))
             errors.append(zero)
     meta = dict(metadata or {})

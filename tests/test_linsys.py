@@ -1,5 +1,7 @@
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -113,6 +115,31 @@ def test_decompose_roundtrip_random():
             for _ in range(8):
                 sys_ = random_system(rng, field, n)
                 check_decomposition(sys_, kalman_decompose(sys_))
+
+
+# kalman_decompose outputs recorded for 340 seeded pairs (p in {2, 3, 5,
+# 7, 101}, n <= 7): random pairs, b = 0, pairs made uncontrollable by a
+# random invariant subspace, and identity, zero and shift matrices.  Q
+# fixes every synthesized gain, so the basis must not drift.
+DECOMPOSE_GOLDEN = json.loads((Path(__file__).parent / "data" / "decompose_golden.json").read_text())
+
+
+def test_decompose_matches_recording():
+    for case in DECOMPOSE_GOLDEN:
+        field = PrimeField(case["p"])
+        dec = kalman_decompose(make_sys(field, case["A"], case["b"]))
+        got = {
+            "s": dec.s,
+            "Q": dec.Q.to_rows(),
+            "A_c": dec.A_c.to_rows(),
+            "A_cc": dec.A_cc.to_rows(),
+            "A_uc": dec.A_uc.to_rows(),
+            "b_c": dec.b_c.to_rows(),
+            "coeffs": list(dec.companion_coeffs),
+        }
+        assert got == {key: case[key] for key in got}, (case["A"], case["b"])
+        rest = dec.Q.rows - dec.s
+        assert (dec.A_c.rows, dec.A_cc.cols, dec.A_uc.rows) == (dec.s, rest, rest)
 
 
 # ---------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -156,19 +157,62 @@ def test_det_matches_char_poly_constant_term():
                 assert m.determinant() == (sign * m.char_poly().eval(0).value) % p
 
 
+def brute_rank(m: MatrixFF) -> int:
+    """r with p^r = the number of vectors in the row space."""
+    p = m.field.p
+    rows = m.to_rows()
+    span = {
+        tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) % p for j in range(m.cols))
+        for coeffs in itertools.product(range(p), repeat=m.rows)
+    }
+    return next(r for r in range(m.rows + 1) if p**r == len(span))
+
+
+def leibniz_det(m: MatrixFF) -> int:
+    total = 0
+    for perm in itertools.permutations(range(m.rows)):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= m.entry_int(i, j)
+        total += term
+    return total % m.field.p
+
+
 def test_rank_det_inverse_consistency_random():
+    # random matrices, every 2x2 matrix over F_2 and F_3, and the 0x0 one,
+    # against brute force; the inverse is searched over all matrices of
+    # its size where there are at most 81 of them
     rng = random.Random(23)
+    cases = []
     for _ in range(120):
         field = random.Random(rng.random()).choice([F2, F3, F5])
         n = rng.randrange(1, 5)
-        m = random_matrix(rng, field, n, n)
+        cases.append(random_matrix(rng, field, n, n))
+    for field in (F2, F3):
+        for entries in itertools.product(range(field.p), repeat=4):
+            cases.append(MatrixFF(field, [entries[:2], entries[2:]]))
+    cases.append(MatrixFF.zeros(F3, 0, 0))
+    for m in cases:
+        n, field = m.rows, m.field
+        assert m.rank() == brute_rank(m)
+        assert m.determinant().value == leibniz_det(m)
         full = m.rank() == n
         assert (m.determinant().value != 0) == full
-        if full:
-            m.inverse()
-        else:
+        if not full:
             with pytest.raises(ValueError):
                 m.inverse()
+            continue
+        inv = m.inverse()
+        eye = MatrixFF.identity(field, n)
+        if field.p ** (n * n) <= 81:
+            [found] = [
+                c
+                for entries in itertools.product(range(field.p), repeat=n * n)
+                if m @ (c := MatrixFF.from_flat(field, n, n, entries)) == eye
+            ]
+            assert inv == found
+        assert m @ inv == inv @ m == eye
 
 
 # ---------------------------------------------------------
@@ -237,11 +281,14 @@ def test_nilpotency_three_way_agreement():
             cases.extend(random_matrix(rng, field, n, n) for _ in range(10))
             cases.append(random_nilpotent(rng, field, n))
             cases.append(MatrixFF.identity(field, n))
+        cases.append(MatrixFF.zeros(field, 0, 0))
     for m in cases:
         n = m.rows
         by_power = (m**n).is_zero()
         by_charpoly = m.char_poly() == PolyFF.monomial(m.field, n)
         assert m.is_nilpotent() == by_power == by_charpoly
+        # the degree is the smallest k with A^k = 0
+        assert m.nilpotent_degree() == next((k for k in range(n + 1) if (m**k).is_zero()), None)
 
 
 # ---------------------------------------------------------
