@@ -62,14 +62,28 @@ def _int_at(value, field_path: str) -> int:
     return value
 
 
+def _int_prefix(values: list) -> int:
+    """How many leading entries are integers (a bool is not one).
+
+    The lists of a config are checked with this, so that an entry's field
+    path is formatted only for the entry that fails."""
+    for i, v in enumerate(values):
+        if not isinstance(v, int) or isinstance(v, bool):
+            return i
+    return len(values)
+
+
 def _residues(values, length: int, p: int, field_path: str) -> list[int]:
     """``length`` integers, each reduced mod p with a warning if it changed."""
     _require(isinstance(values, list) and len(values) == length, field_path, f"expected {length} entries")
-    out = []
-    for i, v in enumerate(values):
-        out.append(_int_at(v, f"{field_path}[{i}]") % p)
-        if out[-1] != v:
-            _warn(f"{field_path}[{i}]: reduced {v} to {out[-1]} (mod {p})")
+    good = _int_prefix(values)
+    out = [v % p for v in values[:good]]
+    if out != values:  # warn in entry order, up to the first entry that is not an integer
+        for i, (v, r) in enumerate(zip(values, out)):
+            if r != v:
+                _warn(f"{field_path}[{i}]: reduced {v} to {r} (mod {p})")
+        if good < length:
+            raise ConfigError(f"{field_path}[{good}]", "expected an integer")
     return out
 
 
@@ -122,12 +136,15 @@ class ScenarioConfig:
             _require(isinstance(edges, list), f"graphs[{gi}]", "expected an edge list")
             out = []
             for ei, e in enumerate(edges):
-                path = f"graphs[{gi}][{ei}]"
-                _require(isinstance(e, list) and len(e) == 3, path, "expected [source, target, weight]")
-                src, tgt, w_raw = (_int_at(v, f"{path}[{j}]") for j, v in enumerate(e))
+                if not (isinstance(e, list) and len(e) == 3):
+                    raise ConfigError(f"graphs[{gi}][{ei}]", "expected [source, target, weight]")
+                good = _int_prefix(e)
+                if good < 3:
+                    raise ConfigError(f"graphs[{gi}][{ei}][{good}]", "expected an integer")
+                src, tgt, w_raw = e
                 w = w_raw % p
                 if w != w_raw:
-                    _warn(f"{path}: reduced weight {w_raw} to {w} (mod {p})")
+                    _warn(f"graphs[{gi}][{ei}]: reduced weight {w_raw} to {w} (mod {p})")
                 out.append((src, tgt, w))
             try:
                 graphs.append(WeightedDigraphFF(field, N, out))
@@ -149,8 +166,10 @@ class ScenarioConfig:
             else:
                 seq = sw.get("sequence")
                 _require(isinstance(seq, list), "switching.sequence", "expected a list")
-                switching = {"kind": kind,
-                             "sequence": [_int_at(v, f"switching.sequence[{i}]") for i, v in enumerate(seq)]}
+                good = _int_prefix(seq)
+                if good < len(seq):
+                    raise ConfigError(f"switching.sequence[{good}]", "expected an integer")
+                switching = {"kind": kind, "sequence": list(seq)}
             spec = switching
         try:
             signal = SwitchingSignal(kind=spec["kind"], num_graphs=len(graphs),

@@ -18,15 +18,16 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import cache, reduce
 from math import lcm
-from operator import mul
+from itertools import accumulate, chain, compress, repeat
+from operator import mul, not_
 
 from .field import PrimeField
 from .matrix import MatrixFF, _echelon
 from .poly import PolyFF, factor, split_nilpotent_bijective, _order_mod_prime_power
 
 DEFAULT_STATE_BOUND = 10**6
-_PACK_SLICE = 4096
 
 
 @dataclass(frozen=True)
@@ -230,42 +231,76 @@ def autonomous_cycle_structure(
 def _successor_table(A: MatrixFF) -> list[int]:
     """succ[x] = A x for every state of F_p^n, packed base p.
 
-    Coordinate j of a state is its digit j.  The table is built one output
-    coordinate at a time: by linearity, the values of (A x)_i over the
-    states of digits 0..j are p copies of its values over the states of
-    digits 0..j-1, copy d shifted by a_ij * d.  Each coordinate is then
-    folded into the packed successor Horner-style.
+    Coordinate j of a state is its digit j.  The output coordinates are
+    taken m at a time, m the largest with P = p^m <= 256, and a group's
+    value is its m digits read base p, so that it fits one byte.  Its
+    values over all states are built by linearity: over the states of
+    digits 0..j they are p copies of its values over digits 0..j-1, each
+    copy the one before plus column j of A restricted to the group.
+    Adding a fixed vector mod p digit by digit (no carry) permutes the
+    group values, so it is one 256-byte lookup table, composed from
+    single-digit shift tables, and each copy is one ``bytes.translate``
+    of the previous.  Every entry is therefore exactly the group's
+    coordinates of A x.  The groups are folded into the packed successor
+    Horner-style, base P.  For p > 256 (so n <= 2 under the enumeration
+    bound) a group is one coordinate, and its values and tables are lists.
     """
     p = A.field.p
     n = A.rows
-    total = p**n
     rows = A.to_rows()
-    wrap = list(range(p)) * 2  # wrap[c : c + p][v] == (v + c) % p
+    m = 1
+    while p ** (m + 1) <= 256:
+        m += 1
+    P = p**m
+    if P <= 256:
+        size, pack, join, shift = 256, bytes, b"".join, bytes.translate
+    else:
+        size, pack = P, list
+
+        def join(pieces):
+            return list(chain.from_iterable(pieces))
+
+        def shift(vals, table):
+            return list(map(table.__getitem__, vals))
+
+    @cache
+    def digit_shift(k: int, a: int):
+        """Table adding a mod p to digit k of a group value (values >= P kept)."""
+        q = p**k
+        return pack(
+            v + ((v // q + a) % p - v // q % p) * q if v < P else v for v in range(size)
+        )
 
     succ = [0]  # the single state when n = 0
-    for i in range(n - 1, -1, -1):
-        first, *rest = rows[i]
-        vals = [first * d % p for d in range(p)]
-        for a in rest:
-            shifted = [wrap[c : c + p] for c in [a * d % p for d in range(p)]]
-            vals = [t[v] for t in shifted for v in vals]
-        if i == n - 1:
-            succ = vals
-            continue
-        # fold in slices, so that no second full table of packed ints is
-        # alive at once
-        for lo in range(0, total, _PACK_SLICE):
-            hi = lo + _PACK_SLICE
-            succ[lo:hi] = [s * p + v for s, v in zip(succ[lo:hi], vals[lo:hi])]
-    return succ
+    for lo in reversed(range(0, n, m)):
+        group = rows[lo : lo + m]
+        vals = [0] * p  # over the states of digit 0: d times column 0
+        for row in reversed(group):
+            vals = [v * p + d * row[0] % p for d, v in enumerate(vals)]
+        vals = pack(vals)
+        for j in range(1, n):
+            steps = [digit_shift(k, row[j]) for k, row in enumerate(group) if row[j]]
+            if steps:
+                table = reduce(shift, steps)
+                vals = join(accumulate(repeat(table, p - 1), shift, initial=vals))
+            else:  # column j is zero on the group: p equal copies
+                vals *= p
+        if lo + m < n:
+            vals = [s * P + v for s, v in zip(succ, vals)]
+            if lo:  # not the last fold: kept as machine ints, so that two
+                vals = array("l", vals)  # tables of int objects never coexist
+        succ = vals
+    return succ if n > m else list(succ)
 
 
 def _cycles_by_enumeration(A: MatrixFF, state_bound: int) -> CycleStructure:
     """Cycle structure from the successor table of all p^n states.
 
     Tree depth is the number of rounds needed to peel the states that
-    have no predecessor left; the states that are never peeled lie on
-    cycles and are walked once.
+    have no predecessor left, starting from those that never had one;
+    the states that are never peeled lie on cycles.  The walk visits each
+    cycle once: ``compress`` reads the in-degrees lazily, so the states
+    it skips are the peeled ones and those a walk has already zeroed.
     """
     total = A.field.p ** A.rows
     if total > state_bound:
@@ -277,7 +312,7 @@ def _cycles_by_enumeration(A: MatrixFF, state_bound: int) -> CycleStructure:
     indeg = [0] * total
     for y in succ:
         indeg[y] += 1
-    frontier = array("l", (x for x in range(total) if not indeg[x]))
+    frontier = array("l", compress(range(total), map(not_, indeg)))
     depth = 0
     transient = 0
     while frontier:
@@ -293,15 +328,14 @@ def _cycles_by_enumeration(A: MatrixFF, state_bound: int) -> CycleStructure:
 
     # the states with predecessors left are exactly those on cycles
     cycles: dict[int, int] = {}
-    for start in range(total):
-        if indeg[start]:
-            length = 0
-            v = start
-            while indeg[v]:
-                indeg[v] = 0
-                v = succ[v]
-                length += 1
-            cycles[length] = cycles.get(length, 0) + 1
+    for start in compress(range(total), indeg):
+        length = 0
+        v = start
+        while indeg[v]:
+            indeg[v] = 0
+            v = succ[v]
+            length += 1
+        cycles[length] = cycles.get(length, 0) + 1
 
     return CycleStructure(
         method="enumeration",

@@ -421,7 +421,7 @@ def test_enumeration_matches_naive_walker():
 
 
 def test_enumeration_across_pack_slices():
-    # state spaces larger than one packing slice (linsys._PACK_SLICE states)
+    # larger state spaces, packed from two byte groups (2^13, 3^9) or three (7^5)
     rng = random.Random(103)
     for field, n in ((F2, 13), (F3, 9), (F7, 5)):
         p = field.p
@@ -433,6 +433,45 @@ def test_enumeration_across_pack_slices():
         assert _successor_table(a) == expected
         cs = autonomous_cycle_structure(a)
         assert (cs.tree_depth, cs.cycles, cs.transient_states) == naive_cycle_structure(expected)
+
+
+def successors_by_matmul(a):
+    """A @ v for every state v (one product with all states as columns), packed base p."""
+    p, n = a.field.p, a.rows
+    total = p**n
+    states = MatrixFF(a.field, [[x // p**j % p for x in range(total)] for j in range(n)])
+    packed = [0] * total
+    for row in reversed((a @ states).to_rows()):
+        packed = [s * p + v for s, v in zip(packed, row)]
+    return packed
+
+
+# The successor table packs m output coordinates into one group value
+# below P = p^m <= 256: m = 2 for p = 11, 13 and m = 1 for p = 17, 251.
+# For p > 256 a group is held in a list.  At p = 2 (m = 8) and p = 3
+# (m = 5), n = 8, 16, 5, 10 fill whole groups and n = 9, 6 spill into one
+# more.
+GROUP_SHAPES = [
+    (11, 3), (13, 3), (17, 3), (251, 2),
+    (257, 1), (257, 2), (1009, 1),
+    (2, 8), (2, 9), (2, 16), (3, 5), (3, 6), (3, 10),
+]
+
+
+@pytest.mark.parametrize("p,n", GROUP_SHAPES)
+def test_enumeration_across_group_shapes(p, n):
+    field = PrimeField(p)
+    rng = random.Random(1000 * p + n)
+    kinds = CYCLE_KINDS if p**n <= 3000 else ("random", "singular")
+    for kind in kinds:
+        if n < 2 and kind in ("diag_bb", "singular"):
+            continue
+        a = cycle_test_matrix(rng, kind, field, n)
+        expected = successors_by_matmul(a)
+        assert _successor_table(a) == expected, (kind, a)
+        cs = autonomous_cycle_structure(a)
+        assert (cs.tree_depth, cs.cycles, cs.transient_states) == naive_cycle_structure(expected), (kind, a)
+        assert cs.total_states == p**n
 
 
 def minimal_poly_degree(a):
