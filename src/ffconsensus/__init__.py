@@ -1,6 +1,6 @@
 """Leader-follower consensus of linear multi-agent systems over F_p."""
 
-from .field import PrimeField, Scalar, is_prime
+from .field import PrimeField, is_prime
 from .matrix import MatrixFF, VectorFF, kron, permute_similarity
 from .poly import (
     PolyFF,
@@ -46,7 +46,7 @@ from .sim import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "PrimeField", "Scalar", "is_prime",
+    "PrimeField", "is_prime",
     "MatrixFF", "VectorFF", "kron", "permute_similarity",
     "PolyFF", "factor", "is_irreducible", "order_of_x_mod", "split_nilpotent_bijective",
     "ControllabilityDecomposition", "CycleStructure", "LinearSystemFF",

@@ -73,15 +73,17 @@ def _int_prefix(values: list) -> int:
     return len(values)
 
 
-def _residues(values, length: int, p: int, field_path: str) -> list[int]:
-    """``length`` integers, each reduced mod p with a warning if it changed."""
+def _residues(values, length: int, field: PrimeField, field_path: str) -> list[int]:
+    """``length`` field elements, each kept by ``PrimeField.scalar`` with a
+    warning if it changed; ``_int_prefix`` only locates the entry that is
+    not an integer, for its field path."""
     _require(isinstance(values, list) and len(values) == length, field_path, f"expected {length} entries")
     good = _int_prefix(values)
-    out = [v % p for v in values[:good]]
+    out = list(map(field.scalar, values[:good]))
     if out != values:  # warn in entry order, up to the first entry that is not an integer
         for i, (v, r) in enumerate(zip(values, out)):
             if r != v:
-                _warn(f"{field_path}[{i}]: reduced {v} to {r} (mod {p})")
+                _warn(f"{field_path}[{i}]: reduced {v} to {r} (mod {field.p})")
         if good < length:
             raise ConfigError(f"{field_path}[{good}]", "expected an integer")
     return out
@@ -124,9 +126,9 @@ class ScenarioConfig:
 
         a_in = doc["A"]
         _require(isinstance(a_in, list) and len(a_in) == n, "A", f"expected {n} rows")
-        a_rows = [_residues(row, n, p, f"A[{i}]") for i, row in enumerate(a_in)]
-        b_entries = _residues(doc["b"], n, p, "b")
-        k_entries = _residues(doc["K"], n, p, "K") if doc.get("K") is not None else None
+        a_rows = [_residues(row, n, field, f"A[{i}]") for i, row in enumerate(a_in)]
+        b_entries = _residues(doc["b"], n, field, "b")
+        k_entries = _residues(doc["K"], n, field, "K") if doc.get("K") is not None else None
 
         graphs_in = doc["graphs"]
         _require(isinstance(graphs_in, list) and len(graphs_in) >= 1, "graphs", "expected a nonempty list")
@@ -142,7 +144,7 @@ class ScenarioConfig:
                 if good < 3:
                     raise ConfigError(f"graphs[{gi}][{ei}][{good}]", "expected an integer")
                 src, tgt, w_raw = e
-                w = w_raw % p
+                w = field.scalar(w_raw)
                 if w != w_raw:
                     _warn(f"graphs[{gi}][{ei}]: reduced weight {w_raw} to {w} (mod {p})")
                 out.append((src, tgt, w))
@@ -189,11 +191,11 @@ class ScenarioConfig:
             if "states" in raw:
                 st = raw["states"]
                 _require(isinstance(st, dict), "init.states", "expected an object")
-                lead = _residues(st.get("leader"), n, p, "init.states.leader")
+                lead = _residues(st.get("leader"), n, field, "init.states.leader")
                 followers = st.get("followers")
                 _require(isinstance(followers, list) and len(followers) == N, "init.states.followers",
                          f"expected {N} rows")
-                fols = [_residues(row, n, p, f"init.states.followers[{fi}]") for fi, row in enumerate(followers)]
+                fols = [_residues(row, n, field, f"init.states.followers[{fi}]") for fi, row in enumerate(followers)]
                 init = {"states": {"leader": lead, "followers": fols}}
             elif "seed" in raw:
                 init = {"seed": _int_at(raw["seed"], "init.seed")}

@@ -210,7 +210,7 @@ def _error_block_results(net: LeaderFollowerNetwork, graph_indices, test) -> lis
         blocks = []
         for comp in g.strongly_connected_components():
             key = tuple(
-                tuple((g.weight(j, i) - (degs[i].value if i == j else 0)) % p for j in comp)
+                tuple((g.weight(j, i) - (degs[i] if i == j else 0)) % p for j in comp)
                 for i in comp
             )
             if key not in results:
@@ -304,7 +304,7 @@ def _facts(net: LeaderFollowerNetwork) -> _Facts:
     u = graphs[0] if net.is_static else union(list(graphs))
     union_dag = u.is_dag()
     degrees = tuple(g.common_degree() for g in graphs)
-    values = {dc.degree.value for dc in degrees if dc.ok}
+    values = {dc.degree for dc in degrees if dc.ok}
     decomp = kalman_decompose(net.sys)
     blocks = None
     if net.gain is not None:
@@ -365,7 +365,7 @@ def _decide(f: _Facts, graph_indices: Sequence[int]) -> _Decision:
     if one:
         [gi] = graph_indices
         acyclic, dc = f.dags[gi], f.degrees[gi]
-        d = dc.degree.value if dc.ok else None
+        d = dc.degree if dc.ok else None
     else:
         acyclic, d = f.union_dag, f.shared_degree
 

@@ -1,14 +1,15 @@
-"""Exact arithmetic in prime fields F_p = {0, 1, ..., p-1}.
+"""Prime fields F_p = {0, 1, ..., p-1}.
 
-Every value is kept in canonical residue form after each operation, so
-equality of scalars is plain structural equality.  Only prime moduli are
-accepted; the containers in the rest of the package carry one shared
-``PrimeField`` per object and reject mixed-modulus operations.
+An element of F_p is a plain int in canonical residue form, 0 <= v < p;
+there is no scalar type.  ``PrimeField.scalar`` is the one rule for an
+element arriving from outside (an int other than a bool, reduced mod p);
+every container of the package applies it to the entries it is given
+and keeps its results canonical, so equality of elements is int
+equality.  Only prime moduli are accepted; the containers carry one
+shared ``PrimeField`` per object and reject mixed-modulus operations.
 """
 
 from __future__ import annotations
-
-from typing import Iterator
 
 
 # Miller-Rabin with the first 13 primes as bases is deterministic below
@@ -72,115 +73,13 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
 
-    def scalar(self, value: int) -> "Scalar":
-        """Canonical residue of ``value`` as an element of this field."""
-        if isinstance(value, Scalar):
-            if value.field != self:
-                raise ValueError("scalar belongs to a different field")
-            return value
-        return Scalar(self, value % self.p)
+    def scalar(self, value: int) -> int:
+        """The element ``value`` as its canonical residue, ``value % p``.
 
-    @property
-    def zero(self) -> "Scalar":
-        return Scalar(self, 0)
-
-    @property
-    def one(self) -> "Scalar":
-        return Scalar(self, 1)
-
-    def elements(self) -> Iterator["Scalar"]:
-        for v in range(self.p):
-            yield Scalar(self, v)
-
-    def random_scalar(self, rng) -> "Scalar":
-        return Scalar(self, rng.randrange(self.p))
-
-
-def _coerce(a: "Scalar", other) -> int:
-    """Residue of ``other`` in a's field; rejects foreign-field scalars."""
-    if isinstance(other, Scalar):
-        if other.field != a.field:
-            raise ValueError(
-                f"modulus mismatch: F_{a.field.p} vs F_{other.field.p}"
-            )
-        return other.value
-    if isinstance(other, int) and not isinstance(other, bool):
-        return other % a.field.p
-    return NotImplemented
-
-
-class Scalar:
-    """An element of F_p in canonical form (0 <= value < p)."""
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: PrimeField, value: int):
-        self.field = field
-        self.value = value % field.p
-
-    def __add__(self, other) -> "Scalar":
-        v = _coerce(self, other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, (self.value + v) % self.field.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "Scalar":
-        v = _coerce(self, other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, (self.value - v) % self.field.p)
-
-    def __rsub__(self, other) -> "Scalar":
-        v = _coerce(self, other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, (v - self.value) % self.field.p)
-
-    def __mul__(self, other) -> "Scalar":
-        v = _coerce(self, other)
-        if v is NotImplemented:
-            return NotImplemented
-        return Scalar(self.field, (self.value * v) % self.field.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Scalar":
-        return Scalar(self.field, -self.value % self.field.p)
-
-    def __pow__(self, e: int) -> "Scalar":
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        return Scalar(self.field, pow(self.value, e, self.field.p))
-
-    def inv(self) -> "Scalar":
-        """Multiplicative inverse via Fermat exponentiation; rejects zero."""
-        if self.value == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return Scalar(self.field, pow(self.value, self.field.p - 2, self.field.p))
-
-    def __truediv__(self, other) -> "Scalar":
-        v = _coerce(self, other)
-        if v is NotImplemented:
-            return NotImplemented
-        return self * Scalar(self.field, v).inv()
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Scalar):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self.value == other % self.field.p
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.field.p, self.value))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __int__(self) -> int:
-        return self.value
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.field.p})"
+        This is the package's one rule for an element arriving from
+        outside: any int except a bool is accepted and reduced, and
+        anything else raises TypeError.
+        """
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value % self.p
+        raise TypeError(f"field elements must be integers, got {type(value).__name__}")

@@ -1,7 +1,9 @@
 """Weighted directed interaction graphs with edge weights in F_p.
 
 Node 0 is the leader; nodes 1..N are followers.  Edges carry nonzero
-weights (a zero weight means "no edge" and is rejected at construction),
+weights, field elements given as ints and kept as canonical residues by
+``PrimeField.scalar`` (a bool or a non-int is a TypeError; a weight of
+0 mod p means "no edge" and is rejected at construction),
 no edge may point into the leader, and at most one edge exists per
 ordered pair.  The in-degree of a follower sums ALL incoming weights,
 including the leader's edge, reduced mod p; this leader-inclusive
@@ -19,7 +21,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .field import PrimeField, Scalar
+from .field import PrimeField
 from .matrix import MatrixFF
 
 
@@ -62,7 +64,7 @@ class WeightedDigraphFF:
                 raise EdgeError(
                     index, f"edge target {tgt} invalid: targets must be followers 1..{num_followers}"
                 )
-            wv = (w.value if isinstance(w, Scalar) else int(w)) % field.p
+            wv = field.scalar(w)
             if wv == 0:
                 raise EdgeError(index, f"edge ({src}->{tgt}) has weight 0 mod {field.p}: not an edge")
             if (src, tgt) in edge_map:
@@ -113,16 +115,17 @@ class WeightedDigraphFF:
         degs = self.in_degrees()
         d_bar = MatrixFF(
             self.field,
-            [[degs[i + 1].value if i == j else 0 for j in range(N)] for i in range(N)],
+            [[degs[i + 1] if i == j else 0 for j in range(N)] for i in range(N)],
         )
         return a_full, a_bar, d_bar
 
-    def in_degrees(self) -> dict[int, Scalar]:
+    def in_degrees(self) -> dict[int, int]:
         """Leader-inclusive in-degree of each follower, mod p."""
         totals = {i: 0 for i in range(1, self.num_followers + 1)}
         for (_, tgt), w in self._edges.items():
             totals[tgt] += w
-        return {i: self.field.scalar(v) for i, v in totals.items()}
+        p = self.field.p
+        return {i: v % p for i, v in totals.items()}
 
     def laplacian(self) -> MatrixFF:
         """D - A for the full (N+1)-node graph; rows sum to zero mod p."""
@@ -151,13 +154,14 @@ class WeightedDigraphFF:
     def is_dag(self) -> bool:
         """True iff the follower subgraph has no directed cycle."""
         try:
-            self._topological_order()
+            self.topological_order()
             return True
         except GraphCycleError:
             return False
 
-    def _topological_order(self) -> list[int]:
-        """Kahn's algorithm on follower support, smallest node first."""
+    def topological_order(self) -> list[int]:
+        """Follower nodes sorted sources-first, by Kahn's algorithm on the
+        follower support, smallest node first; raises GraphCycleError."""
         N = self.num_followers
         succ = self.follower_successors()
         indeg = {i: 0 for i in range(1, N + 1)}
@@ -194,10 +198,6 @@ class WeightedDigraphFF:
             path.append(v)
             v = min(preds[v])
         return list(reversed(path[seen[v] :]))
-
-    def topological_order(self) -> list[int]:
-        """Follower nodes sorted sources-first; raises GraphCycleError."""
-        return self._topological_order()
 
     def strongly_connected_components(self) -> list[tuple[int, ...]]:
         """Strongly connected components of the follower support, each a
@@ -259,7 +259,7 @@ class WeightedDigraphFF:
         Receivers must precede their senders, so this is the reversed
         topological order shifted to 0-based follower indices.
         """
-        order = self._topological_order()
+        order = self.topological_order()
         return [node - 1 for node in reversed(order)]
 
     def leader_globally_reachable(self) -> bool:
@@ -284,7 +284,7 @@ class WeightedDigraphFF:
         zero degree (some follower's weights cancel mod p) from unequal
         degrees, and names the offending followers.
         """
-        degs = {i: d.value for i, d in self.in_degrees().items()}
+        degs = self.in_degrees()
         zero = tuple(sorted(i for i, d in degs.items() if d == 0))
         if zero:
             return DegreeCheck(ok=False, degree=None, reason="zero_degree",
@@ -295,14 +295,14 @@ class WeightedDigraphFF:
             offenders = tuple(sorted(i for i, d in degs.items() if d != ref))
             return DegreeCheck(ok=False, degree=None, reason="unequal",
                                offenders=offenders, degrees=degs)
-        return DegreeCheck(ok=True, degree=self.field.scalar(degs[1]),
+        return DegreeCheck(ok=True, degree=degs[1],
                            reason=None, offenders=(), degrees=degs)
 
 
 @dataclass(frozen=True)
 class DegreeCheck:
     ok: bool
-    degree: Scalar | None
+    degree: int | None
     reason: str | None  # None | "zero_degree" | "unequal"
     offenders: tuple[int, ...]
     degrees: dict[int, int]
@@ -310,7 +310,7 @@ class DegreeCheck:
     def to_dict(self) -> dict:
         return {
             "ok": self.ok,
-            "degree": self.degree.value if self.degree is not None else None,
+            "degree": self.degree,
             "reason": self.reason,
             "offenders": list(self.offenders),
             "degrees": {str(k): v for k, v in sorted(self.degrees.items())},

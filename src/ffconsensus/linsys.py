@@ -158,7 +158,7 @@ def is_stabilizable(sys: LinearSystemFF) -> bool:
     return decomp.A_uc.is_nilpotent()
 
 
-def deadbeat_gain(decomp: ControllabilityDecomposition, d) -> MatrixFF:
+def deadbeat_gain(decomp: ControllabilityDecomposition, d: int) -> MatrixFF:
     """Gain K (1 x n) making A - d*b*K nilpotent, for nonzero d.
 
     On the companion coordinates the gain cancels the bottom row:
@@ -167,13 +167,13 @@ def deadbeat_gain(decomp: ControllabilityDecomposition, d) -> MatrixFF:
     whose uncontrollable block is not nilpotent.
     """
     field = decomp.Q.field
-    d_s = field.scalar(d)
-    if d_s.value == 0:
+    d = field.scalar(d)
+    if d == 0:
         raise ValueError("deadbeat gain requires a nonzero degree d")
     if not decomp.A_uc.is_nilpotent():
         raise ValueError("system is not stabilizable: uncontrollable block is not nilpotent")
     n = decomp.Q.rows
-    d_inv = d_s.inv().value
+    d_inv = pow(d, field.p - 2, field.p)
     kc = [(a * d_inv) % field.p for a in decomp.companion_coeffs] + [0] * (n - decomp.s)
     return MatrixFF.row_vector(field, kc) @ decomp.Q
 

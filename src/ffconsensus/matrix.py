@@ -1,7 +1,10 @@
 """Dense matrices and vectors over F_p.
 
-Matrices are immutable row-major tuples of canonical residues; every
-operation returns a new value, reduced mod p once, in ``from_flat``.
+Matrices and vectors are immutable tuples of canonical int residues.
+Entries given from outside pass ``PrimeField.scalar`` (an int other
+than a bool, reduced mod p); ``MatrixFF.from_flat`` reduces the raw
+integer results of matrix arithmetic once, and ``VectorFF.from_flat``
+takes residues that are already canonical.
 Rank, inverse, and determinant read one Gauss-Jordan elimination routine,
 ``_echelon``, with exact field division (the pivot is always the first
 nonzero entry in column order, so results are deterministic).  The
@@ -15,18 +18,8 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .field import PrimeField, Scalar
+from .field import PrimeField
 from .poly import PolyFF
-
-
-def _as_int(field: PrimeField, v) -> int:
-    if isinstance(v, Scalar):
-        if v.field != field:
-            raise ValueError("entry from a different field")
-        return v.value
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise TypeError(f"matrix entries must be integers, got {type(v).__name__}")
-    return v % field.p
 
 
 class VectorFF:
@@ -36,15 +29,15 @@ class VectorFF:
 
     def __init__(self, field: PrimeField, entries: Iterable[int]):
         self.field = field
-        self.entries = tuple(_as_int(field, v) for v in entries)
+        self.entries = tuple(map(field.scalar, entries))
 
     @classmethod
     def from_flat(cls, field: PrimeField, entries: Iterable[int]) -> "VectorFF":
-        """Trusted constructor for integer entries: reduces each mod p once
-        and skips the type checks of ``__init__``."""
+        """Trusted constructor for entries that are already canonical
+        residues: neither checks nor reduces them."""
         v = object.__new__(cls)
         v.field = field
-        v.entries = tuple(x % field.p for x in entries)
+        v.entries = tuple(entries)
         return v
 
     @property
@@ -61,15 +54,18 @@ class VectorFF:
 
     def __add__(self, other: "VectorFF") -> "VectorFF":
         self._check(other)
-        return VectorFF.from_flat(self.field, (a + b for a, b in zip(self.entries, other.entries)))
+        p = self.field.p
+        return VectorFF.from_flat(self.field, ((a + b) % p for a, b in zip(self.entries, other.entries)))
 
     def __sub__(self, other: "VectorFF") -> "VectorFF":
         self._check(other)
-        return VectorFF.from_flat(self.field, (a - b for a, b in zip(self.entries, other.entries)))
+        p = self.field.p
+        return VectorFF.from_flat(self.field, ((a - b) % p for a, b in zip(self.entries, other.entries)))
 
-    def scale(self, c) -> "VectorFF":
-        cv = _as_int(self.field, c)
-        return VectorFF.from_flat(self.field, (cv * a for a in self.entries))
+    def scale(self, c: int) -> "VectorFF":
+        cv = self.field.scalar(c)
+        p = self.field.p
+        return VectorFF.from_flat(self.field, (cv * a % p for a in self.entries))
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
@@ -77,8 +73,8 @@ class VectorFF:
     def as_column(self) -> "MatrixFF":
         return MatrixFF(self.field, [[a] for a in self.entries])
 
-    def __getitem__(self, i: int) -> Scalar:
-        return Scalar(self.field, self.entries[i])
+    def __getitem__(self, i: int) -> int:
+        return self.entries[i]
 
     def __eq__(self, other) -> bool:
         return (
@@ -112,7 +108,7 @@ class MatrixFF:
         for r in rows:
             if len(r) != self.cols:
                 raise ValueError("ragged rows")
-            flat.extend(_as_int(field, v) for v in r)
+            flat.extend(map(field.scalar, r))
         self._e = tuple(flat)
 
     # -- constructors ---------------------------------------------------
@@ -138,18 +134,15 @@ class MatrixFF:
 
     @classmethod
     def column(cls, field: PrimeField, entries: Iterable[int]) -> "MatrixFF":
-        vals = [_as_int(field, v) for v in entries]
+        vals = list(map(field.scalar, entries))
         return cls.from_flat(field, len(vals), 1, vals)
 
     @classmethod
     def row_vector(cls, field: PrimeField, entries: Iterable[int]) -> "MatrixFF":
-        vals = [_as_int(field, v) for v in entries]
+        vals = list(map(field.scalar, entries))
         return cls.from_flat(field, 1, len(vals), vals)
 
     # -- access -----------------------------------------------------------
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return Scalar(self.field, self._e[i * self.cols + j])
 
     def entry_int(self, i: int, j: int) -> int:
         return self._e[i * self.cols + j]
@@ -213,12 +206,12 @@ class MatrixFF:
     def __neg__(self) -> "MatrixFF":
         return MatrixFF.from_flat(self.field, self.rows, self.cols, [-a for a in self._e])
 
-    def scale(self, c) -> "MatrixFF":
-        cv = _as_int(self.field, c)
+    def scale(self, c: int) -> "MatrixFF":
+        cv = self.field.scalar(c)
         return MatrixFF.from_flat(self.field, self.rows, self.cols, [cv * a for a in self._e])
 
     def __mul__(self, other) -> "MatrixFF":
-        if isinstance(other, (int, Scalar)):
+        if isinstance(other, int):
             return self.scale(other)
         return NotImplemented
 
@@ -233,8 +226,9 @@ class MatrixFF:
             e = self._e
             c = self.cols
             v = other.entries
+            p = self.field.p
             return VectorFF.from_flat(
-                self.field, (sum(e[i * c + k] * v[k] for k in range(c)) for i in range(self.rows))
+                self.field, (sum(e[i * c + k] * v[k] for k in range(c)) % p for i in range(self.rows))
             )
         self._check_same_field(other)
         if self.cols != other.rows:
@@ -280,11 +274,11 @@ class MatrixFF:
     def rank(self) -> int:
         return len(_echelon(self.to_rows(), self.field.p)[1])
 
-    def determinant(self) -> Scalar:
+    def determinant(self) -> int:
         if not self.is_square:
             raise ValueError("determinant requires a square matrix")
         _, pivots, det = _echelon(self.to_rows(), self.field.p)
-        return Scalar(self.field, det if len(pivots) == self.rows else 0)
+        return det if len(pivots) == self.rows else 0
 
     def inverse(self) -> "MatrixFF":
         """Gauss-Jordan elimination of [M | I]: M is invertible iff the

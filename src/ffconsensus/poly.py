@@ -22,32 +22,21 @@ import itertools
 from math import lcm
 from typing import Iterable, Iterator
 
-from .field import PrimeField, Scalar
-
-
-def _canonical(coeffs: Iterable[int], p: int) -> tuple[int, ...]:
-    out = [c % p for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+from .field import PrimeField
 
 
 class PolyFF:
-    """Polynomial over F_p with ascending canonical coefficients."""
+    """Polynomial over F_p with ascending canonical coefficients; each
+    given coefficient passes ``PrimeField.scalar``."""
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: PrimeField, coeffs: Iterable[int] = ()):
         self.field = field
-        vals = []
-        for c in coeffs:
-            if isinstance(c, Scalar):
-                if c.field != field:
-                    raise ValueError("coefficient from a different field")
-                vals.append(c.value)
-            else:
-                vals.append(int(c))
-        self.coeffs = _canonical(vals, field.p)
+        vals = list(map(field.scalar, coeffs))
+        while vals and vals[-1] == 0:
+            vals.pop()
+        self.coeffs = tuple(vals)
 
     # -- constructors -------------------------------------------------
 
@@ -79,10 +68,8 @@ class PolyFF:
         return not self.coeffs
 
     @property
-    def leading(self) -> Scalar:
-        if self.is_zero:
-            return self.field.zero
-        return Scalar(self.field, self.coeffs[-1])
+    def leading(self) -> int:
+        return self.coeffs[-1] if self.coeffs else 0
 
     @property
     def is_monic(self) -> bool:
@@ -119,8 +106,8 @@ class PolyFF:
         return PolyFF(self.field, (-c for c in self.coeffs))
 
     def __mul__(self, other) -> "PolyFF":
-        if isinstance(other, (int, Scalar)):
-            c = other.value if isinstance(other, Scalar) else other
+        if isinstance(other, int):
+            c = self.field.scalar(other)
             return PolyFF(self.field, (c * v for v in self.coeffs))
         self._check(other)
         if self.is_zero or other.is_zero:
@@ -184,17 +171,17 @@ class PolyFF:
             a, b = b, a % b
         return a.monic()
 
-    def __call__(self, point) -> Scalar:
+    def __call__(self, point: int) -> int:
         return self.eval(point)
 
-    def eval(self, point) -> Scalar:
-        """Horner evaluation at a scalar point."""
-        a = self.field.scalar(point if isinstance(point, int) else point.value)
+    def eval(self, point: int) -> int:
+        """Horner evaluation at a field element."""
+        a = self.field.scalar(point)
         p = self.field.p
         acc = 0
         for c in reversed(self.coeffs):
-            acc = (acc * a.value + c) % p
-        return Scalar(self.field, acc)
+            acc = (acc * a + c) % p
+        return acc
 
     # -- comparisons / display ----------------------------------------
 
@@ -261,20 +248,15 @@ def _monic_polys(field: PrimeField, degree: int) -> Iterator[PolyFF]:
 
 
 def is_irreducible(f: PolyFF) -> bool:
-    """Trial division against every monic divisor of degree <= deg(f)/2."""
+    """True iff f has no monic divisor of degree 1..deg(f)/2 (trial
+    division)."""
     if f.degree < 1:
         raise ValueError("irreducibility is defined for degree >= 1")
     g = f.monic()
-    if g.degree == 1:
-        return True
-    for d in range(1, g.degree // 2 + 1):
-        for cand in _monic_polys(f.field, d):
-            if (g % cand).is_zero:
-                return False
-    return True
+    return _smallest_irreducible_divisor(g) == g
 
 
-def factor(f: PolyFF) -> tuple[Scalar, list[tuple[PolyFF, int]]]:
+def factor(f: PolyFF) -> tuple[int, list[tuple[PolyFF, int]]]:
     """Factor f into (leading unit, [(monic irreducible, multiplicity)]).
 
     The product of the unit and all factor powers reconstructs f exactly.
@@ -369,7 +351,7 @@ def order_of_x_mod(f: PolyFF) -> int:
     """
     if f.degree < 1:
         raise ValueError("order is defined modulo polynomials of degree >= 1")
-    if f.eval(0).value == 0:
+    if f.eval(0) == 0:
         raise ValueError("x is not invertible modulo f when f(0) = 0")
     _, factors = factor(f)
     return lcm(*(_order_mod_prime_power(g, e) for g, e in factors))

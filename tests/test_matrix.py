@@ -136,7 +136,7 @@ def test_det_multiplicative_with_inverse():
         field = PrimeField(p)
         for n in range(1, 5):
             q = random_invertible(rng, field, n)
-            assert q.determinant() * q.inverse().determinant() == field.one
+            assert q.determinant() * q.inverse().determinant() % p == 1
             assert q @ q.inverse() == MatrixFF.identity(field, n)
 
 
@@ -154,7 +154,7 @@ def test_det_matches_char_poly_constant_term():
             for _ in range(8):
                 m = random_matrix(rng, field, n, n)
                 sign = (-1) ** n % p
-                assert m.determinant() == (sign * m.char_poly().eval(0).value) % p
+                assert m.determinant() == (sign * m.char_poly().eval(0)) % p
 
 
 def brute_rank(m: MatrixFF) -> int:
@@ -196,9 +196,9 @@ def test_rank_det_inverse_consistency_random():
     for m in cases:
         n, field = m.rows, m.field
         assert m.rank() == brute_rank(m)
-        assert m.determinant().value == leibniz_det(m)
+        assert m.determinant() == leibniz_det(m)
         full = m.rank() == n
-        assert (m.determinant().value != 0) == full
+        assert (m.determinant() != 0) == full
         if not full:
             with pytest.raises(ValueError):
                 m.inverse()
