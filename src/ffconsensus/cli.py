@@ -452,7 +452,11 @@ def cmd_cycles(args) -> int:
     A = MatrixFF(cfg.field, cfg.a_rows)
     total = cfg.p**cfg.n
     if args.poly:
-        cs = autonomous_cycle_structure(A, mode="polynomial")
+        try:
+            cs = autonomous_cycle_structure(A, mode="polynomial")
+        except ValueError as exc:  # a group order p^d - 1 that cannot be factored exactly
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     else:
         if total > DEFAULT_STATE_BOUND:
             print(

@@ -8,9 +8,9 @@ takes residues that are already canonical.
 Rank, inverse, and determinant read one Gauss-Jordan elimination routine,
 ``_echelon``, with exact field division (the pivot is always the first
 nonzero entry in column order, so results are deterministic).  The
-characteristic polynomial is computed with the Berkowitz algorithm, which
-is division-free and therefore valid over any F_p regardless of how few
-elements the field has.  Nilpotency is decided from matrix powers, never
+characteristic polynomial comes from a reduction to Hessenberg form by
+similarities and the recurrence over its leading blocks, O(n^3) with
+field division.  Nilpotency is decided from matrix powers, never
 from eigenvalues: F_p is not algebraically closed.
 """
 
@@ -295,38 +295,50 @@ class MatrixFF:
     # -- characteristic polynomial & nilpotency -------------------------
 
     def char_poly(self) -> PolyFF:
-        """Characteristic polynomial det(xI - A), by the Berkowitz method.
+        """Characteristic polynomial det(xI - A), monic of degree n, in O(n^3).
 
-        Division-free: only ring operations are used, so small p needs no
-        special casing.  Returns a monic polynomial of degree n.
+        Similarities bring A to upper Hessenberg form H (swap rows and
+        columns m and piv; row i -= u * row m, column m += u * column i),
+        and the characteristic polynomials P_k of H's leading k x k blocks
+        obey (1-based) P_k = (x - h_kk) P_(k-1)
+        - sum_(i<k) h_ik h_(i+1,i) ... h_(k,k-1) P_(i-1).
         """
         if not self.is_square:
             raise ValueError("characteristic polynomial requires a square matrix")
         n = self.rows
         p = self.field.p
-        if n == 0:
-            return PolyFF.one(self.field)
-        M = self.to_rows()
-        # descending coefficients, starting from the 1x1 principal minor
-        poly = [1, -M[0][0] % p]
-        for k in range(1, n):
-            a = M[k][k]
-            R = M[k][:k]
-            C = [M[i][k] for i in range(k)]
-            sub = [M[i][:k] for i in range(k)]
-            # items: first column of the (k+2) x (k+1) Toeplitz transform
-            items = [1, -a % p, (-sum(R[i] * C[i] for i in range(k))) % p]
-            v = C
-            for _ in range(k - 1):
-                v = [sum(sub[i][j] * v[j] for j in range(k)) % p for i in range(k)]
-                items.append((-sum(R[i] * v[i] for i in range(k))) % p)
-            new = [0] * (k + 2)
-            for j, pj in enumerate(poly):
-                if pj:
-                    for t in range(k + 2 - j):
-                        new[j + t] = (new[j + t] + items[t] * pj) % p
-            poly = new
-        return PolyFF(self.field, reversed(poly))
+        H = self.to_rows()
+        for m in range(1, n - 1):
+            piv = next((i for i in range(m, n) if H[i][m - 1]), None)
+            if piv is None:
+                continue
+            if piv != m:
+                H[m], H[piv] = H[piv], H[m]
+                for row in H:
+                    row[m], row[piv] = row[piv], row[m]
+            inv = pow(H[m][m - 1], p - 2, p)
+            for i in range(m + 1, n):
+                u = H[i][m - 1] * inv % p
+                if u:
+                    H[i] = [(a - u * b) % p for a, b in zip(H[i], H[m])]
+                    for row in H:
+                        row[m] = (row[m] + u * row[i]) % p
+        P = [[1]]  # ascending coefficients of P_0, P_1, ...
+        for k in range(1, n + 1):
+            new = [0] + P[-1]
+            c = H[k - 1][k - 1]
+            for t, v in enumerate(P[-1]):
+                new[t] -= c * v
+            prod = 1
+            for i in range(k - 1, 0, -1):
+                prod = prod * H[i][i - 1] % p
+                if not prod:
+                    break
+                coef = H[i - 1][k - 1] * prod
+                for t, v in enumerate(P[i - 1]):
+                    new[t] -= coef * v
+            P.append([v % p for v in new])
+        return PolyFF.from_residues(self.field, P[n])
 
     def is_nilpotent(self) -> bool:
         """A is nilpotent iff A^n vanishes (n the dimension)."""

@@ -7,22 +7,121 @@ used by the dynamics analysis: splitting off the power of x that carries
 the transient part, irreducibility testing, full factorization, and the
 multiplicative order of x modulo a polynomial (the cycle-length source).
 
-Factorization and order computation use exhaustive trial division.  It
-is exact, but factoring tries all p^d monic candidates of each degree d,
-so its cost grows with p^d: small fields are fast (p <= 7 at degree <= 8
-takes milliseconds), while at p = 1000003 ``cycles --poly`` on a 5 x 5
-matrix does not finish within 30 s, although ``cycles`` suggests the
-polynomial route whenever p^n passes 10^6 states.  Orders likewise
-need p^deg below ~10^7.
+All arithmetic runs on one core over ascending lists of canonical
+residues (``_mul``, ``_divmod``, ``_rem``, ``_mulmod``, ``_powmod``,
+``_gcd``, ``_monic``); ``PolyFF.from_residues`` wraps its results
+unchecked.  Factoring is square-free, distinct-degree, then equal-degree
+splitting (Cantor and Zassenhaus, Math. Comp. 36, 1981) with a fixed-seed
+``random.Random``; the factors are sorted, so the result never depends on
+the draws.  Orders of x need the primes of p^d - 1, found by Pollard-Brent
+rho (Brent, BIT 20, 1980) within ``RHO_BUDGET`` steps and certified by
+``is_prime``; when either fails, ValueError names the factor at fault.
 """
 
 from __future__ import annotations
 
-import itertools
-from math import lcm
-from typing import Iterable, Iterator
+import random
+from math import gcd, lcm, prod
+from typing import Iterable, Sequence
 
-from .field import PrimeField
+from .field import PRIMALITY_BOUND, PrimeField, is_prime
+
+# rho steps allowed per composite: about 1.1 s (Python 3.11 on a
+# 2-core VM); rho takes ~1.2 sqrt(q) steps to find a prime factor q, so
+# the budget covers factors up to ~10^12
+RHO_BUDGET = 1 << 21
+_RHO_BATCH = 128  # differences multiplied together between two gcds
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+_FACTOR_SEED = 0x5EED
+
+
+# ----------------------------------------------------------------------
+# Core: ascending lists of canonical residues mod a prime p.  Inputs are
+# sequences with a nonzero last entry (or empty); results are fresh lists
+# in the same form, except that _monic and _gcd may return their input.
+# ----------------------------------------------------------------------
+
+
+def _trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _add(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = [(x + y) % p for x, y in zip(a, b)]
+    out.extend(a[len(b):])
+    return _trim(out)
+
+
+def _sub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    return _add(a, [-y % p for y in b], p)
+
+
+def _mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    # the leading product is nonzero mod a prime: no trim needed
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    nb = len(b)
+    for i, x in enumerate(a):
+        if x:
+            out[i : i + nb] = [o + x * y for o, y in zip(out[i : i + nb], b)]
+    return [c % p for c in out]
+
+
+def _divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of a by the nonzero b."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return [], list(a)
+    r = list(a)
+    inv = pow(b[-1], -1, p)
+    q = [0] * (len(a) - db)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = r[k + db] * inv % p
+        if c:
+            q[k] = c
+            r[k : k + db] = [x - c * y for x, y in zip(r[k : k + db], b)]
+    return q, _trim([x % p for x in r[:db]])
+
+
+def _rem(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    return _divmod(a, b, p)[1]
+
+
+def _mulmod(a: Sequence[int], b: Sequence[int], f: Sequence[int], p: int) -> list[int]:
+    return _rem(_mul(a, b, p), f, p)
+
+
+def _powmod(a: Sequence[int], e: int, f: Sequence[int], p: int) -> list[int]:
+    """a^e mod f, left-to-right binary; a multiplication by x is a shift."""
+    a = _rem(a, f, p)
+    if not e:
+        return _rem([1], f, p)
+    by_x = a == [0, 1]
+    result = a
+    for bit in bin(e)[3:]:
+        result = _mulmod(result, result, f, p)
+        if bit == "1":
+            result = _rem([0] + result, f, p) if by_x else _mulmod(result, a, f, p)
+    return result
+
+
+def _monic(a: Sequence[int], p: int) -> Sequence[int]:
+    if not a or a[-1] == 1:
+        return a
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _gcd(a: Sequence[int], b: Sequence[int], p: int) -> Sequence[int]:
+    """Monic gcd; the gcd with 0 is the monic of the other argument."""
+    while b:
+        a, b = b, _rem(a, b, p)
+    return _monic(a, p)
 
 
 class PolyFF:
@@ -33,12 +132,18 @@ class PolyFF:
 
     def __init__(self, field: PrimeField, coeffs: Iterable[int] = ()):
         self.field = field
-        vals = list(map(field.scalar, coeffs))
-        while vals and vals[-1] == 0:
-            vals.pop()
-        self.coeffs = tuple(vals)
+        self.coeffs = tuple(_trim(list(map(field.scalar, coeffs))))
 
     # -- constructors -------------------------------------------------
+
+    @classmethod
+    def from_residues(cls, field: PrimeField, coeffs: Iterable[int]) -> "PolyFF":
+        """Wrap ascending canonical residues with a nonzero last entry as
+        they are, without checking them (the results of arithmetic)."""
+        f = object.__new__(cls)
+        f.field = field
+        f.coeffs = tuple(coeffs)
+        return f
 
     @classmethod
     def zero(cls, field: PrimeField) -> "PolyFF":
@@ -76,10 +181,7 @@ class PolyFF:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
     def monic(self) -> "PolyFF":
-        if self.is_zero or self.is_monic:
-            return self
-        inv = pow(self.coeffs[-1], self.field.p - 2, self.field.p)
-        return PolyFF(self.field, (c * inv for c in self.coeffs))
+        return PolyFF.from_residues(self.field, _monic(self.coeffs, self.field.p))
 
     def __getitem__(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
@@ -94,31 +196,20 @@ class PolyFF:
 
     def __add__(self, other: "PolyFF") -> "PolyFF":
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyFF(self.field, (self[k] + other[k] for k in range(n)))
+        return PolyFF.from_residues(self.field, _add(self.coeffs, other.coeffs, self.field.p))
 
     def __sub__(self, other: "PolyFF") -> "PolyFF":
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyFF(self.field, (self[k] - other[k] for k in range(n)))
+        return PolyFF.from_residues(self.field, _sub(self.coeffs, other.coeffs, self.field.p))
 
     def __neg__(self) -> "PolyFF":
-        return PolyFF(self.field, (-c for c in self.coeffs))
+        return PolyFF.from_residues(self.field, _sub((), self.coeffs, self.field.p))
 
     def __mul__(self, other) -> "PolyFF":
         if isinstance(other, int):
-            c = self.field.scalar(other)
-            return PolyFF(self.field, (c * v for v in self.coeffs))
+            other = PolyFF(self.field, (other,))
         self._check(other)
-        if self.is_zero or other.is_zero:
-            return PolyFF.zero(self.field)
-        p = self.field.p
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = (out[i + j] + a * b) % p
-        return PolyFF(self.field, out)
+        return PolyFF.from_residues(self.field, _mul(self.coeffs, other.coeffs, self.field.p))
 
     __rmul__ = __mul__
 
@@ -138,21 +229,8 @@ class PolyFF:
         self._check(other)
         if other.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        p = self.field.p
-        rem = list(self.coeffs)
-        dq = len(self.coeffs) - len(other.coeffs)
-        if dq < 0:
-            return PolyFF.zero(self.field), self
-        quot = [0] * (dq + 1)
-        inv_lead = pow(other.coeffs[-1], p - 2, p)
-        d = other.degree
-        for k in range(dq, -1, -1):
-            c = (rem[k + d] * inv_lead) % p
-            if c:
-                quot[k] = c
-                for j, b in enumerate(other.coeffs):
-                    rem[k + j] = (rem[k + j] - c * b) % p
-        return PolyFF(self.field, quot), PolyFF(self.field, rem)
+        q, r = _divmod(self.coeffs, other.coeffs, self.field.p)
+        return PolyFF.from_residues(self.field, q), PolyFF.from_residues(self.field, r)
 
     def __floordiv__(self, other: "PolyFF") -> "PolyFF":
         return divmod(self, other)[0]
@@ -166,10 +244,7 @@ class PolyFF:
     def gcd(self, other: "PolyFF") -> "PolyFF":
         """Monic greatest common divisor (gcd with 0 is the monic of self)."""
         self._check(other)
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        return a.monic()
+        return PolyFF.from_residues(self.field, _gcd(self.coeffs, other.coeffs, self.field.p))
 
     def __call__(self, point: int) -> int:
         return self.eval(point)
@@ -238,81 +313,177 @@ def split_nilpotent_bijective(f: PolyFF) -> tuple[int, PolyFF]:
     s = 0
     while f.coeffs[s] == 0:
         s += 1
-    return s, PolyFF(f.field, f.coeffs[s:])
-
-
-def _monic_polys(field: PrimeField, degree: int) -> Iterator[PolyFF]:
-    """All monic polynomials of the given degree, in a fixed order."""
-    for tail in itertools.product(range(field.p), repeat=degree):
-        yield PolyFF(field, tail + (1,))
+    return s, PolyFF.from_residues(f.field, f.coeffs[s:])
 
 
 def is_irreducible(f: PolyFF) -> bool:
-    """True iff f has no monic divisor of degree 1..deg(f)/2 (trial
-    division)."""
+    """True iff f is irreducible: its factorization is f's monic, once."""
     if f.degree < 1:
         raise ValueError("irreducibility is defined for degree >= 1")
-    g = f.monic()
-    return _smallest_irreducible_divisor(g) == g
+    _, factors = factor(f)
+    return [(g.degree, e) for g, e in factors] == [(f.degree, 1)]
 
 
 def factor(f: PolyFF) -> tuple[int, list[tuple[PolyFF, int]]]:
     """Factor f into (leading unit, [(monic irreducible, multiplicity)]).
 
     The product of the unit and all factor powers reconstructs f exactly.
-    Factors are found by trial division in increasing degree, so the
-    result order is deterministic.
+    The factors are sorted by degree, then by their ascending
+    coefficients, so the order does not depend on the random draws of
+    the equal-degree split.
     """
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    unit = f.leading
-    g = f.monic()
-    factors: list[tuple[PolyFF, int]] = []
-    while g.degree >= 1:
-        h = _smallest_irreducible_divisor(g)
-        mult = 0
-        while (g % h).is_zero:
-            g = g // h
-            mult += 1
-        factors.append((h, mult))
-    return unit, factors
+    p = f.field.p
+    rng = random.Random(_FACTOR_SEED)
+    found = [
+        (g, m)
+        for part, m in _squarefree(_monic(f.coeffs, p), p)
+        for block, d in _distinct_degree(part, p)
+        for g in _equal_degree(block, d, p, rng)
+    ]
+    found.sort(key=lambda gm: (len(gm[0]), tuple(gm[0])))
+    return f.leading, [(PolyFF.from_residues(f.field, g), m) for g, m in found]
 
 
-def _smallest_irreducible_divisor(g: PolyFF) -> PolyFF:
-    # any divisor of minimal degree is automatically irreducible
-    for d in range(1, g.degree // 2 + 1):
-        for cand in _monic_polys(g.field, d):
-            if (g % cand).is_zero:
-                return cand
-    return g  # no proper divisor: g itself is irreducible
+def _squarefree(f: Sequence[int], p: int) -> list[tuple[Sequence[int], int]]:
+    """[(g, m)] with f = prod g^m for the monic f; the g are monic,
+    square-free, pairwise coprime and of degree >= 1."""
+    out = []
+    c = _gcd(f, _trim([k * a % p for k, a in enumerate(f)][1:]), p)
+    w = _divmod(f, c, p)[0]
+    m = 1
+    while len(w) > 1:  # w: the factors of multiplicity >= m and prime to p
+        y = _gcd(w, c, p)
+        g = _divmod(w, y, p)[0]
+        if len(g) > 1:
+            out.append((g, m))
+        w, c, m = y, _divmod(c, y, p)[0], m + 1
+    if len(c) > 1:  # c = h^p: every exponent of c is a multiple of p
+        out += [(g, k * p) for g, k in _squarefree(c[::p], p)]
+    return out
+
+
+def _distinct_degree(f: Sequence[int], p: int) -> list[tuple[Sequence[int], int]]:
+    """[(g, d)]: g is the product of the irreducible factors of degree d
+    of the square-free monic f (x^(p^d) - x is the product of all monic
+    irreducibles of degree dividing d)."""
+    out = []
+    h = [0, 1]
+    d = 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _powmod(h, p, f, p)
+        g = _gcd(f, _sub(h, [0, 1], p), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _divmod(f, g, p)[0]
+            h = _rem(h, f, p)
+    if len(f) > 1:
+        out.append((f, len(f) - 1))
+    return out
+
+
+def _equal_degree(f: Sequence[int], d: int, p: int, rng: random.Random) -> list[Sequence[int]]:
+    """The monic irreducible factors of f, a product of distinct monic
+    irreducibles of degree d, by random splits: a^((p^d - 1)/2) - 1
+    for odd p, the trace a + a^2 + ... + a^(2^(d-1)) for p = 2."""
+    n = len(f) - 1
+    if n == d:
+        return [f]
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(n)])
+        if p == 2:
+            b = t = a
+            for _ in range(d - 1):
+                t = _mulmod(t, t, f, p)
+                b = _add(b, t, p)
+        else:
+            b = _sub(_powmod(a, (p**d - 1) // 2, f, p), [1], p)
+        g = _gcd(f, b, p)
+        if 1 < len(g) < len(f):
+            h = _divmod(f, g, p)[0]
+            return _equal_degree(g, d, p, rng) + _equal_degree(h, d, p, rng)
 
 
 def pow_x_mod(e: int, f: PolyFF) -> PolyFF:
     """x^e reduced modulo f, by square-and-multiply."""
     if f.degree < 1:
         raise ValueError("modulus polynomial must have degree >= 1")
-    result = PolyFF.one(f.field)
-    base = PolyFF.x(f.field) % f
-    while e:
-        if e & 1:
-            result = (result * base) % f
-        base = (base * base) % f
-        e >>= 1
-    return result
+    return PolyFF.from_residues(f.field, _powmod((0, 1), e, f.coeffs, f.field.p))
 
 
 def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+    """The distinct primes dividing n >= 1, ascending: trial division by
+    small primes, then Pollard-Brent rho; each is certified by is_prime."""
+    out = set()
+    for q in _SMALL_PRIMES:
+        if n % q == 0:
+            out.add(q)
+            while n % q == 0:
+                n //= q
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if m >= PRIMALITY_BOUND and pow(2, m - 1, m) == 1:
+            raise ValueError(
+                f"cannot certify the factor {m} as prime: it exceeds {PRIMALITY_BOUND}, "
+                f"the bound up to which the primality test is proven"
+            )
+        if m < PRIMALITY_BOUND and is_prime(m):
+            out.add(m)
+        else:
+            d = _rho(m)
+            stack += [d, m // d]
+    return sorted(out)
+
+
+def _rho(n: int) -> int:
+    """A proper factor of the odd composite n: Brent's cycle-finding
+    variant of Pollard's rho, with differences batched between gcds."""
+    steps = 0
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            steps += 2 * r  # the round below takes at most 2r steps
+            if steps > RHO_BUDGET:
+                raise ValueError(
+                    f"Pollard-Brent rho found no factor of the composite {n} "
+                    f"within {RHO_BUDGET} steps"
+                )
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:  # the batch passed the collision: step back singly
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise AssertionError("unreachable: some c splits a composite")
+
+
+def _group_order_primes(p: int, d: int) -> list[int]:
+    """The primes dividing p^d - 1, from its far smaller cyclotomic
+    factors: p^d - 1 = prod over k | d of Phi_k(p)."""
+    phi: dict[int, int] = {}
+    try:
+        for k in range(1, d + 1):
+            if d % k == 0:
+                phi[k] = (p**k - 1) // prod(v for j, v in phi.items() if k % j == 0)
+        return sorted(set().union(*map(_prime_factors, phi.values())))
+    except ValueError as exc:
+        raise ValueError(f"cannot factor the group order {p}^{d} - 1: {exc}") from None
 
 
 def _order_mod_irreducible(g: PolyFF) -> int:
@@ -321,11 +492,9 @@ def _order_mod_irreducible(g: PolyFF) -> int:
     The order divides p^m - 1; descend through that group order's prime
     factors until no factor can be removed.
     """
-    p = g.field.p
-    t = p**g.degree - 1
-    one = PolyFF.one(g.field)
-    for q in _prime_factors(t):
-        while t % q == 0 and pow_x_mod(t // q, g) == one:
+    t = g.field.p**g.degree - 1
+    for q in _group_order_primes(g.field.p, g.degree):
+        while t % q == 0 and pow_x_mod(t // q, g).coeffs == (1,):
             t //= q
     return t
 
@@ -336,8 +505,7 @@ def _order_mod_prime_power(g: PolyFF, e: int) -> int:
     if e == 1:
         return t
     mod = g**e
-    one = PolyFF.one(g.field)
-    while pow_x_mod(t, mod) != one:
+    while pow_x_mod(t, mod).coeffs != (1,):
         t *= g.field.p
     return t
 
@@ -347,7 +515,9 @@ def order_of_x_mod(f: PolyFF) -> int:
 
     For irreducible f this is the divisor-descent computation on
     p^deg(f) - 1; otherwise the order is assembled as the lcm over the
-    irreducible-power factors of f.
+    irreducible-power factors of f.  Raises ValueError when a prime
+    factor of some p^d - 1 cannot be found or certified (see
+    ``_prime_factors``).
     """
     if f.degree < 1:
         raise ValueError("order is defined modulo polynomials of degree >= 1")

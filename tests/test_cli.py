@@ -8,7 +8,17 @@ from pathlib import Path
 
 import pytest
 
-from ffconsensus import PrimeField, SwitchingSignal, WeightedDigraphFF, consensus
+from ffconsensus import (
+    PolyFF,
+    PrimeField,
+    SwitchingSignal,
+    WeightedDigraphFF,
+    consensus,
+    is_irreducible,
+    is_prime,
+    poly,
+)
+from ffconsensus.poly import _group_order_primes, pow_x_mod
 from ffconsensus.cli import ConfigError, ScenarioConfig, load_config, main
 
 from conftest import REF_A_ROWS, REF_B, REF_GAIN, REF_GRAPH1_EDGES, REF_GRAPH2_EDGES
@@ -708,6 +718,57 @@ def test_cycles_polynomial_non_cyclic(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["cycles", str(path), "--poly"]) == 0
     assert "cycles (length x count): 1x9" in capsys.readouterr().out
+
+
+def _cycles_config(p, a_rows):
+    n = len(a_rows)
+    return {"p": p, "n": n, "N": 1, "A": a_rows, "b": [1] + [0] * (n - 1), "graphs": [[[0, 1, 1]]]}
+
+
+def test_cycles_polynomial_large_prime_orders_minimal(tmp_path, capsys):
+    """A seeded random 8 x 8 matrix over F_1000003 (10^48 states): every
+    order in the table satisfies x^t = 1 and x^(t/q) != 1 modulo its
+    factor for each prime q | t."""
+    p, n = 1000003, 8
+    rng = random.Random(108)
+    path = _write(tmp_path, _cycles_config(p, [[rng.randrange(p) for _ in range(n)] for _ in range(n)]))
+    assert main(["cycles", path, "--poly"]) == 0
+    out = capsys.readouterr().out
+    assert f"states: {p**n}" in out
+    field, one = PrimeField(p), PolyFF.one(PrimeField(p))
+    rows = [line.split(" | ") for line in out.splitlines() if line.startswith("  ")]
+    assert sum(len(json.loads(coeffs)) - 1 for _, coeffs, _, _ in rows) == n  # no root 0, no repeated factor
+    for _, coeffs, mult, order in rows:
+        g, t = PolyFF(field, json.loads(coeffs)), int(order)
+        assert mult == "1" and pow_x_mod(t, g) == one
+        primes = _group_order_primes(p, g.degree)
+        assert all(is_prime(q) for q in primes) and (p**g.degree - 1) % t == 0
+        for q in primes:
+            if t % q == 0:
+                assert pow_x_mod(t // q, g) != one
+
+
+def test_cycles_polynomial_unfactorable_order_exits_one(tmp_path, ref_config_path, monkeypatch, capsys):
+    # an irreducible of degree 7 over F_1000003: Phi_7(p), a factor of
+    # p^7 - 1, leaves a cofactor of 30 digits, above the proven primality bound
+    p, field, rng = 1000003, PrimeField(1000003), random.Random(7)
+    while not is_irreducible(f := PolyFF(field, [rng.randrange(p) for _ in range(7)] + [1])):
+        pass
+    companion = [[int(j == i + 1) for j in range(7)] for i in range(6)] + [[-c % p for c in f.coeffs[:7]]]
+    path = _write(tmp_path, _cycles_config(p, companion))
+    assert main(["cycles", path, "--poly"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot factor the group order 1000003^7 - 1: cannot certify the factor ")
+    assert "Traceback" not in err
+    # the reference A at p = 1000003 needs rho to split 250001 = 53^2 * 89, a factor of p^2 - 1
+    doc = json.loads(Path(ref_config_path).read_text())
+    path = _write(tmp_path, {**doc, "p": p})
+    assert main(["cycles", path, "--poly"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(poly, "RHO_BUDGET", 0)
+    assert main(["cycles", path, "--poly"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot factor the group order 1000003^4 - 1: Pollard-Brent rho found no factor")
 
 
 def test_large_prime_modulus(tmp_path, ref_config_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -251,6 +252,33 @@ def test_char_poly_matches_cofactor_oracle():
         field = PrimeField(p)
         m = random_matrix(rng, field, 6, 6)
         assert m.char_poly() == cofactor_char_poly(m)
+
+
+def test_char_poly_hessenberg_cases_match_cofactor_oracle():
+    """The Hessenberg reduction's cases against the cofactor oracle: a
+    first column with no pivot below the subdiagonal, a pivot that needs
+    a row and column swap, upper triangular matrices (every subdiagonal
+    entry zero) and sparse ones, up to p = 65537."""
+    rng = random.Random(53)
+    seen = Counter()
+    for p in (2, 3, 5, 101, 65537):
+        field = PrimeField(p)
+        for n in range(1, 7):
+            for shape in ("dense", "sparse", "no pivot", "swap", "triangular"):
+                density = 0.3 if shape == "sparse" else 1.0
+                rows = [[rng.randrange(p) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+                for i in range(1, n):
+                    if shape == "no pivot" or (shape == "swap" and i < n - 1):
+                        rows[i][0] = 0
+                    if shape == "triangular":
+                        rows[i][:i] = [0] * i
+                if shape == "swap" and n >= 3:
+                    rows[n - 1][0] = rng.randrange(1, p)
+                m = MatrixFF(field, rows)
+                assert m.char_poly() == cofactor_char_poly(m)
+                seen[shape if n >= 3 else "n <= 2"] += 1
+    print(f"cases hit: {dict(seen)}")
+    assert min(seen.values()) >= 10, seen
 
 
 # ---------------------------------------------------------

@@ -1,16 +1,21 @@
+import itertools
 import random
-from math import gcd
+from collections import Counter
+from math import gcd, prod
 
 import pytest
 
 from ffconsensus import (
     PolyFF,
+    PrimeField,
     factor,
     is_irreducible,
+    is_prime,
     order_of_x_mod,
     split_nilpotent_bijective,
 )
-from ffconsensus.poly import pow_x_mod
+from ffconsensus import poly
+from ffconsensus.poly import _group_order_primes, _prime_factors, pow_x_mod
 
 from conftest import F2, F3, F5
 
@@ -206,6 +211,131 @@ def test_factor_rejects_zero():
         factor(PolyFF.zero(F3))
 
 
+def monic_polys(field, degree):
+    """All monic polynomials of the given degree, ordered by their
+    ascending coefficient tuples."""
+    for tail in itertools.product(range(field.p), repeat=degree):
+        yield PolyFF(field, tail + (1,))
+
+
+def smallest_irreducible_divisor(g):
+    # any divisor of minimal degree is automatically irreducible
+    for d in range(1, g.degree // 2 + 1):
+        for cand in monic_polys(g.field, d):
+            if (g % cand).is_zero:
+                return cand
+    return g  # no proper divisor: g itself is irreducible
+
+
+def trial_division_factor(f):
+    """Independent oracle: strip the smallest irreducible divisor, found
+    among all p^d monic candidates of increasing degree d."""
+    unit, g, factors = f.leading, f.monic(), []
+    while g.degree >= 1:
+        h = smallest_irreducible_divisor(g)
+        mult = 0
+        while (g % h).is_zero:
+            g, mult = g // h, mult + 1
+        factors.append((h, mult))
+    return unit, factors
+
+
+def _random_factored(rng, field, max_deg):
+    """A random unit times powers of random polynomials of degree <= 3."""
+    f = PolyFF(field, [rng.randrange(1, field.p)])
+    while True:
+        g = random_poly(rng, field, 3)
+        e = rng.randint(1, 3)
+        if g.degree < 1 or f.degree + g.degree * e > max_deg:
+            return f
+        f = f * g**e
+
+
+def test_factor_matches_trial_division_oracle():
+    """Factors and their order, against trial division, at p <= 7 and
+    degree <= 10: random, repeated-factor and p-th-power inputs."""
+    rng = random.Random(41)
+    seen = Counter()
+    for field, count in ((F2, 300), (F3, 150), (F5, 80), (PrimeField(7), 60)):
+        p = field.p
+        for _ in range(count):
+            kind = rng.choice(("random", "repeated", "pth_power"))
+            if kind == "random":
+                f = random_poly(rng, field, 10)
+            elif kind == "repeated":
+                f = _random_factored(rng, field, 10)
+            else:
+                f = _random_factored(rng, field, 10 // p) ** p * _random_factored(rng, field, 10 % p)
+            if f.is_zero:
+                continue
+            unit, factors = trial_division_factor(f)
+            assert factor(f) == (unit, factors)
+            seen[kind] += 1
+            mults = [e for _, e in factors]
+            same_degree = Counter((g.degree, e) for g, e in factors)
+            seen["repeated factor"] += any(e > 1 for e in mults)
+            seen["multiplicity divisible by p"] += any(e % p == 0 for e in mults)
+            seen["f' = 0"] += f.degree > 0 and all(k % p == 0 for k, c in enumerate(f.coeffs) if c)
+            seen["equal-degree split"] += max(same_degree.values(), default=0) > 1
+            seen["trace split (p = 2)"] += p == 2 and max(same_degree.values(), default=0) > 1
+            seen["irreducible of degree >= 4"] += any(g.degree >= 4 for g, _ in factors)
+    print(f"branches hit: {dict(seen)}")
+    assert min(seen.values()) >= 10, seen
+
+
+def certified_primes(t, p, d):
+    """The primes of t, a divisor of p^k (p^d - 1): each prime of
+    p^d - 1 is certified by is_prime, and together with p they divide t
+    down to 1, so none is missing."""
+    primes = [q for q in [p] + _group_order_primes(p, d) if t % q == 0]
+    assert all(is_prime(q) for q in primes)
+    rest = t
+    for q in primes:
+        while rest % q == 0:
+            rest //= q
+    assert rest == 1
+    return primes
+
+
+def test_factor_product_and_minimal_orders_at_larger_p():
+    """At p in {101, 10007}: the factors rebuild f, are monic,
+    irreducible (by the Frobenius oracle) and sorted, and the order t of x
+    modulo each power g^e satisfies x^t = 1 and x^(t/q) != 1 for every
+    prime q | t; at p = 101 and degree <= 2 it is also checked by
+    stepping x^k until it returns to 1."""
+    rng = random.Random(43)
+    seen = Counter()
+    for field in (PrimeField(101), PrimeField(10007)):
+        one = PolyFF.one(field)
+        for _ in range(30):
+            f = _random_factored(rng, field, 8) if rng.random() < 0.5 else random_poly(rng, field, 8)
+            if f.degree < 1:
+                continue
+            unit, factors = factor(f)
+            assert prod((g**e for g, e in factors), start=PolyFF(field, [unit])) == f
+            assert [(g.degree, g.coeffs) for g, _ in factors] == sorted((g.degree, g.coeffs) for g, _ in factors)
+            for g, e in factors:
+                assert g.is_monic and _irreducible_by_frobenius(g)
+                if g.eval(0) == 0:
+                    continue
+                mod = g**e
+                t = order_of_x_mod(mod)
+                assert pow_x_mod(t, mod) == one
+                for q in certified_primes(t, field.p, g.degree):
+                    assert pow_x_mod(t // q, mod) != one
+                seen[f"p = {field.p}"] += 1
+                seen["power e > 1"] += e > 1
+                seen["degree >= 3"] += g.degree >= 3
+                if field.p == 101 and mod.degree <= 2:
+                    cur, steps = PolyFF.x(field) % mod, 1
+                    while cur != one:
+                        cur, steps = (cur * PolyFF.x(field)) % mod, steps + 1
+                    assert steps == t
+                    seen["stepped"] += 1
+    print(f"branches hit: {dict(seen)}")
+    assert min(seen.values()) >= 10, seen
+
+
 # ---------------------------------------------------------
 # Multiplicative order of x
 # ---------------------------------------------------------
@@ -253,6 +383,72 @@ def test_order_divides_group_order_and_is_minimal():
             if t % d == 0:
                 assert pow_x_mod(d, f) != PolyFF.one(field)
         checked += 1
+
+
+def trial_division_primes(n):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    return out + [n] if n > 1 else out
+
+
+def _random_prime(rng, lo, hi):
+    while True:
+        q = rng.randrange(lo, hi)
+        if is_prime(q):
+            return q
+
+
+def test_prime_factors_against_trial_division(monkeypatch):
+    """Pollard-Brent factoring, against trial division on random n <
+    10^12 and semiprimes, and against the known primes of larger
+    semiprimes and prime squares."""
+    rng = random.Random(47)
+    seen = Counter()
+    rho_calls = []
+    real_rho = poly._rho
+    monkeypatch.setattr(poly, "_rho", lambda n: rho_calls.append(n) or real_rho(n))
+
+    def check(n, expected, kind):
+        rho_calls.clear()
+        assert _prime_factors(n) == expected
+        seen[kind] += 1
+        seen["rho split a composite"] += bool(rho_calls)
+
+    for _ in range(40):
+        n = rng.randrange(1, 10**12)
+        check(n, trial_division_primes(n), "random n < 10^12")
+    for _ in range(15):
+        q1, q2 = _random_prime(rng, 53, 10**6), _random_prime(rng, 53, 10**6)
+        check(q1 * q2, trial_division_primes(q1 * q2), "semiprime < 10^12")
+    for _ in range(10):
+        q1, q2 = _random_prime(rng, 10**8, 10**9), _random_prime(rng, 10**11, 10**12)
+        m = rng.choice((1, 2, 3 * 97))
+        check(q1 * q2 * m, sorted({q1, q2, *trial_division_primes(m)}), "large semiprime")
+        q = _random_prime(rng, 10**8, 10**9)
+        check(q * q, [q], "prime square")
+    print(f"branches hit: {dict(seen)}")
+    assert min(seen.values()) >= 10, seen
+
+
+def test_prime_factors_fail_cleanly():
+    # 2^89 - 1 is prime but above the bound of the proven primality test
+    with pytest.raises(ValueError, match="cannot certify the factor 618970019642690137449562111 as prime"):
+        _prime_factors(2**89 - 1)
+    with pytest.raises(ValueError, match="cannot factor the group order 1000003\\^7 - 1: cannot certify"):
+        _group_order_primes(1000003, 7)
+
+
+def test_rho_budget_exhausted_raises(monkeypatch):
+    q1, q2 = 1000003, 1000033
+    assert _prime_factors(q1 * q2) == [q1, q2]
+    monkeypatch.setattr(poly, "RHO_BUDGET", 0)
+    with pytest.raises(ValueError, match=f"rho found no factor of the composite {q1 * q2} within 0 steps"):
+        _prime_factors(q1 * q2)
 
 
 def test_order_on_reducible_modulus():
