@@ -97,16 +97,15 @@ def _mulmod(a: Sequence[int], b: Sequence[int], f: Sequence[int], p: int) -> lis
 
 
 def _powmod(a: Sequence[int], e: int, f: Sequence[int], p: int) -> list[int]:
-    """a^e mod f, left-to-right binary; a multiplication by x is a shift."""
+    """a^e mod f, left-to-right binary."""
     a = _rem(a, f, p)
     if not e:
         return _rem([1], f, p)
-    by_x = a == [0, 1]
     result = a
     for bit in bin(e)[3:]:
         result = _mulmod(result, result, f, p)
         if bit == "1":
-            result = _rem([0] + result, f, p) if by_x else _mulmod(result, a, f, p)
+            result = _mulmod(result, a, f, p)
     return result
 
 
@@ -475,7 +474,9 @@ def _rho(n: int) -> int:
 
 def _group_order_primes(p: int, d: int) -> list[int]:
     """The primes dividing p^d - 1, from its far smaller cyclotomic
-    factors: p^d - 1 = prod over k | d of Phi_k(p)."""
+    factors: p^d - 1 = prod over k | d of Phi_k(p).  Rho on p^d - 1 as a
+    whole can meet a composite it cannot split within its budget
+    (65537^16 - 1), which the Phi_k(p) split in milliseconds."""
     phi: dict[int, int] = {}
     try:
         for k in range(1, d + 1):

@@ -443,6 +443,31 @@ def test_prime_factors_fail_cleanly():
         _group_order_primes(1000003, 7)
 
 
+def test_group_order_primes_split_cyclotomically():
+    # 65537^16 - 1 as one number leaves a composite that rho cannot split
+    # within its budget; its cyclotomic factors Phi_k(65537), k | 16, can
+    p, d = 65537, 16
+    with pytest.raises(ValueError, match="rho found no factor"):
+        _prime_factors(p**d - 1)
+    primes = _group_order_primes(p, d)
+    rest = p**d - 1
+    for q in primes:
+        assert rest % q == 0
+        while rest % q == 0:
+            rest //= q
+    assert rest == 1
+
+
+def test_pow_x_mod_is_canonical_when_x_is_nilpotent():
+    # x^k = 0 modulo c x^s once k >= s: the result is the zero polynomial
+    for s in (1, 2, 3):
+        f = PolyFF.monomial(F3, s, 2)
+        for e in range(s, s + 4):
+            r = pow_x_mod(e, f)
+            assert r == PolyFF.zero(F3) and r.is_zero and r.degree == -1
+        assert pow_x_mod(0, f) == PolyFF.one(F3) % f
+
+
 def test_rho_budget_exhausted_raises(monkeypatch):
     q1, q2 = 1000003, 1000033
     assert _prime_factors(q1 * q2) == [q1, q2]
