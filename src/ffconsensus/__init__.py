@@ -1,7 +1,7 @@
 """Leader-follower consensus of linear multi-agent systems over F_p."""
 
 from .field import PrimeField, is_prime
-from .matrix import MatrixFF, VectorFF, kron, permute_similarity
+from .matrix import MatrixFF, VectorFF, kron
 from .poly import (
     PolyFF,
     factor,
@@ -19,7 +19,7 @@ from .linsys import (
     is_stabilizable,
     kalman_decompose,
 )
-from .graphs import DegreeCheck, EdgeError, GraphCycleError, WeightedDigraphFF, union
+from .graphs import DegreeCheck, EdgeError, WeightedDigraphFF, union
 from .consensus import (
     AnalysisReport,
     GainSynthesisError,
@@ -47,12 +47,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PrimeField", "is_prime",
-    "MatrixFF", "VectorFF", "kron", "permute_similarity",
+    "MatrixFF", "VectorFF", "kron",
     "PolyFF", "factor", "is_irreducible", "order_of_x_mod", "split_nilpotent_bijective",
     "ControllabilityDecomposition", "CycleStructure", "LinearSystemFF",
     "autonomous_cycle_structure", "controllability_matrix", "deadbeat_gain",
     "is_stabilizable", "kalman_decompose",
-    "DegreeCheck", "EdgeError", "GraphCycleError", "WeightedDigraphFF", "union",
+    "DegreeCheck", "EdgeError", "WeightedDigraphFF", "union",
     "AnalysisReport", "GainSynthesisError", "LeaderFollowerNetwork", "SwitchingSignal",
     "analyze", "blockwise_nilpotency_check", "check_static", "check_switching",
     "convergence_bound", "error_dynamics_matrix", "product_vanishing_bound",

@@ -43,7 +43,9 @@ With a supplied gain K the verdict is about K:
     acyclic, and inconclusive when bK != 0 over a cyclic union.
 
 Bounds: N*n for one graph; under switching, ``product_vanishing_bound``
-of the per-follower closed-loop degrees in the union's topological order.
+of the per-follower closed-loop degrees in the order of the union's
+strongly connected components, the same Tarjan pass that gives the DAG
+flags and the SCC blocks (each graph object computes it once).
 """
 
 from __future__ import annotations
@@ -160,7 +162,7 @@ def error_dynamics_matrix(net: LeaderFollowerNetwork, graph_index: int = 0) -> M
     if net.gain is None:
         raise ValueError("error dynamics require a gain K")
     g = net.graphs[graph_index]
-    _, a_bar, d_bar = g.adjacency_matrices()
+    a_bar, d_bar = g.adjacency_matrices()
     bk = net.sys.b @ net.gain
     eye = MatrixFF.identity(net.field, net.num_followers)
     return kron(eye, net.sys.A) + kron(a_bar - d_bar, bk)
@@ -457,7 +459,10 @@ def _witness_gain(net: LeaderFollowerNetwork, f: _Facts, dec: _Decision) -> tupl
 
 def _bound(net: LeaderFollowerNetwork, f: _Facts, certificate: int | None) -> int:
     """Convergence bound of a guaranteed network (``certificate``: the
-    witness closed loop's degree, None for the zero gain)."""
+    witness closed loop's degree, None for the zero gain).  With a supplied
+    gain over an acyclic union the followers are taken in the union's SCC
+    order, sources first; ``product_vanishing_bound`` depends on which
+    topological order it reads, and every one gives a sound bound."""
     if net.is_static:
         return net.num_followers * net.sys.dim
     if net.gain is not None and not f.bk_zero:
@@ -466,7 +471,8 @@ def _bound(net: LeaderFollowerNetwork, f: _Facts, certificate: int | None) -> in
         for blocks in f.blocks:
             for (node,), k in blocks:
                 worst[node] = max(worst.get(node, 0), k)
-        return product_vanishing_bound([worst[node] for node in f.union.topological_order()])
+        order = [node for (node,) in f.union.strongly_connected_components()]
+        return product_vanishing_bound([worst[node] for node in order])
     # every diagonal block is one closed loop: the witness's A - d*bK, or A
     # itself under the zero gain or bK = 0; the bound for s equal degrees k is s*k
     k = certificate if certificate is not None else net.sys.A.nilpotent_degree()

@@ -10,27 +10,20 @@ including the leader's edge, reduced mod p; this leader-inclusive
 convention is what the error-dynamics derivation requires and is used
 consistently everywhere in the package.
 
-DAG detection, the topological permutation and the strongly connected
-components operate on the edge support of the follower subgraph, never
-on mod-p weight sums.
+The strongly connected components of the follower support (Tarjan) are
+the one graph-order computation: the DAG flag and the topological
+permutation are read off them, and they are computed at most once per
+graph object.  They depend on the edge support only, never on mod-p
+weight sums.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .field import PrimeField
 from .matrix import MatrixFF
-
-
-class GraphCycleError(ValueError):
-    """Raised when an acyclic follower graph is required; carries a witness."""
-
-    def __init__(self, cycle: list[int]):
-        super().__init__(f"follower subgraph has a directed cycle: {cycle}")
-        self.cycle = cycle
 
 
 class EdgeError(ValueError):
@@ -44,7 +37,7 @@ class EdgeError(ValueError):
 class WeightedDigraphFF:
     """Digraph on {0, 1, ..., N} with weights in F_p; node 0 is the leader."""
 
-    __slots__ = ("field", "num_followers", "_edges")
+    __slots__ = ("field", "num_followers", "_edges", "_sccs")
 
     def __init__(
         self,
@@ -71,6 +64,7 @@ class WeightedDigraphFF:
                 raise EdgeError(index, f"duplicate edge ({src}->{tgt})")
             edge_map[(src, tgt)] = wv
         self._edges = dict(sorted(edge_map.items()))
+        self._sccs: tuple[tuple[int, ...], ...] | None = None
 
     def edges(self) -> list[tuple[int, int, int]]:
         """Edge list as (source, target, weight), deterministically sorted."""
@@ -99,25 +93,21 @@ class WeightedDigraphFF:
 
     # -- matrices and degrees -------------------------------------------
 
-    def adjacency_matrices(self) -> tuple[MatrixFF, MatrixFF, MatrixFF]:
-        """(full adjacency, follower adjacency, follower degree matrix).
+    def adjacency_matrices(self) -> tuple[MatrixFF, MatrixFF]:
+        """(follower adjacency, follower degree matrix).
 
-        Entry (i, j) of the adjacency is the weight of edge j -> i.  The
-        degree matrix is diagonal with the leader-inclusive follower
-        in-degrees d_1..d_N mod p.
+        Entry (i, j) of the follower adjacency is the weight of edge
+        j -> i.  The degree matrix is diagonal with the leader-inclusive
+        follower in-degrees d_1..d_N mod p.
         """
         N = self.num_followers
-        full = [[0] * (N + 1) for _ in range(N + 1)]
+        a_bar = [[0] * N for _ in range(N)]
         for (src, tgt), w in self._edges.items():
-            full[tgt][src] = w
-        a_full = MatrixFF(self.field, full)
-        a_bar = MatrixFF(self.field, [row[1:] for row in full[1:]])
+            if src >= 1:
+                a_bar[tgt - 1][src - 1] = w
         degs = self.in_degrees()
-        d_bar = MatrixFF(
-            self.field,
-            [[degs[i + 1] if i == j else 0 for j in range(N)] for i in range(N)],
-        )
-        return a_full, a_bar, d_bar
+        d_bar = [[degs[i + 1] if i == j else 0 for j in range(N)] for i in range(N)]
+        return MatrixFF(self.field, a_bar), MatrixFF(self.field, d_bar)
 
     def in_degrees(self) -> dict[int, int]:
         """Leader-inclusive in-degree of each follower, mod p."""
@@ -127,21 +117,6 @@ class WeightedDigraphFF:
         p = self.field.p
         return {i: v % p for i, v in totals.items()}
 
-    def laplacian(self) -> MatrixFF:
-        """D - A for the full (N+1)-node graph; rows sum to zero mod p."""
-        a_full, _, _ = self.adjacency_matrices()
-        n = self.num_followers + 1
-        p = self.field.p
-        rows = a_full.to_rows()
-        lap = [
-            [
-                (sum(rows[i]) % p if i == j else 0) - rows[i][j]
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-        return MatrixFF(self.field, lap)
-
     # -- structure --------------------------------------------------------
 
     def follower_successors(self) -> dict[int, list[int]]:
@@ -150,54 +125,6 @@ class WeightedDigraphFF:
             if src >= 1:
                 succ[src].append(tgt)
         return succ
-
-    def is_dag(self) -> bool:
-        """True iff the follower subgraph has no directed cycle."""
-        try:
-            self.topological_order()
-            return True
-        except GraphCycleError:
-            return False
-
-    def topological_order(self) -> list[int]:
-        """Follower nodes sorted sources-first, by Kahn's algorithm on the
-        follower support, smallest node first; raises GraphCycleError."""
-        N = self.num_followers
-        succ = self.follower_successors()
-        indeg = {i: 0 for i in range(1, N + 1)}
-        for src, outs in succ.items():
-            for t in outs:
-                indeg[t] += 1
-        ready = [i for i in range(1, N + 1) if indeg[i] == 0]
-        heapq.heapify(ready)
-        order: list[int] = []
-        while ready:
-            v = heapq.heappop(ready)
-            order.append(v)
-            for t in succ[v]:
-                indeg[t] -= 1
-                if indeg[t] == 0:
-                    heapq.heappush(ready, t)
-        if len(order) < N:
-            remaining = {i for i in range(1, N + 1) if indeg[i] > 0}
-            raise GraphCycleError(self._find_cycle(remaining))
-        return order
-
-    def _find_cycle(self, remaining: set[int]) -> list[int]:
-        # every remaining node keeps a predecessor inside the remaining
-        # set, so walking backwards must close a cycle
-        preds: dict[int, list[int]] = {i: [] for i in remaining}
-        for (src, tgt), _ in self._edges.items():
-            if src in remaining and tgt in remaining:
-                preds[tgt].append(src)
-        seen: dict[int, int] = {}
-        path: list[int] = []
-        v = min(remaining)
-        while v not in seen:
-            seen[v] = len(path)
-            path.append(v)
-            v = min(preds[v])
-        return list(reversed(path[seen[v] :]))
 
     def strongly_connected_components(self) -> list[tuple[int, ...]]:
         """Strongly connected components of the follower support, each a
@@ -209,8 +136,14 @@ class WeightedDigraphFF:
         completes a component only after every component reachable from
         it, so the completion order reversed is a topological order of
         the condensation.  A follower with a self-loop is a one-node
-        component like any other; acyclic graphs give N singletons.
+        component like any other; acyclic graphs give N singletons.  The
+        graph is immutable, so the components are computed once and kept.
         """
+        if self._sccs is None:
+            self._sccs = tuple(self._tarjan())
+        return list(self._sccs)
+
+    def _tarjan(self) -> list[tuple[int, ...]]:
         succ = self.follower_successors()
         index: dict[int, int] = {}
         low: dict[int, int] = {}
@@ -252,15 +185,28 @@ class WeightedDigraphFF:
         components.reverse()
         return components
 
-    def topo_permutation(self) -> list[int]:
-        """0-based index permutation that strictly upper-triangularizes
-        the follower adjacency via ``permute_similarity``.
+    def _cyclic(self, component: tuple[int, ...]) -> bool:
+        return len(component) > 1 or (component[0], component[0]) in self._edges
 
-        Receivers must precede their senders, so this is the reversed
-        topological order shifted to 0-based follower indices.
+    def is_dag(self) -> bool:
+        """True iff the follower subgraph has no directed cycle: every
+        strongly connected component is one follower without a self-loop."""
+        return not any(map(self._cyclic, self.strongly_connected_components()))
+
+    def topo_permutation(self) -> list[int]:
+        """0-based follower order in which every receiver precedes its
+        senders, so the follower adjacency with rows and columns in this
+        order is strictly upper triangular: the reversed component order,
+        shifted to 0-based.  Raises ValueError naming the followers of the
+        first component with a directed cycle.
         """
-        order = self.topological_order()
-        return [node - 1 for node in reversed(order)]
+        components = self.strongly_connected_components()
+        for component in components:
+            if self._cyclic(component):
+                raise ValueError(
+                    f"follower subgraph has a directed cycle through followers {list(component)}"
+                )
+        return [node - 1 for (node,) in reversed(components)]
 
     def leader_globally_reachable(self) -> bool:
         """True iff every follower is reachable from the leader."""

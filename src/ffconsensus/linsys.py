@@ -25,7 +25,7 @@ from operator import mul, not_
 
 from .field import PrimeField
 from .matrix import MatrixFF, _echelon
-from .poly import PolyFF, factor, split_nilpotent_bijective, _order_mod_prime_power
+from .poly import PolyFF, factor, split_nilpotent_bijective, _lift_order, _order_mod_irreducible
 
 DEFAULT_STATE_BOUND = 10**6
 
@@ -70,21 +70,6 @@ class ControllabilityDecomposition:
     A_uc: MatrixFF
     b_c: MatrixFF
     companion_coeffs: tuple[int, ...]
-
-    def assemble(self) -> MatrixFF:
-        """The block matrix [[A_c, A_cc], [0, A_uc]]."""
-        field = self.Q.field
-        n = self.Q.rows
-        s = self.s
-        rows = []
-        for i in range(s):
-            rows.append(
-                [self.A_c.entry_int(i, j) for j in range(s)]
-                + [self.A_cc.entry_int(i, j) for j in range(n - s)]
-            )
-        for i in range(n - s):
-            rows.append([0] * s + [self.A_uc.entry_int(i, j) for j in range(n - s)])
-        return MatrixFF(field, rows) if rows else MatrixFF.zeros(field, 0, 0)
 
 
 def controllability_matrix(sys: LinearSystemFF) -> MatrixFF:
@@ -199,13 +184,6 @@ class CycleStructure:
     total_states: int
     transient_states: int
     factor_orders: tuple[tuple[PolyFF, int, int], ...] | None = None
-
-    def cycle_lengths(self) -> list[int]:
-        """Expanded sorted list of cycle lengths (one entry per cycle)."""
-        out: list[int] = []
-        for length in sorted(self.cycles):
-            out.extend([length] * self.cycles[length])
-        return out
 
 
 def autonomous_cycle_structure(
@@ -375,9 +353,10 @@ def _cycles_by_polynomial(A: MatrixFF) -> CycleStructure:
     p^n - p^(n-s) states are transient.  The tree depth is the first k
     with rank A^k = rank A^(k+1), i.e. with nullity(A^k) = s.  Inside a
     primary component, a state whose annihilator is exactly g^k has
-    period order(x mod g^k), and there are
-    p^nullity(g(A)^k) - p^nullity(g(A)^(k-1)) such states; periods of a
-    sum over components combine by lcm.  The nullities come from the
+    period order(x mod g^k) = order(x mod g) * p^j, p^j >= k minimal
+    (``_lift_order``), so one order per factor serves every k, and there
+    are p^nullity(g(A)^k) - p^nullity(g(A)^(k-1)) such states; periods of
+    a sum over components combine by lcm.  The nullities come from the
     matrix, not from the polynomial, so the count holds whether or not
     the minimal and characteristic polynomials agree (Elspas 1959).
     """
@@ -394,14 +373,14 @@ def _cycles_by_polynomial(A: MatrixFF) -> CycleStructure:
     table: list[tuple[PolyFF, int, int]] = []
     for g, e in factors:
         dims = _kernel_dims(g, A, e)
+        base = _order_mod_irreducible(g)
+        table.append((g, e, base))
         local: dict[int, int] = {1: 1}  # the zero element
         for k in range(1, e + 1):
             count = p ** dims[k] - p ** dims[k - 1]
             if count:
-                order = _order_mod_prime_power(g, k)
+                order = _lift_order(base, p, k)
                 local[order] = local.get(order, 0) + count
-                if k == 1:
-                    table.append((g, e, order))
         new: dict[int, int] = {}
         for l1, c1 in acc.items():
             for l2, c2 in local.items():

@@ -70,9 +70,6 @@ class VectorFF:
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
 
-    def as_column(self) -> "MatrixFF":
-        return MatrixFF(self.field, [[a] for a in self.entries])
-
     def __getitem__(self, i: int) -> int:
         return self.entries[i]
 
@@ -153,9 +150,6 @@ class MatrixFF:
 
     def col(self, j: int) -> VectorFF:
         return VectorFF.from_flat(self.field, self._e[j :: self.cols])
-
-    def row(self, i: int) -> VectorFF:
-        return VectorFF.from_flat(self.field, self._e[i * self.cols : (i + 1) * self.cols])
 
     @property
     def is_square(self) -> bool:
@@ -262,12 +256,6 @@ class MatrixFF:
             base = base @ base
             k >>= 1
         return result
-
-    def transpose(self) -> "MatrixFF":
-        return MatrixFF.from_flat(
-            self.field, self.cols, self.rows,
-            [self._e[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
 
     # -- elimination-based queries -------------------------------------
 
@@ -415,19 +403,3 @@ def kron(a: MatrixFF, b: MatrixFF) -> MatrixFF:
                     flat[base + bj] = aij * b.entry_int(bi, bj)
     return MatrixFF.from_flat(a.field, rows, cols, flat)
 
-
-def permute_similarity(a: MatrixFF, perm: Sequence[int]) -> MatrixFF:
-    """Conjugate A by the permutation matrix of ``perm``.
-
-    The result B satisfies B[i][j] = A[perm[i]][perm[j]], i.e. B = PAP^-1
-    where P picks coordinate perm[i] into slot i.
-    """
-    if not a.is_square:
-        raise ValueError("similarity transform requires a square matrix")
-    n = a.rows
-    if sorted(perm) != list(range(n)):
-        raise ValueError("perm must be a permutation of 0..n-1")
-    return MatrixFF.from_flat(
-        a.field, n, n,
-        [a.entry_int(perm[i], perm[j]) for i in range(n) for j in range(n)],
-    )

@@ -237,9 +237,6 @@ class PolyFF:
     def __mod__(self, other: "PolyFF") -> "PolyFF":
         return divmod(self, other)[1]
 
-    def divides(self, other: "PolyFF") -> bool:
-        return (other % self).is_zero
-
     def gcd(self, other: "PolyFF") -> "PolyFF":
         """Monic greatest common divisor (gcd with 0 is the monic of self)."""
         self._check(other)
@@ -500,23 +497,22 @@ def _order_mod_irreducible(g: PolyFF) -> int:
     return t
 
 
-def _order_mod_prime_power(g: PolyFF, e: int) -> int:
-    """Order of x modulo g^e for irreducible g; lift the base order by p."""
-    t = _order_mod_irreducible(g)
-    if e == 1:
-        return t
-    mod = g**e
-    while pow_x_mod(t, mod).coeffs != (1,):
-        t *= g.field.p
-    return t
+def _lift_order(base: int, p: int, e: int) -> int:
+    """Order of x modulo g^e, from its order ``base`` modulo the
+    irreducible g with g(0) != 0: base * p^j with j the least integer
+    such that p^j >= e (Lidl and Niederreiter, *Finite Fields*, Thm 3.8)."""
+    q = 1
+    while q < e:
+        q *= p
+    return base * q
 
 
 def order_of_x_mod(f: PolyFF) -> int:
     """Smallest t >= 1 with x^t = 1 modulo f; requires f(0) != 0.
 
     For irreducible f this is the divisor-descent computation on
-    p^deg(f) - 1; otherwise the order is assembled as the lcm over the
-    irreducible-power factors of f.  Raises ValueError when a prime
+    p^deg(f) - 1; otherwise the order is the lcm over the factors g^e of
+    f of the order modulo g lifted to g^e in closed form.  Raises ValueError when a prime
     factor of some p^d - 1 cannot be found or certified (see
     ``_prime_factors``).
     """
@@ -525,4 +521,4 @@ def order_of_x_mod(f: PolyFF) -> int:
     if f.eval(0) == 0:
         raise ValueError("x is not invertible modulo f when f(0) = 0")
     _, factors = factor(f)
-    return lcm(*(_order_mod_prime_power(g, e) for g, e in factors))
+    return lcm(*(_lift_order(_order_mod_irreducible(g), f.field.p, e) for g, e in factors))

@@ -55,10 +55,6 @@ class NetworkState:
         """Integer error e_i per follower (componentwise |x_i - x_0| sums)."""
         return list(_errors(_agent_ints(self)))
 
-    def error_vectors(self) -> list[VectorFF]:
-        """Follower-minus-leader differences over F_p (stacked error state)."""
-        return [f - self.leader for f in self.followers]
-
 
 @dataclass(frozen=True)
 class Trajectory:

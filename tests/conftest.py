@@ -64,6 +64,11 @@ def ref_network(ref_system, ref_graphs):
 # ---------------------------------------------------------------------
 
 
+def error_vectors(state) -> list:
+    """Follower-minus-leader differences over F_p (the stacked error state)."""
+    return [f - state.leader for f in state.followers]
+
+
 def random_matrix(rng: random.Random, field: PrimeField, rows: int, cols: int) -> MatrixFF:
     return MatrixFF(field, [[rng.randrange(field.p) for _ in range(cols)] for _ in range(rows)])
 

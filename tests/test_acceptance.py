@@ -40,6 +40,7 @@ from conftest import (
     REF_A_ROWS,
     REF_B,
     REF_GAIN,
+    error_vectors,
     random_matrix,
     random_network,
     random_nilpotent,
@@ -198,7 +199,7 @@ def _all_dag_follower_supports(num_followers):
 def _gain_exists(sys_, graph, p, n):
     eye = MatrixFF.identity(graph.field, graph.num_followers)
     i_kron_a = kron(eye, sys_.A)
-    _, a_bar, d_bar = graph.adjacency_matrices()
+    a_bar, d_bar = graph.adjacency_matrices()
     coupling = a_bar - d_bar
     for kvals in itertools.product(range(p), repeat=n):
         bk = sys_.b @ MatrixFF.row_vector(graph.field, kvals)
@@ -398,7 +399,7 @@ def test_criterion_6_cross_representation_consistency():
         )
         traj = simulate(net, init, signal=signal, horizon=6)
         delta = []
-        for d in traj.states[0].error_vectors():
+        for d in error_vectors(traj.states[0]):
             delta.extend(d.entries)
         for k in range(1, 7):
             m = mats[traj.signal_indices[k - 1]]
@@ -407,7 +408,7 @@ def test_criterion_6_cross_representation_consistency():
                 for i in range(len(delta))
             ]
             observed = []
-            for d in traj.states[k].error_vectors():
+            for d in error_vectors(traj.states[k]):
                 observed.extend(d.entries)
             if delta != observed:
                 problems.append(f"trial {trial}: simulation diverges from matrix product at step {k}")

@@ -373,7 +373,10 @@ def test_analyze_constant_signal_treated_as_static(tmp_path, capsys):
 # switching_* and static_* cases (a cyclic union with per-graph static
 # verdicts, nilpotent A under switching, unequal and zero in-degrees)
 # were recorded before one decision replaced the separate static,
-# switching and synthesis statements of the consensus rule
+# switching and synthesis statements of the consensus rule; the
+# topo_permutation of leader_f3_with_gain_constant_signal and
+# static_unequal_degrees was re-recorded when the order came to be read
+# off the SCCs (Tarjan) instead of Kahn's smallest-first order
 GOLDEN = json.loads((Path(__file__).parent / "data" / "analyze_golden.json").read_text())
 
 

@@ -70,7 +70,7 @@ def test_error_matrix_structure_against_kron_assembly():
     for _ in range(20):
         net = random_network(rng, F3, n=2, num_followers=3)
         g = net.graphs[0]
-        _, a_bar, d_bar = g.adjacency_matrices()
+        a_bar, d_bar = g.adjacency_matrices()
         expected = kron(MatrixFF.identity(F3, 3), net.sys.A) + kron(
             a_bar - d_bar, net.sys.b @ net.gain
         )
@@ -450,6 +450,48 @@ def test_convergence_bound_requires_guaranteed():
     net = single_graph_net(F3, [[1]], [1], [(1, 2, 1), (2, 1, 1)], 2)
     with pytest.raises(ValueError):
         convergence_bound(net)
+
+
+def test_switching_bound_reads_the_scc_order_and_stays_sound():
+    """``product_vanishing_bound`` depends on the topological order it
+    reads.  Here the union's SCC order (3, 2, 1) gives 5, where the
+    smallest-first order (2, 3, 1) gave 4; the true worst-case time is 2,
+    and every signal has converged at the reported bound."""
+    sys_ = LinearSystemFF(MatrixFF.zeros(F2, 3, 3), MatrixFF.column(F2, [0, 1, 0]))
+    graphs = (
+        WeightedDigraphFF(F2, 3, [(0, 1, 1), (2, 1, 1)]),
+        WeightedDigraphFF(F2, 3, [(0, 2, 1), (2, 1, 1), (3, 1, 1)]),
+    )
+    net = LeaderFollowerNetwork(sys=sys_, graphs=graphs, gain=MatrixFF.row_vector(F2, [0, 0, 1]))
+    report = check_switching(net)
+    assert report.verdict == "guaranteed"
+    assert report.witness["union_topo_permutation"] == [0, 1, 2]
+    assert report.bounds["switching"] == 5
+    assert exhaustive_consensus_oracle(net, 5, all_signals=True)
+    assert exhaustive_consensus_oracle(net, 2, all_signals=True)
+    assert not exhaustive_consensus_oracle(net, 1, all_signals=True)
+
+
+def test_analyze_runs_tarjan_once_per_graph(monkeypatch):
+    # DAG flags, SCC blocks, the topological permutation and the switching
+    # bound all read one memoized Tarjan pass per graph object
+    runs = []
+    original = WeightedDigraphFF._tarjan
+    monkeypatch.setattr(WeightedDigraphFF, "_tarjan", lambda g: runs.append(id(g)) or original(g))
+    rng = random.Random(151)
+    cases = itertools.product((1, 2), (False, True), (random_dag_graph, random_scc_graph), range(5))
+    for num_graphs, with_gain, make, _ in cases:
+        field = (F2, F3)[rng.randrange(2)]
+        n, N = rng.randint(1, 3), rng.randint(1, 5)
+        net = LeaderFollowerNetwork(
+            sys=LinearSystemFF(random_matrix(rng, field, n, n), random_matrix(rng, field, n, 1)),
+            graphs=tuple(make(rng, field, N) for _ in range(num_graphs)),
+            gain=random_matrix(rng, field, 1, n) if with_gain else None,
+        )
+        runs.clear()
+        analyze(net)
+        # each graph, and the union under switching, at most once
+        assert runs and len(runs) == len(set(runs)) <= num_graphs + (num_graphs > 1)
 
 
 def test_worst_degree_bounds_mixed_closed_loops_when_k_c_is_zero():

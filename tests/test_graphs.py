@@ -1,12 +1,12 @@
 import random
+import re
+from collections import Counter
 
 import pytest
 
 from ffconsensus import (
     EdgeError,
-    GraphCycleError,
     WeightedDigraphFF,
-    permute_similarity,
     union,
 )
 
@@ -62,14 +62,13 @@ def test_weights_reduced_canonically():
 
 def test_empty_graph_matrices():
     g = WeightedDigraphFF(F3, 3)
-    a_full, a_bar, d_bar = g.adjacency_matrices()
-    assert a_full.is_zero() and a_bar.is_zero() and d_bar.is_zero()
+    a_bar, d_bar = g.adjacency_matrices()
+    assert a_bar.is_zero() and d_bar.is_zero()
 
 
 def test_single_leader_edge():
     g = WeightedDigraphFF(F3, 3, [(0, 1, 2)])
-    a_full, a_bar, d_bar = g.adjacency_matrices()
-    assert a_full.entry_int(1, 0) == 2
+    a_bar, d_bar = g.adjacency_matrices()
     assert a_bar.is_zero()
     assert d_bar.to_rows() == [[2, 0, 0], [0, 0, 0], [0, 0, 0]]
 
@@ -85,11 +84,11 @@ def test_degrees_match_adjacency_row_sums():
     for _ in range(25):
         field = (F2, F3, F5)[rng.randrange(3)]
         g = random_dag_graph(rng, field, rng.randrange(1, 7))
-        a_full, _, _ = g.adjacency_matrices()
+        a_bar, d_bar = g.adjacency_matrices()
         degs = g.in_degrees()
         for i in range(1, g.num_followers + 1):
-            row_sum = sum(a_full.entry_int(i, j) for j in range(g.num_followers + 1))
-            assert degs[i] == row_sum % field.p
+            row_sum = g.weight(0, i) + sum(a_bar.entry_int(i - 1, j) for j in range(g.num_followers))
+            assert degs[i] == d_bar.entry_int(i - 1, i - 1) == row_sum % field.p
 
 
 # ---------------------------------------------------------
@@ -99,20 +98,21 @@ def test_degrees_match_adjacency_row_sums():
 def test_chain_is_dag():
     g = WeightedDigraphFF(F3, 3, [(1, 2, 1), (2, 3, 1)])
     assert g.is_dag()
-    assert g.topological_order() == [1, 2, 3]
+    assert g.topo_permutation() == [2, 1, 0]
 
 
 def test_two_cycle_not_dag():
     g = WeightedDigraphFF(F3, 2, [(1, 2, 1), (2, 1, 1)])
     assert not g.is_dag()
-    with pytest.raises(GraphCycleError) as exc:
+    with pytest.raises(ValueError, match=r"followers \[1, 2\]$"):
         g.topo_permutation()
-    assert set(exc.value.cycle) == {1, 2}
 
 
 def test_self_loop_not_dag():
     g = WeightedDigraphFF(F3, 2, [(1, 1, 1)])
     assert not g.is_dag()
+    with pytest.raises(ValueError, match=r"followers \[1\]$"):
+        g.topo_permutation()
 
 
 def test_edgeless_graph_is_dag():
@@ -122,27 +122,89 @@ def test_edgeless_graph_is_dag():
 
 
 def test_topo_permutation_triangularizes_random_dags():
+    # the follower adjacency with rows and columns in this order is strictly
+    # upper triangular iff every receiver comes before its sender
     rng = random.Random(7)
     for _ in range(40):
         field = (F2, F3)[rng.randrange(2)]
         n = rng.randrange(1, 9)
         g = random_dag_graph(rng, field, n, edge_prob=0.6)
         perm = g.topo_permutation()
-        _, a_bar, _ = g.adjacency_matrices()
-        conj = permute_similarity(a_bar, perm)
-        assert all(
-            conj.entry_int(i, j) == 0 for i in range(n) for j in range(i + 1)
-        )
+        assert sorted(perm) == list(range(n))
+        position = {node + 1: k for k, node in enumerate(perm)}
+        for src, tgt, _ in g.edges():
+            if src >= 1:
+                assert position[tgt] < position[src]
 
 
 def test_cycle_witness_is_a_cycle():
+    # the ValueError names the first strongly connected component (sources
+    # first) that carries a cycle: a mutually reachable set of followers
+    # with more than one member, or one follower with a self-loop
     g = WeightedDigraphFF(F3, 4, [(1, 2, 1), (2, 3, 1), (3, 1, 1), (0, 4, 1)])
-    with pytest.raises(GraphCycleError) as exc:
-        g.topological_order()
-    cyc = exc.value.cycle
-    assert len(cyc) >= 2
-    for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-        assert g.weight(a, b) != 0
+    with pytest.raises(ValueError, match=r"followers \[1, 2, 3\]$"):
+        g.topo_permutation()
+    rng = random.Random(139)
+    seen = Counter()
+    for _ in range(200):
+        g = random_scc_graph(rng, (F2, F3, F5)[rng.randrange(3)], rng.randint(1, 8))
+        if g.is_dag():
+            continue
+        with pytest.raises(ValueError) as exc:
+            g.topo_permutation()
+        named = [int(v) for v in re.search(r"\[([\d, ]+)\]$", str(exc.value)).group(1).split(", ")]
+        comps = g.strongly_connected_components()
+        assert tuple(named) in comps
+        assert all(len(c) == 1 and g.weight(c[0], c[0]) == 0 for c in comps[: comps.index(tuple(named))])
+        if len(named) == 1:
+            assert g.weight(named[0], named[0]) != 0
+            seen["self-loop"] += 1
+        else:
+            assert all(set(named) <= _reachable(g, v) for v in named)
+            seen["cycle"] += 1
+    print(f"cases hit: {dict(seen)}")
+    assert min(seen["self-loop"], seen["cycle"]) >= 10, seen
+
+
+def _support_nilpotent(g):
+    """Is the 0/1 adjacency of the follower support nilpotent over the integers?"""
+    N = g.num_followers
+    adj = [[int(g.weight(j, i) != 0) for j in range(1, N + 1)] for i in range(1, N + 1)]
+    power = adj
+    for _ in range(N - 1):
+        power = [[sum(r[k] * adj[k][j] for k in range(N)) for j in range(N)] for r in power]
+    return not any(map(any, power))
+
+
+def test_is_dag_matches_support_nilpotency():
+    rng = random.Random(149)
+    seen = Counter()
+    for trial in range(300):
+        field = (F2, F3, F5)[rng.randrange(3)]
+        n = rng.randint(1, 7)
+        kind = ("dag", "self-loop", "2-cycle", "random")[trial % 4]
+        g = random_dag_graph(rng, field, n, edge_prob=0.5)
+        edges = {(s, t): w for s, t, w in g.edges()}
+        if kind == "self-loop":
+            v = rng.randint(1, n)
+            edges[(v, v)] = 1
+        elif kind == "2-cycle":
+            forward = [(s, t) for s, t in edges if s >= 1]
+            if forward:
+                s, t = rng.choice(forward)
+                edges[(t, s)] = 1
+        elif kind == "random":
+            g = random_scc_graph(rng, field, n)
+            edges = {(s, t): w for s, t, w in g.edges()}
+        g = WeightedDigraphFF(field, n, [(s, t, w) for (s, t), w in edges.items()])
+        acyclic = _support_nilpotent(g)
+        assert g.is_dag() == acyclic, g
+        seen[(kind, "dag" if acyclic else "cyclic")] += 1
+    print(f"cases hit: {dict(seen)}")
+    for kind in ("self-loop", "random"):
+        assert seen[(kind, "cyclic")] >= 20, seen
+    assert seen[("dag", "dag")] >= 50 and seen[("2-cycle", "cyclic")] >= 50, seen
+    assert seen[("random", "dag")] >= 5, seen
 
 
 # ---------------------------------------------------------
@@ -278,28 +340,3 @@ def test_common_degree_unequal():
     assert not res.ok and res.reason == "unequal"
     assert res.offenders == (2,)
     assert res.degrees == {1: 1, 2: 2}
-
-
-# ---------------------------------------------------------
-# Laplacian
-# ---------------------------------------------------------
-
-def test_laplacian_edgeless_zero():
-    assert WeightedDigraphFF(F3, 3).laplacian().is_zero()
-
-
-def test_laplacian_single_edge():
-    g = WeightedDigraphFF(F3, 2, [(0, 1, 2)])
-    lap = g.laplacian()
-    assert lap.entry_int(1, 1) == 2
-    assert lap.entry_int(1, 0) == (-2) % 3
-
-
-def test_laplacian_rows_sum_to_zero():
-    rng = random.Random(13)
-    for _ in range(20):
-        field = (F2, F3, F5)[rng.randrange(3)]
-        g = random_dag_graph(rng, field, rng.randrange(1, 6))
-        lap = g.laplacian()
-        for i in range(lap.rows):
-            assert sum(lap.entry_int(i, j) for j in range(lap.cols)) % field.p == 0

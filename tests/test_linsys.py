@@ -68,8 +68,12 @@ def test_ctrb_reference_rank():
 
 def check_decomposition(sys_, dec):
     n = sys_.dim
-    q_inv = dec.Q.inverse()
-    assert (dec.Q @ sys_.A) @ q_inv == dec.assemble()
+    rows = ((dec.Q @ sys_.A) @ dec.Q.inverse()).to_rows()
+    s = dec.s  # Q A Q^-1 = [[A_c, A_cc], [0, A_uc]]
+    assert [r[:s] for r in rows[:s]] == dec.A_c.to_rows()
+    assert [r[s:] for r in rows[:s]] == dec.A_cc.to_rows()
+    assert [r[:s] for r in rows[s:]] == [[0] * s] * (n - s)
+    assert [r[s:] for r in rows[s:]] == dec.A_uc.to_rows()
     qb = dec.Q @ sys_.b
     expected_qb = [[0]] * n
     if dec.s:
@@ -507,6 +511,24 @@ def test_polynomial_mode_non_cyclic_regressions():
     assert (ident.cycles, ident.tree_depth, ident.transient_states) == ({1: 9}, 0, 0)
     zero = autonomous_cycle_structure(MatrixFF.zeros(F3, 3, 3), mode="polynomial")
     assert (zero.cycles, zero.tree_depth, zero.transient_states) == ({1: 1}, 1, 26)
+
+
+def test_polynomial_mode_computes_one_base_order_per_factor(monkeypatch):
+    # [[B, I], [0, B]] over F_3 with chi_B = (x - 1)(x^2 + 1): two factors of
+    # multiplicity 2 whose squares both carry states, so orders mod g and
+    # mod g^2 are both needed; the latter lifts the former
+    from ffconsensus import linsys
+
+    b = [[0, 1, 0], [0, 0, 1], [1, 2, 1]]  # companion of x^3 - x^2 + x - 1
+    a = MatrixFF(F3, [row + [int(i == j) for j in range(3)] for i, row in enumerate(b)]
+                 + [[0] * 3 + row for row in b])
+    calls = []
+    original = linsys._order_mod_irreducible
+    monkeypatch.setattr(linsys, "_order_mod_irreducible", lambda g: calls.append(g) or original(g))
+    poly = autonomous_cycle_structure(a, mode="polynomial")
+    assert len(calls) == 2
+    enum = autonomous_cycle_structure(a, mode="enumeration")
+    assert (poly.cycles, poly.tree_depth) == (enum.cycles, enum.tree_depth) == ({1: 3, 3: 2, 4: 6, 12: 58}, 0)
 
 
 def test_empty_matrix_cycle_structure():

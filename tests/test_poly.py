@@ -485,6 +485,31 @@ def test_order_on_reducible_modulus():
         assert pow_x_mod(d, f) != PolyFF.one(F3)
 
 
+def test_order_mod_prime_power_matches_stepping():
+    # ord(x mod g^k) = ord(x mod g) * p^j, p^j >= k minimal, against the
+    # first t with x^t = 1 mod g^k found by stepping x^t
+    rng = random.Random(157)
+    seen = Counter()
+    for p in (2, 3, 5):
+        field = PrimeField(p)
+        x = PolyFF.x(field)
+        irreducibles = [
+            g for d in (1, 2, 3) for g in (PolyFF(field, list(c) + [1]) for c in itertools.product(range(p), repeat=d))
+            if g.eval(0) and is_irreducible(g)
+        ]
+        for g in rng.sample(irreducibles, min(8, len(irreducibles))):
+            base = poly._order_mod_irreducible(g)
+            for k in range(1, 6):
+                mod = g**k
+                t, power = 1, x % mod
+                while power != PolyFF.one(field):
+                    t, power = t + 1, (power * x) % mod
+                assert poly._lift_order(base, p, k) == order_of_x_mod(mod) == t, (g, k)
+                seen[(p, "lifted" if t > base else "base")] += 1
+    print(f"cases hit: {dict(seen)}")
+    assert min(seen.values()) >= 4 and len(seen) == 6, seen
+
+
 # ---------------------------------------------------------
 # Display
 # ---------------------------------------------------------

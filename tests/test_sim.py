@@ -27,6 +27,7 @@ from conftest import (
     F5,
     REF_A_ROWS,
     REF_B,
+    error_vectors,
     random_matrix,
     random_network,
     random_nilpotent,
@@ -40,7 +41,7 @@ def vec(field, *entries):
 
 def stacked_error(state) -> list[int]:
     out = []
-    for d in state.error_vectors():
+    for d in error_vectors(state):
         out.extend(d.entries)
     return out
 
@@ -66,9 +67,9 @@ def test_single_follower_error_recurrence():
     net = LeaderFollowerNetwork(sys=sys_, graphs=(g,), gain=MatrixFF.row_vector(F3, [1, 2]))
     closed = sys_.A - (sys_.b @ net.gain).scale(d)
     st = NetworkState(step=0, leader=vec(F3, 1, 0), followers=(vec(F3, 2, 2),))
-    delta0 = st.error_vectors()[0]
+    delta0 = error_vectors(st)[0]
     nxt = step(net, st)
-    assert nxt.error_vectors()[0] == closed @ delta0
+    assert error_vectors(nxt)[0] == closed @ delta0
 
 
 def test_step_requires_gain():
