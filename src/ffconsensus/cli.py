@@ -28,8 +28,8 @@ from pathlib import Path
 from .consensus import LeaderFollowerNetwork, SwitchingSignal, analyze, convergence_bound
 from .field import PrimeField
 from .graphs import EdgeError, WeightedDigraphFF
-from .linsys import DEFAULT_STATE_BOUND, LinearSystemFF, autonomous_cycle_structure
-from .matrix import MatrixFF, VectorFF
+from .linsys import LinearSystemFF, autonomous_cycle_structure
+from .matrix import MatrixFF
 from .sim import NetworkState, random_state, simulate
 
 EXIT_OK = 0
@@ -329,17 +329,9 @@ def cmd_synthesize(args) -> int:
     return EXIT_OK
 
 
-def _trajectory_rows(traj) -> list[tuple[int, int, int]]:
-    rows = []
-    for k, errs in enumerate(traj.errors):
-        for agent, e in enumerate(errs, start=1):
-            rows.append((k, agent, e))
-    return rows
-
-
 def _traj_csv(traj) -> str:
     lines = ["step,agent,error"]
-    lines.extend(f"{k},{a},{e}" for k, a, e in _trajectory_rows(traj))
+    lines.extend(f"{k},{a},{e}" for k, errs in enumerate(traj.errors) for a, e in enumerate(errs, start=1))
     return "\n".join(lines) + "\n"
 
 
@@ -354,8 +346,8 @@ def _traj_json(traj, trial: int, bound: int | None) -> dict:
         "states": [
             {
                 "step": s.step,
-                "leader": s.leader.to_ints(),
-                "followers": [f.to_ints() for f in s.followers],
+                "leader": list(s.leader),
+                "followers": [list(f) for f in s.followers],
             }
             for s in traj.states
         ],
@@ -396,11 +388,7 @@ def cmd_simulate(args) -> int:
         init_seed = None
         if cfg.init is not None and "states" in cfg.init:
             st = cfg.init["states"]
-            init = NetworkState(
-                step=0,
-                leader=VectorFF(cfg.field, st["leader"]),
-                followers=tuple(VectorFF(cfg.field, row) for row in st["followers"]),
-            )
+            init = NetworkState(0, tuple(st["leader"]), tuple(map(tuple, st["followers"])))
         else:
             base = cfg.init["seed"] if cfg.init is not None else args.seed
             init_seed = base + 1000003 * t
@@ -450,22 +438,11 @@ def cmd_simulate(args) -> int:
 def cmd_cycles(args) -> int:
     cfg = load_config(args.config)
     A = MatrixFF(cfg.field, cfg.a_rows)
-    total = cfg.p**cfg.n
-    if args.poly:
-        try:
-            cs = autonomous_cycle_structure(A, mode="polynomial")
-        except ValueError as exc:  # a group order p^d - 1 that cannot be factored exactly
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-    else:
-        if total > DEFAULT_STATE_BOUND:
-            print(
-                f"error: state space size {total} exceeds the enumeration bound "
-                f"{DEFAULT_STATE_BOUND}; rerun with --poly",
-                file=sys.stderr,
-            )
-            return EXIT_CONFIG
-        cs = autonomous_cycle_structure(A, mode="enumeration")
+    try:
+        cs = autonomous_cycle_structure(A, mode="polynomial" if args.poly else "enumeration")
+    except ValueError as exc:  # p^n over the enumeration bound, or a p^d - 1 that cannot be factored
+        print(f"error: {exc}" + ("" if args.poly else "; rerun with --poly"), file=sys.stderr)
+        return EXIT_CONFIG
 
     lines = [
         f"method: {cs.method}",

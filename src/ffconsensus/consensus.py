@@ -497,15 +497,7 @@ class AnalysisReport:
     diagnostics: dict = dc_field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "mode": self.mode,
-            "reason": self.reason,
-            "checks": self.checks,
-            "bounds": self.bounds,
-            "witness": self.witness,
-            "diagnostics": self.diagnostics,
-        }
+        return dict(vars(self))
 
 
 def analyze(net: LeaderFollowerNetwork) -> AnalysisReport:

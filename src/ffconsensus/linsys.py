@@ -106,7 +106,7 @@ def kalman_decompose(sys: LinearSystemFF) -> ControllabilityDecomposition:
     field, p, n = sys.field, sys.field.p, sys.dim
     ctrb = controllability_matrix(sys)
     aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(ctrb.to_rows())]
-    reduced, pivots, _ = _echelon(aug, p)
+    reduced, pivots = _echelon(aug, p)
     s = sum(j < n for j in pivots)
     std = [j - n for j in pivots[s:]]
     V_inv = MatrixFF.from_flat(field, n, n, [x for row in reduced for x in row[n:]])

@@ -5,13 +5,13 @@ Entries given from outside pass ``PrimeField.scalar`` (an int other
 than a bool, reduced mod p); ``MatrixFF.from_flat`` reduces the raw
 integer results of matrix arithmetic once, and ``VectorFF.from_flat``
 takes residues that are already canonical.
-Rank, inverse, and determinant read one Gauss-Jordan elimination routine,
-``_echelon``, with exact field division (the pivot is always the first
-nonzero entry in column order, so results are deterministic).  The
-characteristic polynomial comes from a reduction to Hessenberg form by
-similarities and the recurrence over its leading blocks, O(n^3) with
-field division.  Nilpotency is decided from matrix powers, never
-from eigenvalues: F_p is not algebraically closed.
+Rank and inverse read one Gauss-Jordan elimination routine, ``_echelon``,
+with exact field division (the pivot is always the first nonzero entry
+in column order, so results are deterministic).  The characteristic
+polynomial comes from a reduction to Hessenberg form by similarities and
+the recurrence over its leading blocks, O(n^3) with field division.
+Nilpotency is decided from matrix powers, never from eigenvalues: F_p is
+not algebraically closed.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from .poly import PolyFF
 
 
 class VectorFF:
-    """Column vector over F_p."""
+    """Column vector over F_p: the value of ``MatrixFF.col`` and of a
+    matrix-vector product."""
 
     __slots__ = ("field", "entries")
 
@@ -44,35 +45,6 @@ class VectorFF:
     def dim(self) -> int:
         return len(self.entries)
 
-    def _check(self, other: "VectorFF") -> None:
-        if not isinstance(other, VectorFF):
-            raise TypeError("expected a VectorFF")
-        if other.field != self.field:
-            raise ValueError("modulus mismatch")
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-
-    def __add__(self, other: "VectorFF") -> "VectorFF":
-        self._check(other)
-        p = self.field.p
-        return VectorFF.from_flat(self.field, ((a + b) % p for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "VectorFF") -> "VectorFF":
-        self._check(other)
-        p = self.field.p
-        return VectorFF.from_flat(self.field, ((a - b) % p for a, b in zip(self.entries, other.entries)))
-
-    def scale(self, c: int) -> "VectorFF":
-        cv = self.field.scalar(c)
-        p = self.field.p
-        return VectorFF.from_flat(self.field, (cv * a % p for a in self.entries))
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
-
-    def __getitem__(self, i: int) -> int:
-        return self.entries[i]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, VectorFF)
@@ -82,9 +54,6 @@ class VectorFF:
 
     def __hash__(self) -> int:
         return hash((self.field.p, self.entries))
-
-    def to_ints(self) -> list[int]:
-        return list(self.entries)
 
     def __repr__(self) -> str:
         return f"VectorFF(p={self.field.p}, {list(self.entries)})"
@@ -197,19 +166,9 @@ class MatrixFF:
             self.field, self.rows, self.cols, [a - b for a, b in zip(self._e, other._e)]
         )
 
-    def __neg__(self) -> "MatrixFF":
-        return MatrixFF.from_flat(self.field, self.rows, self.cols, [-a for a in self._e])
-
     def scale(self, c: int) -> "MatrixFF":
         cv = self.field.scalar(c)
         return MatrixFF.from_flat(self.field, self.rows, self.cols, [cv * a for a in self._e])
-
-    def __mul__(self, other) -> "MatrixFF":
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __matmul__(self, other):
         if isinstance(other, VectorFF):
@@ -262,12 +221,6 @@ class MatrixFF:
     def rank(self) -> int:
         return len(_echelon(self.to_rows(), self.field.p)[1])
 
-    def determinant(self) -> int:
-        if not self.is_square:
-            raise ValueError("determinant requires a square matrix")
-        _, pivots, det = _echelon(self.to_rows(), self.field.p)
-        return det if len(pivots) == self.rows else 0
-
     def inverse(self) -> "MatrixFF":
         """Gauss-Jordan elimination of [M | I]: M is invertible iff the
         pivots are columns 0..n-1, and then the right half is M^-1."""
@@ -275,7 +228,7 @@ class MatrixFF:
             raise ValueError("inverse requires a square matrix")
         n = self.rows
         aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(self.to_rows())]
-        reduced, pivots, _ = _echelon(aug, self.field.p)
+        reduced, pivots = _echelon(aug, self.field.p)
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
         return MatrixFF.from_flat(self.field, n, n, [x for row in reduced for x in row[n:]])
@@ -353,17 +306,14 @@ class MatrixFF:
         return self.rows if power.is_zero() else None
 
 
-def _echelon(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int], int]:
+def _echelon(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
     """Gauss-Jordan elimination of integer rows of residues mod p.
 
-    Returns (reduced rows, pivot columns, det).  Each column's pivot is
-    the first nonzero entry at or below the current row, so the result is
-    deterministic.  det is the product of the pivots and the swap sign:
-    the determinant of a square matrix whenever its rank is full.  The
-    list ``rows`` is reordered in place.
+    Returns (reduced rows, pivot columns).  Each column's pivot is the
+    first nonzero entry at or below the current row, so the result is
+    deterministic.  The list ``rows`` is reordered in place.
     """
     pivots: list[int] = []
-    det = 1
     for col in range(len(rows[0]) if rows else 0):
         r = len(pivots)
         if r == len(rows):
@@ -373,8 +323,6 @@ def _echelon(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int],
             continue
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
-            det = -det
-        det = det * rows[r][col] % p
         inv = pow(rows[r][col], p - 2, p)
         rows[r] = pivot_row = [x * inv % p for x in rows[r]]
         for i, row in enumerate(rows):
@@ -382,7 +330,7 @@ def _echelon(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int],
             if f and i != r:
                 rows[i] = [(x - f * y) % p for x, y in zip(row, pivot_row)]
         pivots.append(col)
-    return rows, pivots, det % p
+    return rows, pivots
 
 
 def kron(a: MatrixFF, b: MatrixFF) -> MatrixFF:

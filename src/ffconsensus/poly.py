@@ -2,10 +2,11 @@
 
 Coefficients are stored ascending (constant term first) in canonical form:
 no zero above the leading coefficient, the zero polynomial is the empty
-tuple.  Beyond ring arithmetic this module provides the structural tools
-used by the dynamics analysis: splitting off the power of x that carries
-the transient part, irreducibility testing, full factorization, and the
-multiplicative order of x modulo a polynomial (the cycle-length source).
+tuple.  Beside division and evaluation, this module provides the
+structural tools used by the dynamics analysis: splitting off the power
+of x that carries the transient part, irreducibility testing, full
+factorization, and the multiplicative order of x modulo a polynomial
+(the cycle-length source).
 
 All arithmetic runs on one core over ascending lists of canonical
 residues (``_mul``, ``_divmod``, ``_rem``, ``_mulmod``, ``_powmod``,
@@ -145,20 +146,8 @@ class PolyFF:
         return f
 
     @classmethod
-    def zero(cls, field: PrimeField) -> "PolyFF":
-        return cls(field, ())
-
-    @classmethod
-    def one(cls, field: PrimeField) -> "PolyFF":
-        return cls(field, (1,))
-
-    @classmethod
     def x(cls, field: PrimeField) -> "PolyFF":
         return cls(field, (0, 1))
-
-    @classmethod
-    def monomial(cls, field: PrimeField, degree: int, coeff: int = 1) -> "PolyFF":
-        return cls(field, (0,) * degree + (coeff,))
 
     # -- structure ----------------------------------------------------
 
@@ -175,75 +164,20 @@ class PolyFF:
     def leading(self) -> int:
         return self.coeffs[-1] if self.coeffs else 0
 
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def monic(self) -> "PolyFF":
-        return PolyFF.from_residues(self.field, _monic(self.coeffs, self.field.p))
-
     def __getitem__(self, k: int) -> int:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
-    # -- ring arithmetic ----------------------------------------------
+    # -- division and evaluation --------------------------------------
 
-    def _check(self, other: "PolyFF") -> None:
+    def __divmod__(self, other: "PolyFF") -> tuple["PolyFF", "PolyFF"]:
         if not isinstance(other, PolyFF):
             raise TypeError("expected a PolyFF")
         if other.field != self.field:
             raise ValueError("modulus mismatch between polynomials")
-
-    def __add__(self, other: "PolyFF") -> "PolyFF":
-        self._check(other)
-        return PolyFF.from_residues(self.field, _add(self.coeffs, other.coeffs, self.field.p))
-
-    def __sub__(self, other: "PolyFF") -> "PolyFF":
-        self._check(other)
-        return PolyFF.from_residues(self.field, _sub(self.coeffs, other.coeffs, self.field.p))
-
-    def __neg__(self) -> "PolyFF":
-        return PolyFF.from_residues(self.field, _sub((), self.coeffs, self.field.p))
-
-    def __mul__(self, other) -> "PolyFF":
-        if isinstance(other, int):
-            other = PolyFF(self.field, (other,))
-        self._check(other)
-        return PolyFF.from_residues(self.field, _mul(self.coeffs, other.coeffs, self.field.p))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int) -> "PolyFF":
-        if e < 0:
-            raise ValueError("exponent must be nonnegative")
-        result = PolyFF.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __divmod__(self, other: "PolyFF") -> tuple["PolyFF", "PolyFF"]:
-        self._check(other)
         if other.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         q, r = _divmod(self.coeffs, other.coeffs, self.field.p)
         return PolyFF.from_residues(self.field, q), PolyFF.from_residues(self.field, r)
-
-    def __floordiv__(self, other: "PolyFF") -> "PolyFF":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "PolyFF") -> "PolyFF":
-        return divmod(self, other)[1]
-
-    def gcd(self, other: "PolyFF") -> "PolyFF":
-        """Monic greatest common divisor (gcd with 0 is the monic of self)."""
-        self._check(other)
-        return PolyFF.from_residues(self.field, _gcd(self.coeffs, other.coeffs, self.field.p))
-
-    def __call__(self, point: int) -> int:
-        return self.eval(point)
 
     def eval(self, point: int) -> int:
         """Horner evaluation at a field element."""
@@ -269,9 +203,6 @@ class PolyFF:
     def coefficient_list(self) -> list[int]:
         """Ascending coefficients; [0] for the zero polynomial."""
         return list(self.coeffs) if self.coeffs else [0]
-
-    def __str__(self) -> str:
-        return self.format()
 
     def format(self, var: str = "λ") -> str:
         """Human-readable form such as ``λ^4+λ^3+2λ+1``."""

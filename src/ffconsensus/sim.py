@@ -38,22 +38,22 @@ from operator import mul, sub
 
 from .consensus import LeaderFollowerNetwork, SwitchingSignal
 from .field import PrimeField
-from .matrix import VectorFF
 
 DEFAULT_ORACLE_BOUND = 10**6
 
 
 @dataclass(frozen=True)
 class NetworkState:
-    """Snapshot at one step: leader state plus all follower states."""
+    """Snapshot at one step: the leader's state and every follower's, each
+    a tuple of n canonical residues."""
 
     step: int
-    leader: VectorFF
-    followers: tuple[VectorFF, ...]
+    leader: tuple[int, ...]
+    followers: tuple[tuple[int, ...], ...]
 
     def errors(self) -> list[int]:
         """Integer error e_i per follower (componentwise |x_i - x_0| sums)."""
-        return list(_errors(_agent_ints(self)))
+        return list(_errors((self.leader,) + self.followers))
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ class Trajectory:
 
 def random_state(field: PrimeField, n: int, num_followers: int, rng: random.Random) -> NetworkState:
     """Uniform initial condition over F_p^n per agent."""
-    draw = lambda: VectorFF.from_flat(field, [rng.randrange(field.p) for _ in range(n)])
+    draw = lambda: tuple(rng.randrange(field.p) for _ in range(n))
     return NetworkState(step=0, leader=draw(), followers=tuple(draw() for _ in range(num_followers)))
 
 
@@ -122,19 +122,24 @@ def _errors(agents: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
     return tuple(sum(map(abs, map(sub, x, x0))) for x in agents[1:])
 
 
-def _agent_ints(state: NetworkState) -> tuple[tuple[int, ...], ...]:
-    return (state.leader.entries,) + tuple(f.entries for f in state.followers)
-
-
-def _network_state(field: PrimeField, step_no: int, agents) -> NetworkState:
-    vecs = [VectorFF.from_flat(field, x) for x in agents]
-    return NetworkState(step=step_no, leader=vecs[0], followers=tuple(vecs[1:]))
+def _agents(net: LeaderFollowerNetwork, state: NetworkState) -> tuple[tuple[int, ...], ...]:
+    """The agent states of ``state``, leader first, once checked: one per
+    agent of ``net``, each n canonical residues mod p."""
+    agents = (tuple(state.leader),) + tuple(map(tuple, state.followers))
+    n, p = net.sys.dim, net.field.p
+    if len(agents) != net.num_followers + 1 or any(
+        len(x) != n or not all(type(v) is int and 0 <= v < p for v in x) for x in agents
+    ):
+        raise ValueError(
+            f"a network state needs {net.num_followers + 1} agent states of {n} residues in 0..{p - 1}"
+        )
+    return agents
 
 
 def step(net: LeaderFollowerNetwork, state: NetworkState, graph_index: int = 0) -> NetworkState:
     """One synchronous update under the chosen graph."""
-    agents = _stepper(net, graph_index)(_agent_ints(state))
-    return _network_state(net.field, state.step + 1, agents)
+    agents = _stepper(net, graph_index)(_agents(net, state))
+    return NetworkState(state.step + 1, agents[0], agents[1:])
 
 
 def simulate(
@@ -150,8 +155,8 @@ def simulate(
 
     Agreement is absorbing (see the module docstring), so the agents are
     stepped only until every follower equals the leader; after that only
-    the leader's A x_0 is computed, and one shared ``VectorFF`` stands
-    for the leader and every follower."""
+    the leader's A x_0 is computed, and that one tuple stands for the
+    leader and every follower."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if signal is None:
@@ -162,14 +167,14 @@ def simulate(
         raise ValueError(f"switching signal emitted invalid graph indices {bad}")
 
     steppers = [_stepper(net, gi) for gi in range(len(net.graphs))]
-    agents = _agent_ints(init)
+    agents = _agents(net, init)
     states = [init]
     errors = [_errors(agents)]
     k = 0
     while k < horizon and any(errors[-1]):
         agents = steppers[indices[k]](agents)
         k += 1
-        states.append(_network_state(net.field, init.step + k, agents))
+        states.append(NetworkState(init.step + k, agents[0], agents[1:]))
         errors.append(_errors(agents))
 
     consensus_step: int | None = None
@@ -179,8 +184,7 @@ def simulate(
         x0, zero = agents[0], errors[-1]
         for k in range(consensus_step + 1, horizon + 1):
             x0 = _apply(a_rows, x0, net.field.p)
-            v = VectorFF.from_flat(net.field, x0)
-            states.append(NetworkState(init.step + k, v, (v,) * len(zero)))
+            states.append(NetworkState(init.step + k, x0, (x0,) * len(zero)))
             errors.append(zero)
     meta = dict(metadata or {})
     meta.setdefault("signal_kind", signal.kind)

@@ -64,9 +64,9 @@ def ref_network(ref_system, ref_graphs):
 # ---------------------------------------------------------------------
 
 
-def error_vectors(state) -> list:
+def error_vectors(state, p: int) -> list[tuple[int, ...]]:
     """Follower-minus-leader differences over F_p (the stacked error state)."""
-    return [f - state.leader for f in state.followers]
+    return [tuple((a - b) % p for a, b in zip(f, state.leader)) for f in state.followers]
 
 
 def random_matrix(rng: random.Random, field: PrimeField, rows: int, cols: int) -> MatrixFF:

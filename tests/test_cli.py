@@ -738,7 +738,8 @@ def test_cycles_polynomial_large_prime_orders_minimal(tmp_path, capsys):
     assert main(["cycles", path, "--poly"]) == 0
     out = capsys.readouterr().out
     assert f"states: {p**n}" in out
-    field, one = PrimeField(p), PolyFF.one(PrimeField(p))
+    field = PrimeField(p)
+    one = PolyFF(field, [1])
     rows = [line.split(" | ") for line in out.splitlines() if line.startswith("  ")]
     assert sum(len(json.loads(coeffs)) - 1 for _, coeffs, _, _ in rows) == n  # no root 0, no repeated factor
     for _, coeffs, mult, order in rows:
@@ -797,3 +798,16 @@ def test_cycles_bound_guard(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["cycles", str(path)]) == 1
     assert "--poly" in capsys.readouterr().err
+
+
+def test_cycles_over_the_enumeration_bound_exits_one_and_poly_runs(tmp_path, capsys):
+    # p = 101, n = 3: 1,030,301 states, just over the 10^6 enumeration bound
+    path = _write(tmp_path, _cycles_config(101, [[1, 2, 0], [0, 1, 3], [4, 0, 1]]))
+    assert main(["cycles", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: state space size 1030301 exceeds the enumeration bound 1000000; rerun with --poly\n"
+    )
+    assert main(["cycles", path, "--poly"]) == 0
+    assert "states: 1030301\n" in capsys.readouterr().out

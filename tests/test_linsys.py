@@ -408,7 +408,7 @@ def test_enumeration_matches_naive_walker():
         a = cycle_test_matrix(rng, kind, field, n)
         expected = []
         for x in range(p**n):
-            y = (a @ VectorFF(field, unpack(x, p, n))).to_ints()
+            y = (a @ VectorFF(field, unpack(x, p, n))).entries
             expected.append(sum(c * p**j for j, c in enumerate(y)))
         assert _successor_table(a) == expected, (kind, a)
 
@@ -432,7 +432,7 @@ def test_enumeration_across_pack_slices():
         a = random_matrix(rng, field, n, n)
         expected = []
         for x in range(p**n):
-            y = (a @ VectorFF(field, unpack(x, p, n))).to_ints()
+            y = (a @ VectorFF(field, unpack(x, p, n))).entries
             expected.append(sum(c * p**j for j, c in enumerate(y)))
         assert _successor_table(a) == expected
         cs = autonomous_cycle_structure(a)

@@ -36,14 +36,17 @@ from conftest import (
 
 
 def vec(field, *entries):
-    return VectorFF(field, entries)
+    """An agent state: a tuple of residues."""
+    return tuple(map(field.scalar, entries))
 
 
-def stacked_error(state) -> list[int]:
-    out = []
-    for d in error_vectors(state):
-        out.extend(d.entries)
-    return out
+def apply(m: MatrixFF, x: tuple[int, ...]) -> tuple[int, ...]:
+    """The matrix m times the agent state x."""
+    return (m @ VectorFF(m.field, x)).entries
+
+
+def stacked_error(state, p: int) -> list[int]:
+    return [c for d in error_vectors(state, p) for c in d]
 
 
 # ---------------------------------------------------------
@@ -56,7 +59,7 @@ def test_equal_states_stay_equal():
     x = vec(F3, 1, 2, 0)
     st = NetworkState(step=0, leader=x, followers=(x, x, x))
     nxt = step(net, st)
-    assert nxt.leader == net.sys.A @ x
+    assert nxt.leader == apply(net.sys.A, x)
     assert all(f == nxt.leader for f in nxt.followers)
 
 
@@ -67,9 +70,9 @@ def test_single_follower_error_recurrence():
     net = LeaderFollowerNetwork(sys=sys_, graphs=(g,), gain=MatrixFF.row_vector(F3, [1, 2]))
     closed = sys_.A - (sys_.b @ net.gain).scale(d)
     st = NetworkState(step=0, leader=vec(F3, 1, 0), followers=(vec(F3, 2, 2),))
-    delta0 = error_vectors(st)[0]
+    delta0 = error_vectors(st, 3)[0]
     nxt = step(net, st)
-    assert error_vectors(nxt)[0] == closed @ delta0
+    assert error_vectors(nxt, 3)[0] == apply(closed, delta0)
 
 
 def test_step_requires_gain():
@@ -77,6 +80,20 @@ def test_step_requires_gain():
     net = random_network(rng, F3, n=2, num_followers=2, with_gain=False)
     with pytest.raises(ValueError):
         step(net, random_state(F3, 2, 2, rng))
+
+
+def test_states_that_do_not_fit_the_network_are_rejected():
+    # zip would cut a wrong agent count or dimension short, and a value
+    # out of range would be compared unreduced: each is refused
+    rng = random.Random(3)
+    net = random_network(rng, F3, n=2, num_followers=2)
+    x = vec(F3, 1, 1)
+    for followers in ((x,), (x, (1, 1, 2)), (x, (4, 1)), (x, (True, 1))):
+        st = NetworkState(step=0, leader=x, followers=followers)
+        with pytest.raises(ValueError, match="3 agent states of 2 residues in 0..2"):
+            simulate(net, st, horizon=2)
+        with pytest.raises(ValueError, match="3 agent states of 2 residues in 0..2"):
+            step(net, st)
 
 
 def test_step_uses_pre_step_states():
@@ -141,8 +158,8 @@ def test_no_consensus_with_zero_gain_on_cycle_state():
     g = WeightedDigraphFF(F3, 1, [(0, 1, 1)])
     net = LeaderFollowerNetwork(sys=sys_, graphs=(g,), gain=MatrixFF.zeros(F3, 1, 5))
     seed_vec = vec(F3, 1, 0, 0, 0, 0)
-    cyc = (a**5) @ seed_vec  # lands on the bijective part
-    assert not cyc.is_zero()
+    cyc = apply(a**5, seed_vec)  # lands on the bijective part
+    assert any(cyc)
     st = NetworkState(step=0, leader=vec(F3, 0, 0, 0, 0, 0), followers=(cyc,))
     traj = simulate(net, st, horizon=50)
     assert traj.consensus_step is None
@@ -169,14 +186,14 @@ def test_simulation_matches_matrix_products():
             else None
         )
         traj = simulate(net, init, signal=sig, horizon=7)
-        delta = stacked_error(traj.states[0])
+        delta = stacked_error(traj.states[0], field.p)
         for k in range(1, 8):
             m = mats[traj.signal_indices[k - 1]]
             delta = [
                 sum(m.entry_int(i, j) * delta[j] for j in range(len(delta))) % field.p
                 for i in range(len(delta))
             ]
-            assert delta == stacked_error(traj.states[k])
+            assert delta == stacked_error(traj.states[k], field.p)
 
 
 def test_errors_stay_zero_once_reached():
@@ -278,14 +295,14 @@ def test_stepper_routes_agree_on_cyclic_networks():
         sig = SwitchingSignal(kind="random", num_graphs=q, seed=rng.randrange(10**6))
 
         traj = simulate(net, random_state(field, n, N, rng), signal=sig, horizon=horizon)
-        delta = stacked_error(traj.states[0])
+        delta = stacked_error(traj.states[0], p)
         for k in range(1, horizon + 1):
             m = mats[traj.signal_indices[k - 1]]
             delta = [
                 sum(m.entry_int(i, j) * delta[j] for j in range(len(delta))) % p
                 for i in range(len(delta))
             ]
-            assert delta == stacked_error(traj.states[k])
+            assert delta == stacked_error(traj.states[k], field.p)
 
         along_signal = MatrixFF.identity(field, N * n)
         for gi in sig.realize(horizon):
