@@ -286,7 +286,7 @@ def convergence_bound(net: LeaderFollowerNetwork) -> int:
 class _Facts:
     """Everything the consensus rule reads, computed once per network."""
 
-    a_nilpotent: bool
+    a_degree: int | None  # A's nilpotent degree, None when A is not nilpotent
     decomp: ControllabilityDecomposition
     stabilizable: bool
     dags: tuple[bool, ...]  # per graph
@@ -313,7 +313,7 @@ def _facts(net: LeaderFollowerNetwork) -> _Facts:
         test = MatrixFF.is_nilpotent if net.is_static or not union_dag else MatrixFF.nilpotent_degree
         blocks = _error_block_results(net, range(len(graphs)), test)
     return _Facts(
-        a_nilpotent=net.sys.A.is_nilpotent(),
+        a_degree=net.sys.A.nilpotent_degree(),
         decomp=decomp,
         stabilizable=decomp.A_uc.is_nilpotent(),
         # every subgraph of an acyclic union is acyclic
@@ -371,7 +371,7 @@ def _decide(f: _Facts, graph_indices: Sequence[int]) -> _Decision:
     else:
         acyclic, d = f.union_dag, f.shared_degree
 
-    if f.a_nilpotent:
+    if f.a_degree is not None:
         scope = "regardless of the graphs" if one else "under any switching"
         base = _Decision("guaranteed", f"A is nilpotent: the zero gain synchronizes every agent {scope}", 0)
     elif acyclic and f.stabilizable and d is not None:
@@ -475,7 +475,7 @@ def _bound(net: LeaderFollowerNetwork, f: _Facts, certificate: int | None) -> in
         return product_vanishing_bound([worst[node] for node in order])
     # every diagonal block is one closed loop: the witness's A - d*bK, or A
     # itself under the zero gain or bK = 0; the bound for s equal degrees k is s*k
-    k = certificate if certificate is not None else net.sys.A.nilpotent_degree()
+    k = certificate if certificate is not None else f.a_degree
     return net.num_followers * k
 
 
@@ -548,7 +548,7 @@ def check_static(net: LeaderFollowerNetwork) -> AnalysisReport:
     [g] = net.graphs
     f = _facts(net)
     checks: dict = {
-        "a_nilpotent": f.a_nilpotent,
+        "a_nilpotent": f.a_degree is not None,
         "follower_graph_dag": f.union_dag,
         "stabilizable": f.stabilizable,
         "common_degree": f.degrees[0].to_dict(),
@@ -572,7 +572,7 @@ def check_switching(net: LeaderFollowerNetwork) -> AnalysisReport:
     inconclusive, the diagnostics carry each graph's static verdict."""
     f = _facts(net)
     checks: dict = {
-        "a_nilpotent": f.a_nilpotent,
+        "a_nilpotent": f.a_degree is not None,
         "union_dag": f.union_dag,
         "stabilizable": f.stabilizable,
         "per_graph_common_degree": [dc.to_dict() for dc in f.degrees],

@@ -11,11 +11,14 @@ in column order, so results are deterministic).  The characteristic
 polynomial comes from a reduction to Hessenberg form by similarities and
 the recurrence over its leading blocks, O(n^3) with field division.
 Nilpotency is decided from matrix powers, never from eigenvalues: F_p is
-not algebraically closed.
+not algebraically closed.  The powers are computed on packed rows, one
+int per row, and each row is reduced mod p slot by slot in a few
+big-int operations (``_packed_powers``).
 """
 
 from __future__ import annotations
 
+from operator import mul
 from typing import Iterable, Sequence
 
 from .field import PrimeField
@@ -201,21 +204,6 @@ class MatrixFF:
                         orow[base + j] += aik * brow[j]
         return MatrixFF.from_flat(self.field, n, q, out)
 
-    def __pow__(self, k: int) -> "MatrixFF":
-        """Repeated squaring; the 0th power is the identity."""
-        if not self.is_square:
-            raise ValueError("matrix power requires a square matrix")
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("matrix power requires a nonnegative integer exponent")
-        result = MatrixFF.identity(self.field, self.rows)
-        base = self
-        while k:
-            if k & 1:
-                result = result @ base
-            base = base @ base
-            k >>= 1
-        return result
-
     # -- elimination-based queries -------------------------------------
 
     def rank(self) -> int:
@@ -282,28 +270,63 @@ class MatrixFF:
         return PolyFF.from_residues(self.field, P[n])
 
     def is_nilpotent(self) -> bool:
-        """A is nilpotent iff A^n vanishes (n the dimension)."""
-        if not self.is_square:
-            raise ValueError("nilpotency requires a square matrix")
-        if self.rows == 0:
-            return True
-        return (self ** self.rows).is_zero()
+        """A is nilpotent iff some power A^k with k <= n vanishes."""
+        return self.nilpotent_degree() is not None
 
     def nilpotent_degree(self) -> int | None:
-        """Smallest k with A^k = 0, or None when A is not nilpotent.
+        """Smallest k <= n with A^k = 0, or None when A is not nilpotent.
 
         The degree of an empty (0x0) matrix is 0.
         """
         if not self.is_square:
             raise ValueError("nilpotency requires a square matrix")
-        if self.rows == 0:
+        n = self.rows
+        if n == 0:
             return 0
-        power = self
-        for k in range(1, self.rows):
-            if power.is_zero():
+        for k, power in enumerate(_packed_powers(self.to_rows(), self.field.p), 1):
+            if not any(power):
                 return k
-            power = power @ self
-        return self.rows if power.is_zero() else None
+            if k == n:
+                return None
+
+
+def _packed_powers(rows: list[list[int]], p: int):
+    """Yield A, A^2, A^3, ... for the n x n residue rows of A, without end.
+
+    Each power is a list of n ints: row i of A^k holds entry j in bits
+    [w*j, w*(j+1)).  Row i of A^(k+1) = A A^k is sum_j a_ij (row j of
+    A^k), one big-int multiply-add per nonzero a_ij; every slot then
+    holds at most n (p-1)^2 < top, so no slot carries into the next.
+
+    The row is reduced mod p in every slot at once (Granlund and
+    Montgomery's division by an invariant integer): with s the bit
+    length of top*p and M = ceil(2^s / p), slot j's quotient is
+    q_j = floor(v_j M / 2^s) = floor(v_j / p), and v - p*q leaves
+    v_j mod p in slot j.  Exact: write e = M p - 2^s, so 0 <= e < p and
+    v_j M / 2^s = v_j / p + v_j e / (p 2^s).  As v_j e < top p < 2^s,
+    the second term is below 1/p, which cannot lift v_j / p past the
+    next integer.  No carry crosses a slot: v_j M < top M < 2^(w-1), so
+    the products stay in their slots; after the shift by s, slot j holds
+    q_j in its low w - s - 1 bits and slot j+1's remainder v_(j+1) M
+    mod 2^s in its top s bits, which the mask LOW (the low w - s bits of
+    every slot) clears; and v_j - p q_j >= 0 borrows nothing.
+    """
+    n = len(rows)
+    top = n * (p - 1) ** 2 + 1
+    s = (top * p).bit_length()
+    M = -(-(1 << s) // p)
+    w = (top * M).bit_length() + 1
+    LOW = sum(((1 << (w - s)) - 1) << (w * j) for j in range(n))
+    # each row of A as its nonzero scalars and their columns
+    terms = [([a for a in row if a], [j for j, a in enumerate(row) if a]) for row in rows]
+    power = [sum(a << (w * j) for j, a in enumerate(row)) for row in rows]
+    while True:
+        yield power
+        nxt = []
+        for coeffs, cols in terms:
+            v = sum(map(mul, coeffs, map(power.__getitem__, cols)))
+            nxt.append(v - p * (((v * M) >> s) & LOW))
+        power = nxt
 
 
 def _echelon(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:

@@ -204,7 +204,7 @@ class PolyFF:
         """Ascending coefficients; [0] for the zero polynomial."""
         return list(self.coeffs) if self.coeffs else [0]
 
-    def format(self, var: str = "λ") -> str:
+    def format(self) -> str:
         """Human-readable form such as ``λ^4+λ^3+2λ+1``."""
         if self.is_zero:
             return "0"
@@ -217,7 +217,7 @@ class PolyFF:
                 terms.append(str(c))
             else:
                 head = "" if c == 1 else str(c)
-                terms.append(f"{head}{var}" + (f"^{k}" if k > 1 else ""))
+                terms.append(f"{head}λ" + (f"^{k}" if k > 1 else ""))
         return "+".join(terms)
 
     def __repr__(self) -> str:

@@ -59,6 +59,18 @@ def ref_network(ref_system, ref_graphs):
     return LeaderFollowerNetwork(sys=ref_system, graphs=ref_graphs)
 
 
+def mat_power(m: MatrixFF, k: int) -> MatrixFF:
+    """m^k by repeated squaring with ``@`` (the 0th power is the
+    identity): the oracle for the nilpotency tests."""
+    result = MatrixFF.identity(m.field, m.rows)
+    while k:
+        if k & 1:
+            result = result @ m
+        m = m @ m
+        k >>= 1
+    return result
+
+
 # ---------------------------------------------------------------------
 # Random generators (seeded by the caller)
 # ---------------------------------------------------------------------

@@ -41,6 +41,7 @@ from conftest import (
     REF_B,
     REF_GAIN,
     error_vectors,
+    mat_power,
     random_matrix,
     random_network,
     random_nilpotent,
@@ -124,13 +125,13 @@ def test_criterion_2_stabilizability_and_gain():
         problems.append(f"uncontrollable block {dec.A_uc.to_rows()}, expected [[0]]")
 
     handcrafted = MatrixFF.row_vector(F3, REF_GAIN)
-    if not ((sys_.A - sys_.b @ handcrafted) ** 5).is_zero():
+    if not mat_power(sys_.A - sys_.b @ handcrafted, 5).is_zero():
         problems.append("(A - bK)^5 != 0 for the handcrafted gain")
 
     g1, g2 = ref_graphs()
     net = LeaderFollowerNetwork(sys=sys_, graphs=(g1, g2))
     synthesized = synthesize_gain(net)  # common degree d = 1
-    if not ((sys_.A - sys_.b @ synthesized) ** 5).is_zero():
+    if not mat_power(sys_.A - sys_.b @ synthesized, 5).is_zero():
         problems.append("(A - bK')^5 != 0 for the synthesized gain")
 
     elapsed = time.perf_counter() - start
@@ -448,10 +449,10 @@ def test_criterion_7_negative_control_on_cycle():
 
     # project an arbitrary state into the bijective part: it lies on a cycle
     seed_vec = VectorFF(F3, [1, 0, 0, 0, 0])
-    cycle_state = (a**5) @ seed_vec
+    cycle_state = mat_power(a, 5) @ seed_vec
     if cycle_state == VectorFF(F3, [0] * 5):
         problems.append("projected state collapsed to zero; pick a different seed vector")
-    if not ((a**20) @ cycle_state) == cycle_state:
+    if not (mat_power(a, 20) @ cycle_state) == cycle_state:
         problems.append("projected state is not periodic with period dividing 20")
 
     zero = (0,) * 5

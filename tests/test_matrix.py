@@ -4,7 +4,17 @@ from collections import Counter
 
 import pytest
 
-from ffconsensus import MatrixFF, PolyFF, PrimeField, kron, poly
+from ffconsensus import (
+    LeaderFollowerNetwork,
+    LinearSystemFF,
+    MatrixFF,
+    PolyFF,
+    PrimeField,
+    WeightedDigraphFF,
+    error_dynamics_matrix,
+    kron,
+    poly,
+)
 
 from conftest import (
     F2,
@@ -13,6 +23,7 @@ from conftest import (
     REF_A_ROWS,
     REF_B,
     REF_GAIN,
+    mat_power,
     random_invertible,
     random_matrix,
     random_nilpotent,
@@ -82,18 +93,13 @@ def test_entries_reduced_on_construction():
 # Powers
 # ---------------------------------------------------------
 
-def test_power_zero_is_identity():
-    a = MatrixFF(F5, [[1, 2], [3, 4]])
-    assert a**0 == MatrixFF.identity(F5, 2)
-
-
 def test_strictly_upper_triangular_nth_power_vanishes():
     rng = random.Random(5)
     for n in range(2, 6):
         strict = MatrixFF(
             F3, [[rng.randrange(3) if j > i else 0 for j in range(n)] for i in range(n)]
         )
-        assert (strict**n).is_zero()
+        assert mat_power(strict, n).is_zero()
 
 
 def test_reference_closed_loop_fifth_power_vanishes():
@@ -101,15 +107,7 @@ def test_reference_closed_loop_fifth_power_vanishes():
     b = MatrixFF.column(F3, REF_B)
     k = MatrixFF.row_vector(F3, REF_GAIN)
     closed = a - b @ k
-    assert (closed**5).is_zero()
-
-
-def test_power_rejects_bad_input():
-    a = MatrixFF(F3, [[1, 2], [2, 0]])
-    with pytest.raises(ValueError):
-        a ** -1
-    with pytest.raises(ValueError):
-        MatrixFF(F3, [[1, 2, 0]]) ** 2
+    assert mat_power(closed, 5).is_zero()
 
 
 # ---------------------------------------------------------
@@ -314,11 +312,79 @@ def test_nilpotency_three_way_agreement():
         cases.append(MatrixFF.zeros(field, 0, 0))
     for m in cases:
         n = m.rows
-        by_power = (m**n).is_zero()
+        by_power = mat_power(m, n).is_zero()
         by_charpoly = m.char_poly() == PolyFF(m.field, [0] * n + [1])
         assert m.is_nilpotent() == by_power == by_charpoly
         # the degree is the smallest k with A^k = 0
-        assert m.nilpotent_degree() == next((k for k in range(n + 1) if (m**k).is_zero()), None)
+        assert m.nilpotent_degree() == next((k for k in range(n + 1) if mat_power(m, k).is_zero()), None)
+
+
+def test_nilpotency_rejects_non_square():
+    for m in (MatrixFF(F3, [[1, 2, 0]]), MatrixFF.zeros(F3, 3, 2)):
+        with pytest.raises(ValueError, match="square"):
+            m.is_nilpotent()
+        with pytest.raises(ValueError, match="square"):
+            m.nilpotent_degree()
+
+
+def conjugated_shifts(rng: random.Random, field: PrimeField, sizes: list[int]) -> MatrixFF:
+    """T J T^-1 for J the direct sum of nilpotent shift blocks of the given
+    sizes and T a random invertible matrix: its degree is max(sizes)."""
+    n = sum(sizes)
+    starts = set(itertools.accumulate([0] + sizes[:-1]))
+    shift = MatrixFF(field, [[int(j == i + 1 and j not in starts) for j in range(n)] for i in range(n)])
+    t = random_invertible(rng, field, n)
+    return (t @ shift) @ t.inverse()
+
+
+def test_packed_powers_match_products_on_every_degree():
+    """Packed powers, reduced slot by slot, against ``@`` powers and the
+    characteristic polynomial: every degree 1..n, non-nilpotent matrices,
+    and the all-(p-1) matrix whose unreduced slots are the largest."""
+    rng = random.Random(1409)
+    degrees = Counter()
+    for p in (2, 3, 5, 101, 1000003):
+        field = PrimeField(p)
+        for n in range(1, 13):
+            cases = []
+            for d in range(1, n + 1):
+                sizes = [d]
+                while sum(sizes) < n:
+                    sizes.append(rng.randint(1, min(d, n - sum(sizes))))
+                rng.shuffle(sizes)
+                cases.append(conjugated_shifts(rng, field, sizes))
+            cases.extend(random_matrix(rng, field, n, n) for _ in range(3))
+            cases.append(MatrixFF.identity(field, n))
+            cases.append(MatrixFF.zeros(field, n, n))
+            cases.append(MatrixFF(field, [[p - 1] * n for _ in range(n)]))
+            for m in cases:
+                degree = m.nilpotent_degree()
+                assert degree == next((k for k in range(n + 1) if mat_power(m, k).is_zero()), None)
+                assert m.is_nilpotent() == (m.char_poly() == PolyFF(field, [0] * n + [1]))
+                degrees[degree] += 1
+    assert all(degrees[d] >= 5 for d in range(1, 13)), degrees
+    assert degrees[None] >= 250, degrees
+
+
+def test_packed_nilpotency_on_large_matrices():
+    """A conjugated 40 x 40 shift at p = 101 has degree 40; the 100 x 100
+    error matrix of a 20-follower ring with the reference A and gain is
+    not nilpotent, by packed powers and by the characteristic polynomial."""
+    rng = random.Random(40)
+    m = conjugated_shifts(rng, PrimeField(101), [40])
+    assert m.nilpotent_degree() == 40 and m.is_nilpotent()
+    assert not mat_power(m, 39).is_zero() and mat_power(m, 40).is_zero()
+
+    ring = [(0, 1, 1), (20, 1, 1)] + [(i, i + 1, 2) for i in range(1, 20)]
+    net = LeaderFollowerNetwork(
+        sys=LinearSystemFF(MatrixFF(F3, REF_A_ROWS), MatrixFF.column(F3, REF_B)),
+        graphs=(WeightedDigraphFF(F3, 20, ring),),
+        gain=MatrixFF.row_vector(F3, REF_GAIN),
+    )
+    block = error_dynamics_matrix(net)
+    assert block.rows == 100
+    assert not block.is_nilpotent()
+    assert block.char_poly() != PolyFF(F3, [0] * 100 + [1])
 
 
 # ---------------------------------------------------------
