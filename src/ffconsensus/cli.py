@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import os
 import random
@@ -230,6 +229,8 @@ class ScenarioConfig:
         return doc
 
     def config_hash(self) -> str:
+        import hashlib  # only simulate hashes; loading OpenSSL costs every other command ~3.5 MB
+
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 

@@ -308,14 +308,20 @@ def _facts(net: LeaderFollowerNetwork) -> _Facts:
     degrees = tuple(g.common_degree() for g in graphs)
     values = {dc.degree for dc in degrees if dc.ok}
     decomp = kalman_decompose(net.sys)
+    stabilizable = decomp.A_uc.is_nilpotent()
+    # Q A Q^-1 is block upper triangular, so charpoly(A) = charpoly(A_c) *
+    # charpoly(A_uc), and it is x^n iff both factors are powers of x: A is
+    # nilpotent iff the companion row is zero and A_uc is nilpotent.  Only
+    # then is A's degree computed.
+    a_nilpotent = stabilizable and not any(decomp.companion_coeffs)
     blocks = None
     if net.gain is not None:
         test = MatrixFF.is_nilpotent if net.is_static or not union_dag else MatrixFF.nilpotent_degree
         blocks = _error_block_results(net, range(len(graphs)), test)
     return _Facts(
-        a_degree=net.sys.A.nilpotent_degree(),
+        a_degree=net.sys.A.nilpotent_degree() if a_nilpotent else None,
         decomp=decomp,
-        stabilizable=decomp.A_uc.is_nilpotent(),
+        stabilizable=stabilizable,
         # every subgraph of an acyclic union is acyclic
         dags=(union_dag,) * len(graphs) if union_dag or net.is_static
         else tuple(g.is_dag() for g in graphs),

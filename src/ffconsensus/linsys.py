@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cache, reduce
 from math import lcm
 from itertools import accumulate, chain, compress, repeat
-from operator import mul, not_
+from operator import mul
 
 from .field import PrimeField
 from .matrix import MatrixFF, _echelon
@@ -123,7 +123,7 @@ def kalman_decompose(sys: LinearSystemFF) -> ControllabilityDecomposition:
         + [int(j == i) for i in range(s, n) for j in range(n)],
     )
     Q = diag_T_I @ V_inv
-    QA = (Q @ sys.A).to_rows()
+    QA = (Q @ sys.A).to_rows() if s < n else []  # s = n: A_cc and A_uc are empty
     return ControllabilityDecomposition(
         Q=Q,
         s=s,
@@ -274,11 +274,17 @@ def _successor_table(A: MatrixFF) -> list[int]:
 def _cycles_by_enumeration(A: MatrixFF, state_bound: int) -> CycleStructure:
     """Cycle structure from the successor table of all p^n states.
 
-    Tree depth is the number of rounds needed to peel the states that
-    have no predecessor left, starting from those that never had one;
-    the states that are never peeled lie on cycles.  The walk visits each
-    cycle once: ``compress`` reads the in-degrees lazily, so the states
-    it skips are the peeled ones and those a walk has already zeroed.
+    Peel by images: after r rounds the states left are f^r(F_p^n), the
+    image of the r-th power of f: x -> Ax, flagged in a fresh 0/1 list
+    ``on``.  Once a round does not shrink the image it never shrinks
+    again, so the rounds that shrink it are the tree depth, the states
+    left are exactly those on cycles, and the others are transient.  The
+    first round flags the successors of every state; each later round
+    those of the previous image, listed once each as it is flagged, so a
+    round reads only its own image.  For a linear map each image is a
+    subspace, at most 1/p of the one before when it shrinks, so all
+    rounds together read at most p/(p-1) * p^n table entries.  The walk
+    then follows each cycle once from the states left, clearing them.
     """
     total = A.field.p ** A.rows
     if total > state_bound:
@@ -287,40 +293,41 @@ def _cycles_by_enumeration(A: MatrixFF, state_bound: int) -> CycleStructure:
         )
     succ = _successor_table(A)
 
-    indeg = [0] * total
+    on = [0] * total
     for y in succ:
-        indeg[y] += 1
-    frontier = array("l", compress(range(total), map(not_, indeg)))
+        on[y] = 1
+    size, left = total, total - on.count(0)
+    image = compress(range(total), on)  # f(F_p^n), read lazily off this list
     depth = 0
-    transient = 0
-    while frontier:
+    while left < size:
         depth += 1
-        transient += len(frontier)
-        peeled = array("l")
-        for x in frontier:
-            y = succ[x]
-            indeg[y] -= 1
-            if not indeg[y]:
-                peeled.append(y)
-        frontier = peeled
+        size = left
+        on = [0] * total
+        kept = []
+        for y in map(succ.__getitem__, image):
+            if not on[y]:
+                on[y] = 1
+                kept.append(y)
+        image = kept
+        left = len(kept)
 
-    # the states with predecessors left are exactly those on cycles
+    # image now holds exactly the states on cycles (as flagged in on)
     cycles: dict[int, int] = {}
-    for start in compress(range(total), indeg):
+    for v in image:
         length = 0
-        v = start
-        while indeg[v]:
-            indeg[v] = 0
+        while on[v]:
+            on[v] = 0
             v = succ[v]
             length += 1
-        cycles[length] = cycles.get(length, 0) + 1
+        if length:  # else v lies on a cycle already walked
+            cycles[length] = cycles.get(length, 0) + 1
 
     return CycleStructure(
         method="enumeration",
         tree_depth=depth,
         cycles=cycles,
         total_states=total,
-        transient_states=transient,
+        transient_states=total - size,
     )
 
 

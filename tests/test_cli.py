@@ -694,6 +694,15 @@ def test_simulate_closed_pipe_exits_without_traceback(tmp_path):
     assert "Traceback" not in err and "BrokenPipeError" not in err, err
 
 
+def test_importing_cli_does_not_load_hashlib():
+    # only simulate hashes a config; every other command skips OpenSSL
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, ffconsensus.cli; sys.exit('hashlib' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr or "importing ffconsensus.cli loaded hashlib"
+
+
 # ---------------------------------------------------------
 # cycles
 # ---------------------------------------------------------

@@ -12,6 +12,7 @@ from ffconsensus import (
     blockwise_nilpotency_check,
     check_static,
     check_switching,
+    consensus,
     convergence_bound,
     deadbeat_gain,
     error_dynamics_matrix,
@@ -255,6 +256,30 @@ def test_static_verdict_consistent_with_checks():
         elif c["follower_graph_dag"]:
             expected = "guaranteed" if (c["stabilizable"] and c["common_degree"]["ok"]) else "impossible"
             assert report.verdict == expected
+
+
+def test_facts_a_degree_matches_direct_nilpotent_degree():
+    # the facts read A's nilpotency off the Kalman decomposition (zero
+    # companion row and nilpotent A_uc) and compute its degree only then
+    rng = random.Random(1601)
+    counts = dict.fromkeys(("b_zero", "partial", "full", "nilpotent", "not_nilpotent"), 0)
+    for trial in range(240):
+        field = (F2, F3, F5)[trial % 3]
+        n = rng.randint(1, 5)
+        a = random_nilpotent(rng, field, n) if rng.random() < 0.4 else random_matrix(rng, field, n, n)
+        b = [0] * n if rng.random() < 0.2 else [rng.randrange(field.p) for _ in range(n)]
+        g = WeightedDigraphFF(field, 1, [(0, 1, 1)])
+        net = LeaderFollowerNetwork(sys=LinearSystemFF(a, MatrixFF.column(field, b)), graphs=(g,))
+        facts = consensus._facts(net)
+        expected = a.nilpotent_degree()
+        assert facts.a_degree == expected, (field.p, a.to_rows(), b)
+        s = facts.decomp.s
+        counts["b_zero"] += not any(b)
+        counts["partial"] += 0 < s < n
+        counts["full"] += s == n
+        counts["nilpotent"] += expected is not None
+        counts["not_nilpotent"] += expected is None
+    assert min(counts.values()) >= 50, counts
 
 
 # ---------------------------------------------------------

@@ -536,3 +536,34 @@ def test_empty_matrix_cycle_structure():
     for mode in ("enumeration", "polynomial"):
         cs = autonomous_cycle_structure(empty, mode=mode)
         assert (cs.cycles, cs.tree_depth, cs.total_states, cs.transient_states) == ({1: 1}, 0, 1, 0)
+
+
+def shift_matrix(field, n):
+    """The nilpotent shift e_(j+1) -> e_j: depth n, kernel of dimension 1."""
+    return MatrixFF(field, [[int(j == i + 1) for j in range(n)] for i in range(n)])
+
+
+# Deep transients where the successor table is folded from several byte
+# groups: a shift of size k beside an invertible block of size r, conjugated
+# by a random basis, has tree depth k and p^(k+r) - p^r transient states.
+@pytest.mark.parametrize(
+    "field,k,r,groups",
+    [(F2, 14, 0, 2), (F3, 4, 5, 2), (F7, 3, 2, 3)],
+    ids=["shift14_F2", "shift4_inv5_F3", "shift3_inv2_F7"],
+)
+def test_enumeration_deep_transients_on_folded_tables(field, k, r, groups):
+    p, n = field.p, k + r
+    rng = random.Random(100 * p + n)
+    blocks = [shift_matrix(field, k)]
+    if r:
+        blocks.append(random_invertible(rng, field, r))
+    t = random_invertible(rng, field, n)
+    a = (t @ block_diag(field, blocks)) @ t.inverse()
+    m = max(j for j in range(1, n + 1) if p**j <= 256)
+    assert -(-n // m) == groups
+    expected = successors_by_matmul(a)
+    assert _successor_table(a) == expected
+    cs = autonomous_cycle_structure(a)
+    depth, cycles, transient = naive_cycle_structure(expected)
+    assert (depth, transient) == (k, p**n - p**r)
+    assert (cs.tree_depth, cs.cycles, cs.transient_states) == (depth, cycles, transient)
