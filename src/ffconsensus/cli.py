@@ -22,6 +22,7 @@ import os
 import random
 import sys
 from dataclasses import dataclass, replace
+from itertools import chain, repeat
 from pathlib import Path
 
 from .consensus import LeaderFollowerNetwork, SwitchingSignal, analyze, convergence_bound
@@ -229,10 +230,12 @@ class ScenarioConfig:
         return doc
 
     def config_hash(self) -> str:
-        import hashlib  # only simulate hashes; loading OpenSSL costs every other command ~3.5 MB
-
         blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        try:  # the built-in SHA-256; hashlib loads OpenSSL, about 3 MB
+            sha256 = __import__("_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
+        except ImportError:
+            from hashlib import sha256
+        return sha256(blob.encode()).hexdigest()[:16]
 
     # -- object construction ---------------------------------------------
 
@@ -331,9 +334,10 @@ def cmd_synthesize(args) -> int:
 
 
 def _traj_csv(traj) -> str:
-    lines = ["step,agent,error"]
-    lines.extend(f"{k},{a},{e}" for k, errs in enumerate(traj.errors) for a, e in enumerate(errs, start=1))
-    return "\n".join(lines) + "\n"
+    row = "".join(f"%d,{a},%d\n" for a in range(1, len(traj.errors[0]) + 1))
+    return "step,agent,error\n" + "".join(
+        row % tuple(chain.from_iterable(zip(repeat(k), errs))) for k, errs in enumerate(traj.errors)
+    )
 
 
 def _traj_json(traj, trial: int, bound: int | None) -> dict:

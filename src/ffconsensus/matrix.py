@@ -13,7 +13,7 @@ the recurrence over its leading blocks, O(n^3) with field division.
 Nilpotency is decided from matrix powers, never from eigenvalues: F_p is
 not algebraically closed.  The powers are computed on packed rows, one
 int per row, and each row is reduced mod p slot by slot in a few
-big-int operations (``_packed_powers``).
+big-int operations (``_slot_reduction``, shared with the simulator).
 """
 
 from __future__ import annotations
@@ -290,19 +290,17 @@ class MatrixFF:
                 return None
 
 
-def _packed_powers(rows: list[list[int]], p: int):
-    """Yield A, A^2, A^3, ... for the n x n residue rows of A, without end.
+def _slot_reduction(top: int, p: int, slots: int, widths: tuple[int, ...] = ()):
+    """(w, s, M, LOW) to reduce mod p every slot of a packed int at once.
 
-    Each power is a list of n ints: row i of A^k holds entry j in bits
-    [w*j, w*(j+1)).  Row i of A^(k+1) = A A^k is sum_j a_ij (row j of
-    A^k), one big-int multiply-add per nonzero a_ij; every slot then
-    holds at most n (p-1)^2 < top, so no slot carries into the next.
-
-    The row is reduced mod p in every slot at once (Granlund and
-    Montgomery's division by an invariant integer): with s the bit
-    length of top*p and M = ceil(2^s / p), slot j's quotient is
-    q_j = floor(v_j M / 2^s) = floor(v_j / p), and v - p*q leaves
-    v_j mod p in slot j.  Exact: write e = M p - 2^s, so 0 <= e < p and
+    Slot j is bits [w*j, w*(j+1)) and must hold 0 <= v_j < top (n (p-1)^2
+    + 1 for a row of a matrix power, max(n+1, N+1) (p-1)^2 + 1 for a
+    step of the simulator); w is the smallest of ``widths`` that is at
+    least the minimum width, else the minimum.  v - p * (((v * M) >> s)
+    & LOW) leaves v_j mod p in every slot (Granlund and Montgomery's
+    division by an invariant integer).  Exact: with s the bit length of
+    top*p and M = ceil(2^s / p), slot j's quotient is q_j = floor(v_j M
+    / 2^s) = floor(v_j / p).  Write e = M p - 2^s, so 0 <= e < p and
     v_j M / 2^s = v_j / p + v_j e / (p 2^s).  As v_j e < top p < 2^s,
     the second term is below 1/p, which cannot lift v_j / p past the
     next integer.  No carry crosses a slot: v_j M < top M < 2^(w-1), so
@@ -311,12 +309,22 @@ def _packed_powers(rows: list[list[int]], p: int):
     mod 2^s in its top s bits, which the mask LOW (the low w - s bits of
     every slot) clears; and v_j - p q_j >= 0 borrows nothing.
     """
-    n = len(rows)
-    top = n * (p - 1) ** 2 + 1
     s = (top * p).bit_length()
     M = -(-(1 << s) // p)
     w = (top * M).bit_length() + 1
-    LOW = sum(((1 << (w - s)) - 1) << (w * j) for j in range(n))
+    w = next((width for width in widths if width >= w), w)
+    LOW = sum(((1 << (w - s)) - 1) << (w * j) for j in range(slots))
+    return w, s, M, LOW
+
+
+def _packed_powers(rows: list[list[int]], p: int):
+    """Yield A, A^2, A^3, ... for the n x n residue rows of A, without end.
+
+    Row i of A^k is one int with entry j in slot j, and row i of A^(k+1)
+    is sum_j a_ij (row j of A^k) over the nonzero a_ij, then reduced.
+    """
+    n = len(rows)
+    w, s, M, LOW = _slot_reduction(n * (p - 1) ** 2 + 1, p, n)
     # each row of A as its nonzero scalars and their columns
     terms = [([a for a in row if a], [j for j, a in enumerate(row) if a]) for row in rows]
     power = [sum(a << (w * j) for j, a in enumerate(row)) for row in rows]

@@ -7,9 +7,22 @@ errors are reported with ordinary integer arithmetic on the canonical
 residues (e_i = sum of componentwise absolute differences), so e_i = 0
 exactly when the follower matches the leader componentwise.
 
-The update rule is written once, in ``_stepper``: built once per graph,
-it advances a tuple of N+1 integer agent states, leader first.
-``simulate``, ``step`` and every route of the brute-force oracle use it.
+The update rule is written once, in ``_Packing.stepper``, and steps all
+agents at once.  A state is n ints: X_c holds coordinate c of agent i in
+slot i (bits [w*i, w*(i+1)), the leader in slot 0).  With C the coupling
+matrix (a_ij off the diagonal, minus agent i's in-weights from other
+agents on it, so self-loops add nothing, and a zero leader row), a step
+reduces KX = sum_c k_c X_c and unpacks it into the values K x_j, reduces
+U = sum_j (K x_j) col_j(C), and reduces each X'_r = sum_c a_rc X_c +
+b_r U: n+2 slotwise reductions (``matrix._slot_reduction``) for any N.
+No slot carries into the next: every coefficient is a residue, so a slot
+holds at most max(n+1, N+1) products of two residues, below the bound
+top of the reduction.  The width is rounded up to 1, 2, 4 or 8 bytes and
+a reduced int unpacked by ``to_bytes`` and a native ``memoryview`` cast;
+wider slots (p = 65537, say) are unpacked by shift and mask.
+``simulate``, ``step`` and every route of the brute-force oracle run it;
+the oracle's states are tuples of packed ints.
+
 The oracle's error route needs no second stepper.  Pinned at 0, the
 leader stays there (A 0 = 0), so each follower's state is its error
 delta_i = x_i - x_0, and since x_0 - x_i = -delta_i and d_i counts the
@@ -32,12 +45,16 @@ tested against.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, field as dc_field
-from itertools import product
-from operator import mul, sub
+from itertools import product, repeat
+from operator import lshift, mul, sub
 
 from .consensus import LeaderFollowerNetwork, SwitchingSignal
 from .field import PrimeField
+from .matrix import _slot_reduction
+
+_ORDER = 1 if sys.byteorder == "little" else -1  # slot order of a native cast
 
 DEFAULT_ORACLE_BOUND = 10**6
 
@@ -53,7 +70,7 @@ class NetworkState:
 
     def errors(self) -> list[int]:
         """Integer error e_i per follower (componentwise |x_i - x_0| sums)."""
-        return list(_errors((self.leader,) + self.followers))
+        return list(_errors(zip(self.leader, *self.followers)))
 
 
 @dataclass(frozen=True)
@@ -77,49 +94,65 @@ def random_state(field: PrimeField, n: int, num_followers: int, rng: random.Rand
     return NetworkState(step=0, leader=draw(), followers=tuple(draw() for _ in range(num_followers)))
 
 
-def _stepper(net: LeaderFollowerNetwork, graph_index: int):
-    """The agent update rule under one graph, on integer tables.
+class _Packing:
+    """One network's packed states (see the module docstring) and its
+    update rule under each graph."""
 
-    Returns ``advance``, which maps a tuple of N+1 agent states (leader
-    first, each a tuple of n residues) to the next one.  In-edges come
-    from ``g.edges()``, leader edges and self-loops included (a self-loop
-    adds w (x_i - x_i) = 0).  u_i = K sum_j a_ij (x_j - x_i) is evaluated
-    as sum_j a_ij (K x_j - K x_i), so each agent's K x is formed once.
-    """
-    if net.gain is None:
-        raise ValueError("stepping requires a gain K")
-    p = net.field.p
-    a_rows = net.sys.A.to_rows()
-    b = net.sys.b.col(0).entries
-    k_row = net.gain.to_rows()[0]
-    in_edges: list[list[tuple[int, int]]] = [[] for _ in range(net.num_followers + 1)]
-    for src, tgt, w in net.graphs[graph_index].edges():
-        in_edges[tgt].append((src, w))
+    def __init__(self, net: LeaderFollowerNetwork):
+        if net.gain is None:
+            raise ValueError("stepping requires a gain K")
+        self.net = net
+        p, n, slots = net.field.p, net.sys.dim, net.num_followers + 1
+        top = max(n + 1, slots) * (p - 1) ** 2 + 1
+        self.width, self._s, self._M, self._LOW = _slot_reduction(top, p, slots, (8, 16, 32, 64))
+        w = self.width
+        self._shifts = shifts = [w * i for i in range(slots)]
+        self._ones = sum(1 << sh for sh in shifts)
+        if w <= 64:
+            size, fmt = slots * w // 8, {8: "B", 16: "H", 32: "I", 64: "Q"}[w]
+            self.unpack = lambda v: memoryview(v.to_bytes(size, sys.byteorder)).cast(fmt)[::_ORDER]
+        else:
+            mask = (1 << w) - 1
+            self.unpack = lambda v: [(v >> sh) & mask for sh in shifts]
 
-    def advance(states: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-        kx = [sum(map(mul, k_row, s)) for s in states]
-        out = [_apply(a_rows, states[0], p)]
-        for i in range(1, len(states)):
-            x_i = states[i]
-            u = sum(w * (kx[j] - kx[i]) for j, w in in_edges[i]) % p
-            out.append(tuple(
-                (sum(map(mul, row, x_i)) + bt * u) % p for row, bt in zip(a_rows, b)
-            ))
-        return tuple(out)
+    def stepper(self, graph_index: int):
+        """``advance``: a packed state to the next one under the graph."""
+        net, w = self.net, self.width
+        p, s, M, LOW, unpack = net.field.p, self._s, self._M, self._LOW, self.unpack
+        k_row = net.gain.to_rows()[0]
+        a_b = list(zip(net.sys.A.to_rows(), net.sys.b.col(0).entries))
+        lcols = [0] * (net.num_followers + 1)  # the columns of C
+        degree = [0] * (net.num_followers + 1)
+        for src, tgt, wt in net.graphs[graph_index].edges():
+            if src != tgt:
+                lcols[src] += wt << (w * tgt)
+                degree[tgt] += wt
+        for i in range(1, net.num_followers + 1):  # row 0, the leader's, stays zero
+            lcols[i] += (-degree[i] % p) << (w * i)
 
-    return advance
+        def advance(X: tuple[int, ...]) -> tuple[int, ...]:
+            kx = sum(map(mul, k_row, X))
+            U = sum(map(mul, unpack(kx - p * (((kx * M) >> s) & LOW)), lcols))
+            U -= p * (((U * M) >> s) & LOW)
+            return tuple(
+                v - p * (((v * M) >> s) & LOW)
+                for v in (sum(map(mul, row, X)) + bt * U for row, bt in a_b)
+            )
+
+        return advance
+
+    def pack(self, agents: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+        return tuple(sum(map(lshift, col, self._shifts)) for col in zip(*agents))
+
+    def agreed(self, X: tuple[int, ...]) -> bool:
+        """True iff each X_c repeats its slot-0 value in every slot."""
+        slot = (1 << self.width) - 1
+        return all(x == (x & slot) * self._ones for x in X)
 
 
-def _apply(rows: list[list[int]], x: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """The matrix with integer ``rows`` times x, over F_p."""
-    return tuple(sum(map(mul, row, x)) % p for row in rows)
-
-
-def _errors(agents: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
-    """e_i = sum_c |x_i[c] - x_0[c]| per follower, on integer agent states
-    (leader first), with ordinary integer arithmetic on the residues."""
-    x0 = agents[0]
-    return tuple(sum(map(abs, map(sub, x, x0))) for x in agents[1:])
+def _errors(cols) -> tuple[int, ...]:
+    """e_i = sum_c |x_i[c] - x_0[c]| per follower, from the agents' coordinates c."""
+    return tuple(map(sum, zip(*(map(abs, map(sub, col, repeat(col[0]))) for col in cols))))[1:]
 
 
 def _agents(net: LeaderFollowerNetwork, state: NetworkState) -> tuple[tuple[int, ...], ...]:
@@ -138,7 +171,9 @@ def _agents(net: LeaderFollowerNetwork, state: NetworkState) -> tuple[tuple[int,
 
 def step(net: LeaderFollowerNetwork, state: NetworkState, graph_index: int = 0) -> NetworkState:
     """One synchronous update under the chosen graph."""
-    agents = _stepper(net, graph_index)(_agents(net, state))
+    packing = _Packing(net)
+    X = packing.stepper(graph_index)(packing.pack(_agents(net, state)))
+    agents = tuple(zip(*map(packing.unpack, X)))
     return NetworkState(state.step + 1, agents[0], agents[1:])
 
 
@@ -166,24 +201,28 @@ def simulate(
     if bad:
         raise ValueError(f"switching signal emitted invalid graph indices {bad}")
 
-    steppers = [_stepper(net, gi) for gi in range(len(net.graphs))]
+    packing = _Packing(net)
+    steppers = [packing.stepper(gi) for gi in range(len(net.graphs))]
     agents = _agents(net, init)
+    X = packing.pack(agents)
     states = [init]
-    errors = [_errors(agents)]
+    errors = [_errors(zip(*agents))]
     k = 0
     while k < horizon and any(errors[-1]):
-        agents = steppers[indices[k]](agents)
+        X = steppers[indices[k]](X)
         k += 1
+        cols = list(map(packing.unpack, X))
+        agents = tuple(zip(*cols))
         states.append(NetworkState(init.step + k, agents[0], agents[1:]))
-        errors.append(_errors(agents))
+        errors.append(_errors(cols))
 
     consensus_step: int | None = None
     if not any(errors[-1]):
         consensus_step = k
-        a_rows = net.sys.A.to_rows()
+        a_rows, p = net.sys.A.to_rows(), net.field.p
         x0, zero = agents[0], errors[-1]
         for k in range(consensus_step + 1, horizon + 1):
-            x0 = _apply(a_rows, x0, net.field.p)
+            x0 = tuple(sum(map(mul, row, x0)) % p for row in a_rows)
             states.append(NetworkState(init.step + k, x0, (x0,) * len(zero)))
             errors.append(zero)
     meta = dict(metadata or {})
@@ -224,7 +263,8 @@ def exhaustive_consensus_oracle(
     runs the agent update rule, independent of the Kronecker-assembled
     error matrix.
     """
-    steppers = [_stepper(net, gi) for gi in range(len(net.graphs))]
+    packing = _Packing(net)
+    steppers = [packing.stepper(gi) for gi in range(len(net.graphs))]
     p = net.field.p
     n = net.sys.dim
     N = net.num_followers
@@ -239,10 +279,10 @@ def exhaustive_consensus_oracle(
             raise ValueError(
                 f"error state space {delta_count} exceeds the oracle bound {state_bound}"
             )
-        current = set(error_starts())
+        current = set(map(packing.pack, error_starts()))
         for _ in range(horizon):
-            current = {adv(agents) for agents in current for adv in steppers}
-        return current == {(zero,) * (N + 1)}
+            current = {adv(X) for X in current for adv in steppers}
+        return current == {(0,) * n}
 
     if signal is None:
         signal = SwitchingSignal.constant(0)
@@ -255,9 +295,9 @@ def exhaustive_consensus_oracle(
         raise ValueError(
             f"state space sizes {full_count} / {delta_count} exceed the oracle bound {state_bound}"
         )
-    for agents in starts:
+    for X in map(packing.pack, starts):
         for gi in indices:
-            agents = steppers[gi](agents)
-        if any(x != agents[0] for x in agents[1:]):
+            X = steppers[gi](X)
+        if not packing.agreed(X):
             return False
     return True

@@ -1,4 +1,5 @@
 import random
+from operator import mul
 
 import pytest
 
@@ -74,6 +75,43 @@ def mat_power(m: MatrixFF, k: int) -> MatrixFF:
 # ---------------------------------------------------------------------
 # Random generators (seeded by the caller)
 # ---------------------------------------------------------------------
+
+
+def per_agent_stepper(net: LeaderFollowerNetwork, graph_index: int):
+    """The agent update rule under one graph, one agent at a time: the
+    reference for the packed stepper of ``sim``.
+
+    ``advance`` maps a tuple of N+1 agent states (leader first, each a
+    tuple of n residues) to the next one.  In-edges come from
+    ``g.edges()``, leader edges and self-loops included (a self-loop adds
+    w (x_i - x_i) = 0).  u_i = K sum_j a_ij (x_j - x_i) is evaluated as
+    sum_j a_ij (K x_j - K x_i), so each agent's K x is formed once.
+    """
+    p = net.field.p
+    a_rows = net.sys.A.to_rows()
+    b = net.sys.b.col(0).entries
+    k_row = net.gain.to_rows()[0]
+    in_edges: list[list[tuple[int, int]]] = [[] for _ in range(net.num_followers + 1)]
+    for src, tgt, w in net.graphs[graph_index].edges():
+        in_edges[tgt].append((src, w))
+
+    def advance(states: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+        kx = [sum(map(mul, k_row, s)) for s in states]
+        out = [tuple(sum(map(mul, row, states[0])) % p for row in a_rows)]
+        for i in range(1, len(states)):
+            x_i = states[i]
+            u = sum(w * (kx[j] - kx[i]) for j, w in in_edges[i]) % p
+            out.append(tuple(
+                (sum(map(mul, row, x_i)) + bt * u) % p for row, bt in zip(a_rows, b)
+            ))
+        return tuple(out)
+
+    return advance
+
+
+def per_agent_errors(agents: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
+    """e_i = sum_c |x_i[c] - x_0[c]| per follower, agent by agent."""
+    return tuple(sum(abs(a - b) for a, b in zip(x, agents[0])) for x in agents[1:])
 
 
 def error_vectors(state, p: int) -> list[tuple[int, ...]]:

@@ -703,6 +703,61 @@ def test_importing_cli_does_not_load_hashlib():
     assert proc.returncode == 0, proc.stderr or "importing ffconsensus.cli loaded hashlib"
 
 
+def test_simulate_does_not_load_hashlib(tmp_path):
+    # the config hash comes from the interpreter's built-in SHA-256, not OpenSSL
+    path = tmp_path / "with_k.json"
+    path.write_text(json.dumps(ref_config_dict(K=[2, 1, 2, 0, 1], steps=4)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; from ffconsensus import cli; rc = cli.main(['simulate', sys.argv[1], '--format', 'json']); "
+            "sys.exit(rc or '_hashlib' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(path)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr or "simulate loaded _hashlib"
+    assert json.loads(proc.stdout)["config_hash"] == load_config(path).config_hash()
+
+
+def test_config_hash_is_sha256_of_the_canonical_config():
+    import hashlib
+
+    rng = random.Random(43)
+    p, n, N = 101, 3, 5
+    generated = {
+        "p": p, "n": n, "N": N,
+        "A": [[rng.randrange(p) for _ in range(n)] for _ in range(n)],
+        "b": [rng.randrange(p) for _ in range(n)],
+        "K": [rng.randrange(p) for _ in range(n)],
+        "graphs": [[[0, t, rng.randrange(1, p)] for t in range(1, N + 1)]],
+        "steps": 9,
+        "init": {"seed": 12},
+    }
+    for doc in (ref_config_dict(), generated):
+        cfg = ScenarioConfig.from_dict(doc)
+        blob = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":")).encode()
+        assert cfg.config_hash() == hashlib.sha256(blob).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3])
+@pytest.mark.parametrize("N", [1, 2, 24])
+def test_simulate_csv_matches_naive_formatting(N, trials, tmp_path, capsys):
+    """The CSV stream, per-trial headers included, against row-by-row
+    formatting of the errors that the JSON output of the same run holds."""
+    edges = [[0, 1, 1]] + [[i - 1, i, 1] for i in range(2, N + 1)]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(ref_config_dict(N=N, graphs=[edges], switching=None, K=REF_GAIN)))
+    argv = ["simulate", str(path), "--trials", str(trials), "--seed", "5", "--horizon", "12"]
+    assert main(argv + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert main(argv) == 0
+    naive = ""
+    for trial in doc["trials"]:
+        lines = ["step,agent,error"]
+        for k, errs in enumerate(trial["errors"]):
+            lines.extend(f"{k},{a},{e}" for a, e in enumerate(errs, start=1))
+        naive += "\n".join(lines) + "\n"
+    assert capsys.readouterr().out == naive
+    assert any(any(errs) for trial in doc["trials"] for errs in trial["errors"])
+
+
 # ---------------------------------------------------------
 # cycles
 # ---------------------------------------------------------

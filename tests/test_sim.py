@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -9,6 +10,7 @@ from ffconsensus import (
     LinearSystemFF,
     MatrixFF,
     NetworkState,
+    PrimeField,
     SwitchingSignal,
     VectorFF,
     WeightedDigraphFF,
@@ -29,6 +31,8 @@ from conftest import (
     REF_B,
     error_vectors,
     mat_power,
+    per_agent_errors,
+    per_agent_stepper,
     random_matrix,
     random_network,
     random_nilpotent,
@@ -336,19 +340,19 @@ def test_simulate_matches_stepping_every_agent(monkeypatch):
     per-graph steppers run exactly until agreement."""
     rng = random.Random(29)
     seen = Counter()
-    real_stepper = sim._stepper
+    real_stepper = sim._Packing.stepper
     calls = Counter()
 
-    def counting_stepper(net, gi):
-        advance = real_stepper(net, gi)
+    def counting_stepper(packing, gi):
+        advance = real_stepper(packing, gi)
 
-        def counted(agents):
+        def counted(X):
             calls[gi] += 1
-            return advance(agents)
+            return advance(X)
 
         return counted
 
-    monkeypatch.setattr(sim, "_stepper", counting_stepper)
+    monkeypatch.setattr(sim._Packing, "stepper", counting_stepper)
     for _ in range(300):
         field = (F2, F3, F5)[rng.randrange(3)]
         n = rng.randint(1, 3)
@@ -400,6 +404,140 @@ def test_simulate_matches_stepping_every_agent(monkeypatch):
         else:
             seen["agrees_later"] += 1
     assert min(seen.values()) >= 25 and len(seen) == 10, seen
+
+
+# ---------------------------------------------------------
+# Packed stepper against the per-agent rule
+# ---------------------------------------------------------
+
+WIDTH_PRIMES = (2, 3, 7, 101, 8191, 65537, 1000003)
+
+
+def extreme_network(field, n: int, N: int, num_graphs: int) -> LeaderFollowerNetwork:
+    """A, b, K and every edge weight all p - 1, on complete graphs with
+    leader edges and self-loops: the largest unreduced slots."""
+    top = field.p - 1
+    edges = [(s, t, top) for t in range(1, N + 1) for s in range(N + 1)]
+    return LeaderFollowerNetwork(
+        sys=LinearSystemFF(MatrixFF(field, [[top] * n] * n), MatrixFF.column(field, [top] * n)),
+        graphs=(WeightedDigraphFF(field, N, edges),) * num_graphs,
+        gain=MatrixFF.row_vector(field, [top] * n),
+    )
+
+
+def matvec_mod(m: MatrixFF, v: list[int], p: int) -> list[int]:
+    rows = m.to_rows()
+    return [sum(a * x for a, x in zip(row, v)) % p for row in rows]
+
+
+def test_packed_stepper_matches_per_agent_rule_on_every_width():
+    """simulate's states and errors and ``step`` under each graph against
+    the per-agent rule and the error matrices, for p from 2 to 1000003
+    and N up to 40, so that every slot width is used: 1, 2, 4 and 8
+    bytes, and wider slots unpacked by shift and mask."""
+    rng = random.Random(37)
+    seen = Counter()
+    for case in range(300):
+        p = WIDTH_PRIMES[case % len(WIDTH_PRIMES)]
+        field = PrimeField(p)
+        n = rng.randint(1, 4)
+        N = rng.randint(1, rng.choice((3, 10, 40)))
+        q = rng.randint(1, 3)
+        if rng.random() < 0.15:
+            net = extreme_network(field, n, N, q)
+            init = NetworkState(0, (p - 1,) * n, ((0,) * n,) * N)
+        else:
+            a = random_nilpotent(rng, field, n) if rng.random() < 0.3 else random_matrix(rng, field, n, n)
+            graphs = tuple(random_scc_graph(rng, field, N) for _ in range(q))
+            gain = random_matrix(rng, field, 1, n) if rng.random() < 0.9 else MatrixFF.zeros(field, 1, n)
+            net = LeaderFollowerNetwork(sys=LinearSystemFF(a, random_matrix(rng, field, n, 1)),
+                                        graphs=graphs, gain=gain)
+            init = random_state(field, n, N, rng)
+        if rng.random() < 0.4:  # some followers start at the leader's state
+            init = NetworkState(0, init.leader, tuple(
+                init.leader if rng.random() < 0.5 else f for f in init.followers))
+        horizon = rng.randint(1, 6)
+        sig = SwitchingSignal(kind="random", num_graphs=q, seed=rng.randrange(10**6))
+        traj = simulate(net, init, signal=sig, horizon=horizon)
+
+        advances = [per_agent_stepper(net, gi) for gi in range(q)]
+        agents = (init.leader,) + init.followers
+        expected = [agents]
+        for gi in traj.signal_indices:
+            agents = advances[gi](agents)
+            expected.append(agents)
+        assert [(st.leader,) + st.followers for st in traj.states] == expected
+        assert [st.step for st in traj.states] == list(range(horizon + 1))
+        assert traj.errors == tuple(map(per_agent_errors, expected))
+        agreed = [k for k, errs in enumerate(traj.errors) if not any(errs)]
+        assert traj.consensus_step == (agreed[0] if agreed and agreed[-1] == horizon else None)
+        for gi in range(q):
+            nxt = step(net, init, gi)
+            assert (nxt.leader,) + nxt.followers == advances[gi](expected[0])
+            assert nxt.step == 1
+
+        if N * n <= 48:
+            mats = [error_dynamics_matrix(net, gi) for gi in range(q)]
+            delta = stacked_error(traj.states[0], p)
+            for k, gi in enumerate(traj.signal_indices, 1):
+                delta = matvec_mod(mats[gi], delta, p)
+                assert delta == stacked_error(traj.states[k], p)
+            seen["error_matrix"] += 1
+
+        width = sim._Packing(net).width
+        seen[f"{width // 8}_bytes" if width <= 64 else "shift_mask"] += 1
+        seen["self_loop"] += any(g.weight(i, i) for g in net.graphs for i in range(1, N + 1))
+        seen["zero_degree"] += any(0 in g.in_degrees().values() for g in net.graphs)
+        seen["follower_at_leader"] += init.leader in init.followers
+        seen["agrees_later"] += bool(traj.consensus_step)
+        seen["N_over_24"] += N > 24
+    assert min(seen.values()) >= 15 and len(seen) == 11, seen
+
+
+def test_oracle_routes_match_per_agent_rule():
+    """Each oracle route (full network states, errors with the leader
+    pinned at 0, all switching sequences) against the same enumeration
+    run with the per-agent rule, and against the error matrices."""
+    rng = random.Random(41)
+    seen = Counter()
+    for _ in range(60):
+        field = (F2, F3)[rng.randrange(2)]
+        p = field.p
+        n = rng.randint(1, 2)
+        N = rng.randint(1, 3 if p ** (2 * n) <= 16 else 2)
+        q = rng.randint(1, 2)
+        a = random_nilpotent(rng, field, n) if rng.random() < 0.5 else random_matrix(rng, field, n, n)
+        graphs = tuple(random_scc_graph(rng, field, N) for _ in range(q))
+        net = LeaderFollowerNetwork(sys=LinearSystemFF(a, random_matrix(rng, field, n, 1)),
+                                    graphs=graphs, gain=random_matrix(rng, field, 1, n))
+        horizon = N * n
+        sig = SwitchingSignal(kind="random", num_graphs=q, seed=rng.randrange(10**6))
+        advances = [per_agent_stepper(net, gi) for gi in range(q)]
+        cells = list(product(range(p), repeat=n))
+
+        def reaches(agents):
+            for gi in sig.realize(horizon):
+                agents = advances[gi](agents)
+            return all(x == agents[0] for x in agents)
+
+        full = all(map(reaches, product(cells, repeat=N + 1)))
+        errors = all(reaches(((0,) * n,) + d) for d in product(cells, repeat=N))
+        current = {((0,) * n,) + d for d in product(cells, repeat=N)}
+        for _ in range(horizon):
+            current = {adv(agents) for agents in current for adv in advances}
+        every_signal = current == {((0,) * n,) * (N + 1)}
+
+        mats = [error_dynamics_matrix(net, gi) for gi in range(q)]
+        along = MatrixFF.identity(field, N * n)
+        for gi in sig.realize(horizon):
+            along = mats[gi] @ along
+        assert full == errors == along.is_zero()
+        assert exhaustive_consensus_oracle(net, horizon, signal=sig) == full
+        assert exhaustive_consensus_oracle(net, horizon, signal=sig, state_bound=p ** (n * N)) == errors
+        assert exhaustive_consensus_oracle(net, horizon, all_signals=True) == every_signal
+        seen["consensus" if full else "no_consensus"] += 1
+        seen["every_signal" if every_signal else "some_signal_fails"] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 # ---------------------------------------------------------
