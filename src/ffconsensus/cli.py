@@ -5,7 +5,11 @@ are reduced mod p on load (with a warning to stderr when the reduction
 changed a value).  The loader checks only the JSON shape and types; the
 modulus, the edges and the switching sequence are validated by the
 ``PrimeField``, ``WeightedDigraphFF`` and ``SwitchingSignal`` it builds,
-and their errors are reported with the config's field path.  Every
+and their errors are reported with the config's field path.  Lists are
+checked whole (their types as one set, their range by ``min``/``max``);
+only a list that fails is scanned entry by entry, to name the first bad
+entry.  JSON output is written by ``_dumps``, byte-identical to
+``json.dumps(obj, indent=2)`` but without its pure-Python encoder.  Every
 command analyses ``ScenarioConfig.analysed_network``: the one graph of
 a constant signal, else every graph.  Exit codes for ``analyze``: 0
 consensus guaranteed, 2 impossible, 3 inconclusive; malformed or
@@ -23,6 +27,7 @@ import random
 import sys
 from dataclasses import dataclass, replace
 from itertools import chain, repeat
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 from .consensus import LeaderFollowerNetwork, SwitchingSignal, analyze, convergence_bound
@@ -74,10 +79,13 @@ def _int_prefix(values: list) -> int:
 
 
 def _residues(values, length: int, field: PrimeField, field_path: str) -> list[int]:
-    """``length`` field elements, each kept by ``PrimeField.scalar`` with a
-    warning if it changed; ``_int_prefix`` only locates the entry that is
-    not an integer, for its field path."""
+    """``length`` field elements.  A list of ints already in 0..p-1 is
+    taken whole; otherwise each entry is kept by ``PrimeField.scalar``
+    with a warning if it changed, and ``_int_prefix`` locates the entry
+    that is not an integer, for its field path."""
     _require(isinstance(values, list) and len(values) == length, field_path, f"expected {length} entries")
+    if set(map(type, values)) == {int} and min(values) >= 0 and max(values) < field.p:
+        return values[:]
     good = _int_prefix(values)
     out = list(map(field.scalar, values[:good]))
     if out != values:  # warn in entry order, up to the first entry that is not an integer
@@ -86,6 +94,36 @@ def _residues(values, length: int, field: PrimeField, field_path: str) -> list[i
                 _warn(f"{field_path}[{i}]: reduced {v} to {r} (mod {field.p})")
         if good < length:
             raise ConfigError(f"{field_path}[{good}]", "expected an integer")
+    return out
+
+
+def _edge_triples(edges: list, gi: int, field: PrimeField) -> list[tuple[int, int, int]]:
+    """The (source, target, weight) triples of ``graphs[gi]``, weights
+    reduced mod p with a warning for each one that changed.  A list of
+    int triples is reduced whole; any other is scanned edge by edge, up
+    to the first malformed edge."""
+    p = field.p
+    if edges and set(map(type, edges)) == {list} and set(map(len, edges)) == {3}:
+        srcs, tgts, raw = zip(*edges)
+        if set(map(type, srcs + tgts + raw)) == {int}:
+            weights = [w % p for w in raw]
+            if weights != list(raw):
+                for ei, (w_raw, w) in enumerate(zip(raw, weights)):
+                    if w != w_raw:
+                        _warn(f"graphs[{gi}][{ei}]: reduced weight {w_raw} to {w} (mod {p})")
+            return list(zip(srcs, tgts, weights))
+    out = []
+    for ei, e in enumerate(edges):
+        if not (isinstance(e, list) and len(e) == 3):
+            raise ConfigError(f"graphs[{gi}][{ei}]", "expected [source, target, weight]")
+        good = _int_prefix(e)
+        if good < 3:
+            raise ConfigError(f"graphs[{gi}][{ei}][{good}]", "expected an integer")
+        src, tgt, w_raw = e
+        w = field.scalar(w_raw)
+        if w != w_raw:
+            _warn(f"graphs[{gi}][{ei}]: reduced weight {w_raw} to {w} (mod {p})")
+        out.append((src, tgt, w))
     return out
 
 
@@ -136,18 +174,7 @@ class ScenarioConfig:
         graphs = []
         for gi, edges in enumerate(graphs_in):
             _require(isinstance(edges, list), f"graphs[{gi}]", "expected an edge list")
-            out = []
-            for ei, e in enumerate(edges):
-                if not (isinstance(e, list) and len(e) == 3):
-                    raise ConfigError(f"graphs[{gi}][{ei}]", "expected [source, target, weight]")
-                good = _int_prefix(e)
-                if good < 3:
-                    raise ConfigError(f"graphs[{gi}][{ei}][{good}]", "expected an integer")
-                src, tgt, w_raw = e
-                w = field.scalar(w_raw)
-                if w != w_raw:
-                    _warn(f"graphs[{gi}][{ei}]: reduced weight {w_raw} to {w} (mod {p})")
-                out.append((src, tgt, w))
+            out = _edge_triples(edges, gi, field)
             try:
                 graphs.append(WeightedDigraphFF(field, N, out))
             except EdgeError as exc:
@@ -226,7 +253,10 @@ class ScenarioConfig:
         if self.steps is not None:
             doc["steps"] = self.steps
         if self.init is not None:
-            doc["init"] = json.loads(json.dumps(self.init))
+            st = self.init.get("states")
+            doc["init"] = dict(self.init) if st is None else {
+                "states": {"leader": st["leader"][:], "followers": [row[:] for row in st["followers"]]}
+            }
         return doc
 
     def config_hash(self) -> str:
@@ -240,11 +270,14 @@ class ScenarioConfig:
     # -- object construction ---------------------------------------------
 
     def network(self) -> LeaderFollowerNetwork:
-        """The scenario over every graph."""
+        """The scenario over every graph, its matrices built from the
+        entries the loader already reduced."""
+        field, n = self.field, self.n
         sys_pair = LinearSystemFF(
-            MatrixFF(self.field, self.a_rows), MatrixFF.column(self.field, self.b_entries)
+            MatrixFF.from_flat(field, n, n, list(chain.from_iterable(self.a_rows))),
+            MatrixFF.from_flat(field, n, 1, self.b_entries),
         )
-        gain = MatrixFF.row_vector(self.field, self.k_entries) if self.k_entries is not None else None
+        gain = MatrixFF.from_flat(field, 1, n, self.k_entries) if self.k_entries is not None else None
         return LeaderFollowerNetwork(sys=sys_pair, graphs=self.graphs, gain=gain)
 
     @property
@@ -286,6 +319,48 @@ def load_config(path: str | Path) -> ScenarioConfig:
 # ----------------------------------------------------------------------
 
 
+def _dumps(obj, level: int = 0) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, nested ``level``
+    deep, without the pure-Python encoder that ``indent`` selects: a list
+    of ints is one join, a list of equal-length int lists one ``%``
+    template per row, keys and strings go through the C string encoder,
+    and anything else through ``json.dumps``."""
+    if type(obj) is str:
+        return _encode_str(obj)
+    if type(obj) is int:
+        return str(obj)
+    if obj is None:
+        return "null"
+    if type(obj) is bool:
+        return "true" if obj else "false"
+    pad = "\n" + "  " * level
+    sep = "," + pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        types = set(map(type, obj))
+        if types == {int}:
+            body = sep.join(map(str, obj))
+        elif (types <= {list, tuple} and len(set(map(len, obj))) == 1
+              and set(map(type, chain.from_iterable(obj))) == {int}):
+            row = "[" + pad + "    " + (sep + "  ").join(["%d"] * len(obj[0])) + pad + "  ]"
+            body = sep.join([row % tuple(r) for r in obj])
+        else:
+            body = sep.join([_dumps(v, level + 1) for v in obj])
+        return "[" + pad + "  " + body + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        # a key that is not a str: json.dumps turns it into one, or raises
+        keys = map(_encode_str, obj) if set(map(type, obj)) == {str} else [json.dumps({k: 0})[1:-4] for k in obj]
+        if set(map(type, obj.values())) == {int}:
+            body = sep.join(map("%s: %d".__mod__, zip(keys, obj.values())))
+        else:
+            body = sep.join([k + ": " + _dumps(v, level + 1) for k, v in zip(keys, obj.values())])
+        return "{" + pad + "  " + body + pad + "}"
+    return json.dumps(obj)
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -298,7 +373,7 @@ def cmd_analyze(args) -> int:
     report = analyze(cfg.analysed_network())
     if cfg.constant_graph is not None:
         report.diagnostics["constant_signal_graph"] = cfg.constant_graph
-    _emit(json.dumps(report.to_dict(), indent=2), args.out)
+    _emit(_dumps(report.to_dict()), args.out)
     return _VERDICT_EXIT[report.verdict]
 
 
@@ -329,7 +404,7 @@ def cmd_synthesize(args) -> int:
         "closed_loop_nilpotent_degrees": closed_degrees,
         "degree_bound": cfg.n,
     }
-    _emit(json.dumps(doc, indent=2), args.out)
+    _emit(_dumps(doc), args.out)
     return EXIT_OK
 
 
@@ -436,7 +511,7 @@ def cmd_simulate(args) -> int:
             "bound": bound,
             "trials": [_traj_json(tr, t, bound) for t, tr in enumerate(trials)],
         }
-        _emit(json.dumps(doc, indent=2), args.out)
+        _emit(_dumps(doc), args.out)
     return EXIT_OK
 
 

@@ -5,10 +5,12 @@ weights, field elements given as ints and kept as canonical residues by
 ``PrimeField.scalar`` (a bool or a non-int is a TypeError; a weight of
 0 mod p means "no edge" and is rejected at construction),
 no edge may point into the leader, and at most one edge exists per
-ordered pair.  The in-degree of a follower sums ALL incoming weights,
-including the leader's edge, reduced mod p; this leader-inclusive
-convention is what the error-dynamics derivation requires and is used
-consistently everywhere in the package.
+ordered pair.  An edge list is checked whole (types as one set, ranges
+by ``min``/``max``); only a list that fails is scanned edge by edge, to
+name the first bad edge.  The in-degree of a follower sums ALL incoming
+weights, including the leader's edge, reduced mod p; this
+leader-inclusive convention is what the error-dynamics derivation
+requires and is used consistently everywhere in the package.
 
 The strongly connected components of the follower support (Tarjan) are
 the one graph-order computation: the DAG flag and the topological
@@ -20,6 +22,7 @@ weight sums.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import lt
 from typing import Iterable, Sequence
 
 from .field import PrimeField
@@ -49,6 +52,40 @@ class WeightedDigraphFF:
             raise ValueError("at least one follower is required")
         self.field = field
         self.num_followers = num_followers
+        edges = list(edges)
+        edge_map = self._edge_map(field, num_followers, edges)
+        self._edges = self._scan(field, num_followers, edges) if edge_map is None else edge_map
+        self._sccs: tuple[tuple[int, ...], ...] | None = None
+
+    @staticmethod
+    def _edge_map(field: PrimeField, N: int, edges: list) -> dict[tuple[int, int], int] | None:
+        """The edges as {(source, target): weight mod p} in sorted order,
+        checked as whole lists: int entries (no bools), sources in 0..N
+        and targets in 1..N by ``min``/``max``, no zero weight and no
+        repeated pair; None when any check fails, for ``_scan`` to name
+        the first bad edge."""
+        if not edges:
+            return {}
+        if set(map(type, edges)) - {tuple, list} or set(map(len, edges)) != {3}:
+            return None
+        srcs, tgts, raw = zip(*edges)
+        if set(map(type, srcs + tgts + raw)) != {int}:
+            return None
+        p = field.p
+        weights = [w % p for w in raw]
+        if min(srcs) < 0 or max(srcs) > N or min(tgts) < 1 or max(tgts) > N or 0 in weights:
+            return None
+        keys = list(zip(srcs, tgts))
+        edge_map = dict(zip(keys, weights))
+        if len(edge_map) < len(keys):
+            return None
+        return edge_map if all(map(lt, keys, keys[1:])) else dict(sorted(edge_map.items()))
+
+    @staticmethod
+    def _scan(field: PrimeField, num_followers: int, edges: list) -> dict[tuple[int, int], int]:
+        """The edges checked one at a time, as ``_edge_map`` gives them:
+        raises EdgeError at the first invalid edge, or TypeError for a
+        weight that is not an int."""
         edge_map: dict[tuple[int, int], int] = {}
         for index, (src, tgt, w) in enumerate(edges):
             if not (0 <= src <= num_followers):
@@ -63,8 +100,7 @@ class WeightedDigraphFF:
             if (src, tgt) in edge_map:
                 raise EdgeError(index, f"duplicate edge ({src}->{tgt})")
             edge_map[(src, tgt)] = wv
-        self._edges = dict(sorted(edge_map.items()))
-        self._sccs: tuple[tuple[int, ...], ...] | None = None
+        return dict(sorted(edge_map.items()))
 
     def edges(self) -> list[tuple[int, int, int]]:
         """Edge list as (source, target, weight), deterministically sorted."""

@@ -1,15 +1,19 @@
 import random
+import sys
 from operator import mul
 
 import pytest
 
 from ffconsensus import (
+    EdgeError,
     LeaderFollowerNetwork,
     LinearSystemFF,
     MatrixFF,
     PrimeField,
+    SwitchingSignal,
     WeightedDigraphFF,
 )
+from ffconsensus.cli import ConfigError
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -107,6 +111,136 @@ def per_agent_stepper(net: LeaderFollowerNetwork, graph_index: int):
         return tuple(out)
 
     return advance
+
+
+def per_entry_edges(field: PrimeField, num_followers: int, edges) -> dict[tuple[int, int], int]:
+    """The edge rules of ``WeightedDigraphFF`` checked one edge at a time:
+    the reference for its whole-list checks.  Returns the sorted
+    {(source, target): weight mod p} map, or raises the EdgeError (with
+    the edge's index) or TypeError of the first bad edge."""
+    edge_map: dict[tuple[int, int], int] = {}
+    for index, (src, tgt, w) in enumerate(edges):
+        if not (0 <= src <= num_followers):
+            raise EdgeError(index, f"edge source {src} out of range 0..{num_followers}")
+        if not (1 <= tgt <= num_followers):
+            raise EdgeError(index, f"edge target {tgt} invalid: targets must be followers 1..{num_followers}")
+        wv = field.scalar(w)
+        if wv == 0:
+            raise EdgeError(index, f"edge ({src}->{tgt}) has weight 0 mod {field.p}: not an edge")
+        if (src, tgt) in edge_map:
+            raise EdgeError(index, f"duplicate edge ({src}->{tgt})")
+        edge_map[(src, tgt)] = wv
+    return dict(sorted(edge_map.items()))
+
+
+def _require(cond, field_path, message):
+    if not cond:
+        raise ConfigError(field_path, message)
+
+
+def _int_at(value, field_path):
+    _require(isinstance(value, int) and not isinstance(value, bool), field_path, "expected an integer")
+    return value
+
+
+def _per_entry_residues(values, length, field, field_path):
+    _require(isinstance(values, list) and len(values) == length, field_path, f"expected {length} entries")
+    out = []
+    for i, v in enumerate(values):
+        _require(isinstance(v, int) and not isinstance(v, bool), f"{field_path}[{i}]", "expected an integer")
+        r = field.scalar(v)
+        if r != v:
+            print(f"warning: {field_path}[{i}]: reduced {v} to {r} (mod {field.p})", file=sys.stderr)
+        out.append(r)
+    return out
+
+
+def per_entry_config(doc) -> dict:
+    """A scenario config validated and reduced one entry at a time, as
+    the canonical dict ``ScenarioConfig.to_dict`` writes: the reference
+    for the loader's whole-list checks.  Warnings go to stderr in entry
+    order; a bad entry raises the ConfigError that names it."""
+    _require(isinstance(doc, dict), "<root>", "config must be a JSON object")
+    for key in ("p", "n", "N", "A", "b", "graphs"):
+        _require(key in doc, key, "required field is missing")
+    p = _int_at(doc["p"], "p")
+    try:
+        field = PrimeField(p)
+    except ValueError as exc:
+        raise ConfigError("p", str(exc)) from exc
+    n = _int_at(doc["n"], "n")
+    _require(n >= 1, "n", "state dimension must be >= 1")
+    N = _int_at(doc["N"], "N")
+    _require(N >= 1, "N", "follower count must be >= 1")
+    _require(isinstance(doc["A"], list) and len(doc["A"]) == n, "A", f"expected {n} rows")
+    out = {"p": p, "n": n, "N": N, "A": [_per_entry_residues(row, n, field, f"A[{i}]") for i, row in enumerate(doc["A"])],
+           "b": _per_entry_residues(doc["b"], n, field, "b")}
+    if doc.get("K") is not None:
+        out["K"] = _per_entry_residues(doc["K"], n, field, "K")
+
+    graphs_in = doc["graphs"]
+    _require(isinstance(graphs_in, list) and len(graphs_in) >= 1, "graphs", "expected a nonempty list")
+    out["graphs"] = []
+    for gi, edges in enumerate(graphs_in):
+        _require(isinstance(edges, list), f"graphs[{gi}]", "expected an edge list")
+        triples = []
+        for ei, e in enumerate(edges):
+            _require(isinstance(e, list) and len(e) == 3, f"graphs[{gi}][{ei}]", "expected [source, target, weight]")
+            for j, v in enumerate(e):
+                _int_at(v, f"graphs[{gi}][{ei}][{j}]")
+            w = field.scalar(e[2])
+            if w != e[2]:
+                print(f"warning: graphs[{gi}][{ei}]: reduced weight {e[2]} to {w} (mod {p})", file=sys.stderr)
+            triples.append([e[0], e[1], w])
+        try:
+            per_entry_edges(field, N, triples)
+        except EdgeError as exc:
+            raise ConfigError(f"graphs[{gi}][{exc.index}]", str(exc)) from exc
+        out["graphs"].append(triples)
+
+    spec = {"kind": "periodic", "sequence": [0]} if len(graphs_in) == 1 else {"kind": "random", "seed": 0}
+    if doc.get("switching") is not None:
+        sw = doc["switching"]
+        _require(isinstance(sw, dict), "switching", "expected an object")
+        kind = sw.get("kind")
+        _require(kind in SwitchingSignal.KINDS, "switching.kind", "expected one of " + "|".join(SwitchingSignal.KINDS))
+        if kind == "random":
+            spec = {"kind": kind, "seed": _int_at(sw.get("seed", 0), "switching.seed")}
+        else:
+            seq = sw.get("sequence")
+            _require(isinstance(seq, list), "switching.sequence", "expected a list")
+            for i, v in enumerate(seq):
+                _int_at(v, f"switching.sequence[{i}]")
+            spec = {"kind": kind, "sequence": list(seq)}
+        out["switching"] = spec
+    try:
+        SwitchingSignal(kind=spec["kind"], num_graphs=len(graphs_in),
+                        sequence=tuple(spec.get("sequence", ())), seed=spec.get("seed"))
+    except ValueError as exc:
+        raise ConfigError("switching.sequence", str(exc)) from exc
+
+    if doc.get("steps") is not None:
+        out["steps"] = _int_at(doc["steps"], "steps")
+        _require(out["steps"] >= 1, "steps", "horizon must be >= 1")
+    if doc.get("init") is not None:
+        raw = doc["init"]
+        _require(isinstance(raw, dict), "init", "expected an object")
+        if "states" in raw:
+            st = raw["states"]
+            _require(isinstance(st, dict), "init.states", "expected an object")
+            lead = _per_entry_residues(st.get("leader"), n, field, "init.states.leader")
+            followers = st.get("followers")
+            _require(isinstance(followers, list) and len(followers) == N, "init.states.followers", f"expected {N} rows")
+            fols = [_per_entry_residues(row, n, field, f"init.states.followers[{fi}]")
+                    for fi, row in enumerate(followers)]
+            out["init"] = {"states": {"leader": lead, "followers": fols}}
+        elif "seed" in raw:
+            out["init"] = {"seed": _int_at(raw["seed"], "init.seed")}
+        else:
+            raise ConfigError("init", "expected either 'states' or 'seed'")
+    # the canonical key order of ScenarioConfig.to_dict
+    order = ("p", "n", "N", "A", "b", "K", "graphs", "switching", "steps", "init")
+    return {key: out[key] for key in order if key in out}
 
 
 def per_agent_errors(agents: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:

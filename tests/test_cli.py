@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import random
@@ -19,9 +20,9 @@ from ffconsensus import (
     poly,
 )
 from ffconsensus.poly import _group_order_primes, pow_x_mod
-from ffconsensus.cli import ConfigError, ScenarioConfig, load_config, main
+from ffconsensus.cli import ConfigError, ScenarioConfig, _dumps, load_config, main
 
-from conftest import REF_A_ROWS, REF_B, REF_GAIN, REF_GRAPH1_EDGES, REF_GRAPH2_EDGES
+from conftest import REF_A_ROWS, REF_B, REF_GAIN, REF_GRAPH1_EDGES, REF_GRAPH2_EDGES, per_entry_config
 
 
 def ref_config_dict(**overrides):
@@ -229,6 +230,73 @@ def test_mutated_configs_never_escape(tmp_path, capsys):
             exits[code] = exits.get(code, 0) + 1
     # the mutations reach both the validator and the commands
     assert exits.get(0, 0) > 200 and exits.get(1, 0) > 200, exits
+
+
+def _load_outcome(load, doc, capsys):
+    """What loading ``doc`` gives: the canonical dict or the error's type,
+    field path and message, with the warnings written on the way."""
+    try:
+        result = ("ok", load(copy.deepcopy(doc)))
+    except Exception as exc:
+        result = (type(exc).__name__, getattr(exc, "field_path", None), str(exc))
+    return result, capsys.readouterr().err
+
+
+def assert_loads_like_per_entry_reference(doc, capsys):
+    got = _load_outcome(lambda d: ScenarioConfig.from_dict(d).to_dict(), doc, capsys)
+    assert got == _load_outcome(per_entry_config, doc, capsys), doc
+    return got[0][0]
+
+
+def test_whole_list_loader_matches_per_entry_reference_on_mutated_configs(capsys):
+    base = json.loads((Path(__file__).resolve().parents[1] / "configs" / "leader_f3.json").read_text())
+    states = {"leader": [4, 0, -1, 2, 1], "followers": [[1, 2, 3, 4, 5]] * 4}
+    bases = [
+        base,
+        {**base, "K": REF_GAIN},
+        {**base, "K": REF_GAIN, "switching": {"kind": "explicit", "sequence": [0, 1] * 15}},
+        {**base, "K": [5, -1, 2, 0, 1], "init": {"states": states}},
+    ]
+    rng = random.Random(20261018)
+    outcomes = {}
+    for _ in range(1000):
+        doc = json.loads(json.dumps(rng.choice(bases)))
+        for _ in range(rng.choice((1, 1, 2, 3))):
+            _mutate(doc, rng)
+        kind = assert_loads_like_per_entry_reference(doc, capsys)
+        outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert outcomes.get("ok", 0) > 100 and outcomes.get("ConfigError", 0) > 500, outcomes
+
+
+# an edge entry the loader must reject or warn about, at N = 4 and p = 3
+BAD_EDGES = [
+    [0, 1, True], [0, 1, False], [0, 1, 1.0], [0, 1, 2.5], [0, 1, "1"], [True, 1, 1], [0, 1.0, 1],
+    [-1, 1, 1], [0, 5, 1], [2, 0, 1], [0, 1, 3], [0, 1, -3], [0, 1, 4], [0, 1, -1],
+    [1, 2], [1, 2, 1, 1], [], "edge", 5, None, {"source": 0},
+]
+
+
+@pytest.mark.parametrize("bad", BAD_EDGES, ids=json.dumps)
+def test_whole_list_loader_matches_per_entry_reference_on_bad_edges(bad, capsys):
+    kinds = set()
+    for gi in (0, 1):
+        for position in (0, 2, 4, 5):  # first, middle, last, appended
+            for warned in (False, True):  # an earlier weight reduced with a warning
+                doc = ref_config_dict()
+                edges = doc["graphs"][gi]
+                if warned:
+                    edges[0][2] += 3
+                if position == len(edges):
+                    edges.append(copy.deepcopy(bad))
+                else:
+                    edges[position] = copy.deepcopy(bad)
+                kinds.add(assert_loads_like_per_entry_reference(doc, capsys))
+    # a duplicate of an existing edge, at each position
+    for position in range(5):
+        doc = ref_config_dict()
+        doc["graphs"][0].insert(position, list(REF_GRAPH1_EDGES[position - 1]))
+        kinds.add(assert_loads_like_per_entry_reference(doc, capsys))
+    assert "ConfigError" in kinds, kinds
 
 
 # ---------------------------------------------------------
@@ -875,3 +943,116 @@ def test_cycles_over_the_enumeration_bound_exits_one_and_poly_runs(tmp_path, cap
     )
     assert main(["cycles", path, "--poly"]) == 0
     assert "states: 1030301\n" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------
+# JSON output: byte-identical to json.dumps(indent=2)
+# ---------------------------------------------------------
+
+def _random_document(rng, depth=0):
+    """A random value of the shapes ``json.dumps`` meets, nested a few deep."""
+    kind = rng.randrange(12 if depth < 4 else 7)
+    if kind == 0:
+        return rng.choice((0, -1, 7, -(10 ** 30), 2 ** 64 + 1))
+    if kind == 1:
+        return rng.choice((None, True, False))
+    if kind == 2:
+        return rng.choice((0.0, -0.0, 1.5, -2.25e-8, 1e300, float("inf"), float("-inf"), float("nan")))
+    if kind == 3:
+        return rng.choice(("", "plain", 'quote " and \\ slash', "tab\t\nnewline", "\x00\x1f\x7f", "é", "λ", "\U0001F600"))
+    if kind == 4:  # an int list, possibly empty
+        return [rng.randrange(-10 ** 20, 10 ** 20) for _ in range(rng.randrange(6))]
+    if kind == 5:  # bools among ints
+        return [rng.choice((0, 1, True, False, -3)) for _ in range(rng.randrange(1, 5))]
+    if kind == 6:  # equal-length int rows, as lists or tuples
+        width = rng.randrange(4)
+        return [rng.choice((list, tuple))(rng.randrange(-99, 99) for _ in range(width)) for _ in range(rng.randrange(1, 4))]
+    if kind == 7:  # ragged int rows
+        return [[rng.randrange(9) for _ in range(rng.randrange(4))] for _ in range(rng.randrange(2, 5))]
+    if kind == 8:
+        return {rng.choice(("a", "é", "k\n", "")) + str(i): _random_document(rng, depth + 1) for i in range(rng.randrange(4))}
+    if kind == 9:  # keys that json.dumps turns into strings
+        keys = (1, -2, 2.5, None, True, False, "s", float("inf"))
+        return {rng.choice(keys): _random_document(rng, depth + 1) for _ in range(rng.randrange(4))}
+    if kind == 10:
+        return {str(i): rng.randrange(-5, 50) for i in range(rng.randrange(5))}
+    return rng.choice((list, tuple))(_random_document(rng, depth + 1) for _ in range(rng.randrange(4)))
+
+
+def test_json_writer_matches_json_dumps():
+    rng = random.Random(20261019)
+    for _ in range(4000):
+        doc = _random_document(rng)
+        assert _dumps(doc) == json.dumps(doc, indent=2), doc
+
+
+def _dump_outcome(dump, doc):
+    try:
+        return "ok", dump(doc)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+# keys and values JSON cannot hold; an int past the interpreter's digit
+# limit for str(), where it has one
+@pytest.mark.parametrize("doc", [
+    {(1, 2): 0}, {"a": {b"k": 1}}, [set()], {"a": [1, object()]}, [10 ** 5000], [[1, 10 ** 5000]], {"a": 10 ** 5000},
+], ids=["tuple_key", "bytes_key", "set", "object", "int_list", "int_rows", "int_values"])
+def test_json_writer_fails_as_json_dumps(doc):
+    assert _dump_outcome(_dumps, doc) == _dump_outcome(lambda d: json.dumps(d, indent=2), doc)
+
+
+def _generated_config(seed):
+    """A seeded random scenario: acyclic graphs over a leader edge into
+    every follower, with or without a gain, steps and initial states."""
+    rng = random.Random(seed)
+    p, n, N = rng.choice((2, 3, 5, 7, 101)), rng.randint(1, 4), rng.randint(1, 6)
+    graphs = []
+    for _ in range(rng.randint(1, 2)):
+        edges = [[0, t, rng.randrange(1, p)] for t in range(1, N + 1)]
+        edges += [[s, t, rng.randrange(1, p)] for s in range(1, N + 1) for t in range(s + 1, N + 1) if rng.random() < 0.4]
+        graphs.append(edges)
+    doc = {"p": p, "n": n, "N": N, "A": [[rng.randrange(p) for _ in range(n)] for _ in range(n)],
+           "b": [rng.randrange(p) for _ in range(n)], "graphs": graphs, "steps": rng.randint(1, 12)}
+    if rng.random() < 0.5:
+        doc["K"] = [rng.randrange(p) for _ in range(n)]
+    if rng.random() < 0.5:
+        doc["init"] = {"states": {"leader": [rng.randrange(p) for _ in range(n)],
+                                  "followers": [[rng.randrange(p) for _ in range(n)] for _ in range(N)]}}
+    return doc
+
+
+LAYOUT_CASES = (
+    [pytest.param(GOLDEN[c]["config"], [], id=f"analyze_golden-{c}") for c in sorted(GOLDEN)]
+    + [pytest.param(SYNTH_GOLDEN[c]["config"], [], id=f"synthesize_golden-{c}") for c in sorted(SYNTH_GOLDEN)]
+    + [pytest.param(SIM_GOLDEN[c]["config"], SIM_GOLDEN[c]["args"], id=f"simulate_golden-{c}") for c in sorted(SIM_GOLDEN)]
+    + [pytest.param(_generated_config(seed), ["--trials", "2"], id=f"generated-{seed}") for seed in range(12)]
+)
+
+
+@pytest.mark.parametrize("doc, sim_args", LAYOUT_CASES)
+def test_json_outputs_have_the_stdlib_layout(doc, sim_args, tmp_path, capsys):
+    """Each JSON text a command writes equals the standard library's
+    ``json.dumps(..., indent=2)`` of the value it holds."""
+    def assert_stdlib_layout(text):
+        assert text == json.dumps(json.loads(text), indent=2)
+
+    path = _write(tmp_path, doc)
+    out = tmp_path / "out.json"
+    main(["analyze", path])
+    assert_stdlib_layout(capsys.readouterr().out.removesuffix("\n"))
+    main(["analyze", path, "--out", str(out)])
+    assert_stdlib_layout(out.read_text())
+    with_gain = path
+    if "K" not in doc:
+        with_gain = str(tmp_path / "with_gain.json")
+        if main(["synthesize", path, "--out", with_gain]) != 0:
+            return
+        assert_stdlib_layout(Path(with_gain).read_text())
+    capsys.readouterr()
+    if main(["simulate", with_gain, *sim_args, "--format", "json"]) != 0:  # a sequence shorter than the horizon
+        assert "switching.sequence" in capsys.readouterr().err
+        return
+    assert_stdlib_layout(capsys.readouterr().out.removesuffix("\n"))
+    assert main(["simulate", with_gain, *sim_args, "--format", "json", "--out", str(out)]) == 0
+    assert_stdlib_layout(out.read_text())

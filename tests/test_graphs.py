@@ -10,7 +10,7 @@ from ffconsensus import (
     union,
 )
 
-from conftest import F2, F3, F5, random_dag_graph, random_scc_graph
+from conftest import F2, F3, F5, per_entry_edges, random_dag_graph, random_scc_graph
 
 
 # ---------------------------------------------------------
@@ -49,6 +49,53 @@ def test_edge_error_names_the_offending_edge(edges, index):
     with pytest.raises(EdgeError) as exc:
         WeightedDigraphFF(F3, 2, edges)
     assert exc.value.index == index
+
+
+def _graph_outcome(build, field, num_followers, edges):
+    """The sorted edge list ``build`` gives, or the error it raises."""
+    try:
+        return "ok", build(field, num_followers, edges)
+    except EdgeError as exc:
+        return "EdgeError", exc.index, str(exc)
+    except (TypeError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _random_edge(rng, N, p):
+    """Mostly a valid triple; sometimes a node or weight out of range, a
+    bool, float or str entry, or a container of the wrong length."""
+    edge = [rng.randint(0, N), rng.randint(1, N), rng.randrange(-p, 2 * p)]
+    roll = rng.random()
+    if roll < 0.04:
+        edge[rng.randrange(3)] = rng.choice((True, False, 1.0, 2.5, "1", -1, N + 1, 0))
+    elif roll < 0.06:
+        edge = edge[:rng.randint(0, 2)] if rng.random() < 0.5 else edge + [1]
+    return rng.choice((tuple, list))(edge)
+
+
+def test_whole_list_edge_checks_match_per_entry_reference():
+    """Same edges, or the same EdgeError index and message, or the same
+    TypeError or ValueError, as checking the edges one at a time."""
+    def build(field, N, edges):
+        return WeightedDigraphFF(field, N, edges).edges()
+
+    def reference(field, N, edges):
+        return [(s, t, w) for (s, t), w in per_entry_edges(field, N, edges).items()]
+
+    rng = random.Random(20261019)
+    kinds = Counter()
+    for _ in range(3000):
+        field = rng.choice((F2, F3, F5))
+        N = rng.randint(1, 5)
+        edges = [_random_edge(rng, N, field.p) for _ in range(rng.randint(0, 8))]
+        if edges and rng.random() < 0.3:
+            edges.insert(rng.randrange(len(edges)), rng.choice(edges))
+        if rng.random() < 0.3:
+            rng.shuffle(edges)
+        got = _graph_outcome(build, field, N, edges)
+        assert got == _graph_outcome(reference, field, N, edges), edges
+        kinds[got[0]] += 1
+    assert kinds["ok"] > 300 and kinds["EdgeError"] > 300 and kinds["TypeError"] > 30, kinds
 
 
 def test_weights_reduced_canonically():
