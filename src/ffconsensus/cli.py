@@ -25,13 +25,12 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass, replace
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 from .consensus import LeaderFollowerNetwork, SwitchingSignal, analyze, convergence_bound
-from .field import PrimeField
+from .field import PrimeField, _Record
 from .graphs import EdgeError, WeightedDigraphFF
 from .linsys import LinearSystemFF, autonomous_cycle_structure
 from .matrix import MatrixFF
@@ -127,24 +126,30 @@ def _edge_triples(edges: list, gi: int, field: PrimeField) -> list[tuple[int, in
     return out
 
 
-@dataclass
-class ScenarioConfig:
+class ScenarioConfig(_Record):
     """Canonical, validated scenario: everything already reduced mod p,
     with the field, graphs and signal that validation built."""
 
-    p: int
-    n: int
-    num_followers: int
-    a_rows: list[list[int]]
-    b_entries: list[int]
-    k_entries: list[int] | None
-    graph_edges: list[list[tuple[int, int, int]]]  # input order, as written back
-    switching: dict | None
-    steps: int | None
-    init: dict | None
-    field: PrimeField
-    graphs: tuple[WeightedDigraphFF, ...]
-    switching_signal: SwitchingSignal
+    __slots__ = ("p", "n", "num_followers", "a_rows", "b_entries", "k_entries", "graph_edges",
+                 "switching", "steps", "init", "field", "graphs", "switching_signal")
+
+    def __init__(self, p: int, n: int, num_followers: int, a_rows: list[list[int]], b_entries: list[int],
+                 k_entries: list[int] | None, graph_edges: list[list[tuple[int, int, int]]],
+                 switching: dict | None, steps: int | None, init: dict | None, field: PrimeField,
+                 graphs: tuple[WeightedDigraphFF, ...], switching_signal: SwitchingSignal):
+        self.p = p
+        self.n = n
+        self.num_followers = num_followers
+        self.a_rows = a_rows
+        self.b_entries = b_entries
+        self.k_entries = k_entries
+        self.graph_edges = graph_edges  # input order, as written back
+        self.switching = switching
+        self.steps = steps
+        self.init = init
+        self.field = field
+        self.graphs = graphs
+        self.switching_signal = switching_signal
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ScenarioConfig":
@@ -299,7 +304,9 @@ class ScenarioConfig:
 
     def signal(self, seed_offset: int = 0) -> SwitchingSignal:
         s = self.switching_signal
-        return replace(s, seed=s.seed + seed_offset) if s.kind == "random" and seed_offset else s
+        if s.kind == "random" and seed_offset:
+            return SwitchingSignal(s.kind, s.num_graphs, s.sequence, s.seed + seed_offset)
+        return s
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
@@ -391,9 +398,7 @@ def cmd_synthesize(args) -> int:
     k_row = report.witness["synthesized_gain"]
     # every follower of every graph shares the witness closed loop: A - d*bK
     # for the deadbeat gain, A itself for the zero gain
-    degree = report.witness.get("gain_certificate_degree")
-    if degree is None:
-        degree = net.sys.A.nilpotent_degree()
+    degree = report.witness["gain_certificate_degree"]
     graph_ids = range(len(net.graphs)) if cfg.constant_graph is None else [cfg.constant_graph]
     closed_degrees = {
         f"graph{gi}.follower{i}": degree for gi in graph_ids for i in range(1, cfg.num_followers + 1)

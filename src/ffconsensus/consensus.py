@@ -51,10 +51,9 @@ flags and the SCC blocks (each graph object computes it once).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field as dc_field
-from typing import Sequence
+from collections.abc import Sequence
 
-from .field import PrimeField
+from .field import PrimeField, _FrozenRecord, _Record
 from .graphs import DegreeCheck, WeightedDigraphFF, union
 from .linsys import ControllabilityDecomposition, LinearSystemFF, deadbeat_gain, kalman_decompose
 from .matrix import MatrixFF, kron
@@ -64,29 +63,29 @@ class GainSynthesisError(ValueError):
     """Raised when no gain can be synthesized for the requested network."""
 
 
-@dataclass(frozen=True)
-class LeaderFollowerNetwork:
+class LeaderFollowerNetwork(_FrozenRecord):
     """Shared dynamics (A, b), optional gain K (1 x n), and one or more
     interaction graphs (a single graph is the static case)."""
 
-    sys: LinearSystemFF
-    graphs: tuple[WeightedDigraphFF, ...]
-    gain: MatrixFF | None = None
+    __slots__ = ("sys", "graphs", "gain")
 
-    def __post_init__(self):
-        if not self.graphs:
+    def __init__(self, sys: LinearSystemFF, graphs: tuple[WeightedDigraphFF, ...], gain: MatrixFF | None = None):
+        if not graphs:
             raise ValueError("at least one interaction graph is required")
-        N = self.graphs[0].num_followers
-        for g in self.graphs:
-            if g.field != self.sys.field:
+        N = graphs[0].num_followers
+        for g in graphs:
+            if g.field != sys.field:
                 raise ValueError("graph modulus differs from the system modulus")
             if g.num_followers != N:
                 raise ValueError("all graphs must have the same follower count")
-        if self.gain is not None:
-            if self.gain.rows != 1 or self.gain.cols != self.sys.dim:
+        if gain is not None:
+            if gain.rows != 1 or gain.cols != sys.dim:
                 raise ValueError("gain must be a 1 x n row")
-            if self.gain.field != self.sys.field:
+            if gain.field != sys.field:
                 raise ValueError("gain modulus differs from the system modulus")
+        object.__setattr__(self, "sys", sys)
+        object.__setattr__(self, "graphs", graphs)
+        object.__setattr__(self, "gain", gain)
 
     @property
     def num_followers(self) -> int:
@@ -104,8 +103,7 @@ class LeaderFollowerNetwork:
         return LeaderFollowerNetwork(sys=self.sys, graphs=self.graphs, gain=gain)
 
 
-@dataclass(frozen=True)
-class SwitchingSignal:
+class SwitchingSignal(_FrozenRecord):
     """Map from time step to active graph index (0-based).
 
     kinds: "explicit" uses ``sequence`` verbatim and must cover the
@@ -115,22 +113,23 @@ class SwitchingSignal:
 
     KINDS = ("explicit", "periodic", "random")
 
-    kind: str
-    num_graphs: int
-    sequence: tuple[int, ...] = ()
-    seed: int | None = None
+    __slots__ = ("kind", "num_graphs", "sequence", "seed")
 
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown switching kind {self.kind!r}")
-        if self.kind in ("explicit", "periodic"):
-            if not self.sequence:
-                raise ValueError(f"{self.kind} switching requires a nonempty sequence")
-            bad = [i for i in self.sequence if not (0 <= i < self.num_graphs)]
+    def __init__(self, kind: str, num_graphs: int, sequence: tuple[int, ...] = (), seed: int | None = None):
+        if kind not in self.KINDS:
+            raise ValueError(f"unknown switching kind {kind!r}")
+        if kind in ("explicit", "periodic"):
+            if not sequence:
+                raise ValueError(f"{kind} switching requires a nonempty sequence")
+            bad = [i for i in sequence if not (0 <= i < num_graphs)]
             if bad:
                 raise ValueError(f"switching sequence contains invalid graph indices {bad}")
-        if self.kind == "random" and self.seed is None:
+        if kind == "random" and seed is None:
             raise ValueError("random switching requires a seed")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "num_graphs", num_graphs)
+        object.__setattr__(self, "sequence", sequence)
+        object.__setattr__(self, "seed", seed)
 
     @classmethod
     def constant(cls, index: int = 0) -> "SwitchingSignal":
@@ -282,23 +281,28 @@ def convergence_bound(net: LeaderFollowerNetwork) -> int:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Facts:
+class _Facts(_FrozenRecord):
     """Everything the consensus rule reads, computed once per network."""
 
-    a_degree: int | None  # A's nilpotent degree, None when A is not nilpotent
-    decomp: ControllabilityDecomposition
-    stabilizable: bool
-    dags: tuple[bool, ...]  # per graph
-    degrees: tuple[DegreeCheck, ...]  # per graph
-    union: WeightedDigraphFF  # the graph itself when there is one
-    union_dag: bool
-    shared_degree: int | None  # one nonzero in-degree of every follower in every graph
-    bk_zero: bool
-    # per graph, the supplied gain's SCC blocks as (followers, result);
-    # the result is the block's nilpotent degree (None when not nilpotent)
-    # where the switching bound needs it, else is_nilpotent
-    blocks: list[list] | None
+    __slots__ = ("a_degree", "decomp", "stabilizable", "dags", "degrees", "union", "union_dag",
+                 "shared_degree", "bk_zero", "blocks")
+
+    def __init__(self, a_degree: int | None, decomp: ControllabilityDecomposition, stabilizable: bool,
+                 dags: tuple[bool, ...], degrees: tuple[DegreeCheck, ...], union: WeightedDigraphFF,
+                 union_dag: bool, shared_degree: int | None, bk_zero: bool, blocks: list[list] | None):
+        object.__setattr__(self, "a_degree", a_degree)  # A's nilpotent degree, None when A is not nilpotent
+        object.__setattr__(self, "decomp", decomp)
+        object.__setattr__(self, "stabilizable", stabilizable)
+        object.__setattr__(self, "dags", dags)  # per graph
+        object.__setattr__(self, "degrees", degrees)  # per graph
+        object.__setattr__(self, "union", union)  # the graph itself when there is one
+        object.__setattr__(self, "union_dag", union_dag)
+        object.__setattr__(self, "shared_degree", shared_degree)  # one nonzero in-degree of every follower
+        object.__setattr__(self, "bk_zero", bk_zero)
+        # per graph, the supplied gain's SCC blocks as (followers, result);
+        # the result is the block's nilpotent degree (None when not nilpotent)
+        # where the switching bound needs it, else is_nilpotent
+        object.__setattr__(self, "blocks", blocks)
 
 
 def _facts(net: LeaderFollowerNetwork) -> _Facts:
@@ -334,11 +338,14 @@ def _facts(net: LeaderFollowerNetwork) -> _Facts:
     )
 
 
-@dataclass(frozen=True)
-class _Decision:
-    verdict: str  # "guaranteed" | "impossible" | "inconclusive"
-    reason: str
-    witness_degree: int | None  # the witness gain: 0 the zero gain, d the deadbeat gain for d, None no gain
+class _Decision(_FrozenRecord):
+    __slots__ = ("verdict", "reason", "witness_degree")
+
+    def __init__(self, verdict: str, reason: str, witness_degree: int | None):
+        object.__setattr__(self, "verdict", verdict)  # "guaranteed" | "impossible" | "inconclusive"
+        object.__setattr__(self, "reason", reason)
+        # the witness gain: 0 the zero gain, d the deadbeat gain for d, None no gain
+        object.__setattr__(self, "witness_degree", witness_degree)
 
 
 def _decide(f: _Facts, graph_indices: Sequence[int]) -> _Decision:
@@ -453,22 +460,22 @@ def _decide(f: _Facts, graph_indices: Sequence[int]) -> _Decision:
 
 
 def _witness_gain(net: LeaderFollowerNetwork, f: _Facts, dec: _Decision) -> tuple[MatrixFF, int | None]:
-    """The decision's witness gain and, for a deadbeat gain, the nilpotent
-    degree of its closed loop A - d*bK (None if, against the
-    construction, that loop is not nilpotent)."""
+    """The decision's witness gain and the nilpotent degree of its closed
+    loop: A's for the zero gain, A - d*bK's for a deadbeat gain (None if,
+    against the construction, that loop is not nilpotent)."""
     d = dec.witness_degree
     if d == 0:
-        return MatrixFF.zeros(net.field, 1, net.sys.dim), None
+        return MatrixFF.zeros(net.field, 1, net.sys.dim), f.a_degree
     k = deadbeat_gain(f.decomp, d)
     return k, (net.sys.A - (net.sys.b @ k).scale(d)).nilpotent_degree()
 
 
 def _bound(net: LeaderFollowerNetwork, f: _Facts, certificate: int | None) -> int:
     """Convergence bound of a guaranteed network (``certificate``: the
-    witness closed loop's degree, None for the zero gain).  With a supplied
-    gain over an acyclic union the followers are taken in the union's SCC
-    order, sources first; ``product_vanishing_bound`` depends on which
-    topological order it reads, and every one gives a sound bound."""
+    witness closed loop's degree).  With a supplied gain over an acyclic
+    union the followers are taken in the union's SCC order, sources first;
+    ``product_vanishing_bound`` depends on which topological order it
+    reads, and every one gives a sound bound."""
     if net.is_static:
         return net.num_followers * net.sys.dim
     if net.gain is not None and not f.bk_zero:
@@ -480,9 +487,9 @@ def _bound(net: LeaderFollowerNetwork, f: _Facts, certificate: int | None) -> in
         order = [node for (node,) in f.union.strongly_connected_components()]
         return product_vanishing_bound([worst[node] for node in order])
     # every diagonal block is one closed loop: the witness's A - d*bK, or A
-    # itself under the zero gain or bK = 0; the bound for s equal degrees k is s*k
-    k = certificate if certificate is not None else f.a_degree
-    return net.num_followers * k
+    # itself under the zero gain or bK = 0 (which passes only for a nilpotent
+    # A, whose witness is the zero gain); the bound for s equal degrees k is s*k
+    return net.num_followers * certificate
 
 
 # ----------------------------------------------------------------------
@@ -490,20 +497,23 @@ def _bound(net: LeaderFollowerNetwork, f: _Facts, certificate: int | None) -> in
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class AnalysisReport:
+class AnalysisReport(_Record):
     """Structured verdict: what was checked and what follows from it."""
 
-    verdict: str  # "guaranteed" | "impossible" | "inconclusive"
-    mode: str  # "static" | "switching"
-    reason: str
-    checks: dict
-    bounds: dict
-    witness: dict
-    diagnostics: dict = dc_field(default_factory=dict)
+    __slots__ = ("verdict", "mode", "reason", "checks", "bounds", "witness", "diagnostics")
+
+    def __init__(self, verdict: str, mode: str, reason: str, checks: dict, bounds: dict, witness: dict,
+                 diagnostics: dict | None = None):
+        self.verdict = verdict  # "guaranteed" | "impossible" | "inconclusive"
+        self.mode = mode  # "static" | "switching"
+        self.reason = reason
+        self.checks = checks
+        self.bounds = bounds
+        self.witness = witness
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
     def to_dict(self) -> dict:
-        return dict(vars(self))
+        return dict(zip(self.__slots__, self._values()))
 
 
 def analyze(net: LeaderFollowerNetwork) -> AnalysisReport:
@@ -529,8 +539,7 @@ def _report(net: LeaderFollowerNetwork, mode: str, f: _Facts, checks: dict, witn
     if dec.witness_degree is not None:
         gain, certificate = _witness_gain(net, f, dec)
         witness["synthesized_gain"] = gain.to_rows()[0]
-        if dec.witness_degree:
-            witness["gain_certificate_degree"] = certificate
+        witness["gain_certificate_degree"] = certificate
     bounds: dict = {"static": None, "switching": None}
     if dec.verdict == "guaranteed":
         bounds[mode] = _bound(net, f, certificate)
@@ -609,6 +618,6 @@ def synthesize_gain(net: LeaderFollowerNetwork) -> MatrixFF:
     if dec.witness_degree is None:
         raise GainSynthesisError(dec.reason)
     k, certificate = _witness_gain(bare, f, dec)
-    if dec.witness_degree and certificate is None:
+    if certificate is None:
         raise AssertionError("postcondition failed: deadbeat closed loop is not nilpotent")
     return k

@@ -83,3 +83,45 @@ class PrimeField:
         if isinstance(value, int) and not isinstance(value, bool):
             return value % self.p
         raise TypeError(f"field elements must be integers, got {type(value).__name__}")
+
+
+class _Record:
+    """Base of the package's records: plain classes whose fields are their
+    ``__slots__``, in constructor order, with value ``==`` and ``repr``
+    over them.  A record equals only records of its own class; a mutable
+    one is unhashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle through __init__, past a frozen __setattr__
+        return type(self), self._values()
+
+
+class _FrozenRecord(_Record):
+    """An immutable record, hashed by value.  Assigning or deleting a field
+    raises AttributeError, so ``__init__`` sets them with
+    ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -21,11 +21,10 @@ weight sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from operator import lt
-from typing import Iterable, Sequence
 
-from .field import PrimeField
+from .field import PrimeField, _FrozenRecord
 from .matrix import MatrixFF
 
 
@@ -281,13 +280,16 @@ class WeightedDigraphFF:
                            reason=None, offenders=(), degrees=degs)
 
 
-@dataclass(frozen=True)
-class DegreeCheck:
-    ok: bool
-    degree: int | None
-    reason: str | None  # None | "zero_degree" | "unequal"
-    offenders: tuple[int, ...]
-    degrees: dict[int, int]
+class DegreeCheck(_FrozenRecord):
+    __slots__ = ("ok", "degree", "reason", "offenders", "degrees")
+
+    def __init__(self, ok: bool, degree: int | None, reason: str | None, offenders: tuple[int, ...],
+                 degrees: dict[int, int]):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "reason", reason)  # None | "zero_degree" | "unequal"
+        object.__setattr__(self, "offenders", offenders)
+        object.__setattr__(self, "degrees", degrees)
 
     def to_dict(self) -> dict:
         return {

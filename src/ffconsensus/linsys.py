@@ -17,33 +17,32 @@ the first Krylov dependence (see ``kalman_decompose``).
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 from functools import cache, reduce
 from math import lcm
 from itertools import accumulate, chain, compress, repeat
 from operator import mul
 
-from .field import PrimeField
+from .field import PrimeField, _FrozenRecord
 from .matrix import MatrixFF, _echelon
 from .poly import PolyFF, factor, split_nilpotent_bijective, _lift_order, _order_mod_irreducible
 
 DEFAULT_STATE_BOUND = 10**6
 
 
-@dataclass(frozen=True)
-class LinearSystemFF:
+class LinearSystemFF(_FrozenRecord):
     """System pair x(k+1) = A x(k) + b u(k) with a single input column."""
 
-    A: MatrixFF
-    b: MatrixFF
+    __slots__ = ("A", "b")
 
-    def __post_init__(self):
-        if not self.A.is_square:
+    def __init__(self, A: MatrixFF, b: MatrixFF):
+        if not A.is_square:
             raise ValueError("A must be square")
-        if self.b.cols != 1 or self.b.rows != self.A.rows:
+        if b.cols != 1 or b.rows != A.rows:
             raise ValueError("b must be a single column of matching dimension")
-        if self.A.field != self.b.field:
+        if A.field != b.field:
             raise ValueError("A and b must share a modulus")
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "b", b)
 
     @property
     def field(self) -> PrimeField:
@@ -54,8 +53,7 @@ class LinearSystemFF:
         return self.A.rows
 
 
-@dataclass(frozen=True)
-class ControllabilityDecomposition:
+class ControllabilityDecomposition(_FrozenRecord):
     """Change of coordinates x^c = Q x exposing the controllable block.
 
     Q A Q^-1 = [[A_c, A_cc], [0, A_uc]] and Q b = [b_c; 0], where A_c is
@@ -63,13 +61,17 @@ class ControllabilityDecomposition:
     ``companion_coeffs``) and b_c is the last standard basis vector.
     """
 
-    Q: MatrixFF
-    s: int
-    A_c: MatrixFF
-    A_cc: MatrixFF
-    A_uc: MatrixFF
-    b_c: MatrixFF
-    companion_coeffs: tuple[int, ...]
+    __slots__ = ("Q", "s", "A_c", "A_cc", "A_uc", "b_c", "companion_coeffs")
+
+    def __init__(self, Q: MatrixFF, s: int, A_c: MatrixFF, A_cc: MatrixFF, A_uc: MatrixFF,
+                 b_c: MatrixFF, companion_coeffs: tuple[int, ...]):
+        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "A_c", A_c)
+        object.__setattr__(self, "A_cc", A_cc)
+        object.__setattr__(self, "A_uc", A_uc)
+        object.__setattr__(self, "b_c", b_c)
+        object.__setattr__(self, "companion_coeffs", companion_coeffs)
 
 
 def controllability_matrix(sys: LinearSystemFF) -> MatrixFF:
@@ -168,8 +170,7 @@ def deadbeat_gain(decomp: ControllabilityDecomposition, d: int) -> MatrixFF:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CycleStructure:
+class CycleStructure(_FrozenRecord):
     """Decomposition of the autonomous dynamics into transients and cycles.
 
     ``cycles`` maps cycle length -> number of cycles of that length.
@@ -178,12 +179,16 @@ class CycleStructure:
     except ``factor_orders``, which only polynomial mode fills.
     """
 
-    method: str
-    tree_depth: int
-    cycles: dict[int, int]
-    total_states: int
-    transient_states: int
-    factor_orders: tuple[tuple[PolyFF, int, int], ...] | None = None
+    __slots__ = ("method", "tree_depth", "cycles", "total_states", "transient_states", "factor_orders")
+
+    def __init__(self, method: str, tree_depth: int, cycles: dict[int, int], total_states: int,
+                 transient_states: int, factor_orders: tuple[tuple[PolyFF, int, int], ...] | None = None):
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "tree_depth", tree_depth)
+        object.__setattr__(self, "cycles", cycles)
+        object.__setattr__(self, "total_states", total_states)
+        object.__setattr__(self, "transient_states", transient_states)
+        object.__setattr__(self, "factor_orders", factor_orders)
 
 
 def autonomous_cycle_structure(

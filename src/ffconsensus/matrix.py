@@ -18,8 +18,8 @@ big-int operations (``_slot_reduction``, shared with the simulator).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from operator import mul
-from typing import Iterable, Sequence
 
 from .field import PrimeField
 from .poly import PolyFF

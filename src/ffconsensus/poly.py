@@ -22,8 +22,8 @@ rho (Brent, BIT 20, 1980) within ``RHO_BUDGET`` steps and certified by
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Sequence
 from math import gcd, lcm, prod
-from typing import Iterable, Sequence
 
 from .field import PRIMALITY_BOUND, PrimeField, is_prime
 

@@ -46,12 +46,11 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass, field as dc_field
 from itertools import product, repeat
 from operator import lshift, mul, sub
 
 from .consensus import LeaderFollowerNetwork, SwitchingSignal
-from .field import PrimeField
+from .field import PrimeField, _FrozenRecord
 from .matrix import _slot_reduction
 
 _ORDER = 1 if sys.byteorder == "little" else -1  # slot order of a native cast
@@ -59,29 +58,34 @@ _ORDER = 1 if sys.byteorder == "little" else -1  # slot order of a native cast
 DEFAULT_ORACLE_BOUND = 10**6
 
 
-@dataclass(frozen=True)
-class NetworkState:
+class NetworkState(_FrozenRecord):
     """Snapshot at one step: the leader's state and every follower's, each
     a tuple of n canonical residues."""
 
-    step: int
-    leader: tuple[int, ...]
-    followers: tuple[tuple[int, ...], ...]
+    __slots__ = ("step", "leader", "followers")
+
+    def __init__(self, step: int, leader: tuple[int, ...], followers: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "step", step)
+        object.__setattr__(self, "leader", leader)
+        object.__setattr__(self, "followers", followers)
 
     def errors(self) -> list[int]:
         """Integer error e_i per follower (componentwise |x_i - x_0| sums)."""
         return list(_errors(zip(self.leader, *self.followers)))
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_FrozenRecord):
     """Recorded run: states, per-step errors, and the consensus step."""
 
-    states: tuple[NetworkState, ...]
-    errors: tuple[tuple[int, ...], ...]
-    consensus_step: int | None
-    signal_indices: tuple[int, ...]
-    metadata: dict = dc_field(default_factory=dict)
+    __slots__ = ("states", "errors", "consensus_step", "signal_indices", "metadata")
+
+    def __init__(self, states: tuple[NetworkState, ...], errors: tuple[tuple[int, ...], ...],
+                 consensus_step: int | None, signal_indices: tuple[int, ...], metadata: dict | None = None):
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "errors", errors)
+        object.__setattr__(self, "consensus_step", consensus_step)
+        object.__setattr__(self, "signal_indices", signal_indices)
+        object.__setattr__(self, "metadata", {} if metadata is None else metadata)
 
     @property
     def horizon(self) -> int:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from ffconsensus import (
+    MatrixFF,
     PolyFF,
     PrimeField,
     SwitchingSignal,
@@ -444,7 +445,9 @@ def test_analyze_constant_signal_treated_as_static(tmp_path, capsys):
 # switching and synthesis statements of the consensus rule; the
 # topo_permutation of leader_f3_with_gain_constant_signal and
 # static_unequal_degrees was re-recorded when the order came to be read
-# off the SCCs (Tarjan) instead of Kahn's smallest-first order
+# off the SCCs (Tarjan) instead of Kahn's smallest-first order; the
+# witness of switching_nilpotent_a gained gain_certificate_degree when the
+# report came to record the zero gain's closed-loop degree (A's)
 GOLDEN = json.loads((Path(__file__).parent / "data" / "analyze_golden.json").read_text())
 
 
@@ -508,7 +511,7 @@ def test_synthesize_refuses_unstabilizable(tmp_path, capsys):
     assert "not stabilizable" in capsys.readouterr().err
 
 
-def test_synthesize_nilpotent_a_zero_gain(tmp_path, capsys):
+def test_synthesize_nilpotent_a_zero_gain(tmp_path, capsys, monkeypatch):
     doc = {
         "p": 3, "n": 2, "N": 1,
         "A": [[0, 1], [0, 0]], "b": [1, 0],
@@ -516,8 +519,15 @@ def test_synthesize_nilpotent_a_zero_gain(tmp_path, capsys):
     }
     path = tmp_path / "nil.json"
     path.write_text(json.dumps(doc))
+    # A's degree is computed once, by the analysis, and the certificate reads it
+    seen = []
+    real = MatrixFF.nilpotent_degree
+    monkeypatch.setattr(MatrixFF, "nilpotent_degree", lambda m: seen.append(m.to_rows()) or real(m))
     assert main(["synthesize", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out)["K"] == [0, 0]
+    out = json.loads(capsys.readouterr().out)
+    assert out["K"] == [0, 0]
+    assert out["certificate"]["closed_loop_nilpotent_degrees"] == {"graph0.follower1": 2}
+    assert seen.count(doc["A"]) == 1, seen
 
 
 # synthesize output (stdout, stderr, exit code, and the --out file) of the
@@ -708,13 +718,11 @@ def test_validation_builds_field_graphs_and_signal_once(command, tmp_path, monke
         doc = {k: v for k, v in doc.items() if k != "K"}
     built = {PrimeField: 0, WeightedDigraphFF: 0, SwitchingSignal: 0}
     for cls in built:
-        attr = "__post_init__" if cls is SwitchingSignal else "__init__"
-
-        def counting(self, *args, _real=getattr(cls, attr), _cls=cls, **kwargs):
+        def counting(self, *args, _real=cls.__init__, _cls=cls, **kwargs):
             built[_cls] += 1
             return _real(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, attr, counting)
+        monkeypatch.setattr(cls, "__init__", counting)
     assert main([command, _write(tmp_path, doc), "--out", str(tmp_path / "out")]) == 0
     assert built == {PrimeField: 1, WeightedDigraphFF: 2, SwitchingSignal: 1}
 
@@ -769,6 +777,17 @@ def test_importing_cli_does_not_load_hashlib():
     code = "import sys, ffconsensus.cli; sys.exit('hashlib' in sys.modules)"
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr or "importing ffconsensus.cli loaded hashlib"
+
+
+def test_importing_cli_loads_no_dataclasses_inspect_or_typing():
+    # the records are plain classes, and annotations stay strings, so
+    # startup pays for neither module (nor for inspect, which dataclasses loads)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, ffconsensus.cli; print([m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_simulate_does_not_load_hashlib(tmp_path):

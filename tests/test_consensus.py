@@ -215,6 +215,7 @@ def test_static_nilpotent_a_always_guaranteed():
     report = check_static(net)
     assert report.verdict == "guaranteed"
     assert report.witness["synthesized_gain"] == [0, 0]
+    assert report.witness["gain_certificate_degree"] == 2  # A's, the zero gain's closed loop
 
 
 def test_static_cyclic_graph_with_gain_decided_directly():
