@@ -27,7 +27,6 @@ import random
 import sys
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _encode_str
-from pathlib import Path
 
 from .consensus import LeaderFollowerNetwork, SwitchingSignal, analyze, convergence_bound
 from .field import PrimeField, _Record
@@ -309,9 +308,10 @@ class ScenarioConfig(_Record):
         return s
 
 
-def load_config(path: str | Path) -> ScenarioConfig:
+def load_config(path: str | os.PathLike) -> ScenarioConfig:
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as fh:
+            doc = json.loads(fh.read())
     except OSError as exc:
         raise ConfigError("<file>", f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
@@ -370,7 +370,8 @@ def _dumps(obj, level: int = 0) -> str:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text)
+        with open(out, "w") as fh:
+            fh.write(text)
     else:
         print(text)
 
@@ -503,10 +504,9 @@ def cmd_simulate(args) -> int:
     if args.format == "csv":
         if args.out and args.trials > 1:
             # one schema-exact file per trial
-            stem = Path(args.out)
+            root, ext = os.path.splitext(args.out)
             for t, traj in enumerate(trials):
-                path = stem.with_name(f"{stem.stem}_trial{t}{stem.suffix}")
-                path.write_text(_traj_csv(traj))
+                _emit(_traj_csv(traj), f"{root}_trial{t}{ext}")
         else:
             _emit("".join(_traj_csv(tr) for tr in trials).rstrip("\n"), args.out)
     else:

@@ -8,16 +8,15 @@ with (X) the Kronecker product, Abar the follower adjacency and Dbar the
 diagonal of leader-inclusive in-degrees.  Consensus from every initial
 condition is exactly nilpotency of that error matrix M.
 
-M is never built on the analysis paths: ordered by the strongly
-connected components (SCCs) of the follower support, M is block-
-triangular with one diagonal block I (X) A + (Abar_SS - Dbar_SS) (X) bK
-per SCC S, so M is nilpotent iff every SCC block is (proof at
-``_error_block_results``).  Each distinct block is tested once.  An
-acyclic follower graph has only singleton SCCs with blocks A - d_i * bK,
-which reduces the network question to small n x n checks.
+No Kronecker block is built on the analysis paths.  Ordered by the
+strongly connected components (SCCs) of the follower support, M is
+block-triangular with one diagonal block I (X) A - H_SS (X) bK per SCC
+S (H = Dbar - Abar, the grounded Laplacian); as bK has rank one, two
+n x n characteristic polynomials and at most one |S| x |S| nilpotency
+test of H_SS - mu* I per distinct block decide M (``_error_block_results``).
 
 ``error_dynamics_matrix`` builds the full Nn x Nn matrix; it is the
-definition that the blockwise test is checked against.
+definition that the spectral rule is checked against.
 
 Every verdict, witness gain and bound comes from one pass of facts
 (``_facts``: A nilpotent, one Kalman decomposition of (A, b), each
@@ -167,42 +166,52 @@ def error_dynamics_matrix(net: LeaderFollowerNetwork, graph_index: int = 0) -> M
     return kron(eye, net.sys.A) + kron(a_bar - d_bar, bk)
 
 
-def _error_block_results(net: LeaderFollowerNetwork, graph_indices, test) -> list[list]:
+def _error_block_results(net: LeaderFollowerNetwork, graph_indices) -> list[list]:
     """For each listed graph, the diagonal blocks of its error matrix as
-    (followers, test(block)) pairs, one per strongly connected component
-    of the follower support, sources first.
+    (followers, nilpotent) pairs, one per strongly connected component of
+    the follower support, sources first.  No block is built.
 
-    Claim: with S_1, ..., S_m the SCCs in a topological order of the
-    condensation (Tarjan, SIAM J. Comput. 1, 1972), M is block lower
-    triangular with diagonal blocks
+    Claim 1: list the followers SCC by SCC, S_1, ..., S_m in a
+    topological order of the condensation (Tarjan, SIAM J. Comput. 1,
+    1972), a permutation similarity.  With H = Dbar - Abar, M is then
+    block lower triangular with diagonal blocks I (X) A - H_SS (X) bK, so
+    M is nilpotent iff every such M_SS is.  Proof: block (i, j) of M is
+    [i = j] A - H_ij bK, and H_ij != 0 for i != j only if the edge j -> i
+    exists, so that j's SCC is i's or precedes it.  A block-triangular
+    matrix's characteristic polynomial is the product of its diagonal
+    blocks', and a matrix is nilpotent iff its characteristic polynomial
+    is x^dim.  H keeps the leader-inclusive in-degrees and the self-loops
+    (H_ii = d_i - w_ii).
 
-        M_SS = I_|S| (X) A + (Abar_SS - Dbar_SS) (X) bK,
+    Claim 2: with r = chi_(A - bK) - chi_A, M_SS is nilpotent iff r = 0
+    and A is nilpotent, or H_SS - mu* I is nilpotent for the one mu* in
+    F_p with chi_A - x^n + mu* r = 0.  Proof: bK has rank at most one, so
+    by the matrix determinant lemma det(xI - A + mu bK) = chi_A +
+    mu K adj(xI - A) b = chi_A + mu r for every mu in the algebraic
+    closure: A - mu bK is nilpotent for every mu or none if r = 0, else
+    at most for mu* = -c_t / r_t (r_t the lowest nonzero coefficient of
+    r, c_t that of chi_A), which lies in F_p.  Triangularize
+    H_SS = Q T Q^-1 over the closure; Q (X) I_n takes M_SS to
+    I (X) A - T (X) bK, block triangular with diagonal blocks A - mu_i bK
+    over the eigenvalues mu_i of H_SS.  By claim 1's argument M_SS is
+    nilpotent iff each A - mu_i bK is, which for r != 0 means that every
+    mu_i is mu*, that is, H_SS - mu* I is nilpotent.
 
-    after the followers are listed SCC by SCC (a permutation similarity
-    P (X) I_n, which preserves nilpotency), so M is nilpotent iff every
-    M_SS is.  Proof: the n x n block (i, j) of M is
-    [i = j] A + (Abar_ij - [i = j] d_i) bK, and Abar_ij is the weight of
-    the edge j -> i.  If i lies in S_a, j in S_b and that edge exists,
-    then S_b = S_a or S_b precedes S_a, so b <= a: every block of M above
-    the SCC block diagonal is zero.  The characteristic polynomial of a
-    block-triangular matrix is the product of those of its diagonal
-    blocks, and a square matrix over a field is nilpotent iff its
-    characteristic polynomial is x^dim; hence the claim.  Dbar keeps the
-    full leader-inclusive in-degrees, and a follower self-loop stays in
-    its singleton block as Abar_ii = w_ii.
-
-    ``test`` (for example ``MatrixFF.is_nilpotent``) runs once per
-    distinct block across all listed graphs: a block is keyed on the
-    entries of Abar_SS - Dbar_SS mod p, which for a singleton {i} is the
-    effective diagonal w_ii - d_i.  A chain of N followers with one
-    degree therefore costs a single n x n test.
+    Each distinct block, keyed on H_SS - mu* I mod p, costs at most one
+    |S| x |S| test across all listed graphs.
     """
     if net.gain is None:
         raise ValueError("error dynamics require a gain K")
-    field = net.field
-    p = field.p
+    p = net.field.p
     A = net.sys.A
-    bk = net.sys.b @ net.gain
+    chi_a = A.char_poly().coeffs[:-1]  # chi_A - x^n, ascending
+    r = [(u - v) % p for u, v in zip((A - net.sys.b @ net.gain).char_poly().coeffs, chi_a)]
+    t = next((k for k, v in enumerate(r) if v), None)
+    mu = 0 if t is None else -chi_a[t] * pow(r[t], p - 2, p) % p
+    if any((u + mu * v) % p for u, v in zip(chi_a, r)):
+        every = False  # no mu makes A - mu bK nilpotent
+    else:
+        every = True if t is None else None  # every mu does (r = 0), or mu* alone
     results: dict = {}
     per_graph = []
     for gi in graph_indices:
@@ -211,20 +220,17 @@ def _error_block_results(net: LeaderFollowerNetwork, graph_indices, test) -> lis
         blocks = []
         for comp in g.strongly_connected_components():
             key = tuple(
-                tuple((g.weight(j, i) - (degs[i] if i == j else 0)) % p for j in comp)
+                tuple(((degs[i] - mu if i == j else 0) - g.weight(j, i)) % p for j in comp)
                 for i in comp
             )
             if key not in results:
-                block = kron(MatrixFF.identity(field, len(comp)), A) + kron(MatrixFF(field, key), bk)
-                results[key] = test(block)
+                results[key] = every if every is not None else MatrixFF(net.field, key).is_nilpotent()
             blocks.append((comp, results[key]))
         per_graph.append(blocks)
     return per_graph
 
 
-def blockwise_nilpotency_check(
-    net: LeaderFollowerNetwork, graph_index: int = 0
-) -> dict[int, bool]:
+def blockwise_nilpotency_check(net: LeaderFollowerNetwork, graph_index: int = 0) -> dict[int, bool]:
     """Per-follower nilpotency of A - d_i * bK.
 
     Valid as a consensus test only over an acyclic follower graph (the
@@ -238,7 +244,7 @@ def blockwise_nilpotency_check(
             "blockwise check requires an acyclic follower graph; "
             "use is_nilpotent(error_dynamics_matrix(...)) instead"
         )
-    [blocks] = _error_block_results(net, [graph_index], MatrixFF.is_nilpotent)
+    [blocks] = _error_block_results(net, [graph_index])
     return {i: ok for (i,), ok in sorted(blocks)}
 
 
@@ -299,9 +305,7 @@ class _Facts(_FrozenRecord):
         object.__setattr__(self, "union_dag", union_dag)
         object.__setattr__(self, "shared_degree", shared_degree)  # one nonzero in-degree of every follower
         object.__setattr__(self, "bk_zero", bk_zero)
-        # per graph, the supplied gain's SCC blocks as (followers, result);
-        # the result is the block's nilpotent degree (None when not nilpotent)
-        # where the switching bound needs it, else is_nilpotent
+        # per graph, the supplied gain's SCC blocks as (followers, nilpotent)
         object.__setattr__(self, "blocks", blocks)
 
 
@@ -318,10 +322,6 @@ def _facts(net: LeaderFollowerNetwork) -> _Facts:
     # nilpotent iff the companion row is zero and A_uc is nilpotent.  Only
     # then is A's degree computed.
     a_nilpotent = stabilizable and not any(decomp.companion_coeffs)
-    blocks = None
-    if net.gain is not None:
-        test = MatrixFF.is_nilpotent if net.is_static or not union_dag else MatrixFF.nilpotent_degree
-        blocks = _error_block_results(net, range(len(graphs)), test)
     return _Facts(
         a_degree=net.sys.A.nilpotent_degree() if a_nilpotent else None,
         decomp=decomp,
@@ -334,7 +334,7 @@ def _facts(net: LeaderFollowerNetwork) -> _Facts:
         union_dag=union_dag,
         shared_degree=values.pop() if len(values) == 1 and all(dc.ok for dc in degrees) else None,
         bk_zero=net.gain is not None and (net.sys.b.is_zero() or net.gain.is_zero()),
-        blocks=blocks,
+        blocks=None if net.gain is None else _error_block_results(net, range(len(graphs))),
     )
 
 
@@ -479,13 +479,13 @@ def _bound(net: LeaderFollowerNetwork, f: _Facts, certificate: int | None) -> in
     if net.is_static:
         return net.num_followers * net.sys.dim
     if net.gain is not None and not f.bk_zero:
-        # acyclic union (``_decide``): worst closed-loop degree of each follower
-        worst: dict[int, int] = {}
-        for blocks in f.blocks:
-            for (node,), k in blocks:
-                worst[node] = max(worst.get(node, 0), k)
+        # acyclic union (``_decide``): follower i's block in each graph is the
+        # nilpotent A - d_i*bK; take each follower's worst closed-loop degree
+        bk = net.sys.b @ net.gain
+        ds = {d for dc in f.degrees for d in dc.degrees.values()}
+        loop = {d: (net.sys.A - bk.scale(d)).nilpotent_degree() for d in ds}
         order = [node for (node,) in f.union.strongly_connected_components()]
-        return product_vanishing_bound([worst[node] for node in order])
+        return product_vanishing_bound([max(loop[dc.degrees[node]] for dc in f.degrees) for node in order])
     # every diagonal block is one closed loop: the witness's A - d*bK, or A
     # itself under the zero gain or bK = 0 (which passes only for a nilpotent
     # A, whose witness is the zero gain); the bound for s equal degrees k is s*k

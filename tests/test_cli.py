@@ -780,11 +780,13 @@ def test_importing_cli_does_not_load_hashlib():
 
 
 def test_importing_cli_loads_no_dataclasses_inspect_or_typing():
-    # the records are plain classes, and annotations stay strings, so
-    # startup pays for neither module (nor for inspect, which dataclasses loads)
+    # the records are plain classes, annotations stay strings and files are
+    # opened with open(), so startup pays for none of these modules (nor for
+    # inspect, which dataclasses loads, or for pathlib's urllib and fnmatch)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, ffconsensus.cli; print([m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules])"
+    code = ("import sys, ffconsensus.cli; "
+            "print([m for m in ('dataclasses', 'inspect', 'typing', 'pathlib') if m in sys.modules])")
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"

@@ -13,6 +13,7 @@ from ffconsensus import (
     check_static,
     check_switching,
     consensus,
+    controllability_matrix,
     convergence_bound,
     deadbeat_gain,
     error_dynamics_matrix,
@@ -31,6 +32,7 @@ from conftest import (
     REF_GAIN,
     mat_power,
     random_dag_graph,
+    random_invertible,
     random_matrix,
     random_network,
     random_nilpotent,
@@ -120,7 +122,8 @@ def test_blockwise_agrees_with_direct_nilpotency():
 
 
 def test_blockwise_tests_each_distinct_block_once(monkeypatch):
-    # a 40-follower chain with one degree has 40 equal blocks A - d bK
+    # a 40-follower chain with one degree has 40 equal blocks A - d bK,
+    # decided by one 1 x 1 test of H_SS - mu* I
     net = single_graph_net(
         F3, [[1, 1], [0, 1]], [0, 1], [(0, 1, 1)] + [(i, i + 1, 1) for i in range(1, 40)], 40,
         gain=[1, 2],
@@ -129,23 +132,42 @@ def test_blockwise_tests_each_distinct_block_once(monkeypatch):
     original = MatrixFF.is_nilpotent
     monkeypatch.setattr(MatrixFF, "is_nilpotent", lambda m: calls.append(m.rows) or original(m))
     assert blockwise_nilpotency_check(net) == {i: True for i in range(1, 41)}
-    assert calls == [2]
+    assert calls == [1]
+
+
+def test_ring_gain_decided_without_kronecker_blocks(ref_system, monkeypatch):
+    # a leader edge into follower 1 and a directed ring of N = 80 followers,
+    # all in-degrees 2: one cyclic SCC whose dense error block has N*n = 400
+    # rows; the rule needs the 5 x 5 char polys and one N x N test
+    N = 80
+    g = WeightedDigraphFF(F3, N, [(0, 1, 1), (N, 1, 1)] + [(i, i + 1, 2) for i in range(1, N)])
+    net = LeaderFollowerNetwork(sys=ref_system, graphs=(g,), gain=MatrixFF.row_vector(F3, REF_GAIN))
+
+    def no_kron(*args):
+        raise AssertionError("kron called")
+
+    monkeypatch.setattr(consensus, "kron", no_kron)
+    sizes = []
+    original = MatrixFF.nilpotent_degree
+    monkeypatch.setattr(MatrixFF, "nilpotent_degree", lambda m: sizes.append(m.rows) or original(m))
+    report = analyze(net)
+    assert report.verdict == "impossible"
+    assert report.diagnostics["error_matrix_blocks"] == {"count": 1, "max_dim": N * 5}
+    assert max(sizes, default=0) <= N, sizes
 
 
 def test_scc_block_verdicts_match_dense_error_matrix():
     """The SCC-block decision of analyze against the Nn x Nn definition,
-    on random small networks with cyclic follower graphs."""
+    on random small networks with cyclic follower graphs, on single-
+    eigenvalue cycles with their deadbeat gain, and on gains with
+    chi_(A - bK) = chi_A (r = 0) although bK != 0."""
     rng = random.Random(2718)
     seen = {"multi_scc_cyclic": 0, "self_loop": 0, "leaderless": 0, "zero_degree": 0,
-            "switching": 0, "nilpotent": 0, "not_nilpotent": 0, "nilpotent_coupled_cycle": 0}
-    for _ in range(2000):
-        field = (F2, F3, F5)[rng.randrange(3)]
-        n, N = rng.randint(1, 3), rng.randint(1, 5)
-        a = random_nilpotent(rng, field, n) if rng.random() < 0.3 else random_matrix(rng, field, n, n)
-        sys_ = LinearSystemFF(a, random_matrix(rng, field, n, 1))
-        graphs = tuple(random_scc_graph(rng, field, N) for _ in range(1 if rng.random() < 0.8 else 2))
-        gain = random_matrix(rng, field, 1, n) if rng.random() < 0.8 else MatrixFF.zeros(field, 1, n)
-        net = LeaderFollowerNetwork(sys=sys_, graphs=graphs, gain=gain)
+            "switching": 0, "nilpotent": 0, "not_nilpotent": 0, "nilpotent_coupled_cycle": 0,
+            "single_eigenvalue_cycle": 0, "r_zero": 0}
+
+    def check(net):
+        graphs = net.graphs
         dense = [error_dynamics_matrix(net, gi).is_nilpotent() for gi in range(len(graphs))]
         if net.is_static:
             report = check_static(net)
@@ -157,7 +179,18 @@ def test_scc_block_verdicts_match_dense_error_matrix():
         blocks = report.diagnostics["error_matrix_blocks"]
         comps = [g.strongly_connected_components() for g in graphs]
         assert blocks == {"count": sum(map(len, comps)),
-                          "max_dim": n * max(len(c) for cs in comps for c in cs)}
+                          "max_dim": net.sys.dim * max(len(c) for cs in comps for c in cs)}
+        return dense, comps
+
+    for _ in range(2000):
+        field = (F2, F3, F5)[rng.randrange(3)]
+        n, N = rng.randint(1, 3), rng.randint(1, 5)
+        a = random_nilpotent(rng, field, n) if rng.random() < 0.3 else random_matrix(rng, field, n, n)
+        sys_ = LinearSystemFF(a, random_matrix(rng, field, n, 1))
+        graphs = tuple(random_scc_graph(rng, field, N) for _ in range(1 if rng.random() < 0.8 else 2))
+        gain = random_matrix(rng, field, 1, n) if rng.random() < 0.8 else MatrixFF.zeros(field, 1, n)
+        net = LeaderFollowerNetwork(sys=sys_, graphs=graphs, gain=gain)
+        dense, comps = check(net)
         coupled = not (sys_.b @ gain).is_zero()
         for g, cs, nil in zip(graphs, comps, dense):
             seen["nilpotent_coupled_cycle"] += nil and coupled and any(len(c) > 1 for c in cs)
@@ -166,6 +199,58 @@ def test_scc_block_verdicts_match_dense_error_matrix():
             seen["leaderless"] += any(not g.weight(0, i) for i in range(1, N + 1))
             seen["zero_degree"] += 0 in g.in_degrees().values()
         seen["nilpotent" if all(dense) else "not_nilpotent"] += 1
+
+    # H_SS = T (mu I + strictly upper) T^-1 has the one eigenvalue mu; the
+    # edge j -> i carries -H_ij, the leader edge into i the row sum of H
+    # (a self-loop changes neither), and the deadbeat gain for mu passes
+    for _ in range(80):
+        field = (F2, F3, F5)[rng.randrange(3)]
+        p = field.p
+        n, N = rng.randint(1, 3), rng.randint(2, 4)
+        sys_ = LinearSystemFF(random_matrix(rng, field, n, n), random_matrix(rng, field, n, 1))
+        decomp = kalman_decompose(sys_)
+        if not decomp.A_uc.is_nilpotent():
+            continue
+        mu = rng.randrange(1, p)
+        t = random_invertible(rng, field, N)
+        upper = MatrixFF(field, [[mu if j == i else rng.randrange(p) if j > i else 0 for j in range(N)]
+                                 for i in range(N)])
+        h = (t @ upper @ t.inverse()).to_rows()
+        edges = [(j + 1, i + 1, -h[i][j] % p) for i in range(N) for j in range(N) if i != j and h[i][j]]
+        edges += [(0, i + 1, sum(h[i]) % p) for i in range(N) if sum(h[i]) % p]
+        edges += [(i, i, rng.randrange(1, p)) for i in range(1, N + 1) if rng.random() < 0.3]
+        g = WeightedDigraphFF(field, N, edges)
+        a_bar, d_bar = g.adjacency_matrices()
+        assert (d_bar - a_bar).to_rows() == h
+        net = LeaderFollowerNetwork(sys=sys_, graphs=(g,), gain=deadbeat_gain(decomp, mu))
+        dense, [cs] = check(net)
+        assert dense == [True]
+        coupled = not (sys_.b @ net.gain).is_zero()
+        seen["single_eigenvalue_cycle"] += coupled and any(len(c) > 1 for c in cs)
+
+    # K in the left null space of the Krylov matrix [b, Ab, ...]: in
+    # coordinates z = T x, A = [[A_1, A_12], [0, A_2]], b = [b_1; 0] and
+    # K = [0, k_2], so K A^k b = 0 for every k and chi_(A - bK) = chi_A
+    for _ in range(40):
+        field = (F2, F3, F5)[rng.randrange(3)]
+        p = field.p
+        n, N = rng.randint(2, 3), rng.randint(1, 4)
+        s = rng.randint(1, n - 1)
+        nilpotent = rng.random() < 0.4
+        a = MatrixFF(field, [[rng.randrange(p) if (j > i or not nilpotent) and (j >= s or i < s) else 0
+                              for j in range(n)] for i in range(n)])
+        b = MatrixFF.column(field, [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(s - 1)] + [0] * (n - s))
+        k = MatrixFF.row_vector(field, [0] * (n - 1) + [rng.randrange(1, p)])
+        t = random_invertible(rng, field, n)
+        t_inv = t.inverse()
+        sys_ = LinearSystemFF(t_inv @ a @ t, t_inv @ b)
+        gain = k @ t
+        assert (gain @ controllability_matrix(sys_)).is_zero() and not (sys_.b @ gain).is_zero()
+        assert (sys_.A - sys_.b @ gain).char_poly() == sys_.A.char_poly()
+        graphs = tuple(random_scc_graph(rng, field, N) for _ in range(1 if rng.random() < 0.8 else 2))
+        dense, _ = check(LeaderFollowerNetwork(sys=sys_, graphs=graphs, gain=gain))
+        assert all(dense) == sys_.A.is_nilpotent()
+        seen["r_zero"] += 1
     assert min(seen.values()) >= 20, seen
 
 
