@@ -415,10 +415,15 @@ def cmd_synthesize(args) -> int:
 
 
 def _traj_csv(traj) -> str:
-    row = "".join(f"%d,{a},%d\n" for a in range(1, len(traj.errors[0]) + 1))
+    """The ``step,agent,error`` rows: one template per step up to agreement,
+    then one preformatted zero block per agreed step."""
+    agents = range(1, len(traj.errors[0]) + 1)
+    row = "".join(f"%d,{a},%d\n" for a in agents)
+    agreed = "".join(f"{{0}},{a},0\n" for a in agents)
+    last = traj.horizon if traj.consensus_step is None else traj.consensus_step
     return "step,agent,error\n" + "".join(
-        row % tuple(chain.from_iterable(zip(repeat(k), errs))) for k, errs in enumerate(traj.errors)
-    )
+        row % tuple(chain.from_iterable(zip(repeat(k), errs))) for k, errs in enumerate(traj.errors[: last + 1])
+    ) + "".join(map(agreed.format, range(last + 1, traj.horizon + 1)))
 
 
 def _traj_json(traj, trial: int, bound: int | None) -> dict:

@@ -513,7 +513,7 @@ class AnalysisReport(_Record):
         self.diagnostics = {} if diagnostics is None else diagnostics
 
     def to_dict(self) -> dict:
-        return dict(zip(self.__slots__, self._values()))
+        return dict(zip(self._fields, self._values()))
 
 
 def analyze(net: LeaderFollowerNetwork) -> AnalysisReport:

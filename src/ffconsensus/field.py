@@ -87,15 +87,20 @@ class PrimeField:
 
 class _Record:
     """Base of the package's records: plain classes whose fields are their
-    ``__slots__``, in constructor order, with value ``==`` and ``repr``
-    over them.  A record equals only records of its own class; a mutable
-    one is unhashable."""
+    ``_fields``, in constructor order, with value ``==`` and ``repr``
+    over them.  ``_fields`` is the ``__slots__`` unless a class names its
+    fields itself (one read through a property, say).  A record equals
+    only records of its own class; a mutable one is unhashable."""
 
     __slots__ = ()
     __hash__ = None
 
+    def __init_subclass__(cls):
+        if "_fields" not in cls.__dict__:
+            cls._fields = cls.__slots__
+
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -103,7 +108,7 @@ class _Record:
         return self._values() == other._values()
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __reduce__(self):  # copy and pickle through __init__, past a frozen __setattr__

@@ -35,8 +35,12 @@ follower, every difference x_j - x_i in u_i = K sum_j a_ij (x_j - x_i)
 (the leader's j = 0 and self-loops included) is x_0 - x_0 = 0, so
 u_i = 0 and every agent advances by A alone, to the same A x_0 (in
 error form: every error matrix fixes delta = 0).  ``simulate`` therefore
-stops stepping the followers at the first step where they all equal the
-leader and from there computes only the leader's orbit.  The oracle and
+stops stepping at the first step where every follower equals the
+leader.  Per step it records the errors and the packed columns X (n
+ints), nothing else: the CSV output reads the errors only, and the agreed
+tail costs one list extend of the zero error tuple.  ``Trajectory.states``
+is built on first read (the JSON output reads it) from those columns,
+and after agreement from the leader's orbit alone.  The oracle and
 ``step`` deliberately step every agent on every step: they are the
 independent reference that the shortcut, and the argument itself, are
 tested against.
@@ -75,21 +79,41 @@ class NetworkState(_FrozenRecord):
 
 
 class Trajectory(_FrozenRecord):
-    """Recorded run: states, per-step errors, and the consensus step."""
+    """Recorded run: states, per-step errors, and the consensus step.
 
-    __slots__ = ("states", "errors", "consensus_step", "signal_indices", "metadata")
+    A trajectory from ``simulate`` builds ``states`` on first read, from
+    the packed columns it recorded per step, and keeps them; until then
+    it holds n ints per step up to agreement and no ``NetworkState``."""
+
+    __slots__ = ("_states", "errors", "consensus_step", "signal_indices", "metadata", "_build")
+    _fields = ("states", "errors", "consensus_step", "signal_indices", "metadata")
 
     def __init__(self, states: tuple[NetworkState, ...], errors: tuple[tuple[int, ...], ...],
                  consensus_step: int | None, signal_indices: tuple[int, ...], metadata: dict | None = None):
-        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "_states", states)
         object.__setattr__(self, "errors", errors)
         object.__setattr__(self, "consensus_step", consensus_step)
         object.__setattr__(self, "signal_indices", signal_indices)
         object.__setattr__(self, "metadata", {} if metadata is None else metadata)
+        object.__setattr__(self, "_build", None)
+
+    @classmethod
+    def _recorded(cls, build, errors, consensus_step, signal_indices, metadata) -> "Trajectory":
+        """A trajectory whose states ``build()`` returns when first read."""
+        traj = cls(None, errors, consensus_step, signal_indices, metadata)
+        object.__setattr__(traj, "_build", build)
+        return traj
+
+    @property
+    def states(self) -> tuple[NetworkState, ...]:
+        if self._build is not None:
+            object.__setattr__(self, "_states", self._build())
+            object.__setattr__(self, "_build", None)
+        return self._states
 
     @property
     def horizon(self) -> int:
-        return len(self.states) - 1
+        return len(self.errors) - 1
 
 
 def random_state(field: PrimeField, n: int, num_followers: int, rng: random.Random) -> NetworkState:
@@ -193,9 +217,11 @@ def simulate(
     errors are still nonzero at the end).
 
     Agreement is absorbing (see the module docstring), so the agents are
-    stepped only until every follower equals the leader; after that only
-    the leader's A x_0 is computed, and that one tuple stands for the
-    leader and every follower."""
+    stepped only until every follower equals the leader, and the rest of
+    ``errors`` is that step's zero tuple repeated.  The states are built
+    when ``Trajectory.states`` is first read: each recorded step unpacked,
+    then only the leader's A x_0, one tuple that stands for the leader
+    and every follower."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     if signal is None:
@@ -207,39 +233,38 @@ def simulate(
 
     packing = _Packing(net)
     steppers = [packing.stepper(gi) for gi in range(len(net.graphs))]
-    agents = _agents(net, init)
-    X = packing.pack(agents)
-    states = [init]
-    errors = [_errors(zip(*agents))]
+    unpack = packing.unpack
+    X = packing.pack(_agents(net, init))
+    snapshots = [X]
+    errors = [_errors(map(unpack, X))]
     k = 0
     while k < horizon and any(errors[-1]):
         X = steppers[indices[k]](X)
         k += 1
-        cols = list(map(packing.unpack, X))
-        agents = tuple(zip(*cols))
-        states.append(NetworkState(init.step + k, agents[0], agents[1:]))
-        errors.append(_errors(cols))
+        snapshots.append(X)
+        errors.append(_errors(map(unpack, X)))
+    consensus_step = None if any(errors[-1]) else k
+    if consensus_step is not None:
+        errors.extend(repeat(errors[-1], horizon - k))
 
-    consensus_step: int | None = None
-    if not any(errors[-1]):
-        consensus_step = k
-        a_rows, p = net.sys.A.to_rows(), net.field.p
-        x0, zero = agents[0], errors[-1]
-        for k in range(consensus_step + 1, horizon + 1):
-            x0 = tuple(sum(map(mul, row, x0)) % p for row in a_rows)
-            states.append(NetworkState(init.step + k, x0, (x0,) * len(zero)))
-            errors.append(zero)
+    def build() -> tuple[NetworkState, ...]:
+        states = [init]
+        for j, X in enumerate(snapshots[1:], init.step + 1):
+            agents = tuple(zip(*map(unpack, X)))
+            states.append(NetworkState(j, agents[0], agents[1:]))
+        if consensus_step is not None:
+            a_rows, p, N = net.sys.A.to_rows(), net.field.p, net.num_followers
+            x0 = next(zip(*map(unpack, snapshots[-1])))
+            for j in range(init.step + consensus_step + 1, init.step + horizon + 1):
+                x0 = tuple(sum(map(mul, row, x0)) % p for row in a_rows)
+                states.append(NetworkState(j, x0, (x0,) * N))
+        return tuple(states)
+
     meta = dict(metadata or {})
     meta.setdefault("signal_kind", signal.kind)
     if signal.seed is not None:
         meta.setdefault("signal_seed", signal.seed)
-    return Trajectory(
-        states=tuple(states),
-        errors=tuple(errors),
-        consensus_step=consensus_step,
-        signal_indices=tuple(indices),
-        metadata=meta,
-    )
+    return Trajectory._recorded(build, tuple(errors), consensus_step, tuple(indices), meta)
 
 
 # ----------------------------------------------------------------------

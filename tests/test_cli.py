@@ -11,6 +11,7 @@ import pytest
 
 from ffconsensus import (
     MatrixFF,
+    NetworkState,
     PolyFF,
     PrimeField,
     SwitchingSignal,
@@ -19,9 +20,11 @@ from ffconsensus import (
     is_irreducible,
     is_prime,
     poly,
+    random_state,
+    simulate,
 )
 from ffconsensus.poly import _group_order_primes, pow_x_mod
-from ffconsensus.cli import ConfigError, ScenarioConfig, _dumps, load_config, main
+from ffconsensus.cli import ConfigError, ScenarioConfig, _dumps, _traj_csv, load_config, main
 
 from conftest import REF_A_ROWS, REF_B, REF_GAIN, REF_GRAPH1_EDGES, REF_GRAPH2_EDGES, per_entry_config
 
@@ -845,6 +848,43 @@ def test_simulate_csv_matches_naive_formatting(N, trials, tmp_path, capsys):
         naive += "\n".join(lines) + "\n"
     assert capsys.readouterr().out == naive
     assert any(any(errs) for trial in doc["trials"] for errs in trial["errors"])
+
+
+def naive_csv(errors) -> str:
+    return "step,agent,error\n" + "".join(
+        f"{k},{a},{e}\n" for k, errs in enumerate(errors) for a, e in enumerate(errs, start=1))
+
+
+@pytest.mark.parametrize("agreement", ["initially", "mid_horizon", "never"])
+def test_traj_csv_matches_a_per_row_writer(agreement):
+    """The CSV writer, which formats the agreed tail in bulk, against one
+    row at a time, for agreement at step 0, within the horizon and never."""
+    rng = random.Random(61)
+    gain = [0] * 5 if agreement == "never" else REF_GAIN  # K = 0: every agent runs A alone, A not nilpotent
+    one_graph = [[[s, t, w] for (s, t, w) in REF_GRAPH1_EDGES]]
+    net = ScenarioConfig.from_dict(ref_config_dict(K=gain, graphs=one_graph, switching=None)).network()
+    for _ in range(5):
+        init = random_state(net.field, 5, 4, rng)
+        if agreement == "initially":
+            init = NetworkState(0, init.leader, (init.leader,) * 4)
+        traj = simulate(net, init, horizon=30)
+        assert {"initially": 0, "never": None}.get(agreement, traj.consensus_step) == traj.consensus_step
+        assert agreement != "mid_horizon" or 0 < traj.consensus_step < traj.horizon
+        assert _traj_csv(traj) == naive_csv(traj.errors)
+
+
+def test_simulate_per_trial_csv_files_match_a_per_row_writer(tmp_path, capsys):
+    """Each file of ``simulate --trials 3 --out x.csv`` against one row at
+    a time over the errors the JSON output of the same run holds."""
+    path = tmp_path / "gain.json"
+    path.write_text(json.dumps(ref_config_dict(K=REF_GAIN)))
+    argv = ["simulate", str(path), "--trials", "3", "--seed", "8", "--horizon", "15"]
+    assert main(argv + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--out", str(tmp_path / "x.csv")]) == 0
+    for t, trial in enumerate(doc["trials"]):
+        assert trial["consensus_step"] < doc["horizon"]
+        assert (tmp_path / f"x_trial{t}.csv").read_text() == naive_csv(trial["errors"])
 
 
 # ---------------------------------------------------------

@@ -12,6 +12,7 @@ from ffconsensus import (
     NetworkState,
     PrimeField,
     SwitchingSignal,
+    Trajectory,
     VectorFF,
     WeightedDigraphFF,
     convergence_bound,
@@ -538,6 +539,132 @@ def test_oracle_routes_match_per_agent_rule():
         seen["consensus" if full else "no_consensus"] += 1
         seen["every_signal" if every_signal else "some_signal_fails"] += 1
     assert min(seen.values()) >= 10, seen
+
+
+# ---------------------------------------------------------
+# States built on first read
+# ---------------------------------------------------------
+
+def eager_states(net: LeaderFollowerNetwork, init: NetworkState, indices) -> list[NetworkState]:
+    """Every agent stepped by ``step`` until agreement, then the leader's
+    orbit A x_0 shared by every agent."""
+    states = [init]
+    for gi in indices:
+        last = states[-1]
+        if any(last.errors()):
+            states.append(step(net, last, gi))
+        else:
+            x0 = apply(net.sys.A, last.leader)
+            states.append(NetworkState(last.step + 1, x0, (x0,) * net.num_followers))
+    return states
+
+
+def lazy_case(rng: random.Random, case: int):
+    """A seeded network, initial state, signal and horizon; the cases
+    cycle through p (1000003 last: slots wider than 64 bits) and the
+    three signal kinds."""
+    p = (2, 3, 5, 101, 1000003)[case % 5]
+    field = PrimeField(p)
+    n, N, q = rng.randint(1, 3), rng.randint(1, 5), rng.randint(1, 3)
+    graphs = tuple(random_scc_graph(rng, field, N) for _ in range(q))
+    nilpotent = rng.random() < 0.5
+    a = random_nilpotent(rng, field, n) if nilpotent else random_matrix(rng, field, n, n)
+    # with a zero gain every agent advances by A alone: a nilpotent A agrees within n steps, for any p
+    zero_gain = nilpotent and rng.random() < 0.5
+    gain = MatrixFF.zeros(field, 1, n) if zero_gain else random_matrix(rng, field, 1, n)
+    net = LeaderFollowerNetwork(sys=LinearSystemFF(a, random_matrix(rng, field, n, 1)), graphs=graphs, gain=gain)
+    horizon = 1 if case % 7 == 0 else rng.randint(2, 2 * n + 4)
+    kind = ("periodic", "random", "explicit")[case % 3]
+    if kind == "periodic":
+        sig = SwitchingSignal(kind, q, sequence=tuple(rng.randrange(q) for _ in range(rng.randint(1, 3))))
+    elif kind == "random":
+        sig = SwitchingSignal(kind, q, seed=rng.randrange(10**6))
+    else:
+        sig = SwitchingSignal(kind, q, sequence=tuple(rng.randrange(q) for _ in range(horizon + rng.randint(0, 2))))
+    init = random_state(field, n, N, rng)
+    if rng.random() < 0.2:
+        init = NetworkState(0, init.leader, (init.leader,) * N)
+    if rng.random() < 0.5:
+        init = NetworkState(rng.randint(1, 50), init.leader, init.followers)
+    return net, init, sig, horizon
+
+
+def test_lazy_states_match_eager_stepping():
+    """simulate's states, built on first read from the packed columns it
+    recorded, against stepping every agent with ``step`` until agreement
+    and the leader-only tail after it."""
+    rng = random.Random(53)
+    seen = Counter()
+    for case in range(300):
+        net, init, sig, horizon = lazy_case(rng, case)
+        traj = simulate(net, init, signal=sig, horizon=horizon)
+        assert traj.horizon == horizon
+        assert traj.signal_indices == tuple(sig.realize(horizon))
+        expected = eager_states(net, init, traj.signal_indices)
+        assert traj.states == tuple(expected)
+        assert traj.states is traj.states  # built once
+        assert [st.step for st in traj.states] == list(range(init.step, init.step + horizon + 1))
+        assert traj.errors == tuple(tuple(st.errors()) for st in expected)
+        agreed = [k for k, errs in enumerate(traj.errors) if not any(errs)]
+        assert traj.consensus_step == (agreed[0] if agreed else None)
+
+        cs = traj.consensus_step
+        seen[f"{len(net.graphs)}_graphs"] += 1
+        seen[sig.kind] += 1
+        seen["never_agrees" if cs is None else "agrees_initially" if cs == 0
+             else "agrees_mid_horizon" if cs < horizon else "agrees_at_horizon"] += 1
+        seen["horizon_1"] += horizon == 1
+        seen["step_offset"] += init.step != 0
+        seen["shift_mask"] += sim._Packing(net).width > 64
+    assert min(seen.values()) >= 10 and len(seen) == 13, seen
+
+
+def test_record_contract_before_and_after_states_are_read(monkeypatch):
+    """A trajectory from simulate, its states unread and read, against one
+    built from its materialized states: ==, hash, repr, copy and pickle,
+    and read-only fields.  Until ``states`` is read no NetworkState is
+    made: ``horizon``, ``errors`` and the CSV writer read the errors."""
+    import copy
+    import pickle
+
+    from ffconsensus.cli import _traj_csv
+
+    def hash_or_error(obj):
+        try:
+            return hash(obj)
+        except TypeError as exc:
+            return f"TypeError: {exc}"
+
+    def refuse(*args):
+        raise AssertionError("a NetworkState was built")
+
+    rng = random.Random(59)
+    for case in range(30):
+        net, init, sig, horizon = lazy_case(rng, case)
+        run = lambda: simulate(net, init, signal=sig, horizon=horizon, metadata={"case": case})
+        read = run()
+        eager = Trajectory(read.states, read.errors, read.consensus_step, read.signal_indices, read.metadata)
+        for fresh in (run, lambda: read):
+            assert fresh() == eager and eager == fresh() and not fresh() != eager
+            assert hash_or_error(fresh()) == hash_or_error(eager)
+            assert repr(fresh()) == repr(eager)
+            for twin in (copy.copy(fresh()), copy.deepcopy(fresh()), pickle.loads(pickle.dumps(fresh()))):
+                assert type(twin) is Trajectory and twin == eager and repr(twin) == repr(eager)
+            unread = fresh()
+            for name in ("states", "errors", "consensus_step", "signal_indices", "metadata"):
+                with pytest.raises(AttributeError):
+                    setattr(unread, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(unread, name)
+            assert unread == eager
+
+        unread = run()
+        with monkeypatch.context() as patched:
+            patched.setattr(sim, "NetworkState", refuse)
+            assert unread.horizon == horizon
+            assert unread.errors == eager.errors
+            _traj_csv(unread)
+        assert unread.states == eager.states
 
 
 # ---------------------------------------------------------
