@@ -529,23 +529,20 @@ def cmd_cycles(args) -> int:
     cfg = load_config(args.config)
     A = MatrixFF(cfg.field, cfg.a_rows)
     try:
-        cs = autonomous_cycle_structure(A, mode="polynomial" if args.poly else "enumeration")
-    except ValueError as exc:  # p^n over the enumeration bound, or a p^d - 1 that cannot be factored
-        print(f"error: {exc}" + ("" if args.poly else "; rerun with --poly"), file=sys.stderr)
+        cs = autonomous_cycle_structure(A)
+    except ValueError as exc:  # a p^d - 1 whose primes cannot be found or certified
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     lines = [
-        f"method: {cs.method}",
         f"states: {cs.total_states}",
         f"tree depth: {cs.tree_depth}",
         f"transient states: {cs.transient_states}",
         "cycles (length x count): "
         + ", ".join(f"{length}x{cs.cycles[length]}" for length in sorted(cs.cycles)),
+        "bijective-part factors (factor | ascending coeffs | multiplicity | order of x):",
     ]
-    if cs.factor_orders is not None:
-        lines.append("bijective-part factors (factor | ascending coeffs | multiplicity | order of x):")
-        for g, mult, order in cs.factor_orders:
-            lines.append(f"  {g.format()} | {g.coefficient_list()} | {mult} | {order}")
+    lines += (f"  {g.format()} | {g.coefficient_list()} | {mult} | {order}" for g, mult, order in cs.factor_orders)
     _emit("\n".join(lines), args.out)
     return EXIT_OK
 
@@ -580,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("cycles", help="cycle/tree structure of the autonomous map x -> Ax")
     pc.add_argument("config")
     pc.add_argument("--poly", action="store_true",
-                    help="use the characteristic-polynomial route instead of enumeration")
+                    help="accepted and ignored: the characteristic-polynomial route is the only one")
     pc.add_argument("--out", help="write the report to this path")
     pc.set_defaults(func=cmd_cycles)
     return parser

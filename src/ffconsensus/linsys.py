@@ -4,7 +4,8 @@ Provides the controllability analysis used by the consensus conditions:
 the Krylov controllability matrix, a deterministic decomposition into a
 controller-companion block plus an uncontrollable block, stabilizability
 (the uncontrollable block must be nilpotent), deadbeat gain synthesis,
-and the cycle/tree structure of the autonomous map x -> Ax.
+and the cycle/tree structure of the autonomous map x -> Ax, counted from
+the factors of the characteristic polynomial.
 
 The decomposition basis is the pivot columns of [ctrb(A, b) | I]: the
 Krylov chain b, Ab, A^2 b, ... while independent, then the first
@@ -16,17 +17,12 @@ the first Krylov dependence (see ``kalman_decompose``).
 
 from __future__ import annotations
 
-from array import array
-from functools import cache, reduce
 from math import lcm
-from itertools import accumulate, chain, compress, repeat
 from operator import mul
 
 from .field import PrimeField, _FrozenRecord
 from .matrix import MatrixFF, _echelon
 from .poly import PolyFF, factor, split_nilpotent_bijective, _lift_order, _order_mod_irreducible
-
-DEFAULT_STATE_BOUND = 10**6
 
 
 class LinearSystemFF(_FrozenRecord):
@@ -175,165 +171,20 @@ class CycleStructure(_FrozenRecord):
 
     ``cycles`` maps cycle length -> number of cycles of that length.
     ``tree_depth`` is the number of steps after which every state has
-    entered a cycle.  Both modes are exact and return the same fields,
-    except ``factor_orders``, which only polynomial mode fills.
+    entered a cycle.  ``factor_orders`` lists (g, multiplicity, order of
+    x mod g) for each irreducible factor g != x of the characteristic
+    polynomial; it is empty when A is nilpotent.
     """
 
-    __slots__ = ("method", "tree_depth", "cycles", "total_states", "transient_states", "factor_orders")
+    __slots__ = ("tree_depth", "cycles", "total_states", "transient_states", "factor_orders")
 
-    def __init__(self, method: str, tree_depth: int, cycles: dict[int, int], total_states: int,
-                 transient_states: int, factor_orders: tuple[tuple[PolyFF, int, int], ...] | None = None):
-        object.__setattr__(self, "method", method)
+    def __init__(self, tree_depth: int, cycles: dict[int, int], total_states: int, transient_states: int,
+                 factor_orders: tuple[tuple[PolyFF, int, int], ...] = ()):
         object.__setattr__(self, "tree_depth", tree_depth)
         object.__setattr__(self, "cycles", cycles)
         object.__setattr__(self, "total_states", total_states)
         object.__setattr__(self, "transient_states", transient_states)
         object.__setattr__(self, "factor_orders", factor_orders)
-
-
-def autonomous_cycle_structure(
-    A: MatrixFF, mode: str = "enumeration", state_bound: int = DEFAULT_STATE_BOUND
-) -> CycleStructure:
-    """Cycle multiset and transient depth of the map x -> Ax on F_p^n.
-
-    Enumeration mode evaluates A x for all p^n states and walks the
-    functional graph; it requires p^n <= state_bound.  Polynomial mode
-    derives the same structure from the factors of the characteristic
-    polynomial and the kernel dimensions of their powers evaluated at A
-    (see ``_cycles_by_polynomial``); its cost does not grow with p^n.
-    """
-    if not A.is_square:
-        raise ValueError("cycle structure requires a square matrix")
-    if mode == "enumeration":
-        return _cycles_by_enumeration(A, state_bound)
-    if mode == "polynomial":
-        return _cycles_by_polynomial(A)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def _successor_table(A: MatrixFF) -> list[int]:
-    """succ[x] = A x for every state of F_p^n, packed base p.
-
-    Coordinate j of a state is its digit j.  The output coordinates are
-    taken m at a time, m the largest with P = p^m <= 256, and a group's
-    value is its m digits read base p, so that it fits one byte.  Its
-    values over all states are built by linearity: over the states of
-    digits 0..j they are p copies of its values over digits 0..j-1, each
-    copy the one before plus column j of A restricted to the group.
-    Adding a fixed vector mod p digit by digit (no carry) permutes the
-    group values, so it is one 256-byte lookup table, composed from
-    single-digit shift tables, and each copy is one ``bytes.translate``
-    of the previous.  Every entry is therefore exactly the group's
-    coordinates of A x.  The groups are folded into the packed successor
-    Horner-style, base P.  For p > 256 (so n <= 2 under the enumeration
-    bound) a group is one coordinate, and its values and tables are lists.
-    """
-    p = A.field.p
-    n = A.rows
-    rows = A.to_rows()
-    m = 1
-    while p ** (m + 1) <= 256:
-        m += 1
-    P = p**m
-    if P <= 256:
-        size, pack, join, shift = 256, bytes, b"".join, bytes.translate
-    else:
-        size, pack = P, list
-
-        def join(pieces):
-            return list(chain.from_iterable(pieces))
-
-        def shift(vals, table):
-            return list(map(table.__getitem__, vals))
-
-    @cache
-    def digit_shift(k: int, a: int):
-        """Table adding a mod p to digit k of a group value (values >= P kept)."""
-        q = p**k
-        return pack(
-            v + ((v // q + a) % p - v // q % p) * q if v < P else v for v in range(size)
-        )
-
-    succ = [0]  # the single state when n = 0
-    for lo in reversed(range(0, n, m)):
-        group = rows[lo : lo + m]
-        vals = [0] * p  # over the states of digit 0: d times column 0
-        for row in reversed(group):
-            vals = [v * p + d * row[0] % p for d, v in enumerate(vals)]
-        vals = pack(vals)
-        for j in range(1, n):
-            steps = [digit_shift(k, row[j]) for k, row in enumerate(group) if row[j]]
-            if steps:
-                table = reduce(shift, steps)
-                vals = join(accumulate(repeat(table, p - 1), shift, initial=vals))
-            else:  # column j is zero on the group: p equal copies
-                vals *= p
-        if lo + m < n:
-            vals = [s * P + v for s, v in zip(succ, vals)]
-            if lo:  # not the last fold: kept as machine ints, so that two
-                vals = array("l", vals)  # tables of int objects never coexist
-        succ = vals
-    return succ if n > m else list(succ)
-
-
-def _cycles_by_enumeration(A: MatrixFF, state_bound: int) -> CycleStructure:
-    """Cycle structure from the successor table of all p^n states.
-
-    Peel by images: after r rounds the states left are f^r(F_p^n), the
-    image of the r-th power of f: x -> Ax, flagged in a fresh 0/1 list
-    ``on``.  Once a round does not shrink the image it never shrinks
-    again, so the rounds that shrink it are the tree depth, the states
-    left are exactly those on cycles, and the others are transient.  The
-    first round flags the successors of every state; each later round
-    those of the previous image, listed once each as it is flagged, so a
-    round reads only its own image.  For a linear map each image is a
-    subspace, at most 1/p of the one before when it shrinks, so all
-    rounds together read at most p/(p-1) * p^n table entries.  The walk
-    then follows each cycle once from the states left, clearing them.
-    """
-    total = A.field.p ** A.rows
-    if total > state_bound:
-        raise ValueError(
-            f"state space size {total} exceeds the enumeration bound {state_bound}"
-        )
-    succ = _successor_table(A)
-
-    on = [0] * total
-    for y in succ:
-        on[y] = 1
-    size, left = total, total - on.count(0)
-    image = compress(range(total), on)  # f(F_p^n), read lazily off this list
-    depth = 0
-    while left < size:
-        depth += 1
-        size = left
-        on = [0] * total
-        kept = []
-        for y in map(succ.__getitem__, image):
-            if not on[y]:
-                on[y] = 1
-                kept.append(y)
-        image = kept
-        left = len(kept)
-
-    # image now holds exactly the states on cycles (as flagged in on)
-    cycles: dict[int, int] = {}
-    for v in image:
-        length = 0
-        while on[v]:
-            on[v] = 0
-            v = succ[v]
-            length += 1
-        if length:  # else v lies on a cycle already walked
-            cycles[length] = cycles.get(length, 0) + 1
-
-    return CycleStructure(
-        method="enumeration",
-        tree_depth=depth,
-        cycles=cycles,
-        total_states=total,
-        transient_states=total - size,
-    )
 
 
 def _kernel_dims(g: PolyFF, A: MatrixFF, e: int) -> list[int]:
@@ -355,8 +206,9 @@ def _kernel_dims(g: PolyFF, A: MatrixFF, e: int) -> list[int]:
     return dims + [g.degree * e]
 
 
-def _cycles_by_polynomial(A: MatrixFF) -> CycleStructure:
-    """Exact cycle structure from the primary decomposition of F_p^n.
+def autonomous_cycle_structure(A: MatrixFF) -> CycleStructure:
+    """Cycle multiset and transient depth of the map x -> Ax on F_p^n,
+    exactly, from the primary decomposition of F_p^n.
 
     Write the characteristic polynomial as x^s * prod g^e over monic
     irreducibles g with g(0) != 0.  The states on cycles form the
@@ -370,8 +222,13 @@ def _cycles_by_polynomial(A: MatrixFF) -> CycleStructure:
     are p^nullity(g(A)^k) - p^nullity(g(A)^(k-1)) such states; periods of
     a sum over components combine by lcm.  The nullities come from the
     matrix, not from the polynomial, so the count holds whether or not
-    the minimal and characteristic polynomials agree (Elspas 1959).
+    the minimal and characteristic polynomials agree (Elspas 1959).  The
+    cost is polynomial in n and log p, not in p^n.  Raises ValueError when
+    A is not square, or when the order of x modulo some factor cannot be
+    certified (a prime of p^d - 1 not found or not proven).
     """
+    if not A.is_square:
+        raise ValueError("cycle structure requires a square matrix")
     p = A.field.p
     n = A.rows
     s, Q = split_nilpotent_bijective(A.char_poly())
@@ -408,7 +265,6 @@ def _cycles_by_polynomial(A: MatrixFF) -> CycleStructure:
     total = p**n
     transient = total - p ** (n - s)
     return CycleStructure(
-        method="polynomial",
         tree_depth=depth,
         cycles=cycles,
         total_states=total,

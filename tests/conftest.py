@@ -76,6 +76,44 @@ def mat_power(m: MatrixFF, k: int) -> MatrixFF:
     return result
 
 
+def successors_by_matmul(a: MatrixFF) -> list[int]:
+    """A @ v for every state v (one product with all states as columns),
+    packed base p: state x has coordinate j equal to its digit j."""
+    p, n = a.field.p, a.rows
+    total = p**n
+    states = MatrixFF(a.field, [[x // p**j % p for x in range(total)] for j in range(n)])
+    packed = [0] * total
+    for row in reversed((a @ states).to_rows()):
+        packed = [s * p + v for s, v in zip(packed, row)]
+    return packed
+
+
+def naive_cycle_structure(succ: list[int]) -> tuple[int, dict[int, int], int]:
+    """(tree depth, {cycle length: count}, transient states) of the map
+    x -> succ[x]: iterate every state until it repeats or meets a known
+    cycle state.  The oracle for ``autonomous_cycle_structure``."""
+    cycle_len: dict[int, int] = {}  # state on a cycle -> its cycle's length
+    depth = 0
+    for x in range(len(succ)):
+        seen: dict[int, int] = {}  # state -> steps from x
+        v = x
+        while v not in seen and v not in cycle_len:
+            seen[v] = len(seen)
+            v = succ[v]
+        if v in seen:  # a new cycle, entered seen[v] steps from x
+            tail = seen[v]
+            for u, k in seen.items():
+                if k >= tail:
+                    cycle_len[u] = len(seen) - tail
+        else:
+            tail = len(seen)
+        depth = max(depth, tail)
+    cycles: dict[int, int] = {}
+    for length in cycle_len.values():
+        cycles[length] = cycles.get(length, 0) + 1
+    return depth, {l: c // l for l, c in cycles.items()}, len(succ) - len(cycle_len)
+
+
 # ---------------------------------------------------------------------
 # Random generators (seeded by the caller)
 # ---------------------------------------------------------------------

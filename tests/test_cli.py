@@ -26,7 +26,16 @@ from ffconsensus import (
 from ffconsensus.poly import _group_order_primes, pow_x_mod
 from ffconsensus.cli import ConfigError, ScenarioConfig, _dumps, _traj_csv, load_config, main
 
-from conftest import REF_A_ROWS, REF_B, REF_GAIN, REF_GRAPH1_EDGES, REF_GRAPH2_EDGES, per_entry_config
+from conftest import (
+    REF_A_ROWS,
+    REF_B,
+    REF_GAIN,
+    REF_GRAPH1_EDGES,
+    REF_GRAPH2_EDGES,
+    naive_cycle_structure,
+    per_entry_config,
+    successors_by_matmul,
+)
 
 
 def ref_config_dict(**overrides):
@@ -894,9 +903,44 @@ def test_simulate_per_trial_csv_files_match_a_per_row_writer(tmp_path, capsys):
 def test_cycles_enumeration_output(ref_config_path, capsys):
     rc = main(["cycles", ref_config_path])
     assert rc == 0
+    assert capsys.readouterr().out == (
+        "states: 243\n"
+        "tree depth: 1\n"
+        "transient states: 162\n"
+        "cycles (length x count): 1x1, 20x4\n"
+        "bijective-part factors (factor | ascending coeffs | multiplicity | order of x):\n"
+        "  λ^4+λ^3+2λ+1 | [1, 2, 0, 1, 1] | 1 | 20\n"
+    )
+
+
+def _cycles_lines(a_rows, p):
+    """The structure lines ``cycles`` prints for A, from the naive walk."""
+    depth, cycles, transient = naive_cycle_structure(successors_by_matmul(MatrixFF(PrimeField(p), a_rows)))
+    return [
+        f"states: {p ** len(a_rows)}",
+        f"tree depth: {depth}",
+        f"transient states: {transient}",
+        "cycles (length x count): " + ", ".join(f"{l}x{cycles[l]}" for l in sorted(cycles)),
+    ]
+
+
+def _deep_f3_rows():
+    """A size-4 shift beside the companion of the irreducible x^5 + 2x^4 + 1
+    over F_3: tree depth 4 on 3^9 states."""
+    shift = [[int(j == i + 1) for j in range(4)] + [0] * 5 for i in range(4)]
+    comp = [[0] * 4 + [int(j == i + 1) for j in range(5)] for i in range(4)] + [[0] * 4 + [2, 0, 0, 0, 1]]
+    return shift + comp
+
+
+@pytest.mark.parametrize("p,a_rows", [(257, [[1, 1], [1, 1]]), (3, _deep_f3_rows())], ids=["p257", "deep"])
+def test_cycles_matches_the_naive_walk_with_and_without_poly(tmp_path, capsys, p, a_rows):
+    # 66,049 and 19,683 states
+    path = _write(tmp_path, _cycles_config(p, a_rows))
+    assert main(["cycles", path]) == 0
     out = capsys.readouterr().out
-    assert "tree depth: 1" in out
-    assert "1x1" in out and "20x4" in out
+    assert out.splitlines()[:4] == _cycles_lines(a_rows, p)
+    assert main(["cycles", path, "--poly"]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_cycles_polynomial_table(ref_config_path, capsys):
@@ -980,30 +1024,15 @@ def test_large_prime_modulus(tmp_path, ref_config_path, capsys):
     assert "config error: p: " in capsys.readouterr().err
 
 
-def test_cycles_bound_guard(tmp_path, capsys):
-    doc = {
-        "p": 5, "n": 10, "N": 1,
-        "A": [[1 if i == j else 0 for j in range(10)] for i in range(10)],
-        "b": [0] * 10,
-        "graphs": [[[0, 1, 1]]],
-    }
-    path = tmp_path / "big.json"
-    path.write_text(json.dumps(doc))
-    assert main(["cycles", str(path)]) == 1
-    assert "--poly" in capsys.readouterr().err
-
-
-def test_cycles_over_the_enumeration_bound_exits_one_and_poly_runs(tmp_path, capsys):
-    # p = 101, n = 3: 1,030,301 states, just over the 10^6 enumeration bound
+def test_cycles_past_a_million_states_runs_with_and_without_poly(tmp_path, capsys):
+    # p = 101, n = 3: 1,030,301 states, answered as any other size
     path = _write(tmp_path, _cycles_config(101, [[1, 2, 0], [0, 1, 3], [4, 0, 1]]))
-    assert main(["cycles", path]) == 1
+    assert main(["cycles", path]) == 0
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: state space size 1030301 exceeds the enumeration bound 1000000; rerun with --poly\n"
-    )
+    assert captured.err == ""
+    assert "states: 1030301\n" in captured.out
     assert main(["cycles", path, "--poly"]) == 0
-    assert "states: 1030301\n" in capsys.readouterr().out
+    assert capsys.readouterr().out == captured.out
 
 
 # ---------------------------------------------------------

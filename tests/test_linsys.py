@@ -9,24 +9,23 @@ from ffconsensus import (
     LinearSystemFF,
     MatrixFF,
     PrimeField,
-    VectorFF,
     autonomous_cycle_structure,
     controllability_matrix,
     deadbeat_gain,
     is_stabilizable,
     kalman_decompose,
 )
-from ffconsensus.linsys import _successor_table
-
 from conftest import (
     F2,
     F3,
     F5,
     REF_A_ROWS,
     REF_B,
+    naive_cycle_structure,
     random_invertible,
     random_matrix,
     random_nilpotent,
+    successors_by_matmul,
 )
 
 
@@ -299,16 +298,7 @@ def test_polynomial_mode_matches_enumeration_on_companions():
             field,
             [[1 if j == i + 1 else 0 for j in range(n)] for i in range(n - 1)] + [bottom],
         )
-        enum = autonomous_cycle_structure(comp, mode="enumeration")
-        poly = autonomous_cycle_structure(comp, mode="polynomial")
-        assert enum.cycles == poly.cycles
-        assert enum.transient_states == poly.transient_states
-
-
-def test_enumeration_bound_guard():
-    big = MatrixFF.identity(F5, 10)
-    with pytest.raises(ValueError):
-        autonomous_cycle_structure(big, state_bound=10**4)
+        assert_matches_naive(comp)
 
 
 def test_nilpotent_map_depth_equals_degree():
@@ -320,10 +310,11 @@ def test_nilpotent_map_depth_equals_degree():
         cs = autonomous_cycle_structure(m)
         assert cs.cycles == {1: 1}  # only the origin survives
         assert cs.tree_depth == m.nilpotent_degree()
+        assert cs.factor_orders == ()
 
 
 # ---------------------------------------------------------
-# Differential tests of both cycle-structure modes
+# Differential tests against the naive walk over every state
 # ---------------------------------------------------------
 
 F7 = PrimeField(7)
@@ -365,32 +356,13 @@ def cycle_test_matrix(rng, kind, field, n):
     return (t @ m) @ t.inverse()
 
 
-def unpack(x, p, n):
-    return [x // p**j % p for j in range(n)]
-
-
-def naive_cycle_structure(succ):
-    """Iterate every state until it repeats or meets a known cycle state."""
-    cycle_len: dict[int, int] = {}  # state on a cycle -> its cycle's length
-    depth = 0
-    for x in range(len(succ)):
-        seen: dict[int, int] = {}  # state -> steps from x
-        v = x
-        while v not in seen and v not in cycle_len:
-            seen[v] = len(seen)
-            v = succ[v]
-        if v in seen:  # a new cycle, entered seen[v] steps from x
-            tail = seen[v]
-            for u, k in seen.items():
-                if k >= tail:
-                    cycle_len[u] = len(seen) - tail
-        else:
-            tail = len(seen)
-        depth = max(depth, tail)
-    cycles: dict[int, int] = {}
-    for length in cycle_len.values():
-        cycles[length] = cycles.get(length, 0) + 1
-    return depth, {l: c // l for l, c in cycles.items()}, len(succ) - len(cycle_len)
+def assert_matches_naive(a, context=None):
+    """The structure of x -> Ax equals the naive walk's; returns the latter."""
+    depth, cycles, transient = naive_cycle_structure(successors_by_matmul(a))
+    cs = autonomous_cycle_structure(a)
+    assert (cs.tree_depth, cs.cycles, cs.transient_states) == (depth, cycles, transient), (context, a)
+    assert cs.total_states == a.field.p**a.rows
+    return depth, cycles, transient
 
 
 def test_enumeration_matches_naive_walker():
@@ -405,17 +377,7 @@ def test_enumeration_matches_naive_walker():
         n = rng.randrange(2 if kind in ("diag_bb", "singular") else 1, 6)
         while p**n > 2500:
             n -= 1
-        a = cycle_test_matrix(rng, kind, field, n)
-        expected = []
-        for x in range(p**n):
-            y = (a @ VectorFF(field, unpack(x, p, n))).entries
-            expected.append(sum(c * p**j for j, c in enumerate(y)))
-        assert _successor_table(a) == expected, (kind, a)
-
-        cs = autonomous_cycle_structure(a)
-        depth, cycles, transient = naive_cycle_structure(expected)
-        assert (cs.tree_depth, cs.cycles, cs.transient_states) == (depth, cycles, transient), (kind, a)
-        assert cs.total_states == p**n
+        depth, cycles, _ = assert_matches_naive(cycle_test_matrix(rng, kind, field, n), kind)
         kinds[kind] = kinds.get(kind, 0) + 1
         fields[p] = fields.get(p, 0) + 1
         depths.add(depth)
@@ -425,36 +387,14 @@ def test_enumeration_matches_naive_walker():
 
 
 def test_enumeration_across_pack_slices():
-    # larger state spaces, packed from two byte groups (2^13, 3^9) or three (7^5)
+    # larger state spaces: 2^13, 3^9 and 7^5 states
     rng = random.Random(103)
     for field, n in ((F2, 13), (F3, 9), (F7, 5)):
-        p = field.p
-        a = random_matrix(rng, field, n, n)
-        expected = []
-        for x in range(p**n):
-            y = (a @ VectorFF(field, unpack(x, p, n))).entries
-            expected.append(sum(c * p**j for j, c in enumerate(y)))
-        assert _successor_table(a) == expected
-        cs = autonomous_cycle_structure(a)
-        assert (cs.tree_depth, cs.cycles, cs.transient_states) == naive_cycle_structure(expected)
+        assert_matches_naive(random_matrix(rng, field, n, n))
 
 
-def successors_by_matmul(a):
-    """A @ v for every state v (one product with all states as columns), packed base p."""
-    p, n = a.field.p, a.rows
-    total = p**n
-    states = MatrixFF(a.field, [[x // p**j % p for x in range(total)] for j in range(n)])
-    packed = [0] * total
-    for row in reversed((a @ states).to_rows()):
-        packed = [s * p + v for s, v in zip(packed, row)]
-    return packed
-
-
-# The successor table packs m output coordinates into one group value
-# below P = p^m <= 256: m = 2 for p = 11, 13 and m = 1 for p = 17, 251.
-# For p > 256 a group is held in a list.  At p = 2 (m = 8) and p = 3
-# (m = 5), n = 8, 16, 5, 10 fill whole groups and n = 9, 6 spill into one
-# more.
+# Moduli from 11 to 1009 (one, two and three coordinates), and state
+# spaces of up to 2^16 and 3^10 states over F_2 and F_3.
 GROUP_SHAPES = [
     (11, 3), (13, 3), (17, 3), (251, 2),
     (257, 1), (257, 2), (1009, 1),
@@ -470,12 +410,7 @@ def test_enumeration_across_group_shapes(p, n):
     for kind in kinds:
         if n < 2 and kind in ("diag_bb", "singular"):
             continue
-        a = cycle_test_matrix(rng, kind, field, n)
-        expected = successors_by_matmul(a)
-        assert _successor_table(a) == expected, (kind, a)
-        cs = autonomous_cycle_structure(a)
-        assert (cs.tree_depth, cs.cycles, cs.transient_states) == naive_cycle_structure(expected), (kind, a)
-        assert cs.total_states == p**n
+        assert_matches_naive(cycle_test_matrix(rng, kind, field, n), kind)
 
 
 def minimal_poly_degree(a):
@@ -496,20 +431,16 @@ def test_polynomial_mode_matches_enumeration():
         field = (F2, F3)[t // len(CYCLE_KINDS) % 2]
         n = rng.randrange(2 if kind in ("diag_bb", "singular") else 1, 7)
         a = cycle_test_matrix(rng, kind, field, n)
-        enum = autonomous_cycle_structure(a, mode="enumeration")
-        poly = autonomous_cycle_structure(a, mode="polynomial")
-        assert (poly.tree_depth, poly.cycles, poly.transient_states, poly.total_states) == (
-            enum.tree_depth, enum.cycles, enum.transient_states, enum.total_states
-        ), (kind, a)
+        assert_matches_naive(a, kind)
         non_cyclic += minimal_poly_degree(a) < n
     assert non_cyclic >= 105
 
 
 def test_polynomial_mode_non_cyclic_regressions():
     # the identity and zero maps, whose minimal polynomial is not x^n or (x-1)^n
-    ident = autonomous_cycle_structure(MatrixFF.identity(F3, 2), mode="polynomial")
+    ident = autonomous_cycle_structure(MatrixFF.identity(F3, 2))
     assert (ident.cycles, ident.tree_depth, ident.transient_states) == ({1: 9}, 0, 0)
-    zero = autonomous_cycle_structure(MatrixFF.zeros(F3, 3, 3), mode="polynomial")
+    zero = autonomous_cycle_structure(MatrixFF.zeros(F3, 3, 3))
     assert (zero.cycles, zero.tree_depth, zero.transient_states) == ({1: 1}, 1, 26)
 
 
@@ -525,17 +456,15 @@ def test_polynomial_mode_computes_one_base_order_per_factor(monkeypatch):
     calls = []
     original = linsys._order_mod_irreducible
     monkeypatch.setattr(linsys, "_order_mod_irreducible", lambda g: calls.append(g) or original(g))
-    poly = autonomous_cycle_structure(a, mode="polynomial")
+    depth, cycles, _ = assert_matches_naive(a)
     assert len(calls) == 2
-    enum = autonomous_cycle_structure(a, mode="enumeration")
-    assert (poly.cycles, poly.tree_depth) == (enum.cycles, enum.tree_depth) == ({1: 3, 3: 2, 4: 6, 12: 58}, 0)
+    assert (cycles, depth) == ({1: 3, 3: 2, 4: 6, 12: 58}, 0)
 
 
 def test_empty_matrix_cycle_structure():
     empty = MatrixFF.zeros(F3, 0, 0)
-    for mode in ("enumeration", "polynomial"):
-        cs = autonomous_cycle_structure(empty, mode=mode)
-        assert (cs.cycles, cs.tree_depth, cs.total_states, cs.transient_states) == ({1: 1}, 0, 1, 0)
+    assert assert_matches_naive(empty) == (0, {1: 1}, 0)
+    assert autonomous_cycle_structure(empty).factor_orders == ()
 
 
 def shift_matrix(field, n):
@@ -543,27 +472,20 @@ def shift_matrix(field, n):
     return MatrixFF(field, [[int(j == i + 1) for j in range(n)] for i in range(n)])
 
 
-# Deep transients where the successor table is folded from several byte
-# groups: a shift of size k beside an invertible block of size r, conjugated
-# by a random basis, has tree depth k and p^(k+r) - p^r transient states.
+# Deep transients: a shift of size k beside an invertible block of size r,
+# conjugated by a random basis, has tree depth k and p^(k+r) - p^r
+# transient states.
 @pytest.mark.parametrize(
-    "field,k,r,groups",
-    [(F2, 14, 0, 2), (F3, 4, 5, 2), (F7, 3, 2, 3)],
+    "field,k,r",
+    [(F2, 14, 0), (F3, 4, 5), (F7, 3, 2)],
     ids=["shift14_F2", "shift4_inv5_F3", "shift3_inv2_F7"],
 )
-def test_enumeration_deep_transients_on_folded_tables(field, k, r, groups):
+def test_enumeration_deep_transients_on_folded_tables(field, k, r):
     p, n = field.p, k + r
     rng = random.Random(100 * p + n)
     blocks = [shift_matrix(field, k)]
     if r:
         blocks.append(random_invertible(rng, field, r))
     t = random_invertible(rng, field, n)
-    a = (t @ block_diag(field, blocks)) @ t.inverse()
-    m = max(j for j in range(1, n + 1) if p**j <= 256)
-    assert -(-n // m) == groups
-    expected = successors_by_matmul(a)
-    assert _successor_table(a) == expected
-    cs = autonomous_cycle_structure(a)
-    depth, cycles, transient = naive_cycle_structure(expected)
+    depth, _, transient = assert_matches_naive((t @ block_diag(field, blocks)) @ t.inverse())
     assert (depth, transient) == (k, p**n - p**r)
-    assert (cs.tree_depth, cs.cycles, cs.transient_states) == (depth, cycles, transient)

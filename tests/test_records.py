@@ -42,8 +42,8 @@ RECORDS = {
         {name: getattr(DECOMP, name) for name in ("Q", "s", "A_c", "A_cc", "A_uc", "b_c", "companion_coeffs")},
         True,
     ),
-    CycleStructure: ({"method": "enumeration", "tree_depth": 2, "cycles": {1: 1}, "total_states": 9,
-                      "transient_states": 8, "factor_orders": None}, True),
+    CycleStructure: ({"tree_depth": 2, "cycles": {1: 1}, "total_states": 9, "transient_states": 8,
+                      "factor_orders": ()}, True),
     DegreeCheck: ({"ok": True, "degree": 1, "reason": None, "offenders": (), "degrees": {1: 1, 2: 1}}, True),
     NetworkState: ({"step": 3, "leader": (0, 1), "followers": ((1, 1), (2, 2))}, True),
     Trajectory: ({"states": (STATE,), "errors": ((1, 3),), "consensus_step": None, "signal_indices": (0,),
@@ -66,8 +66,8 @@ DEFAULTS = [
     (LeaderFollowerNetwork, {"sys": SYS, "graphs": (G,)}, {"gain": None}),
     (SwitchingSignal, {"kind": "random", "num_graphs": 2, "seed": 1}, {"sequence": ()}),
     (SwitchingSignal, {"kind": "periodic", "num_graphs": 2, "sequence": (1,)}, {"seed": None}),
-    (CycleStructure, {"method": "enumeration", "tree_depth": 0, "cycles": {1: 1}, "total_states": 1,
-                      "transient_states": 0}, {"factor_orders": None}),
+    (CycleStructure, {"tree_depth": 0, "cycles": {1: 1}, "total_states": 1, "transient_states": 0},
+     {"factor_orders": ()}),
     (Trajectory, {"states": (STATE,), "errors": ((0,),), "consensus_step": 0, "signal_indices": ()},
      {"metadata": {}}),
     (AnalysisReport, {"verdict": "impossible", "mode": "static", "reason": "r", "checks": {}, "bounds": {},
