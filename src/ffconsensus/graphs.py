@@ -84,9 +84,11 @@ class WeightedDigraphFF:
     def _scan(field: PrimeField, num_followers: int, edges: list) -> dict[tuple[int, int], int]:
         """The edges checked one at a time, as ``_edge_map`` gives them:
         raises EdgeError at the first invalid edge, or TypeError for a
-        weight that is not an int."""
+        node or weight that is not an int (a bool is not one)."""
         edge_map: dict[tuple[int, int], int] = {}
         for index, (src, tgt, w) in enumerate(edges):
+            if not all(isinstance(v, int) and not isinstance(v, bool) for v in (src, tgt)):
+                raise TypeError(f"edge {index} ({src!r}->{tgt!r}): nodes must be integers")
             if not (0 <= src <= num_followers):
                 raise EdgeError(index, f"edge source {src} out of range 0..{num_followers}")
             if not (1 <= tgt <= num_followers):

@@ -20,15 +20,15 @@ holds at most max(n+1, N+1) products of two residues, below the bound
 top of the reduction.  The width is rounded up to 1, 2, 4 or 8 bytes and
 a reduced int unpacked by ``to_bytes`` and a native ``memoryview`` cast;
 wider slots (p = 65537, say) are unpacked by shift and mask.
-``simulate``, ``step`` and every route of the brute-force oracle run it;
-the oracle's states are tuples of packed ints.
+``simulate``, ``step`` and the brute-force oracle run it; the oracle's
+states are tuples of packed ints.
 
-The oracle's error route needs no second stepper.  Pinned at 0, the
-leader stays there (A 0 = 0), so each follower's state is its error
-delta_i = x_i - x_0, and since x_0 - x_i = -delta_i and d_i counts the
-leader edge, the rule reads delta_i' = A delta_i + bK (sum_{j>=1} abar_ij
-delta_j - d_i delta_i): the recurrence whose stacked matrix is the error
-matrix I_N (x) A + (Abar - Dbar) (x) bK.
+The oracle enumerates errors and needs no second stepper.  Pinned at
+0, the leader stays there (A 0 = 0), so each follower's state is its
+error delta_i = x_i - x_0, and since x_0 - x_i = -delta_i and d_i counts
+the leader edge, the rule reads delta_i' = A delta_i + bK (sum_{j>=1}
+abar_ij delta_j - d_i delta_i): the recurrence whose stacked matrix is
+the error matrix I_N (x) A + (Abar - Dbar) (x) bK.
 
 Agreement is absorbing under every graph: if x_i = x_0 for every
 follower, every difference x_j - x_i in u_i = K sum_j a_ij (x_j - x_i)
@@ -87,6 +87,7 @@ class Trajectory(_FrozenRecord):
 
     __slots__ = ("_states", "errors", "consensus_step", "signal_indices", "metadata", "_build")
     _fields = ("states", "errors", "consensus_step", "signal_indices", "metadata")
+    __hash__ = None  # ``metadata`` is a dict, so no trajectory hashes; the TypeError names the record
 
     def __init__(self, states: tuple[NetworkState, ...], errors: tuple[tuple[int, ...], ...],
                  consensus_step: int | None, signal_indices: tuple[int, ...], metadata: dict | None = None):
@@ -135,7 +136,6 @@ class _Packing:
         self.width, self._s, self._M, self._LOW = _slot_reduction(top, p, slots, (8, 16, 32, 64))
         w = self.width
         self._shifts = shifts = [w * i for i in range(slots)]
-        self._ones = sum(1 << sh for sh in shifts)
         if w <= 64:
             size, fmt = slots * w // 8, {8: "B", 16: "H", 32: "I", 64: "Q"}[w]
             self.unpack = lambda v: memoryview(v.to_bytes(size, sys.byteorder)).cast(fmt)[::_ORDER]
@@ -171,11 +171,6 @@ class _Packing:
 
     def pack(self, agents: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:
         return tuple(sum(map(lshift, col, self._shifts)) for col in zip(*agents))
-
-    def agreed(self, X: tuple[int, ...]) -> bool:
-        """True iff each X_c repeats its slot-0 value in every slot."""
-        slot = (1 << self.width) - 1
-        return all(x == (x & slot) * self._ones for x in X)
 
 
 def _errors(cols) -> tuple[int, ...]:
@@ -281,52 +276,27 @@ def exhaustive_consensus_oracle(
 ) -> bool:
     """True iff EVERY initial condition reaches zero error within horizon.
 
-    The zero error state is absorbing, so the check reduces to "is the
-    error zero at the horizon".  With ``all_signals`` the reachable error
-    sets are advanced under every graph at every step, which decides all
-    q^horizon switching sequences at once without enumerating them.
-
-    Enumerates full network states (leader included) when p^(n(N+1))
-    fits the bound, otherwise the errors directly, as follower states
-    under a leader pinned at 0 (see the module docstring); every route
-    runs the agent update rule, independent of the Kronecker-assembled
-    error matrix.
+    The errors are enumerated directly, as follower states under a leader
+    pinned at 0 (see the module docstring), and advanced as one set by the
+    agent update rule, independent of the Kronecker-assembled error
+    matrix: under the signal's graph at each step or, with
+    ``all_signals``, under every graph, which decides all q^horizon
+    switching sequences at once without enumerating them.  Zero error is
+    absorbing, so the answer is whether only the zero state is left.
     """
+    p, n, N = net.field.p, net.sys.dim, net.num_followers
+    if p ** (n * N) > state_bound:
+        raise ValueError(f"error state space {p ** (n * N)} exceeds the oracle bound {state_bound}")
     packing = _Packing(net)
     steppers = [packing.stepper(gi) for gi in range(len(net.graphs))]
-    p = net.field.p
-    n = net.sys.dim
-    N = net.num_followers
-    full_count = p ** (n * (N + 1))
-    delta_count = p ** (n * N)
+    if all_signals:
+        rounds = repeat(steppers, horizon)
+    else:
+        signal = SwitchingSignal.constant(0) if signal is None else signal
+        rounds = ([steppers[gi]] for gi in signal.realize(horizon))
     cells = list(product(range(p), repeat=n))
     zero = (0,) * n
-    error_starts = lambda: ((zero,) + deltas for deltas in product(cells, repeat=N))
-
-    if all_signals:
-        if delta_count > state_bound:
-            raise ValueError(
-                f"error state space {delta_count} exceeds the oracle bound {state_bound}"
-            )
-        current = set(map(packing.pack, error_starts()))
-        for _ in range(horizon):
-            current = {adv(X) for X in current for adv in steppers}
-        return current == {(0,) * n}
-
-    if signal is None:
-        signal = SwitchingSignal.constant(0)
-    indices = signal.realize(horizon)
-    if full_count <= state_bound:
-        starts = product(cells, repeat=N + 1)
-    elif delta_count <= state_bound:
-        starts = error_starts()
-    else:
-        raise ValueError(
-            f"state space sizes {full_count} / {delta_count} exceed the oracle bound {state_bound}"
-        )
-    for X in map(packing.pack, starts):
-        for gi in indices:
-            X = steppers[gi](X)
-        if not packing.agreed(X):
-            return False
-    return True
+    current = {packing.pack((zero,) + deltas) for deltas in product(cells, repeat=N)}
+    for advances in rounds:
+        current = {adv(X) for X in current for adv in advances}
+    return current == {zero}

@@ -158,6 +158,8 @@ def per_entry_edges(field: PrimeField, num_followers: int, edges) -> dict[tuple[
     the edge's index) or TypeError of the first bad edge."""
     edge_map: dict[tuple[int, int], int] = {}
     for index, (src, tgt, w) in enumerate(edges):
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in (src, tgt)):
+            raise TypeError(f"edge {index} ({src!r}->{tgt!r}): nodes must be integers")
         if not (0 <= src <= num_followers):
             raise EdgeError(index, f"edge source {src} out of range 0..{num_followers}")
         if not (1 <= tgt <= num_followers):

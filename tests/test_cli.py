@@ -94,7 +94,7 @@ def test_entries_reduced_with_warning(capfd):
     doc = ref_config_dict()
     doc["A"][0][0] = 4
     cfg = ScenarioConfig.from_dict(doc)
-    assert cfg.a_rows[0][0] == 1
+    assert cfg.doc["A"][0][0] == 1
     assert "reduced 4 to 1" in capfd.readouterr().err
 
 
@@ -108,6 +108,35 @@ def test_config_roundtrip_identity():
     again = ScenarioConfig.from_dict(cfg.to_dict())
     assert again.to_dict() == cfg.to_dict()
     assert again.config_hash() == cfg.config_hash()
+
+
+STATES = {"leader": [4, 0, -1, 2, 1], "followers": [[1, 2, 3, 4, 5]] * 4}
+
+
+def test_to_dict_is_a_fresh_copy():
+    cfg = ScenarioConfig.from_dict(ref_config_dict(K=REF_GAIN, steps=30, init={"states": STATES}))
+    canonical, digest = copy.deepcopy(cfg.doc), cfg.config_hash()
+    doc = cfg.to_dict()
+    assert ScenarioConfig.from_dict(doc).doc == canonical
+    doc["A"][0][0] += 1
+    doc["K"].append(0)
+    doc["graphs"][0][0][2] += 1
+    doc["switching"]["seed"] += 1
+    doc["init"]["states"]["followers"][0][0] += 1
+    doc["steps"] = 1
+    assert cfg.doc == canonical
+    assert cfg.config_hash() == digest
+
+
+@pytest.mark.parametrize("optional", [(), ("K",), ("switching", "init"), ("K", "switching", "steps", "init")],
+                         ids=lambda keys: "+".join(keys) or "required-only")
+def test_doc_keys_follow_the_schema_order(optional):
+    given = {"K": REF_GAIN, "switching": {"kind": "periodic", "sequence": [1, 0]}, "steps": 9,
+             "init": {"states": STATES}}
+    raw = ref_config_dict(**{key: given[key] if key in optional else None for key in given}, extra=1)
+    cfg = ScenarioConfig.from_dict(dict(reversed(raw.items())))  # keys in no schema order
+    schema = ("p", "n", "N", "A", "b", "K", "graphs", "switching", "steps", "init")
+    assert list(cfg.doc) == [key for key in schema if key in ("p", "n", "N", "A", "b", "graphs") + optional]
 
 
 def test_load_config_missing_file():
@@ -501,7 +530,7 @@ def test_synthesize_adds_gain_and_certificate(ref_config_path, capsys):
     assert all(1 <= v <= 5 for v in cert["closed_loop_nilpotent_degrees"].values())
     # the augmented config is immediately usable
     cfg = ScenarioConfig.from_dict(doc)
-    assert cfg.k_entries == doc["K"]
+    assert cfg.doc["K"] == doc["K"]
 
 
 def test_synthesize_refuses_existing_gain(tmp_path, capsys):

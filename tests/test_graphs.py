@@ -51,6 +51,15 @@ def test_edge_error_names_the_offending_edge(edges, index):
     assert exc.value.index == index
 
 
+@pytest.mark.parametrize("edges", [
+    [(1.0, 2, 1), (0, 1, 1)],  # a float source
+    [(True, 2, 1)],  # a bool source, not follower 1
+], ids=["float", "bool"])
+def test_node_that_is_not_an_int_is_a_type_error(edges):
+    with pytest.raises(TypeError, match=r"^edge 0 \((1\.0|True)->2\): nodes must be integers$"):
+        WeightedDigraphFF(F3, 2, edges)
+
+
 def _graph_outcome(build, field, num_followers, edges):
     """The sorted edge list ``build`` gives, or the error it raises."""
     try:

@@ -55,10 +55,9 @@ RECORDS = {
     _Decision: ({"verdict": "guaranteed", "reason": "A is nilpotent", "witness_degree": 0}, True),
     AnalysisReport: ({"verdict": "guaranteed", "mode": "static", "reason": "r", "checks": {"a": True},
                       "bounds": {"static": 4, "switching": None}, "witness": {}, "diagnostics": {"x": 1}}, False),
-    ScenarioConfig: ({"p": 3, "n": 2, "num_followers": 2, "a_rows": [[0, 1], [0, 0]], "b_entries": [0, 1],
-                      "k_entries": None, "graph_edges": [[(0, 1, 1), (1, 2, 1)]], "switching": None,
-                      "steps": None, "init": None, "field": F3, "graphs": (G,), "switching_signal": SIGNAL},
-                     False),
+    ScenarioConfig: ({"doc": {"p": 3, "n": 2, "N": 2, "A": [[0, 1], [0, 0]], "b": [0, 1],
+                              "graphs": [[(0, 1, 1), (1, 2, 1)]]},
+                      "field": F3, "graphs": (G,), "switching_signal": SIGNAL}, False),
 }
 
 # (class, the other fields by keyword, the defaults left out)
@@ -152,6 +151,11 @@ def test_validation_messages(cls, args, message):
     with pytest.raises(ValueError) as exc:
         cls(*args)
     assert str(exc.value) == message
+
+
+def test_trajectory_is_unhashable_under_its_own_name():
+    with pytest.raises(TypeError, match="unhashable type: 'Trajectory'"):
+        hash(_build(Trajectory)[0])
 
 
 def test_signal_with_a_seed_offset_is_a_new_signal():

@@ -280,9 +280,10 @@ def test_simulate_makes_no_weight_lookups(ref_network, monkeypatch):
 
 
 def test_stepper_routes_agree_on_cyclic_networks():
-    """simulate and the oracle's full-state, error (leader pinned at 0)
-    and all-signals routes, against the error matrices, on follower
-    graphs with cycles, self-loops and zero in-degrees."""
+    """simulate and the oracle, along one signal (under the default and
+    the least state bound) and over all signals, against the error
+    matrices, on follower graphs with cycles, self-loops and zero
+    in-degrees."""
     rng = random.Random(23)
     seen = Counter()
     for _ in range(100):
