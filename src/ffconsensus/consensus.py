@@ -11,18 +11,19 @@ condition is exactly nilpotency of that error matrix M.
 No Kronecker block is built on the analysis paths.  Ordered by the
 strongly connected components (SCCs) of the follower support, M is
 block-triangular with one diagonal block I (X) A - H_SS (X) bK per SCC
-S (H = Dbar - Abar, the grounded Laplacian); as bK has rank one, two
-n x n characteristic polynomials and at most one |S| x |S| nilpotency
-test of H_SS - mu* I per distinct block decide M (``_error_block_results``).
+S (H = Dbar - Abar, the grounded Laplacian); as bK has rank one, chi_A,
+r = chi_(A - bK) - chi_A and at most one |S| x |S| nilpotency test of
+H_SS - mu* I per distinct block decide M (``_error_block_results``).
 
 ``error_dynamics_matrix`` builds the full Nn x Nn matrix; it is the
 definition that the spectral rule is checked against.
 
 Every verdict, witness gain and bound comes from one pass of facts
-(``_facts``: A nilpotent, one Kalman decomposition of (A, b), each
-graph's DAG flag and in-degrees, the union of the follower supports,
-and the SCC blocks under a supplied gain) and one rule over them
-(``_decide``).  A single graph is the static case.  Without a gain:
+(``_facts``: one Krylov elimination of (A, b), ``linsys._krylov``, for
+chi_A, stabilizability, A nilpotent and the deadbeat gain; each graph's
+DAG flag and in-degrees, the union of the follower supports, and the SCC
+blocks under a supplied gain) and one rule over them (``_decide``).  A
+single graph is the static case.  Without a gain:
 
   * A nilpotent: guaranteed, the zero gain works under any graphs;
   * acyclic graph (union of the graphs), (A, b) stabilizable and one
@@ -54,7 +55,7 @@ from collections.abc import Sequence
 
 from .field import PrimeField, _FrozenRecord, _Record
 from .graphs import DegreeCheck, WeightedDigraphFF, union
-from .linsys import ControllabilityDecomposition, LinearSystemFF, deadbeat_gain, kalman_decompose
+from .linsys import LinearSystemFF, _Krylov, _krylov
 from .matrix import MatrixFF, kron
 
 
@@ -166,7 +167,7 @@ def error_dynamics_matrix(net: LeaderFollowerNetwork, graph_index: int = 0) -> M
     return kron(eye, net.sys.A) + kron(a_bar - d_bar, bk)
 
 
-def _error_block_results(net: LeaderFollowerNetwork, graph_indices) -> list[list]:
+def _error_block_results(net: LeaderFollowerNetwork, kr: _Krylov, graph_indices) -> list[list]:
     """For each listed graph, the diagonal blocks of its error matrix as
     (followers, nilpotent) pairs, one per strongly connected component of
     the follower support, sources first.  No block is built.
@@ -190,7 +191,8 @@ def _error_block_results(net: LeaderFollowerNetwork, graph_indices) -> list[list
     mu K adj(xI - A) b = chi_A + mu r for every mu in the algebraic
     closure: A - mu bK is nilpotent for every mu or none if r = 0, else
     at most for mu* = -c_t / r_t (r_t the lowest nonzero coefficient of
-    r, c_t that of chi_A), which lies in F_p.  Triangularize
+    r, c_t that of chi_A), which lies in F_p (``_Krylov.gain_change``
+    reads r off the Krylov vectors).  Triangularize
     H_SS = Q T Q^-1 over the closure; Q (X) I_n takes M_SS to
     I (X) A - T (X) bK, block triangular with diagonal blocks A - mu_i bK
     over the eigenvalues mu_i of H_SS.  By claim 1's argument M_SS is
@@ -202,10 +204,8 @@ def _error_block_results(net: LeaderFollowerNetwork, graph_indices) -> list[list
     """
     if net.gain is None:
         raise ValueError("error dynamics require a gain K")
-    p = net.field.p
-    A = net.sys.A
-    chi_a = A.char_poly().coeffs[:-1]  # chi_A - x^n, ascending
-    r = [(u - v) % p for u, v in zip((A - net.sys.b @ net.gain).char_poly().coeffs, chi_a)]
+    p, chi_a = net.field.p, kr.chi[:-1]  # chi_A - x^n, ascending
+    r = kr.gain_change(net.gain.to_rows()[0])
     t = next((k for k, v in enumerate(r) if v), None)
     mu = 0 if t is None else -chi_a[t] * pow(r[t], p - 2, p) % p
     if any((u + mu * v) % p for u, v in zip(chi_a, r)):
@@ -244,7 +244,7 @@ def blockwise_nilpotency_check(net: LeaderFollowerNetwork, graph_index: int = 0)
             "blockwise check requires an acyclic follower graph; "
             "use is_nilpotent(error_dynamics_matrix(...)) instead"
         )
-    [blocks] = _error_block_results(net, [graph_index])
+    [blocks] = _error_block_results(net, _krylov(net.sys), [graph_index])
     return {i: ok for (i,), ok in sorted(blocks)}
 
 
@@ -293,7 +293,7 @@ class _Facts(_FrozenRecord):
     __slots__ = ("a_degree", "decomp", "stabilizable", "dags", "degrees", "union", "union_dag",
                  "shared_degree", "bk_zero", "blocks")
 
-    def __init__(self, a_degree: int | None, decomp: ControllabilityDecomposition, stabilizable: bool,
+    def __init__(self, a_degree: int | None, decomp: _Krylov, stabilizable: bool,
                  dags: tuple[bool, ...], degrees: tuple[DegreeCheck, ...], union: WeightedDigraphFF,
                  union_dag: bool, shared_degree: int | None, bk_zero: bool, blocks: list[list] | None):
         object.__setattr__(self, "a_degree", a_degree)  # A's nilpotent degree, None when A is not nilpotent
@@ -315,17 +315,13 @@ def _facts(net: LeaderFollowerNetwork) -> _Facts:
     union_dag = u.is_dag()
     degrees = tuple(g.common_degree() for g in graphs)
     values = {dc.degree for dc in degrees if dc.ok}
-    decomp = kalman_decompose(net.sys)
-    stabilizable = decomp.A_uc.is_nilpotent()
-    # Q A Q^-1 is block upper triangular, so charpoly(A) = charpoly(A_c) *
-    # charpoly(A_uc), and it is x^n iff both factors are powers of x: A is
-    # nilpotent iff the companion row is zero and A_uc is nilpotent.  Only
-    # then is A's degree computed.
-    a_nilpotent = stabilizable and not any(decomp.companion_coeffs)
+    kr = _krylov(net.sys)
+    # chi_A = mu_b chi_(A_uc) is x^n iff c = 0 and the pair is stabilizable;
+    # only then is A's degree computed
     return _Facts(
-        a_degree=net.sys.A.nilpotent_degree() if a_nilpotent else None,
-        decomp=decomp,
-        stabilizable=stabilizable,
+        a_degree=net.sys.A.nilpotent_degree() if kr.stabilizable and not any(kr.c) else None,
+        decomp=kr,
+        stabilizable=kr.stabilizable,
         # every subgraph of an acyclic union is acyclic
         dags=(union_dag,) * len(graphs) if union_dag or net.is_static
         else tuple(g.is_dag() for g in graphs),
@@ -334,7 +330,7 @@ def _facts(net: LeaderFollowerNetwork) -> _Facts:
         union_dag=union_dag,
         shared_degree=values.pop() if len(values) == 1 and all(dc.ok for dc in degrees) else None,
         bk_zero=net.gain is not None and (net.sys.b.is_zero() or net.gain.is_zero()),
-        blocks=None if net.gain is None else _error_block_results(net, range(len(graphs))),
+        blocks=None if net.gain is None else _error_block_results(net, kr, range(len(graphs))),
     )
 
 
@@ -466,7 +462,7 @@ def _witness_gain(net: LeaderFollowerNetwork, f: _Facts, dec: _Decision) -> tupl
     d = dec.witness_degree
     if d == 0:
         return MatrixFF.zeros(net.field, 1, net.sys.dim), f.a_degree
-    k = deadbeat_gain(f.decomp, d)
+    k = MatrixFF.row_vector(net.field, f.decomp.deadbeat(d))
     return k, (net.sys.A - (net.sys.b @ k).scale(d)).nilpotent_degree()
 
 

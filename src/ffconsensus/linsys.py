@@ -7,12 +7,9 @@ controller-companion block plus an uncontrollable block, stabilizability
 and the cycle/tree structure of the autonomous map x -> Ax, counted from
 the factors of the characteristic polynomial.
 
-The decomposition basis is the pivot columns of [ctrb(A, b) | I]: the
-Krylov chain b, Ab, A^2 b, ... while independent, then the first
-standard basis vectors that remain independent, so the transform Q is
-reproducible run to run.  One Gauss-Jordan elimination of that matrix
-yields the basis and its inverse, and the companion block is read off
-the first Krylov dependence (see ``kalman_decompose``).
+Every fact about the pair is read off one Gauss-Jordan elimination of
+[b, Ab, ..., A^n b | I] (``_krylov``), whose pivots fix a basis that is
+reproducible run to run.
 """
 
 from __future__ import annotations
@@ -22,7 +19,7 @@ from operator import mul
 
 from .field import PrimeField, _FrozenRecord
 from .matrix import MatrixFF, _echelon
-from .poly import PolyFF, factor, split_nilpotent_bijective, _lift_order, _order_mod_irreducible
+from .poly import PolyFF, factor, split_nilpotent_bijective, _lift_order, _mul, _order_mod_irreducible
 
 
 class LinearSystemFF(_FrozenRecord):
@@ -70,75 +67,117 @@ class ControllabilityDecomposition(_FrozenRecord):
         object.__setattr__(self, "companion_coeffs", companion_coeffs)
 
 
+def _combine(u, rows, p: int) -> list[int]:
+    """The row u times the first len(u) of ``rows``, mod p."""
+    return [sum(map(mul, u, col)) % p for col in zip(*rows)]
+
+
+def _t_rows(c, p: int) -> list[list[int]]:
+    """The rows e_s A1^i, i < s, of T (``kalman_decompose``)."""
+    rows, t = [], [0] * (len(c) - 1) + [1]
+    for _ in c:
+        rows.append(t)
+        t = t[1:] + [sum(map(mul, t, c)) % p]
+    return rows
+
+
+class _Krylov(_FrozenRecord):
+    """What ``_krylov`` reads off the pair (A, b)."""
+
+    __slots__ = ("field", "vectors", "s", "c", "v_inv", "a_std", "chi", "stabilizable")
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def gain_change(self, k) -> list[int]:
+        """r = chi_(A - bK) - chi_A for the gain row k, ascending: r_t =
+        sum_(j<n-t) a_(t+j+1) K A^j b with chi_A = sum_i a_i x^i, in O(n^2).
+
+        As bK has rank at most one, det(xI - A + bK) = chi_A + K adj(xI - A) b
+        (matrix determinant lemma), and adj(xI - A) = sum_(j<n) B_j A^j with
+        B_j = sum_(i>j) a_i x^(i-j-1): x B_0 = chi_A - a_0, x B_j - B_(j-1) =
+        -a_j for 0 < j < n and B_(n-1) = 1, so (xI - A) sum_j B_j A^j =
+        chi_A I - chi_A(A) = chi_A I by Cayley-Hamilton.  The coefficient of
+        x^t in sum_j B_j K A^j b is r_t (i = t + j + 1).
+        """
+        p, a = self.field.p, self.chi
+        kv = [sum(map(mul, k, v)) for v in self.vectors[:-1]]  # K A^j b, j < n
+        return [sum(map(mul, a[t + 1:], kv)) % p for t in range(len(kv))]
+
+    def deadbeat(self, d: int) -> list[int]:
+        """The deadbeat gain row for a nonzero residue d of a stabilizable pair:
+        (kc T) V^-1[:s] with kc = c / d, ``deadbeat_gain``'s kc Q[:s]."""
+        p = self.field.p
+        kc = [a * pow(d, p - 2, p) % p for a in self.c]
+        return _combine(_combine(kc, _t_rows(self.c, p), p), self.v_inv, p)
+
+
+def _krylov(sys: LinearSystemFF) -> _Krylov:
+    """The pair (A, b) from one Gauss-Jordan elimination of
+    [b, Ab, ..., A^n b | I].
+
+    The pivots are the Krylov vectors b, ..., A^(s-1) b, independent up to
+    the first dependence A^s b = sum_j c_j A^j b, then the first standard
+    vectors independent of them (``std``): the basis V.  Elimination turns
+    V into I, which leaves V^-1 in the right half and c in the column of
+    A^s b.  V^-1 A V = [[A1, X], [0, A_uc]] with A1 the companion of
+    mu_b = x^s - sum_j c_j x^j, so chi_A = mu_b chi_(A_uc), and the pair
+    is stabilizable iff chi_(A_uc) = x^(n-s): the one characteristic
+    polynomial computed, and only when s < n.  The record keeps b, ...,
+    A^n b, s, c, V^-1, V^-1 A[:, std] (X over A_uc) and chi_A, ascending.
+    """
+    field, p, n = sys.field, sys.field.p, sys.dim
+    a_rows = sys.A.to_rows()
+    vectors = [[x for (x,) in sys.b.to_rows()]]
+    for _ in range(n):
+        vectors.append([sum(map(mul, row, vectors[-1])) % p for row in a_rows])
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(zip(*vectors))]
+    reduced, pivots = _echelon(aug, p)
+    s = sum(j <= n for j in pivots)
+    a_cols = [[row[j - n - 1] for j in pivots[s:]] for row in a_rows]
+    v_inv = [row[n + 1:] for row in reduced]
+    a_std = [_combine(v, a_cols, p) for v in v_inv]
+    c = tuple(reduced[i][s] for i in range(s))
+    chi_uc = MatrixFF.from_flat(field, n - s, n - s, sum(a_std[s:], [])).char_poly().coeffs if s < n else (1,)
+    chi = _mul([-x % p for x in c] + [1], chi_uc, p)
+    return _Krylov(field, vectors, s, c, v_inv, a_std, chi, not any(chi_uc[:-1]))
+
+
 def controllability_matrix(sys: LinearSystemFF) -> MatrixFF:
     """The n x n Krylov matrix [b, Ab, ..., A^(n-1) b]."""
     n = sys.dim
-    cols = [sys.b.col(0)]
-    for _ in range(n - 1):
-        cols.append(sys.A @ cols[-1])
-    return MatrixFF.from_flat(sys.field, n, n, [cols[j].entries[i] for i in range(n) for j in range(n)])
+    return MatrixFF.from_flat(sys.field, n, n, sum(map(list, zip(*_krylov(sys).vectors[:n])), []))
 
 
 def kalman_decompose(sys: LinearSystemFF) -> ControllabilityDecomposition:
     """Deterministic controllability decomposition of a single-input pair.
 
-    The basis V is the pivot columns of [ctrb(A, b) | I]: the Krylov
-    vectors b, Ab, ..., A^(s-1) b, independent up to the first dependence
-    A^s b = sum_j c_j A^j b, followed by the first standard vectors
-    independent of them.  Gauss-Jordan elimination turns those pivot
-    columns into I, so it leaves V^-1 in the right half.  In that basis
-    V^-1 b = e_1 and
-
-        V^-1 A V = [[A1, X], [0, Y]],
-
-    where A1 maps e_j to e_(j+1) and e_s to c (ones below the diagonal,
-    last column c).  Let T be the s x s matrix whose rows are e_s A1^i for
-    i < s.  Then T e_1 = e_s, and T A1 = C T, where C is the companion of
-    c (ones above the diagonal, bottom row c): row i of T A1 is row i + 1
-    of T, and the last is e_s A1^s = sum_j c_j e_s A1^j by Cayley-Hamilton.
-    So Q = diag(T, I) V^-1 gives A_c = C, A_cc = T X, A_uc = Y and
-    b_c = e_s.  c is the top of V^-1 A (A^(s-1) b), and since
-    Q A V = [[T A1, T X], [0, Y]], A_cc and A_uc are the columns of Q A at
-    the chosen standard vectors.
+    With V, A1, X and A_uc of ``_krylov`` (V^-1 b = e_1; A1 has ones below
+    the diagonal and last column c), let T be the s x s matrix whose rows
+    are e_s A1^i, i < s.  Then T e_1 = e_s and T A1 = C T, with C the
+    companion of c (ones above the diagonal, bottom row c): row i of T A1
+    is row i + 1 of T, and the last is e_s A1^s = sum_j c_j e_s A1^j by
+    Cayley-Hamilton.  So Q = diag(T, I) V^-1 gives A_c = C, A_cc = T X,
+    A_uc and b_c = e_s.
     """
-    field, p, n = sys.field, sys.field.p, sys.dim
-    ctrb = controllability_matrix(sys)
-    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(ctrb.to_rows())]
-    reduced, pivots = _echelon(aug, p)
-    s = sum(j < n for j in pivots)
-    std = [j - n for j in pivots[s:]]
-    V_inv = MatrixFF.from_flat(field, n, n, [x for row in reduced for x in row[n:]])
-    c = (V_inv @ (sys.A @ ctrb.col(s - 1))).entries[:s] if s else ()
-
-    t_rows = []
-    t = [0] * (s - 1) + [1]
-    for _ in range(s):
-        t_rows.append(t)
-        t = t[1:] + [sum(map(mul, t, c)) % p]
-    diag_T_I = MatrixFF.from_flat(
-        field, n, n,
-        [x for row in t_rows for x in row + [0] * (n - s)]
-        + [int(j == i) for i in range(s, n) for j in range(n)],
-    )
-    Q = diag_T_I @ V_inv
-    QA = (Q @ sys.A).to_rows() if s < n else []  # s = n: A_cc and A_uc are empty
+    kr = _krylov(sys)
+    field, p, n, s, c = kr.field, kr.field.p, sys.dim, kr.s, kr.c
+    t_rows = _t_rows(c, p)
     return ControllabilityDecomposition(
-        Q=Q,
-        s=s,
-        A_c=MatrixFF.from_flat(
-            field, s, s, [int(j == i + 1) for i in range(s - 1) for j in range(s)] + list(c)
-        ),
-        A_cc=MatrixFF.from_flat(field, s, n - s, [QA[i][j] for i in range(s) for j in std]),
-        A_uc=MatrixFF.from_flat(field, n - s, n - s, [QA[i][j] for i in range(s, n) for j in std]),
-        b_c=MatrixFF.from_flat(field, s, 1, [int(i == s - 1) for i in range(s)]),
-        companion_coeffs=c,
+        MatrixFF.from_flat(field, n, n, sum([_combine(t, kr.v_inv, p) for t in t_rows] + kr.v_inv[s:], [])),
+        s,
+        MatrixFF.from_flat(field, s, s, [int(j == i + 1) for i in range(s - 1) for j in range(s)] + list(c)),
+        MatrixFF.from_flat(field, s, n - s, sum([_combine(t, kr.a_std, p) for t in t_rows], [])),
+        MatrixFF.from_flat(field, n - s, n - s, sum(kr.a_std[s:], [])),
+        MatrixFF.from_flat(field, s, 1, [int(i == s - 1) for i in range(s)]),
+        c,
     )
 
 
 def is_stabilizable(sys: LinearSystemFF) -> bool:
     """True iff the uncontrollable block is nilpotent (vacuous when s = n)."""
-    decomp = kalman_decompose(sys)
-    return decomp.A_uc.is_nilpotent()
+    return _krylov(sys).stabilizable
 
 
 def deadbeat_gain(decomp: ControllabilityDecomposition, d: int) -> MatrixFF:
@@ -149,16 +188,13 @@ def deadbeat_gain(decomp: ControllabilityDecomposition, d: int) -> MatrixFF:
     coordinates; K is mapped back through Q.  Rejects d = 0 and systems
     whose uncontrollable block is not nilpotent.
     """
-    field = decomp.Q.field
-    d = field.scalar(d)
-    if d == 0:
+    field, p = decomp.Q.field, decomp.Q.field.p
+    if field.scalar(d) == 0:
         raise ValueError("deadbeat gain requires a nonzero degree d")
     if not decomp.A_uc.is_nilpotent():
         raise ValueError("system is not stabilizable: uncontrollable block is not nilpotent")
-    n = decomp.Q.rows
-    d_inv = pow(d, field.p - 2, field.p)
-    kc = [(a * d_inv) % field.p for a in decomp.companion_coeffs] + [0] * (n - decomp.s)
-    return MatrixFF.row_vector(field, kc) @ decomp.Q
+    kc = [a * pow(d, p - 2, p) % p for a in decomp.companion_coeffs]
+    return MatrixFF.row_vector(field, _combine(kc, decomp.Q.to_rows(), p))
 
 
 # ----------------------------------------------------------------------

@@ -51,7 +51,7 @@ from __future__ import annotations
 import random
 import sys
 from itertools import product, repeat
-from operator import lshift, mul, sub
+from operator import add, lshift, mul, sub
 
 from .consensus import LeaderFollowerNetwork, SwitchingSignal
 from .field import PrimeField, _FrozenRecord
@@ -175,7 +175,11 @@ class _Packing:
 
 def _errors(cols) -> tuple[int, ...]:
     """e_i = sum_c |x_i[c] - x_0[c]| per follower, from the agents' coordinates c."""
-    return tuple(map(sum, zip(*(map(abs, map(sub, col, repeat(col[0]))) for col in cols))))[1:]
+    total = ()
+    for col in cols:
+        diff = map(abs, map(sub, col, repeat(col[0])))
+        total = map(add, total, diff) if total else diff
+    return tuple(total)[1:]
 
 
 def _agents(net: LeaderFollowerNetwork, state: NetworkState) -> tuple[tuple[int, ...], ...]:

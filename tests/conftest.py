@@ -5,6 +5,7 @@ from operator import mul
 import pytest
 
 from ffconsensus import (
+    ControllabilityDecomposition,
     EdgeError,
     LeaderFollowerNetwork,
     LinearSystemFF,
@@ -14,6 +15,7 @@ from ffconsensus import (
     WeightedDigraphFF,
 )
 from ffconsensus.cli import ConfigError
+from ffconsensus.matrix import _echelon
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -149,6 +151,67 @@ def per_agent_stepper(net: LeaderFollowerNetwork, graph_index: int):
         return tuple(out)
 
     return advance
+
+
+def reference_kalman_decompose(sys_: LinearSystemFF) -> ControllabilityDecomposition:
+    """The decomposition by dense products: Gauss-Jordan elimination of
+    [ctrb(A, b) | I], then c from V^-1 A A^(s-1) b, Q = diag(T, I) V^-1 and
+    Q A as n x n products.  The reference for the decomposition and the
+    facts that the package reads off one Krylov elimination.
+
+    The basis V is the pivot columns of [ctrb(A, b) | I]: the Krylov
+    vectors b, Ab, ..., A^(s-1) b, then the first standard vectors
+    independent of them; the right half of the reduced matrix is V^-1.
+    With T the s x s matrix of rows e_s A1^i, i < s, Q = diag(T, I) V^-1
+    puts A in controller companion form, and A_cc and A_uc are the
+    columns of Q A at the chosen standard vectors.
+    """
+    field, p, n = sys_.field, sys_.field.p, sys_.dim
+    cols = [sys_.b.col(0)]
+    for _ in range(n - 1):
+        cols.append(sys_.A @ cols[-1])
+    ctrb = MatrixFF.from_flat(field, n, n, [cols[j].entries[i] for i in range(n) for j in range(n)])
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(ctrb.to_rows())]
+    reduced, pivots = _echelon(aug, p)
+    s = sum(j < n for j in pivots)
+    std = [j - n for j in pivots[s:]]
+    V_inv = MatrixFF.from_flat(field, n, n, [x for row in reduced for x in row[n:]])
+    c = (V_inv @ (sys_.A @ ctrb.col(s - 1))).entries[:s] if s else ()
+
+    t_rows = []
+    t = [0] * (s - 1) + [1]
+    for _ in range(s):
+        t_rows.append(t)
+        t = t[1:] + [sum(map(mul, t, c)) % p]
+    diag_T_I = MatrixFF.from_flat(
+        field, n, n,
+        [x for row in t_rows for x in row + [0] * (n - s)]
+        + [int(j == i) for i in range(s, n) for j in range(n)],
+    )
+    Q = diag_T_I @ V_inv
+    QA = (Q @ sys_.A).to_rows() if s < n else []
+    return ControllabilityDecomposition(
+        Q=Q,
+        s=s,
+        A_c=MatrixFF.from_flat(
+            field, s, s, [int(j == i + 1) for i in range(s - 1) for j in range(s)] + list(c)
+        ),
+        A_cc=MatrixFF.from_flat(field, s, n - s, [QA[i][j] for i in range(s) for j in std]),
+        A_uc=MatrixFF.from_flat(field, n - s, n - s, [QA[i][j] for i in range(s, n) for j in std]),
+        b_c=MatrixFF.from_flat(field, s, 1, [int(i == s - 1) for i in range(s)]),
+        companion_coeffs=c,
+    )
+
+
+def reference_deadbeat_gain(decomp: ControllabilityDecomposition, d: int) -> MatrixFF:
+    """The deadbeat gain row(c / d, 0) Q of a stabilizable pair, for d != 0
+    mod p, as one 1 x n by n x n product: the reference for
+    ``deadbeat_gain`` and the gain that ``analyze`` reads off the Krylov
+    elimination."""
+    field, n = decomp.Q.field, decomp.Q.rows
+    d_inv = pow(d, field.p - 2, field.p)
+    kc = [(a * d_inv) % field.p for a in decomp.companion_coeffs] + [0] * (n - decomp.s)
+    return MatrixFF.row_vector(field, kc) @ decomp.Q
 
 
 def per_entry_edges(field: PrimeField, num_followers: int, edges) -> dict[tuple[int, int], int]:

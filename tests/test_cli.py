@@ -739,7 +739,7 @@ def test_each_command_decomposes_and_analyses_once(case, command, tmp_path, monk
         doc = {**doc, "K": REF_GAIN}
     path = tmp_path / "case.json"
     path.write_text(json.dumps(doc))
-    calls = {"kalman_decompose": 0, "check_static": 0, "check_switching": 0}
+    calls = {"_krylov": 0, "check_static": 0, "check_switching": 0}
     for name in calls:
         def counting(*args, _real=getattr(consensus, name), _name=name):
             calls[_name] += 1
@@ -747,7 +747,7 @@ def test_each_command_decomposes_and_analyses_once(case, command, tmp_path, monk
 
         monkeypatch.setattr(consensus, name, counting)
     main([command, str(path), "--out", str(tmp_path / "out")])
-    assert calls["kalman_decompose"] == 1, calls
+    assert calls["_krylov"] == 1, calls
     assert calls["check_static"] + calls["check_switching"] == 1, calls
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from ffconsensus import (
     is_stabilizable,
     kalman_decompose,
 )
+from ffconsensus.linsys import _krylov
 from conftest import (
     F2,
     F3,
@@ -25,6 +27,8 @@ from conftest import (
     random_invertible,
     random_matrix,
     random_nilpotent,
+    reference_deadbeat_gain,
+    reference_kalman_decompose,
     successors_by_matmul,
 )
 
@@ -143,6 +147,90 @@ def test_decompose_matches_recording():
         assert got == {key: case[key] for key in got}, (case["A"], case["b"])
         rest = dec.Q.rows - dec.s
         assert (dec.A_c.rows, dec.A_cc.cols, dec.A_uc.rows) == (dec.s, rest, rest)
+
+
+def random_pair(rng, field, n, kind):
+    """A pair of the given kind: "random", "zero_b", "nilpotent_a", or
+    "uncontrollable_nil" / "uncontrollable" (A leaves the span of the
+    first s0 < n vectors of a random basis invariant and b lies in it;
+    the complement block is nilpotent for the first, random for the
+    second)."""
+    p = field.p
+    if kind == "random":
+        return random_system(rng, field, n)
+    if kind == "zero_b":
+        return LinearSystemFF(random_matrix(rng, field, n, n), MatrixFF.zeros(field, n, 1))
+    if kind == "nilpotent_a":
+        return LinearSystemFF(random_nilpotent(rng, field, n), random_matrix(rng, field, n, 1))
+    s0 = rng.randrange(1, n)
+    m = n - s0
+    y = random_nilpotent(rng, field, m) if kind == "uncontrollable_nil" else random_matrix(rng, field, m, m)
+    block = [[rng.randrange(p) for _ in range(n)] for _ in range(s0)]
+    block += [[0] * s0 + row for row in y.to_rows()]
+    basis = random_invertible(rng, field, n)
+    a = basis @ MatrixFF(field, block) @ basis.inverse()
+    b = basis @ MatrixFF.column(field, [rng.randrange(p) for _ in range(s0)] + [0] * m)
+    return LinearSystemFF(a, b)
+
+
+def test_krylov_elimination_matches_dense_reference():
+    """Every decomposition field, chi_A, stabilizability and the deadbeat
+    gain, read off the one Krylov elimination, equal the dense products
+    of ``reference_kalman_decompose`` on 3,000 seeded pairs, with a
+    minimum count per branch."""
+    rng = random.Random(89)
+    kinds = ("random", "zero_b", "nilpotent_a", "uncontrollable_nil", "uncontrollable")
+    branches = Counter()
+    for i in range(3000):
+        field = PrimeField((2, 3, 5, 7, 101)[rng.randrange(5)])
+        n = rng.randint(1, 8)
+        kind = kinds[i % 5] if n > 1 else kinds[i % 3]
+        sys_ = random_pair(rng, field, n, kind)
+        ref = reference_kalman_decompose(sys_)
+        dec = kalman_decompose(sys_)
+        assert dec == ref, (sys_, dec, ref)
+        kr = _krylov(sys_)
+        stabilizable = ref.A_uc.is_nilpotent()
+        assert (kr.s, kr.c, kr.stabilizable) == (ref.s, ref.companion_coeffs, stabilizable)
+        assert is_stabilizable(sys_) == stabilizable
+        assert kr.chi == list(sys_.A.char_poly().coeffs)
+        if stabilizable:
+            d = rng.randrange(1, field.p)
+            k = reference_deadbeat_gain(ref, d)
+            assert deadbeat_gain(dec, d) == k
+            assert kr.deadbeat(d) == k.to_rows()[0]
+            assert (sys_.A - (sys_.b @ k).scale(d)).is_nilpotent()
+        else:
+            with pytest.raises(ValueError):
+                deadbeat_gain(dec, 1)
+        if ref.s == 0:
+            branches["s = 0"] += 1
+        elif ref.s == n:
+            branches["s = n"] += 1
+        else:
+            branches["s < n, stabilizable" if stabilizable else "s < n, not stabilizable"] += 1
+        branches["A nilpotent"] += sys_.A.is_nilpotent()
+    assert min(branches.values()) >= 300 and len(branches) == 5, branches
+
+
+def test_gain_change_is_the_char_poly_difference():
+    """r = chi_(A - bK) - chi_A from the Krylov vectors equals the
+    difference of the two characteristic polynomials, for random K, the
+    zero K and, when there is one, the deadbeat K."""
+    rng = random.Random(97)
+    for i in range(600):
+        field = PrimeField((2, 3, 5, 7, 101)[rng.randrange(5)])
+        n = rng.randint(1, 8)
+        kind = ("random", "zero_b", "nilpotent_a", "uncontrollable")[i % 4] if n > 1 else "random"
+        sys_ = random_pair(rng, field, n, kind)
+        kr = _krylov(sys_)
+        gains = [[rng.randrange(field.p) for _ in range(n)], [0] * n]
+        if kr.stabilizable:
+            gains.append(kr.deadbeat(rng.randrange(1, field.p)))
+        for k in gains:
+            closed = (sys_.A - sys_.b @ MatrixFF.row_vector(field, k)).char_poly().coeffs
+            expected = [(u - v) % field.p for u, v in zip(closed, sys_.A.char_poly().coeffs[:-1])]
+            assert kr.gain_change(k) == expected, (sys_, k)
 
 
 # ---------------------------------------------------------

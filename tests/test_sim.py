@@ -497,9 +497,10 @@ def test_packed_stepper_matches_per_agent_rule_on_every_width():
 
 
 def test_oracle_routes_match_per_agent_rule():
-    """Each oracle route (full network states, errors with the leader
-    pinned at 0, all switching sequences) against the same enumeration
-    run with the per-agent rule, and against the error matrices."""
+    """The oracle's one route (errors with the leader pinned at 0), under
+    one signal and under all switching sequences, against the per-agent
+    rule run on full network states and on errors, and against the error
+    matrices."""
     rng = random.Random(41)
     seen = Counter()
     for _ in range(60):
