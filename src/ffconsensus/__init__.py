@@ -31,7 +31,6 @@ from .consensus import (
     check_switching,
     convergence_bound,
     error_dynamics_matrix,
-    product_vanishing_bound,
     synthesize_gain,
 )
 from .sim import (
@@ -55,7 +54,7 @@ __all__ = [
     "DegreeCheck", "EdgeError", "WeightedDigraphFF", "union",
     "AnalysisReport", "GainSynthesisError", "LeaderFollowerNetwork", "SwitchingSignal",
     "analyze", "blockwise_nilpotency_check", "check_static", "check_switching",
-    "convergence_bound", "error_dynamics_matrix", "product_vanishing_bound",
+    "convergence_bound", "error_dynamics_matrix",
     "synthesize_gain",
     "NetworkState", "Trajectory", "exhaustive_consensus_oracle", "random_state",
     "simulate", "step",

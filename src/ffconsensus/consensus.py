@@ -21,31 +21,30 @@ definition that the spectral rule is checked against.
 Every verdict, witness gain and bound comes from one pass of facts
 (``_facts``: one Krylov elimination of (A, b), ``linsys._krylov``, for
 chi_A, stabilizability, A nilpotent and the deadbeat gain; each graph's
-DAG flag and in-degrees, the union of the follower supports, and the SCC
-blocks under a supplied gain) and one rule over them (``_decide``).  A
-single graph is the static case.  Without a gain:
+DAG flag and in-degrees, the union of the follower supports, and under a
+supplied gain r, mu* and the SCC blocks) and one rule over them
+(``_decide``), for any number of graphs.  A single graph is the static
+case.  Without a gain:
 
   * A nilpotent: guaranteed, the zero gain works under any graphs;
-  * acyclic graph (union of the graphs), (A, b) stabilizable and one
-    nonzero in-degree d shared by every follower in every graph:
-    guaranteed, the deadbeat gain for d is the witness;
-  * otherwise one acyclic graph is impossible (the conditions above are
-    also necessary there), and anything else is inconclusive: cyclic
-    graphs are not synthesized, and for several graphs the conditions
-    are only sufficient.
+  * (A, b) not stabilizable, some acyclic graph without one nonzero
+    in-degree, or acyclic graphs whose uniform degrees differ: impossible;
+  * acyclic graphs sharing d over an acyclic union: guaranteed, the
+    deadbeat gain for d is the witness;
+  * anything else is inconclusive: a cyclic graph (not synthesized), or
+    a cyclic union of acyclic graphs that share d.
 
 With a supplied gain K the verdict is about K:
 
   * some graph's error matrix under K is not nilpotent: impossible (the
     signal that stays on that graph never converges); the reason points
     to ``witness.synthesized_gain`` when some other gain works;
-  * otherwise guaranteed when there is one graph, bK = 0 or the union is
-    acyclic, and inconclusive when bK != 0 over a cyclic union.
+  * otherwise guaranteed when there is one graph, r = 0 or the union is
+    acyclic, and inconclusive when r != 0 over a cyclic union.
 
-Bounds: N*n for one graph; under switching, ``product_vanishing_bound``
-of the per-follower closed-loop degrees in the order of the union's
-strongly connected components, the same Tarjan pass that gives the DAG
-flags and the SCC blocks (each graph object computes it once).
+One bound for any number of graphs (``_bound``): N*f, f the nilpotent
+degree of A - mu* bK, when r != 0; max(deg A, s + kappa) when r = 0.
+``simulate``'s default horizon is the bound plus 5.
 """
 
 from __future__ import annotations
@@ -167,10 +166,10 @@ def error_dynamics_matrix(net: LeaderFollowerNetwork, graph_index: int = 0) -> M
     return kron(eye, net.sys.A) + kron(a_bar - d_bar, bk)
 
 
-def _error_block_results(net: LeaderFollowerNetwork, kr: _Krylov, graph_indices) -> list[list]:
-    """For each listed graph, the diagonal blocks of its error matrix as
-    (followers, nilpotent) pairs, one per strongly connected component of
-    the follower support, sources first.  No block is built.
+def _error_block_results(net: LeaderFollowerNetwork, kr: _Krylov, graph_indices) -> tuple[list, int, list]:
+    """r and mu* of claim 2 (mu* = 0 when r = 0) and, per listed graph, the
+    diagonal blocks of its error matrix as (followers, nilpotent) pairs,
+    one per SCC of the follower support, sources first; none is built.
 
     Claim 1: list the followers SCC by SCC, S_1, ..., S_m in a
     topological order of the condensation (Tarjan, SIAM J. Comput. 1,
@@ -227,7 +226,7 @@ def _error_block_results(net: LeaderFollowerNetwork, kr: _Krylov, graph_indices)
                 results[key] = every if every is not None else MatrixFF(net.field, key).is_nilpotent()
             blocks.append((comp, results[key]))
         per_graph.append(blocks)
-    return per_graph
+    return r, mu, per_graph
 
 
 def blockwise_nilpotency_check(net: LeaderFollowerNetwork, graph_index: int = 0) -> dict[int, bool]:
@@ -244,30 +243,13 @@ def blockwise_nilpotency_check(net: LeaderFollowerNetwork, graph_index: int = 0)
             "blockwise check requires an acyclic follower graph; "
             "use is_nilpotent(error_dynamics_matrix(...)) instead"
         )
-    [blocks] = _error_block_results(net, _krylov(net.sys), [graph_index])
+    _, _, [blocks] = _error_block_results(net, _krylov(net.sys), [graph_index])
     return {i: ok for (i,), ok in sorted(blocks)}
 
 
 # ----------------------------------------------------------------------
 # Bounds
 # ----------------------------------------------------------------------
-
-
-def product_vanishing_bound(degrees: Sequence[int]) -> int:
-    """Steps after which every product of conformant block-triangular
-    matrices with these diagonal nilpotent degrees is zero.
-
-    T = sum over l of min(max(k_1..k_{s+1-l}), max(k_l..k_s)); for equal
-    degrees k this collapses to s*k.
-    """
-    ks = list(degrees)
-    s = len(ks)
-    if s == 0 or any(k < 0 for k in ks):
-        raise ValueError("degrees must be a nonempty list of nonnegative integers")
-    total = 0
-    for ell in range(1, s + 1):
-        total += min(max(ks[0 : s + 1 - ell]), max(ks[ell - 1 : s]))
-    return total
 
 
 def convergence_bound(net: LeaderFollowerNetwork) -> int:
@@ -290,22 +272,21 @@ def convergence_bound(net: LeaderFollowerNetwork) -> int:
 class _Facts(_FrozenRecord):
     """Everything the consensus rule reads, computed once per network."""
 
-    __slots__ = ("a_degree", "decomp", "stabilizable", "dags", "degrees", "union", "union_dag",
-                 "shared_degree", "bk_zero", "blocks")
+    __slots__ = ("a_degree", "decomp", "dags", "degrees", "union", "union_dag", "r", "mu", "blocks")
 
-    def __init__(self, a_degree: int | None, decomp: _Krylov, stabilizable: bool,
-                 dags: tuple[bool, ...], degrees: tuple[DegreeCheck, ...], union: WeightedDigraphFF,
-                 union_dag: bool, shared_degree: int | None, bk_zero: bool, blocks: list[list] | None):
+    def __init__(self, a_degree: int | None, decomp: _Krylov, dags: tuple[bool, ...],
+                 degrees: tuple[DegreeCheck, ...], union: WeightedDigraphFF, union_dag: bool,
+                 r: list[int] | None, mu: int | None, blocks: list[list] | None):
         object.__setattr__(self, "a_degree", a_degree)  # A's nilpotent degree, None when A is not nilpotent
         object.__setattr__(self, "decomp", decomp)
-        object.__setattr__(self, "stabilizable", stabilizable)
         object.__setattr__(self, "dags", dags)  # per graph
         object.__setattr__(self, "degrees", degrees)  # per graph
         object.__setattr__(self, "union", union)  # the graph itself when there is one
         object.__setattr__(self, "union_dag", union_dag)
-        object.__setattr__(self, "shared_degree", shared_degree)  # one nonzero in-degree of every follower
-        object.__setattr__(self, "bk_zero", bk_zero)
-        # per graph, the supplied gain's SCC blocks as (followers, nilpotent)
+        # under a supplied gain: r = chi_(A - bK) - chi_A, mu* and, per graph,
+        # the SCC blocks as (followers, nilpotent) (``_error_block_results``)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "blocks", blocks)
 
 
@@ -314,23 +295,22 @@ def _facts(net: LeaderFollowerNetwork) -> _Facts:
     u = graphs[0] if net.is_static else union(list(graphs))
     union_dag = u.is_dag()
     degrees = tuple(g.common_degree() for g in graphs)
-    values = {dc.degree for dc in degrees if dc.ok}
     kr = _krylov(net.sys)
+    r, mu, blocks = (None,) * 3 if net.gain is None else _error_block_results(net, kr, range(len(graphs)))
     # chi_A = mu_b chi_(A_uc) is x^n iff c = 0 and the pair is stabilizable;
     # only then is A's degree computed
     return _Facts(
         a_degree=net.sys.A.nilpotent_degree() if kr.stabilizable and not any(kr.c) else None,
         decomp=kr,
-        stabilizable=kr.stabilizable,
         # every subgraph of an acyclic union is acyclic
         dags=(union_dag,) * len(graphs) if union_dag or net.is_static
         else tuple(g.is_dag() for g in graphs),
         degrees=degrees,
         union=u,
         union_dag=union_dag,
-        shared_degree=values.pop() if len(values) == 1 and all(dc.ok for dc in degrees) else None,
-        bk_zero=net.gain is not None and (net.sys.b.is_zero() or net.gain.is_zero()),
-        blocks=None if net.gain is None else _error_block_results(net, kr, range(len(graphs))),
+        r=r,
+        mu=mu,
+        blocks=blocks,
     )
 
 
@@ -345,45 +325,65 @@ class _Decision(_FrozenRecord):
 
 
 def _decide(f: _Facts, graph_indices: Sequence[int]) -> _Decision:
-    """The consensus rule (module docstring) for the listed graphs.
+    """The consensus rule (module docstring) for the listed graphs, one
+    or many.  Without a gain, once A is not nilpotent:
 
-    Without a gain it is the paper's characterization: exact for one
-    graph, sufficient for several.  A supplied gain K is judged on its
-    own; the argument for each case:
+    * (A, b) not stabilizable: the uncontrollable coordinates of every
+      error evolve by A_uc, whatever K and graphs;
+    * an acyclic graph without one nonzero in-degree fails on its own
+      (the paper's conditions are necessary for one acyclic graph), so
+      the signal that stays on it fails for every K;
+    * a K working for two degrees d != d' gives chi_A + d r = chi_A +
+      d' r = x^n (claim 2 of ``_error_block_results``), so r = 0 and A
+      would be nilpotent;
+    * the deadbeat gain for a d shared over an acyclic union works
+      (``_bound``).
+
+    A supplied gain K is judged on its own:
 
     * a graph whose error matrix is not nilpotent never converges under
       the signal that stays on it, so no signal family containing it
       converges: impossible;
-    * one graph whose error matrix is nilpotent converges within N*n;
-    * bK = 0: every error matrix is I (X) A, nilpotent since it passed;
-    * acyclic union: every error matrix is block-triangular in the
-      union's topological order with per-follower diagonal blocks
-      A - d*bK, all nilpotent.  The input is single, so in Kalman
-      coordinates (K -> [k, c]) A - d*bK is [[A_c - d*e_s*k, A_cc - d*e_s*c],
-      [0, A_uc]] with A_c a companion matrix whose bottom row a - d*k must
-      vanish.  If two degrees d != d' pass, then k = 0 and a = 0, so A_c
-      is the shift J, and a product of m such blocks has corner
-      sum_j J^(j-1) (A_cc - d_j*e_s*c) A_uc^(m-j); the vectors J^(j-1) e_s
-      are independent, so once the constant products of length m vanish
-      every term does, and so do the mixed ones.  Otherwise all blocks
-      share one d.  Either way every product of a follower's blocks
-      vanishes after its worst degree, and ``product_vanishing_bound``
-      applies;
-    * a cyclic union with bK != 0 is inconclusive: each graph converging
+    * every graph passes, and there is one graph, r = 0 or an acyclic
+      union: guaranteed (``_bound``);
+    * a cyclic union with r != 0 is inconclusive: each graph converging
       alone does not make the switched products vanish.
     """
     one = len(graph_indices) == 1
-    if one:
-        [gi] = graph_indices
-        acyclic, dc = f.dags[gi], f.degrees[gi]
-        d = dc.degree if dc.ok else None
-    else:
-        acyclic, d = f.union_dag, f.shared_degree
+    acyclic = all(f.dags[gi] for gi in graph_indices)
+    ds = {f.degrees[gi].degree for gi in graph_indices}  # None for a failed degree check
+    alone = next((gi for gi in graph_indices if f.dags[gi] and not f.degrees[gi].ok), None)
 
     if f.a_degree is not None:
         scope = "regardless of the graphs" if one else "under any switching"
         base = _Decision("guaranteed", f"A is nilpotent: the zero gain synchronizes every agent {scope}", 0)
-    elif acyclic and f.stabilizable and d is not None:
+    elif not f.decomp.stabilizable:
+        base = _Decision("impossible", (
+            "pair (A, b) is not stabilizable: the uncontrollable block is not "
+            "nilpotent, so no gain can make the error dynamics nilpotent"
+        ), None)
+    elif alone is not None:
+        dc = f.degrees[alone]
+        where = "" if one else f"graph {alone} fails on its own: "
+        if dc.reason == "zero_degree":
+            reason = (
+                f"{where}followers {list(dc.offenders)} have in-degree 0 mod p: "
+                "their error blocks reduce to the non-nilpotent A for every gain"
+            )
+        else:
+            reason = (
+                f"{where}follower in-degrees differ (offenders {list(dc.offenders)}): "
+                "no single gain can cancel distinct degrees over a field "
+                "without zero divisors"
+            )
+        base = _Decision("impossible", reason, None)
+    elif acyclic and len(ds) > 1:
+        base = _Decision("impossible", (
+            f"every graph is acyclic with a uniform nonzero in-degree, but the degrees {sorted(ds)} "
+            "differ: a gain working for two degrees leaves chi_A unchanged, and A is not nilpotent"
+        ), None)
+    elif acyclic and (one or f.union_dag):
+        [d] = ds
         if one:
             reason = (
                 f"acyclic follower graph with uniform nonzero in-degree {d} and a stabilizable "
@@ -396,36 +396,14 @@ def _decide(f: _Facts, graph_indices: Sequence[int]) -> _Decision:
                 "all error matrices simultaneously block-triangular and nilpotent"
             )
         base = _Decision("guaranteed", reason, d)
-    elif one and acyclic:
-        if not f.stabilizable:
-            reason = (
-                "pair (A, b) is not stabilizable: the uncontrollable block is not "
-                "nilpotent, so no gain can make the error dynamics nilpotent"
-            )
-        elif dc.reason == "zero_degree":
-            reason = (
-                f"followers {list(dc.offenders)} have in-degree 0 mod p: "
-                "their error blocks reduce to the non-nilpotent A for every gain"
-            )
-        else:
-            reason = (
-                f"follower in-degrees differ (offenders {list(dc.offenders)}): "
-                "no single gain can cancel distinct degrees over a field "
-                "without zero divisors"
-            )
-        base = _Decision("impossible", reason, None)
     elif one:
         base = _Decision("inconclusive", (
             "cyclic follower graph without a supplied gain: synthesis would "
             "require solving multivariate polynomial systems and is not supported"
         ), None)
     else:
-        failed = []
-        if not acyclic:
-            failed.append("union of follower supports has a directed cycle")
-        if not f.stabilizable:
-            failed.append("pair (A, b) is not stabilizable")
-        if d is None:
+        failed = ["union of follower supports has a directed cycle"]
+        if len(ds) > 1 or None in ds:
             failed.append("no single nonzero in-degree is shared by all followers in all graphs")
         base = _Decision("inconclusive", "sufficiency conditions not met: " + "; ".join(failed), None)
     if f.blocks is None:
@@ -443,8 +421,9 @@ def _decide(f: _Facts, graph_indices: Sequence[int]) -> _Decision:
             tail = " (verdict is for this gain; synthesis over cyclic follower graphs is not supported)"
         reason = f"{head} nilpotent for the supplied gain: some initial error recurs forever{tail}"
         return _Decision("impossible", reason, base.witness_degree)
-    if one or f.bk_zero or f.union_dag:
-        # a gain passing over an acyclic union shows that the base is guaranteed
+    if one or not any(f.r) or f.union_dag:
+        # a gain passing with r = 0 (A nilpotent) or over an acyclic union
+        # shows that the base is guaranteed
         reason = base.reason if base.verdict == "guaranteed" else (
             "supplied gain makes the error matrix nilpotent (cyclic follower graph decided directly)"
         )
@@ -467,25 +446,44 @@ def _witness_gain(net: LeaderFollowerNetwork, f: _Facts, dec: _Decision) -> tupl
 
 
 def _bound(net: LeaderFollowerNetwork, f: _Facts, certificate: int | None) -> int:
-    """Convergence bound of a guaranteed network (``certificate``: the
-    witness closed loop's degree).  With a supplied gain over an acyclic
-    union the followers are taken in the union's SCC order, sources first;
-    ``product_vanishing_bound`` depends on which topological order it
-    reads, and every one gives a sound bound."""
-    if net.is_static:
-        return net.num_followers * net.sys.dim
-    if net.gain is not None and not f.bk_zero:
-        # acyclic union (``_decide``): follower i's block in each graph is the
-        # nilpotent A - d_i*bK; take each follower's worst closed-loop degree
-        bk = net.sys.b @ net.gain
-        ds = {d for dc in f.degrees for d in dc.degrees.values()}
-        loop = {d: (net.sys.A - bk.scale(d)).nilpotent_degree() for d in ds}
-        order = [node for (node,) in f.union.strongly_connected_components()]
-        return product_vanishing_bound([max(loop[dc.degrees[node]] for dc in f.degrees) for node in order])
-    # every diagonal block is one closed loop: the witness's A - d*bK, or A
-    # itself under the zero gain or bK = 0 (which passes only for a nilpotent
-    # A, whose witness is the zero gain); the bound for s equal degrees k is s*k
-    return net.num_followers * certificate
+    """Convergence bound of a guaranteed network, one graph or many, for
+    the supplied gain or else the witness (``certificate``: the degree of
+    its closed loop).  Graph sigma's error matrix is
+    M_sigma = I (X) A - H_sigma (X) bK (``_error_block_results``).
+
+    r != 0: T = N*f, f the nilpotent degree of F = A - mu* bK.  Write
+    M_sigma = I (X) F - N_sigma (X) bK, N_sigma = H_sigma - mu* I.  The
+    N_sigma are jointly nilpotent of index <= N: one graph's is (its
+    blocks H_SS - mu* I are), and under switching they are strictly
+    triangular in the acyclic union's order (every in-degree is mu*).
+    A product of L >= N*f factors expands into terms P (X) Q, P a
+    product of N_sigma's and identities, Q of bK's and F's in the same
+    places: P vanishes with N factors N_sigma, else Q has at most N - 1
+    factors bK, so a run of f factors F = 0.  The witness's F is its
+    deadbeat loop (mu* = d), so f is its certificate.  When s = n,
+    f = n: span(b, ..., F^j b) = span(b, ..., A^j b) for every j, so b
+    is a cyclic vector of the nilpotent F.
+
+    r = 0: T = max(deg A, s + kappa), kappa the first j with K A^j = 0.
+    A gain passing with r = 0 needs A nilpotent (claim 2 of
+    ``_error_block_results``), so chi_A = x^n and r_t = K A^(n-1-t) b
+    (``_Krylov.gain_change``): K A^j b = 0 for every j, bK A^j bK = 0,
+    and no term has two factors bK.  The term with none is I (X) A^L,
+    zero for L >= deg A; one with a single bK has the factor A^i bK A^j,
+    i + j = L - 1, zero once i >= s (A^s b = 0) or j >= kappa, as
+    L >= s + kappa forces.  s + kappa <= n: the independent rows K A^j,
+    j < kappa, annihilate the Krylov space of b.  The zero gain has
+    kappa = 0 and s <= deg A, so its bound is deg A, its certificate.
+    """
+    N, n = net.num_followers, net.sys.dim
+    if net.gain is None:
+        return certificate if f.a_degree is not None else N * certificate
+    if any(f.r):
+        return N * (n if f.decomp.s == n else (net.sys.A - (net.sys.b @ net.gain).scale(f.mu)).nilpotent_degree())
+    k, kappa = net.gain, 0
+    while not k.is_zero():
+        k, kappa = k @ net.sys.A, kappa + 1
+    return max(f.a_degree, f.decomp.s + kappa)
 
 
 # ----------------------------------------------------------------------
@@ -561,7 +559,7 @@ def check_static(net: LeaderFollowerNetwork) -> AnalysisReport:
     checks: dict = {
         "a_nilpotent": f.a_degree is not None,
         "follower_graph_dag": f.union_dag,
-        "stabilizable": f.stabilizable,
+        "stabilizable": f.decomp.stabilizable,
         "common_degree": f.degrees[0].to_dict(),
     }
     if net.gain is not None:
@@ -582,15 +580,16 @@ def check_switching(net: LeaderFollowerNetwork) -> AnalysisReport:
     """Analysis under arbitrary switching between the graphs; when it is
     inconclusive, the diagnostics carry each graph's static verdict."""
     f = _facts(net)
+    ds = {dc.degree for dc in f.degrees}  # {d}: one nonzero in-degree of every follower
     checks: dict = {
         "a_nilpotent": f.a_degree is not None,
         "union_dag": f.union_dag,
-        "stabilizable": f.stabilizable,
+        "stabilizable": f.decomp.stabilizable,
         "per_graph_common_degree": [dc.to_dict() for dc in f.degrees],
-        "uniform_degree_across_graphs": f.shared_degree is not None,
+        "uniform_degree_across_graphs": len(ds) == 1 and None not in ds,
     }
-    if f.shared_degree is not None:
-        checks["common_degree_value"] = f.shared_degree
+    if checks["uniform_degree_across_graphs"]:
+        checks["common_degree_value"] = ds.pop()
     if net.gain is not None:
         checks["supplied_gain_error_matrices_nilpotent"] = [
             all(ok for _, ok in blocks) for blocks in f.blocks

@@ -27,7 +27,6 @@ from ffconsensus import (
     kalman_decompose,
     kron,
     order_of_x_mod,
-    product_vanishing_bound,
     random_state,
     simulate,
     split_nilpotent_bijective,
@@ -349,30 +348,8 @@ def test_criterion_5_structural_nilpotency():
         if k is None or k > n * s:
             problems.append(f"block-matrix trial {trial}: degree {k} vs bound {n * s}")
 
-    # (c) families with shared diagonals: every product of length T vanishes
-    for trial in range(15):
-        field = (F2, F3)[rng.randrange(2)]
-        n = rng.randrange(1, 3)
-        s = rng.randrange(2, 4)
-        diag = [random_nilpotent(rng, field, n) for _ in range(s)]
-        t_bound = product_vanishing_bound([m.nilpotent_degree() for m in diag])
-        family = []
-        for _ in range(rng.randrange(2, 4)):
-            blocks = {(i, i): diag[i] for i in range(s)}
-            for i in range(s):
-                for j in range(i + 1, s):
-                    blocks[(i, j)] = random_matrix(rng, field, n, n)
-            family.append(_assemble_blocks(field, blocks))
-        for seq in range(100):
-            prod = MatrixFF.identity(field, n * s)
-            for _ in range(t_bound):
-                prod = prod @ family[rng.randrange(len(family))]
-            if not prod.is_zero():
-                problems.append(f"family trial {trial} sequence {seq}: product not zero at T={t_bound}")
-                break
-
-    _criterion(5, "block-triangular degree bounds and switched products: "
-                  "1000 pairs, 200 block matrices, 15 families x 100 sequences, "
+    _criterion(5, "block-triangular degree bounds: "
+                  "1000 pairs, 200 block matrices, "
                   "zero violations", problems)
 
 

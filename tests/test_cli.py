@@ -368,15 +368,16 @@ def test_analyze_impossible_exit_two(tmp_path, capsys):
 
 
 def test_analyze_one_degree_changed(tmp_path, capsys):
-    # bumping a single weight breaks the uniform degree: the static view
-    # becomes impossible, the switching view merely inconclusive
+    # bumping a single weight breaks the uniform degree of an acyclic
+    # graph: it fails on its own, so the switching view is impossible too
     doc = ref_config_dict()
     doc["graphs"][1][1][2] = 2  # leader->2 weight 1 -> 2 in the second graph
     path = tmp_path / "bumped.json"
     path.write_text(json.dumps(doc))
     rc = main(["analyze", str(path)])
     out = json.loads(capsys.readouterr().out)
-    assert rc == 3 and out["verdict"] == "inconclusive"
+    assert rc == 2 and out["verdict"] == "impossible"
+    assert out["reason"].startswith("graph 1 fails on its own: ")
 
     static_doc = ref_config_dict()
     static_doc["graphs"] = [doc["graphs"][1]]
@@ -458,10 +459,10 @@ def test_constant_signal_analysed_alike_by_every_command(case, tmp_path, capsys)
     net = ScenarioConfig.from_dict(synthesized).network()
     assert consensus.error_dynamics_matrix(net, 1).is_nilpotent()
 
-    # simulate: analyze's static bound, decided exactly
+    # simulate: analyze's static bound N*f, f = 4 the degree of A - mu* bK
     assert main(["simulate", with_gain, "--format", "json"]) == 0
     sim = json.loads(capsys.readouterr().out)
-    assert sim["bound"] == report["bounds"]["static"] == 20
+    assert sim["bound"] == report["bounds"]["static"] == 16
     assert sim["horizon"] == sim["bound"] + 5
     assert all(t["metadata"]["consensus_detection"] == "bounded-exact" for t in sim["trials"])
 
@@ -488,7 +489,13 @@ def test_analyze_constant_signal_treated_as_static(tmp_path, capsys):
 # static_unequal_degrees was re-recorded when the order came to be read
 # off the SCCs (Tarjan) instead of Kahn's smallest-first order; the
 # witness of switching_nilpotent_a gained gain_certificate_degree when the
-# report came to record the zero gain's closed-loop degree (A's)
+# report came to record the zero gain's closed-loop degree (A's).  When one
+# rule and one bound came to serve any number of graphs,
+# switching_cyclic_union_per_graph_static became impossible (graph 2 fails
+# on its own), the static bound of leader_f3_with_gain_constant_signal went
+# 20 -> 16 (N*f) and the switching bound of switching_nilpotent_a 6 -> 2
+# (deg A); switching_shared_degree_cyclic_union (two acyclic graphs sharing
+# d = 1 over a cyclic union) keeps per_graph_static covered
 GOLDEN = json.loads((Path(__file__).parent / "data" / "analyze_golden.json").read_text())
 
 

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -20,7 +21,6 @@ from ffconsensus import (
     exhaustive_consensus_oracle,
     kalman_decompose,
     kron,
-    product_vanishing_bound,
     synthesize_gain,
 )
 from ffconsensus.consensus import GainSynthesisError
@@ -383,34 +383,26 @@ def test_switching_guaranteed_reference(ref_network):
 
 def test_switching_union_cycle_inconclusive():
     g1 = WeightedDigraphFF(F3, 2, [(0, 1, 1), (1, 2, 1)])
-    g2 = WeightedDigraphFF(F3, 2, [(0, 1, 1), (2, 1, 1), (0, 2, 1)])
+    g2 = WeightedDigraphFF(F3, 2, [(2, 1, 1), (0, 2, 1)])  # acyclic, both share d = 1
     sys_ = LinearSystemFF(MatrixFF(F3, [[1]]), MatrixFF.column(F3, [1]))
     net = LeaderFollowerNetwork(sys=sys_, graphs=(g1, g2))
     report = check_switching(net)
     assert report.verdict == "inconclusive"
     assert not report.checks["union_dag"]
-    assert "per_graph_static" in report.diagnostics
+    assert report.diagnostics["per_graph_static"] == [
+        {"graph": 0, "verdict": "guaranteed"}, {"graph": 1, "verdict": "guaranteed"}]
 
 
-def test_switching_degree_mismatch_across_graphs_inconclusive():
+def test_switching_degree_mismatch_across_graphs_impossible():
+    # a gain working for d = 1 and d = 2 would leave chi_A = x - 1 unchanged
     g1 = WeightedDigraphFF(F3, 1, [(0, 1, 1)])
     g2 = WeightedDigraphFF(F3, 1, [(0, 1, 2)])
     sys_ = LinearSystemFF(MatrixFF(F3, [[1]]), MatrixFF.column(F3, [1]))
     net = LeaderFollowerNetwork(sys=sys_, graphs=(g1, g2))
     report = check_switching(net)
-    assert report.verdict == "inconclusive"
+    assert report.verdict == "impossible"
+    assert "degrees [1, 2] differ" in report.reason
     assert not report.checks["uniform_degree_across_graphs"]
-
-
-def test_switching_never_claims_impossible():
-    rng = random.Random(109)
-    for _ in range(25):
-        field = (F2, F3)[rng.randrange(2)]
-        net = random_network(
-            rng, field, n=rng.randrange(1, 3), num_followers=rng.randrange(1, 4),
-            num_graphs=rng.randrange(2, 4), with_gain=False,
-        )
-        assert check_switching(net).verdict in ("guaranteed", "inconclusive")
 
 
 def _with_degree(field, graph, d):
@@ -434,7 +426,7 @@ def test_analyze_matches_the_oracle():
     seen = {"guaranteed": 0, "impossible": 0, "inconclusive": 0, "static": 0, "switching": 0,
             "cyclic": 0, "acyclic": 0, "nilpotent_a": 0, "no_gain": 0, "random_gain": 0,
             "deadbeat_gain": 0}
-    for _ in range(400):
+    for _ in range(480):
         field = (F2, F3)[rng.randrange(2)]
         n, N = rng.randint(1, 2), rng.randint(1, 3)
         a = random_nilpotent(rng, field, n) if rng.random() < 0.25 else random_matrix(rng, field, n, n)
@@ -468,7 +460,6 @@ def test_analyze_matches_the_oracle():
             assert "supplied gain" in report.reason
             assert ("synthesized_gain" in report.witness) == ("witness.synthesized_gain" in report.reason)
         elif verdict == "impossible":
-            assert net.is_static
             assert not any(works(MatrixFF.row_vector(field, k), N * n)
                            for k in itertools.product(range(field.p), repeat=n))
         elif gain is not None:
@@ -481,6 +472,95 @@ def test_analyze_matches_the_oracle():
         seen["nilpotent_a"] += a.is_nilpotent()
         seen[kind] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def _small_network(rng, gain_kind):
+    """A network small enough to brute-force every gain: p <= 5, n <= 3,
+    N <= 3 and 1-3 graphs, each acyclic with one in-degree (mostly a
+    shared d), some with a back edge or self-loop or one leader weight
+    changed.  ``gain_kind``: "none", "random", or "r0", a gain with r = 0
+    over a nilpotent A (None when none is found)."""
+    while True:
+        field = (F2, F3, F5)[rng.randrange(3)]
+        n, N = rng.randint(1, 3), rng.randint(1, 3)
+        if field.p ** (n * (N + 1)) <= 2187:
+            break
+    p = field.p
+    a = random_nilpotent(rng, field, n) if gain_kind == "r0" or rng.random() < 0.2 else random_matrix(rng, field, n, n)
+    b = random_matrix(rng, field, n, 1)
+    if rng.random() < 0.15:
+        b = a @ b  # a smaller Krylov space
+    sys_ = LinearSystemFF(a, b)
+    d = rng.randrange(1, p)
+    graphs = []
+    for _ in range(rng.randint(1, 3)):
+        g = _with_degree(field, random_dag_graph(rng, field, N), rng.choice((d, rng.randrange(1, p))))
+        edges = list(g.edges())
+        u = rng.random()
+        if u < 0.25:
+            src, tgt, w = rng.randint(1, N), rng.randint(1, N), rng.randrange(1, p)
+        elif u < 0.6:
+            src, tgt, w = 0, rng.randint(1, N), rng.randrange(p)
+        if u < 0.6:
+            edges = [e for e in edges if e[:2] != (src, tgt)] + ([(src, tgt, w)] if w else [])
+        graphs.append(WeightedDigraphFF(field, N, edges))
+    gain = None if gain_kind == "none" else random_matrix(rng, field, 1, n)
+    if gain_kind == "r0":
+        kr = consensus._krylov(sys_)
+        gain = next((k for k in (random_matrix(rng, field, 1, n) for _ in range(50))
+                     if not any(kr.gain_change(k.to_rows()[0]))), None)
+    return LeaderFollowerNetwork(sys=sys_, graphs=tuple(graphs), gain=gain)
+
+
+def test_no_gain_impossible_verdicts_fail_for_every_gain():
+    """Differential test of the rule without a gain: every impossible
+    verdict, static or switching, is confirmed by brute force over all
+    p^n gains and every switching sequence at horizon N*n, for each
+    branch (unstabilizable pair, an acyclic graph failing on its own,
+    acyclic graphs with differing uniform degrees)."""
+    rng = random.Random(2521)
+    seen = collections.Counter()
+    for _ in range(800):
+        net = _small_network(rng, "none")
+        report = analyze(net)
+        if report.verdict != "impossible":
+            continue
+        p, n, N = net.field.p, net.sys.dim, net.num_followers
+        reason = report.reason
+        branch = ("unstabilizable" if "not stabilizable" in reason
+                  else "differing" if "every graph is acyclic" in reason
+                  else "alone" if "in-degree 0 mod p" in reason or "in-degrees differ" in reason
+                  else reason)
+        seen[branch, report.mode] += 1
+        for k in itertools.product(range(p), repeat=n):
+            trial = net.with_gain(MatrixFF.row_vector(net.field, k))
+            assert not exhaustive_consensus_oracle(trial, N * n, all_signals=True), (k, report.to_dict())
+    assert set(seen) == {(b, m) for b in ("unstabilizable", "alone", "differing") for m in ("static", "switching")
+                         if (b, m) != ("differing", "static")}, seen
+    assert min(seen.values()) >= 15, seen
+
+
+def test_guaranteed_bounds_hold_and_stay_within_n_n():
+    """Differential test of the bound: for every guaranteed network the
+    oracle confirms the witness or supplied gain at T over every switching
+    sequence, and T <= N*n; supplied gains include r = 0 over cyclic
+    unions, guaranteed only since the bound covers them."""
+    rng = random.Random(2677)
+    seen = collections.Counter()
+    for i in range(400):
+        kind = ("none", "random", "random", "r0")[i % 4]
+        net = _small_network(rng, kind)
+        if kind != "none" and net.gain is None:
+            continue
+        report = analyze(net)
+        if report.verdict != "guaranteed":
+            continue
+        T, N, n = report.bounds[report.mode], net.num_followers, net.sys.dim
+        k = net.gain if net.gain is not None else MatrixFF.row_vector(net.field, report.witness["synthesized_gain"])
+        assert T <= N * n and exhaustive_consensus_oracle(net.with_gain(k), T, all_signals=True), report.to_dict()
+        seen[kind, report.mode, "acyclic" if consensus._facts(net).union_dag else "cyclic"] += 1
+    assert min(seen[kind, mode, "acyclic"] for kind in ("none", "random", "r0") for mode in ("static", "switching")) >= 10, seen
+    assert seen["r0", "switching", "cyclic"] >= 20, seen
 
 
 # ---------------------------------------------------------
@@ -533,17 +613,6 @@ def test_synthesize_refuses_degree_failures():
 # Bounds
 # ---------------------------------------------------------
 
-def test_product_bound_formula_cases():
-    assert product_vanishing_bound([3]) == 3
-    assert product_vanishing_bound([5, 5, 5, 5]) == 20
-    assert product_vanishing_bound([2, 2, 2]) == 6
-    # hand evaluation: taus are 5, 5, 1
-    assert product_vanishing_bound([1, 5, 1]) == 11
-    # two blocks collapse to k1 + k2
-    assert product_vanishing_bound([2, 4]) == 6
-    assert product_vanishing_bound([4, 2]) == 6
-
-
 def test_convergence_bound_static(ref_system):
     g = WeightedDigraphFF(F3, 2, [(0, 1, 1), (1, 2, 2), (0, 2, 2)])
     net = LeaderFollowerNetwork(sys=ref_system, graphs=(g,))
@@ -565,10 +634,8 @@ def test_convergence_bound_requires_guaranteed():
 
 
 def test_switching_bound_reads_the_scc_order_and_stays_sound():
-    """``product_vanishing_bound`` depends on the topological order it
-    reads.  Here the union's SCC order (3, 2, 1) gives 5, where the
-    smallest-first order (2, 3, 1) gave 4; the true worst-case time is 2,
-    and every signal has converged at the reported bound."""
+    """A nilpotent A with r = 0: the bound max(deg A, s + kappa) = 2 is the
+    true worst-case time (a product over the union's order once gave 5)."""
     sys_ = LinearSystemFF(MatrixFF.zeros(F2, 3, 3), MatrixFF.column(F2, [0, 1, 0]))
     graphs = (
         WeightedDigraphFF(F2, 3, [(0, 1, 1), (2, 1, 1)]),
@@ -578,8 +645,7 @@ def test_switching_bound_reads_the_scc_order_and_stays_sound():
     report = check_switching(net)
     assert report.verdict == "guaranteed"
     assert report.witness["union_topo_permutation"] == [0, 1, 2]
-    assert report.bounds["switching"] == 5
-    assert exhaustive_consensus_oracle(net, 5, all_signals=True)
+    assert report.bounds["switching"] == 2
     assert exhaustive_consensus_oracle(net, 2, all_signals=True)
     assert not exhaustive_consensus_oracle(net, 1, all_signals=True)
 
@@ -660,29 +726,3 @@ def test_block_triangular_degree_bound():
         k = composite.nilpotent_degree()
         assert k is not None
         assert k <= a1.nilpotent_degree() + a3.nilpotent_degree()
-
-
-def test_shared_diagonal_products_vanish_at_bound():
-    rng = random.Random(127)
-    for _ in range(12):
-        field = (F2, F3)[rng.randrange(2)]
-        n = rng.randrange(1, 3)
-        s = rng.randrange(2, 4)
-        diag = [random_nilpotent(rng, field, n) for _ in range(s)]
-        degrees = [m.nilpotent_degree() for m in diag]
-        t_bound = product_vanishing_bound(degrees)
-        family = []
-        for _ in range(rng.randrange(2, 4)):
-            rows = [[0] * (n * s) for _ in range(n * s)]
-            for bi in range(s):
-                for bj in range(bi, s):
-                    block = diag[bi] if bi == bj else random_matrix(rng, field, n, n)
-                    for i in range(n):
-                        for j in range(n):
-                            rows[bi * n + i][bj * n + j] = block.entry_int(i, j)
-            family.append(MatrixFF(field, rows))
-        for _ in range(30):
-            prod = MatrixFF.identity(field, n * s)
-            for _ in range(t_bound):
-                prod = prod @ family[rng.randrange(len(family))]
-            assert prod.is_zero()
