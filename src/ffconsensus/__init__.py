@@ -19,7 +19,7 @@ from .linsys import (
     is_stabilizable,
     kalman_decompose,
 )
-from .graphs import DegreeCheck, EdgeError, WeightedDigraphFF, union
+from .graphs import EdgeError, WeightedDigraphFF, union
 from .consensus import (
     AnalysisReport,
     GainSynthesisError,
@@ -51,7 +51,7 @@ __all__ = [
     "ControllabilityDecomposition", "CycleStructure", "LinearSystemFF",
     "autonomous_cycle_structure", "controllability_matrix", "deadbeat_gain",
     "is_stabilizable", "kalman_decompose",
-    "DegreeCheck", "EdgeError", "WeightedDigraphFF", "union",
+    "EdgeError", "WeightedDigraphFF", "union",
     "AnalysisReport", "GainSynthesisError", "LeaderFollowerNetwork", "SwitchingSignal",
     "analyze", "blockwise_nilpotency_check", "check_static", "check_switching",
     "convergence_bound", "error_dynamics_matrix",

@@ -233,11 +233,6 @@ class ScenarioConfig(_Record):
 
     # -- canonical form -------------------------------------------------
 
-    def to_dict(self) -> dict:
-        """A fresh deep copy of ``doc`` as JSON values (an edge becomes a
-        list), by a JSON round trip: both directions run in C."""
-        return json.loads(json.dumps(self.doc))
-
     def config_hash(self) -> str:
         blob = json.dumps(self.doc, sort_keys=True, separators=(",", ":"))
         try:  # the built-in SHA-256; hashlib loads OpenSSL, about 3 MB

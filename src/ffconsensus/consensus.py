@@ -21,18 +21,21 @@ definition that the spectral rule is checked against.
 Every verdict, witness gain and bound comes from one pass of facts
 (``_facts``: one Krylov elimination of (A, b), ``linsys._krylov``, for
 chi_A, stabilizability, A nilpotent and the deadbeat gain; each graph's
-DAG flag and in-degrees, the union of the follower supports, and under a
-supplied gain r, mu* and the SCC blocks) and one rule over them
+DAG flag and SCC blocks H_SS, built once, with the one eigenvalue d of H
+they allow; the union of the follower supports; and under a supplied
+gain r, mu* and the blocks' verdicts) and one rule over them
 (``_decide``), for any number of graphs.  A single graph is the static
 case.  Without a gain:
 
   * A nilpotent: guaranteed, the zero gain works under any graphs;
-  * (A, b) not stabilizable, some acyclic graph without one nonzero
-    in-degree, or acyclic graphs whose uniform degrees differ: impossible;
+  * (A, b) not stabilizable, a graph whose H has no single nonzero
+    eigenvalue (it fails on its own), or graphs whose d differ:
+    impossible;
   * acyclic graphs sharing d over an acyclic union: guaranteed, the
     deadbeat gain for d is the witness;
-  * anything else is inconclusive: a cyclic graph (not synthesized), or
-    a cyclic union of acyclic graphs that share d.
+  * anything else is inconclusive: a cyclic graph whose H has the one
+    eigenvalue d (synthesis over cyclic graphs is not supported yet),
+    or a cyclic union of acyclic graphs that share d.
 
 With a supplied gain K the verdict is about K:
 
@@ -53,7 +56,7 @@ import random
 from collections.abc import Sequence
 
 from .field import PrimeField, _FrozenRecord, _Record
-from .graphs import DegreeCheck, WeightedDigraphFF, union
+from .graphs import WeightedDigraphFF, union
 from .linsys import LinearSystemFF, _Krylov, _krylov
 from .matrix import MatrixFF, kron
 
@@ -166,10 +169,64 @@ def error_dynamics_matrix(net: LeaderFollowerNetwork, graph_index: int = 0) -> M
     return kron(eye, net.sys.A) + kron(a_bar - d_bar, bk)
 
 
-def _error_block_results(net: LeaderFollowerNetwork, kr: _Krylov, graph_indices) -> tuple[list, int, list]:
-    """r and mu* of claim 2 (mu* = 0 when r = 0) and, per listed graph, the
-    diagonal blocks of its error matrix as (followers, nilpotent) pairs,
-    one per SCC of the follower support, sources first; none is built.
+def _scc_blocks(g: WeightedDigraphFF) -> list[tuple[tuple[int, ...], int | tuple]]:
+    """The diagonal blocks H_SS of H = Dbar - Abar, one per SCC of the
+    follower support, sources first, as (followers, H_SS): a singleton's
+    as the int H_ii = d_i - w_ii, a larger block as its rows mod p."""
+    degs, p, w = g.in_degrees(), g.field.p, g.weight
+    return [
+        (comp, (degs[comp[0]] - w(comp[0], comp[0])) % p if len(comp) == 1 else tuple(
+            tuple(((degs[i] if i == j else 0) - w(j, i)) % p for j in comp) for i in comp))
+        for comp in g.strongly_connected_components()
+    ]
+
+
+def _shifted_nilpotent(field: PrimeField, h: int | tuple, c: int, cache: dict) -> bool:
+    """Whether the block H_SS - c I is nilpotent: a singleton by comparing
+    scalars, a larger block by one test per distinct shifted block
+    (``cache``, shared across an analysis)."""
+    if type(h) is int:
+        return h == c
+    p = field.p
+    key = tuple(tuple((v - c) % p if i == j else v for j, v in enumerate(row)) for i, row in enumerate(h))
+    if key not in cache:
+        cache[key] = MatrixFF(field, key).is_nilpotent()
+    return cache[key]
+
+
+def _eigenvalue(field: PrimeField, blocks: list, cache: dict) -> tuple[int, tuple[int, ...] | None]:
+    """(d, S): the one eigenvalue d that H = Dbar - Abar can have, read
+    off its SCC blocks (``_scc_blocks``), and the first SCC S whose block
+    H_SS - d I is not nilpotent (None when H has the one eigenvalue d).
+
+    If H_SS has the one eigenvalue d, then tr H_SS = |S| d, which gives d
+    from the first SCC with p not dividing |S| (every singleton does).
+    When p divides every |S|, write |S| = q m' with q the power of p in
+    |S|: in characteristic p, chi = (x - d)^|S| = (x^q - d)^m' (d^q = d
+    in F_p), whose coefficient of x^(|S| - q) is -m' d, so d is read off
+    the first block's chi.  H has one eigenvalue iff every block minus
+    d I is nilpotent.
+    """
+    p = field.p
+    for comp, h in blocks:
+        m = len(comp)
+        if m % p:
+            d = (h if m == 1 else sum(row[i] for i, row in enumerate(h))) * pow(m, p - 2, p) % p
+            break
+    else:
+        comp, h = blocks[0]
+        m = m1 = len(comp)
+        while m1 % p == 0:
+            m1 //= p
+        d = -MatrixFF(field, h).char_poly()[m - m // m1] * pow(m1, p - 2, p) % p
+    return d, next((comp for comp, h in blocks if not _shifted_nilpotent(field, h, d, cache)), None)
+
+
+def _error_block_results(net: LeaderFollowerNetwork, kr: _Krylov, graph_blocks: list, cache: dict
+                         ) -> tuple[list, int, list]:
+    """r and mu* of claim 2 (mu* = 0 when r = 0) and, per graph's SCC
+    blocks (``_scc_blocks``), the diagonal blocks of its error matrix as
+    (followers, nilpotent) pairs, sources first; none is built.
 
     Claim 1: list the followers SCC by SCC, S_1, ..., S_m in a
     topological order of the condensation (Tarjan, SIAM J. Comput. 1,
@@ -198,8 +255,8 @@ def _error_block_results(net: LeaderFollowerNetwork, kr: _Krylov, graph_indices)
     nilpotent iff each A - mu_i bK is, which for r != 0 means that every
     mu_i is mu*, that is, H_SS - mu* I is nilpotent.
 
-    Each distinct block, keyed on H_SS - mu* I mod p, costs at most one
-    |S| x |S| test across all listed graphs.
+    Each distinct block H_SS - mu* I costs at most one |S| x |S| test
+    (``_shifted_nilpotent``), shared with the eigenvalue tests.
     """
     if net.gain is None:
         raise ValueError("error dynamics require a gain K")
@@ -211,21 +268,10 @@ def _error_block_results(net: LeaderFollowerNetwork, kr: _Krylov, graph_indices)
         every = False  # no mu makes A - mu bK nilpotent
     else:
         every = True if t is None else None  # every mu does (r = 0), or mu* alone
-    results: dict = {}
-    per_graph = []
-    for gi in graph_indices:
-        g = net.graphs[gi]
-        degs = g.in_degrees()
-        blocks = []
-        for comp in g.strongly_connected_components():
-            key = tuple(
-                tuple(((degs[i] - mu if i == j else 0) - g.weight(j, i)) % p for j in comp)
-                for i in comp
-            )
-            if key not in results:
-                results[key] = every if every is not None else MatrixFF(net.field, key).is_nilpotent()
-            blocks.append((comp, results[key]))
-        per_graph.append(blocks)
+    per_graph = [
+        [(comp, every if every is not None else _shifted_nilpotent(net.field, h, mu, cache)) for comp, h in blocks]
+        for blocks in graph_blocks
+    ]
     return r, mu, per_graph
 
 
@@ -243,7 +289,7 @@ def blockwise_nilpotency_check(net: LeaderFollowerNetwork, graph_index: int = 0)
             "blockwise check requires an acyclic follower graph; "
             "use is_nilpotent(error_dynamics_matrix(...)) instead"
         )
-    _, _, [blocks] = _error_block_results(net, _krylov(net.sys), [graph_index])
+    _, _, [blocks] = _error_block_results(net, _krylov(net.sys), [_scc_blocks(g)], {})
     return {i: ok for (i,), ok in sorted(blocks)}
 
 
@@ -272,15 +318,15 @@ def convergence_bound(net: LeaderFollowerNetwork) -> int:
 class _Facts(_FrozenRecord):
     """Everything the consensus rule reads, computed once per network."""
 
-    __slots__ = ("a_degree", "decomp", "dags", "degrees", "union", "union_dag", "r", "mu", "blocks")
+    __slots__ = ("a_degree", "decomp", "dags", "eigen", "union", "union_dag", "r", "mu", "blocks")
 
     def __init__(self, a_degree: int | None, decomp: _Krylov, dags: tuple[bool, ...],
-                 degrees: tuple[DegreeCheck, ...], union: WeightedDigraphFF, union_dag: bool,
-                 r: list[int] | None, mu: int | None, blocks: list[list] | None):
+                 eigen: tuple[tuple[int, tuple[int, ...] | None], ...], union: WeightedDigraphFF,
+                 union_dag: bool, r: list[int] | None, mu: int | None, blocks: list[list] | None):
         object.__setattr__(self, "a_degree", a_degree)  # A's nilpotent degree, None when A is not nilpotent
         object.__setattr__(self, "decomp", decomp)
         object.__setattr__(self, "dags", dags)  # per graph
-        object.__setattr__(self, "degrees", degrees)  # per graph
+        object.__setattr__(self, "eigen", eigen)  # per graph, (d, the first SCC failing at d): ``_eigenvalue``
         object.__setattr__(self, "union", union)  # the graph itself when there is one
         object.__setattr__(self, "union_dag", union_dag)
         # under a supplied gain: r = chi_(A - bK) - chi_A, mu* and, per graph,
@@ -294,9 +340,10 @@ def _facts(net: LeaderFollowerNetwork) -> _Facts:
     graphs = net.graphs
     u = graphs[0] if net.is_static else union(list(graphs))
     union_dag = u.is_dag()
-    degrees = tuple(g.common_degree() for g in graphs)
+    graph_blocks = [_scc_blocks(g) for g in graphs]
+    cache: dict = {}  # H_SS - c I -> nilpotent, for the eigenvalue and the gain's tests
     kr = _krylov(net.sys)
-    r, mu, blocks = (None,) * 3 if net.gain is None else _error_block_results(net, kr, range(len(graphs)))
+    r, mu, blocks = (None,) * 3 if net.gain is None else _error_block_results(net, kr, graph_blocks, cache)
     # chi_A = mu_b chi_(A_uc) is x^n iff c = 0 and the pair is stabilizable;
     # only then is A's degree computed
     return _Facts(
@@ -305,7 +352,7 @@ def _facts(net: LeaderFollowerNetwork) -> _Facts:
         # every subgraph of an acyclic union is acyclic
         dags=(union_dag,) * len(graphs) if union_dag or net.is_static
         else tuple(g.is_dag() for g in graphs),
-        degrees=degrees,
+        eigen=tuple(_eigenvalue(net.field, b, cache) for b in graph_blocks),
         union=u,
         union_dag=union_dag,
         r=r,
@@ -330,14 +377,16 @@ def _decide(f: _Facts, graph_indices: Sequence[int]) -> _Decision:
 
     * (A, b) not stabilizable: the uncontrollable coordinates of every
       error evolve by A_uc, whatever K and graphs;
-    * an acyclic graph without one nonzero in-degree fails on its own
-      (the paper's conditions are necessary for one acyclic graph), so
-      the signal that stays on it fails for every K;
-    * a K working for two degrees d != d' gives chi_A + d r = chi_A +
-      d' r = x^n (claim 2 of ``_error_block_results``), so r = 0 and A
-      would be nilpotent;
+    * take any K.  If r = 0, A - mu bK is nilpotent for no mu, as A is
+      not.  If r != 0, it fixes one mu*, and mu* != 0, as mu* = 0 would
+      give chi_A = x^n (claim 2 of ``_error_block_results``).  By claim
+      2 a graph passes under K iff all its blocks have H_SS - mu* I
+      nilpotent, that is, iff its d (``_eigenvalue``) is mu*.  So a
+      graph whose H has no single nonzero eigenvalue fails under every
+      K, and so does the signal that stays on it, and graphs whose d
+      differ never all pass under one K;
     * the deadbeat gain for a d shared over an acyclic union works
-      (``_bound``).
+      (``_bound``); over cyclic graphs no gain is synthesized yet.
 
     A supplied gain K is judged on its own:
 
@@ -350,9 +399,9 @@ def _decide(f: _Facts, graph_indices: Sequence[int]) -> _Decision:
       alone does not make the switched products vanish.
     """
     one = len(graph_indices) == 1
-    acyclic = all(f.dags[gi] for gi in graph_indices)
-    ds = {f.degrees[gi].degree for gi in graph_indices}  # None for a failed degree check
-    alone = next((gi for gi in graph_indices if f.dags[gi] and not f.degrees[gi].ok), None)
+    alone = next((gi for gi in graph_indices if f.eigen[gi][1] is not None or not f.eigen[gi][0]), None)
+    ds = sorted({f.eigen[gi][0] for gi in graph_indices})
+    cyclic = [gi for gi in graph_indices if not f.dags[gi]]
 
     if f.a_degree is not None:
         scope = "regardless of the graphs" if one else "under any switching"
@@ -363,26 +412,19 @@ def _decide(f: _Facts, graph_indices: Sequence[int]) -> _Decision:
             "nilpotent, so no gain can make the error dynamics nilpotent"
         ), None)
     elif alone is not None:
-        dc = f.degrees[alone]
+        d, comp = f.eigen[alone]
         where = "" if one else f"graph {alone} fails on its own: "
-        if dc.reason == "zero_degree":
-            reason = (
-                f"{where}followers {list(dc.offenders)} have in-degree 0 mod p: "
-                "their error blocks reduce to the non-nilpotent A for every gain"
-            )
-        else:
-            reason = (
-                f"{where}follower in-degrees differ (offenders {list(dc.offenders)}): "
-                "no single gain can cancel distinct degrees over a field "
-                "without zero divisors"
-            )
-        base = _Decision("impossible", reason, None)
-    elif acyclic and len(ds) > 1:
+        why = "H is nilpotent" if comp is None else f"H_SS - {d} I is not nilpotent on the SCC of followers {list(comp)}"
         base = _Decision("impossible", (
-            f"every graph is acyclic with a uniform nonzero in-degree, but the degrees {sorted(ds)} "
-            "differ: a gain working for two degrees leaves chi_A unchanged, and A is not nilpotent"
+            f"{where}H = Dbar - Abar has no single nonzero eigenvalue ({why}), "
+            "so no gain makes the error matrix nilpotent"
         ), None)
-    elif acyclic and (one or f.union_dag):
+    elif len(ds) > 1:
+        base = _Decision("impossible", (
+            f"each graph's H = Dbar - Abar has one nonzero eigenvalue, but the eigenvalues {ds} differ: "
+            "a gain working for two of them leaves chi_A unchanged, and A is not nilpotent"
+        ), None)
+    elif not cyclic and (one or f.union_dag):
         [d] = ds
         if one:
             reason = (
@@ -396,16 +438,16 @@ def _decide(f: _Facts, graph_indices: Sequence[int]) -> _Decision:
                 "all error matrices simultaneously block-triangular and nilpotent"
             )
         base = _Decision("guaranteed", reason, d)
-    elif one:
+    elif cyclic:
+        what = "cyclic follower graph" if one else f"cyclic follower graphs {cyclic}"
         base = _Decision("inconclusive", (
-            "cyclic follower graph without a supplied gain: synthesis would "
-            "require solving multivariate polynomial systems and is not supported"
+            f"{what} without a supplied gain, where H = Dbar - Abar has the one eigenvalue d = {ds[0]}: "
+            "synthesis over cyclic follower graphs is not supported yet"
         ), None)
     else:
-        failed = ["union of follower supports has a directed cycle"]
-        if len(ds) > 1 or None in ds:
-            failed.append("no single nonzero in-degree is shared by all followers in all graphs")
-        base = _Decision("inconclusive", "sufficiency conditions not met: " + "; ".join(failed), None)
+        base = _Decision("inconclusive", (
+            "sufficiency conditions not met: union of follower supports has a directed cycle"
+        ), None)
     if f.blocks is None:
         return base
 
@@ -560,7 +602,7 @@ def check_static(net: LeaderFollowerNetwork) -> AnalysisReport:
         "a_nilpotent": f.a_degree is not None,
         "follower_graph_dag": f.union_dag,
         "stabilizable": f.decomp.stabilizable,
-        "common_degree": f.degrees[0].to_dict(),
+        "eigenvalue": f.eigen[0][0] if f.eigen[0][1] is None else None,
     }
     if net.gain is not None:
         [blocks] = f.blocks
@@ -568,7 +610,7 @@ def check_static(net: LeaderFollowerNetwork) -> AnalysisReport:
         if f.union_dag:
             checks["per_agent_nilpotent"] = {str(i): ok for (i,), ok in sorted(blocks)}
     witness: dict = {
-        "in_degrees": {str(i): v for i, v in f.degrees[0].degrees.items()},
+        "in_degrees": {str(i): v for i, v in g.in_degrees().items()},
         "leader_globally_reachable": g.leader_globally_reachable(),
     }
     if f.union_dag:
@@ -580,22 +622,18 @@ def check_switching(net: LeaderFollowerNetwork) -> AnalysisReport:
     """Analysis under arbitrary switching between the graphs; when it is
     inconclusive, the diagnostics carry each graph's static verdict."""
     f = _facts(net)
-    ds = {dc.degree for dc in f.degrees}  # {d}: one nonzero in-degree of every follower
     checks: dict = {
         "a_nilpotent": f.a_degree is not None,
         "union_dag": f.union_dag,
         "stabilizable": f.decomp.stabilizable,
-        "per_graph_common_degree": [dc.to_dict() for dc in f.degrees],
-        "uniform_degree_across_graphs": len(ds) == 1 and None not in ds,
+        "per_graph_eigenvalue": [d if failing is None else None for d, failing in f.eigen],
     }
-    if checks["uniform_degree_across_graphs"]:
-        checks["common_degree_value"] = ds.pop()
     if net.gain is not None:
         checks["supplied_gain_error_matrices_nilpotent"] = [
             all(ok for _, ok in blocks) for blocks in f.blocks
         ]
     witness: dict = {
-        "per_graph_in_degrees": [{str(i): v for i, v in dc.degrees.items()} for dc in f.degrees],
+        "per_graph_in_degrees": [{str(i): v for i, v in g.in_degrees().items()} for g in net.graphs],
     }
     if f.union_dag:
         witness["union_topo_permutation"] = f.union.topo_permutation()

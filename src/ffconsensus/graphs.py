@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from operator import lt
 
-from .field import PrimeField, _FrozenRecord
+from .field import PrimeField
 from .matrix import MatrixFF
 
 
@@ -259,48 +259,6 @@ class WeightedDigraphFF:
                     seen.add(t)
                     frontier.append(t)
         return len(seen) == self.num_followers + 1
-
-    def common_degree(self) -> "DegreeCheck":
-        """Check that all follower in-degrees are equal and nonzero mod p.
-
-        Failure is a value, not an exception: the result distinguishes a
-        zero degree (some follower's weights cancel mod p) from unequal
-        degrees, and names the offending followers.
-        """
-        degs = self.in_degrees()
-        zero = tuple(sorted(i for i, d in degs.items() if d == 0))
-        if zero:
-            return DegreeCheck(ok=False, degree=None, reason="zero_degree",
-                               offenders=zero, degrees=degs)
-        values = set(degs.values())
-        if len(values) > 1:
-            ref = degs[1]
-            offenders = tuple(sorted(i for i, d in degs.items() if d != ref))
-            return DegreeCheck(ok=False, degree=None, reason="unequal",
-                               offenders=offenders, degrees=degs)
-        return DegreeCheck(ok=True, degree=degs[1],
-                           reason=None, offenders=(), degrees=degs)
-
-
-class DegreeCheck(_FrozenRecord):
-    __slots__ = ("ok", "degree", "reason", "offenders", "degrees")
-
-    def __init__(self, ok: bool, degree: int | None, reason: str | None, offenders: tuple[int, ...],
-                 degrees: dict[int, int]):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "reason", reason)  # None | "zero_degree" | "unequal"
-        object.__setattr__(self, "offenders", offenders)
-        object.__setattr__(self, "degrees", degrees)
-
-    def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "degree": self.degree,
-            "reason": self.reason,
-            "offenders": list(self.offenders),
-            "degrees": {str(k): v for k, v in sorted(self.degrees.items())},
-        }
 
 
 def union(graphs: Sequence[WeightedDigraphFF]) -> WeightedDigraphFF:

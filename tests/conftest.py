@@ -260,7 +260,7 @@ def _per_entry_residues(values, length, field, field_path):
 
 def per_entry_config(doc) -> dict:
     """A scenario config validated and reduced one entry at a time, as
-    the canonical dict ``ScenarioConfig.to_dict`` writes: the reference
+    the canonical dict ``ScenarioConfig.doc`` holds: the reference
     for the loader's whole-list checks.  Warnings go to stderr in entry
     order; a bad entry raises the ConfigError that names it."""
     _require(isinstance(doc, dict), "<root>", "config must be a JSON object")
@@ -294,7 +294,7 @@ def per_entry_config(doc) -> dict:
             w = field.scalar(e[2])
             if w != e[2]:
                 print(f"warning: graphs[{gi}][{ei}]: reduced weight {e[2]} to {w} (mod {p})", file=sys.stderr)
-            triples.append([e[0], e[1], w])
+            triples.append((e[0], e[1], w))
         try:
             per_entry_edges(field, N, triples)
         except EdgeError as exc:

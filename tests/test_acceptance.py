@@ -210,10 +210,17 @@ def _gain_exists(sys_, graph, p, n):
     return False
 
 
+def _one_nonzero_degree(graph):
+    """The paper's graph condition for an acyclic graph: every follower
+    has the same in-degree, and it is nonzero mod p."""
+    degrees = set(graph.in_degrees().values())
+    return len(degrees) == 1 and 0 not in degrees
+
+
 def _achievability_predicted(sys_, graph):
     if sys_.A.is_nilpotent():
         return True
-    return is_stabilizable(sys_) and graph.common_degree().ok
+    return is_stabilizable(sys_) and _one_nonzero_degree(graph)
 
 
 def test_criterion_4_achievability_iff():
@@ -240,7 +247,7 @@ def test_criterion_4_achievability_iff():
                         (0, i + 1, w) for i, w in enumerate(leader_w) if w
                     ]
                     graph = WeightedDigraphFF(F2, num_followers, edges)
-                    deg_ok = graph.common_degree().ok
+                    deg_ok = _one_nonzero_degree(graph)
                     for sys_, (a_nil, stab) in sys_facts:
                         predicted = a_nil or (stab and deg_ok)
                         found = _gain_exists(sys_, graph, 2, sys_.dim)

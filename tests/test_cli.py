@@ -105,27 +105,12 @@ def test_config_roundtrip_identity():
         init={"seed": 5},
     )
     cfg = ScenarioConfig.from_dict(doc)
-    again = ScenarioConfig.from_dict(cfg.to_dict())
-    assert again.to_dict() == cfg.to_dict()
+    again = ScenarioConfig.from_dict(json.loads(json.dumps(cfg.doc)))
+    assert again.doc == cfg.doc
     assert again.config_hash() == cfg.config_hash()
 
 
 STATES = {"leader": [4, 0, -1, 2, 1], "followers": [[1, 2, 3, 4, 5]] * 4}
-
-
-def test_to_dict_is_a_fresh_copy():
-    cfg = ScenarioConfig.from_dict(ref_config_dict(K=REF_GAIN, steps=30, init={"states": STATES}))
-    canonical, digest = copy.deepcopy(cfg.doc), cfg.config_hash()
-    doc = cfg.to_dict()
-    assert ScenarioConfig.from_dict(doc).doc == canonical
-    doc["A"][0][0] += 1
-    doc["K"].append(0)
-    doc["graphs"][0][0][2] += 1
-    doc["switching"]["seed"] += 1
-    doc["init"]["states"]["followers"][0][0] += 1
-    doc["steps"] = 1
-    assert cfg.doc == canonical
-    assert cfg.config_hash() == digest
 
 
 @pytest.mark.parametrize("optional", [(), ("K",), ("switching", "init"), ("K", "switching", "steps", "init")],
@@ -285,7 +270,7 @@ def _load_outcome(load, doc, capsys):
 
 
 def assert_loads_like_per_entry_reference(doc, capsys):
-    got = _load_outcome(lambda d: ScenarioConfig.from_dict(d).to_dict(), doc, capsys)
+    got = _load_outcome(lambda d: ScenarioConfig.from_dict(d).doc, doc, capsys)
     assert got == _load_outcome(per_entry_config, doc, capsys), doc
     return got[0][0]
 
@@ -390,14 +375,21 @@ def test_analyze_one_degree_changed(tmp_path, capsys):
 
 
 def test_analyze_inconclusive_exit_three(tmp_path, capsys):
+    # a 2-cycle whose H = Dbar - Abar = [[0, 1], [2, 1]] has the one
+    # eigenvalue d = 2: no gain is synthesized over a cyclic graph yet;
+    # the leaderless 2-cycle H = [[1, 2], [2, 1]] has eigenvalues 0 and 2,
+    # so no gain works (exit 2)
     doc = ref_config_dict()
-    doc["graphs"] = [[[1, 2, 1], [2, 1, 1]]]
     doc["N"] = 2
     path = tmp_path / "cyc.json"
-    path.write_text(json.dumps(doc))
-    rc = main(["analyze", str(path)])
-    assert rc == 3
-    assert json.loads(capsys.readouterr().out)["verdict"] == "inconclusive"
+    for graph, rc, verdict, d in (([[0, 1, 1], [1, 2, 1], [2, 1, 2]], 3, "inconclusive", 2),
+                                  ([[1, 2, 1], [2, 1, 1]], 2, "impossible", None)):
+        doc["graphs"] = [graph]
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", str(path)]) == rc
+        report = json.loads(capsys.readouterr().out)
+        assert (report["verdict"], report["checks"]["eigenvalue"]) == (verdict, d)
+        assert ("the one eigenvalue d = 2" in report["reason"]) == (rc == 3)
 
 
 def test_analyze_supplied_gain_that_fails_exits_two(tmp_path, capsys):
@@ -495,7 +487,12 @@ def test_analyze_constant_signal_treated_as_static(tmp_path, capsys):
 # on its own), the static bound of leader_f3_with_gain_constant_signal went
 # 20 -> 16 (N*f) and the switching bound of switching_nilpotent_a 6 -> 2
 # (deg A); switching_shared_degree_cyclic_union (two acyclic graphs sharing
-# d = 1 over a cyclic union) keeps per_graph_static covered
+# d = 1 over a cyclic union) keeps per_graph_static covered.  When every
+# graph came to be decided by the one eigenvalue d of its SCC blocks,
+# checks.common_degree became checks.eigenvalue and the per-graph degree
+# checks checks.per_graph_eigenvalue; the impossible reasons of the
+# static_* and chain_* cases and of switching_cyclic_union_per_graph_static
+# (whose cyclic graph 1 now fails first) name the failing SCC
 GOLDEN = json.loads((Path(__file__).parent / "data" / "analyze_golden.json").read_text())
 
 
@@ -582,7 +579,8 @@ def test_synthesize_nilpotent_a_zero_gain(tmp_path, capsys, monkeypatch):
 # reference config, its one-graph static form, a nilpotent A under
 # switching over cyclic graphs, and an unstabilizable and a cyclic
 # refusal, recorded before synthesize took its gain and certificate from
-# the analysis report
+# the analysis report; the cyclic refusal exits 2 (impossible) since its
+# three-follower cycle has no single eigenvalue (it exited 3 before)
 SYNTH_GOLDEN = json.loads((Path(__file__).parent / "data" / "synthesize_golden.json").read_text())
 
 
@@ -869,7 +867,7 @@ def test_config_hash_is_sha256_of_the_canonical_config():
     }
     for doc in (ref_config_dict(), generated):
         cfg = ScenarioConfig.from_dict(doc)
-        blob = json.dumps(cfg.to_dict(), sort_keys=True, separators=(",", ":")).encode()
+        blob = json.dumps(cfg.doc, sort_keys=True, separators=(",", ":")).encode()
         assert cfg.config_hash() == hashlib.sha256(blob).hexdigest()[:16]
 
 

@@ -19,6 +19,7 @@ from ffconsensus import (
     deadbeat_gain,
     error_dynamics_matrix,
     exhaustive_consensus_oracle,
+    is_stabilizable,
     kalman_decompose,
     kron,
     synthesize_gain,
@@ -123,7 +124,7 @@ def test_blockwise_agrees_with_direct_nilpotency():
 
 def test_blockwise_tests_each_distinct_block_once(monkeypatch):
     # a 40-follower chain with one degree has 40 equal blocks A - d bK,
-    # decided by one 1 x 1 test of H_SS - mu* I
+    # decided by comparing the scalars H_ii and mu*, with no matrix test
     net = single_graph_net(
         F3, [[1, 1], [0, 1]], [0, 1], [(0, 1, 1)] + [(i, i + 1, 1) for i in range(1, 40)], 40,
         gain=[1, 2],
@@ -132,7 +133,17 @@ def test_blockwise_tests_each_distinct_block_once(monkeypatch):
     original = MatrixFF.is_nilpotent
     monkeypatch.setattr(MatrixFF, "is_nilpotent", lambda m: calls.append(m.rows) or original(m))
     assert blockwise_nilpotency_check(net) == {i: True for i in range(1, 41)}
-    assert calls == [1]
+    assert calls == []
+    # 20 chained 2-cycles with the one block H_SS = [[1, 2], [1, 0]] (d = 2):
+    # one 2 x 2 test of H_SS - 2 I, shared with the gain's test when mu* = 2
+    # (the deadbeat gain [2, 1]), and a second one when mu* = 1 (gain [1, 2])
+    pairs = WeightedDigraphFF(F3, 40, [e for k in range(1, 21)
+                                       for e in ((2 * k, 2 * k - 1, 1), (2 * k - 1, 2 * k, 2), (2 * k - 2, 2 * k, 1))])
+    for gain, verdict, tests in ((None, "inconclusive", [2]), ([2, 1], "guaranteed", [2]), ([1, 2], "impossible", [2, 2])):
+        calls.clear()
+        k = None if gain is None else MatrixFF.row_vector(F3, gain)
+        assert analyze(LeaderFollowerNetwork(sys=net.sys, graphs=(pairs,), gain=k)).verdict == verdict
+        assert calls == tests
 
 
 def test_ring_gain_decided_without_kronecker_blocks(ref_system, monkeypatch):
@@ -154,6 +165,48 @@ def test_ring_gain_decided_without_kronecker_blocks(ref_system, monkeypatch):
     assert report.verdict == "impossible"
     assert report.diagnostics["error_matrix_blocks"] == {"count": 1, "max_dim": N * 5}
     assert max(sizes, default=0) <= N, sizes
+
+
+def _graph_with_laplacian(rng, field, h):
+    """A follower graph with H = Dbar - Abar = h: the edge j -> i carries
+    -h_ij and the leader edge into i the row sum of h; self-loops, which
+    change neither, are sprinkled."""
+    p, N = field.p, h.rows
+    h = h.to_rows()
+    edges = [(j + 1, i + 1, -h[i][j] % p) for i in range(N) for j in range(N) if i != j and h[i][j]]
+    edges += [(0, i + 1, sum(h[i]) % p) for i in range(N) if sum(h[i]) % p]
+    edges += [(i, i, rng.randrange(1, p)) for i in range(1, N + 1) if rng.random() < 0.3]
+    g = WeightedDigraphFF(field, N, edges)
+    a_bar, d_bar = g.adjacency_matrices()
+    assert (d_bar - a_bar).to_rows() == h
+    return g
+
+
+def _one_eigenvalue(rng, field, N, mu):
+    """T (mu I + strictly upper) T^-1 for a random invertible T."""
+    t = random_invertible(rng, field, N)
+    upper = MatrixFF(field, [[mu if j == i else rng.randrange(field.p) if j > i else 0 for j in range(N)]
+                             for i in range(N)])
+    return t @ upper @ t.inverse()
+
+
+def test_eigenvalue_read_off_chi_when_p_divides_the_block():
+    """d = -c_(m-q) / m' for a block of size m = q m', q the power of p in
+    m, on T (d I + strictly upper) T^-1 (one eigenvalue d, 0 included);
+    with one diagonal entry of d I + strictly upper changed (two
+    eigenvalues) the block fails."""
+    rng = random.Random(3301)
+    for field, m in ((F2, 2), (F2, 4), (F2, 6), (F2, 8), (F3, 3), (F3, 6), (F3, 9), (F5, 5), (F5, 10)):
+        p, comp = field.p, tuple(range(1, m + 1))
+        for d in range(p):
+            for _ in range(3):
+                h = _one_eigenvalue(rng, field, m, d)
+                assert consensus._eigenvalue(field, [(comp, tuple(map(tuple, h.to_rows())))], {}) == (d, None)
+            upper = [[d if j == i else rng.randrange(p) if j > i else 0 for j in range(m)] for i in range(m)]
+            upper[0][0] = (d + rng.randrange(1, p)) % p
+            t = random_invertible(rng, field, m)
+            h = t @ MatrixFF(field, upper) @ t.inverse()
+            assert consensus._eigenvalue(field, [(comp, tuple(map(tuple, h.to_rows())))], {})[1] == comp
 
 
 def test_scc_block_verdicts_match_dense_error_matrix():
@@ -200,28 +253,16 @@ def test_scc_block_verdicts_match_dense_error_matrix():
             seen["zero_degree"] += 0 in g.in_degrees().values()
         seen["nilpotent" if all(dense) else "not_nilpotent"] += 1
 
-    # H_SS = T (mu I + strictly upper) T^-1 has the one eigenvalue mu; the
-    # edge j -> i carries -H_ij, the leader edge into i the row sum of H
-    # (a self-loop changes neither), and the deadbeat gain for mu passes
+    # a graph whose H has the one eigenvalue mu: the deadbeat gain for mu passes
     for _ in range(80):
         field = (F2, F3, F5)[rng.randrange(3)]
-        p = field.p
         n, N = rng.randint(1, 3), rng.randint(2, 4)
         sys_ = LinearSystemFF(random_matrix(rng, field, n, n), random_matrix(rng, field, n, 1))
         decomp = kalman_decompose(sys_)
         if not decomp.A_uc.is_nilpotent():
             continue
-        mu = rng.randrange(1, p)
-        t = random_invertible(rng, field, N)
-        upper = MatrixFF(field, [[mu if j == i else rng.randrange(p) if j > i else 0 for j in range(N)]
-                                 for i in range(N)])
-        h = (t @ upper @ t.inverse()).to_rows()
-        edges = [(j + 1, i + 1, -h[i][j] % p) for i in range(N) for j in range(N) if i != j and h[i][j]]
-        edges += [(0, i + 1, sum(h[i]) % p) for i in range(N) if sum(h[i]) % p]
-        edges += [(i, i, rng.randrange(1, p)) for i in range(1, N + 1) if rng.random() < 0.3]
-        g = WeightedDigraphFF(field, N, edges)
-        a_bar, d_bar = g.adjacency_matrices()
-        assert (d_bar - a_bar).to_rows() == h
+        mu = rng.randrange(1, field.p)
+        g = _graph_with_laplacian(rng, field, _one_eigenvalue(rng, field, N, mu))
         net = LeaderFollowerNetwork(sys=sys_, graphs=(g,), gain=deadbeat_gain(decomp, mu))
         dense, [cs] = check(net)
         assert dense == [True]
@@ -264,7 +305,7 @@ def test_static_guaranteed_uniform_degree(ref_system):
     report = check_static(net)
     assert report.verdict == "guaranteed"
     assert report.checks["stabilizable"]
-    assert report.checks["common_degree"]["degree"] == 1
+    assert report.checks["eigenvalue"] == 1
     assert report.bounds["static"] == 2 * 5
     assert "synthesized_gain" in report.witness
 
@@ -284,7 +325,7 @@ def test_static_impossible_zero_degree():
     net = single_graph_net(F3, [[1, 1], [0, 2]], [0, 1], [(0, 1, 1)], 2)
     report = check_static(net)
     assert report.verdict == "impossible"
-    assert report.checks["common_degree"]["reason"] == "zero_degree"
+    assert report.checks["eigenvalue"] is None  # H = diag(1, 0)
 
 
 def test_static_impossible_not_stabilizable():
@@ -314,8 +355,11 @@ def test_static_cyclic_graph_with_gain_decided_directly():
 
 
 def test_static_cyclic_graph_without_gain_inconclusive():
-    net = single_graph_net(F3, [[1]], [1], [(1, 2, 1), (2, 1, 1)], 2)
-    assert check_static(net).verdict == "inconclusive"
+    # H = Dbar - Abar = [[0, 1], [2, 1]] has the one eigenvalue 2
+    net = single_graph_net(F3, [[1]], [1], [(0, 1, 1), (1, 2, 1), (2, 1, 2)], 2)
+    report = check_static(net)
+    assert report.verdict == "inconclusive" and report.checks["eigenvalue"] == 2
+    assert "the one eigenvalue d = 2" in report.reason and "not supported yet" in report.reason
 
 
 def test_static_verdict_consistent_with_checks():
@@ -334,14 +378,15 @@ def test_static_verdict_consistent_with_checks():
             ok = c["supplied_gain_error_matrix_nilpotent"]
             assert report.verdict == ("guaranteed" if ok else "impossible")
             if c["a_nilpotent"] or c["follower_graph_dag"]:
-                exists = c["a_nilpotent"] or (c["stabilizable"] and c["common_degree"]["ok"])
+                exists = c["a_nilpotent"] or (c["stabilizable"] and c["eigenvalue"] not in (None, 0))
                 assert ("synthesized_gain" in report.witness) == exists
                 assert exists or not ok
         elif c["a_nilpotent"]:
             assert report.verdict == "guaranteed"
-        elif c["follower_graph_dag"]:
-            expected = "guaranteed" if (c["stabilizable"] and c["common_degree"]["ok"]) else "impossible"
-            assert report.verdict == expected
+        elif not c["stabilizable"] or c["eigenvalue"] in (None, 0):
+            assert report.verdict == "impossible"
+        else:
+            assert report.verdict == ("guaranteed" if c["follower_graph_dag"] else "inconclusive")
 
 
 def test_facts_a_degree_matches_direct_nilpotent_degree():
@@ -376,8 +421,7 @@ def test_switching_guaranteed_reference(ref_network):
     report = check_switching(ref_network)
     assert report.verdict == "guaranteed"
     assert report.checks["union_dag"]
-    assert report.checks["uniform_degree_across_graphs"]
-    assert report.checks["common_degree_value"] == 1
+    assert report.checks["per_graph_eigenvalue"] == [1, 1]
     assert report.bounds["switching"] is not None
 
 
@@ -401,8 +445,8 @@ def test_switching_degree_mismatch_across_graphs_impossible():
     net = LeaderFollowerNetwork(sys=sys_, graphs=(g1, g2))
     report = check_switching(net)
     assert report.verdict == "impossible"
-    assert "degrees [1, 2] differ" in report.reason
-    assert not report.checks["uniform_degree_across_graphs"]
+    assert "eigenvalues [1, 2] differ" in report.reason
+    assert report.checks["per_graph_eigenvalue"] == [1, 2]
 
 
 def _with_degree(field, graph, d):
@@ -426,7 +470,7 @@ def test_analyze_matches_the_oracle():
     seen = {"guaranteed": 0, "impossible": 0, "inconclusive": 0, "static": 0, "switching": 0,
             "cyclic": 0, "acyclic": 0, "nilpotent_a": 0, "no_gain": 0, "random_gain": 0,
             "deadbeat_gain": 0}
-    for _ in range(480):
+    for _ in range(960):
         field = (F2, F3)[rng.randrange(2)]
         n, N = rng.randint(1, 2), rng.randint(1, 3)
         a = random_nilpotent(rng, field, n) if rng.random() < 0.25 else random_matrix(rng, field, n, n)
@@ -435,6 +479,9 @@ def test_analyze_matches_the_oracle():
         d = rng.randrange(1, field.p)
         graphs = []
         for _ in range(rng.randint(1, 2)):
+            if cyclic and rng.random() < 0.3:  # H with the one eigenvalue d
+                graphs.append(_graph_with_laplacian(rng, field, _one_eigenvalue(rng, field, N, d)))
+                continue
             g = random_scc_graph(rng, field, N) if cyclic else random_dag_graph(rng, field, N)
             graphs.append(_with_degree(field, g, d) if rng.random() < 0.7 else g)
         kind = ("no_gain", "random_gain", "deadbeat_gain")[rng.randrange(3)]
@@ -512,32 +559,86 @@ def _small_network(rng, gain_kind):
     return LeaderFollowerNetwork(sys=sys_, graphs=tuple(graphs), gain=gain)
 
 
+def _small_cyclic_network(rng):
+    """A network without a gain, over a stabilizable pair with A not
+    nilpotent, of one or two follower graphs with cycles, small enough to brute-force every gain (p^(n(N+1)) <= 2187),
+    all its graphs of one kind: several SCCs with self-loops and
+    cancelling in-degrees (``random_scc_graph``); an H with the one
+    eigenvalue mu, a random residue per graph, so that mu = 0, a shared
+    mu and differing ones all occur; or directed cycles of p followers
+    with chords, leader edges and self-loops, so that p divides every
+    |S|."""
+    kind = (0, 1, 1, 2)[rng.randrange(4)]
+    while True:
+        field = (F2, F3, F5)[rng.randrange(3)]
+        n, N = rng.randint(1, 3), rng.randint(2, 4)
+        if field.p ** (n * (N + 1)) <= 2187 and (kind < 2 or N % field.p == 0):
+            break
+    p = field.p
+    graphs = []
+    for _ in range(rng.randint(1, 2)):
+        if kind == 0:
+            graphs.append(random_scc_graph(rng, field, N))
+        elif kind == 1:
+            graphs.append(_graph_with_laplacian(rng, field, _one_eigenvalue(rng, field, N, rng.randrange(p))))
+        else:
+            edges = {}
+            for start in range(1, N + 1, p):
+                cycle = list(range(start, start + p))
+                edges.update({(s, t): rng.randrange(1, p) for s, t in zip(cycle, cycle[1:] + cycle[:1])})
+                edges.update({(t, s): rng.randrange(1, p) for s, t in zip(cycle, cycle[1:]) if rng.random() < 0.3})
+                edges.update({(s, t): rng.randrange(1, p) for s in cycle for t in range(start + p, N + 1)
+                              if rng.random() < 0.3})
+            edges.update({(v, v): rng.randrange(1, p) for v in range(1, N + 1) if rng.random() < 0.2})
+            edges.update({(0, v): rng.randrange(1, p) for v in range(1, N + 1) if rng.random() < 0.6})
+            graphs.append(WeightedDigraphFF(field, N, [(s, t, w) for (s, t), w in edges.items()]))
+    while True:
+        sys_ = LinearSystemFF(random_matrix(rng, field, n, n), random_matrix(rng, field, n, 1))
+        if is_stabilizable(sys_) and not sys_.A.is_nilpotent():
+            return LeaderFollowerNetwork(sys=sys_, graphs=tuple(graphs))
+
+
 def test_no_gain_impossible_verdicts_fail_for_every_gain():
     """Differential test of the rule without a gain: every impossible
     verdict, static or switching, is confirmed by brute force over all
     p^n gains and every switching sequence at horizon N*n, for each
-    branch (unstabilizable pair, an acyclic graph failing on its own,
-    acyclic graphs with differing uniform degrees)."""
+    branch (unstabilizable pair, a graph failing on its own, graphs whose
+    one eigenvalues differ), over nearly acyclic graphs
+    (``_small_network``) and cyclic ones (``_small_cyclic_network``):
+    a cyclic graph failing alone, d = 0, differing d across cyclic graphs,
+    and graphs in which p divides the size of every SCC."""
     rng = random.Random(2521)
-    seen = collections.Counter()
-    for _ in range(800):
-        net = _small_network(rng, "none")
+    seen, cases = collections.Counter(), collections.Counter()
+    nets = [_small_network(rng, "none") for _ in range(800)]
+    nets += [_small_cyclic_network(rng) for _ in range(700)]
+    for net in nets:
         report = analyze(net)
         if report.verdict != "impossible":
             continue
         p, n, N = net.field.p, net.sys.dim, net.num_followers
         reason = report.reason
         branch = ("unstabilizable" if "not stabilizable" in reason
-                  else "differing" if "every graph is acyclic" in reason
-                  else "alone" if "in-degree 0 mod p" in reason or "in-degrees differ" in reason
+                  else "alone" if "no single nonzero eigenvalue" in reason
+                  else "differing" if "eigenvalues" in reason and "differ" in reason
                   else reason)
         seen[branch, report.mode] += 1
+        eigen = consensus._facts(net).eigen
+        cyclic = [not g.is_dag() for g in net.graphs]
+        p_divides = [all(len(c) % p == 0 for c in g.strongly_connected_components()) for g in net.graphs]
+        if branch == "alone":
+            gi = next(gi for gi, (d, failing) in enumerate(eigen) if failing is not None or not d)
+            cases["cyclic graph fails alone", report.mode] += cyclic[gi]
+            cases["d = 0"] += not eigen[gi][0]
+            cases["p divides every |S|"] += p_divides[gi]
+        elif branch == "differing":
+            cases["differing d across cyclic graphs"] += all(cyclic)
+            cases["p divides every |S|"] += any(p_divides)
         for k in itertools.product(range(p), repeat=n):
             trial = net.with_gain(MatrixFF.row_vector(net.field, k))
             assert not exhaustive_consensus_oracle(trial, N * n, all_signals=True), (k, report.to_dict())
     assert set(seen) == {(b, m) for b in ("unstabilizable", "alone", "differing") for m in ("static", "switching")
                          if (b, m) != ("differing", "static")}, seen
-    assert min(seen.values()) >= 15, seen
+    assert len(cases) == 5 and min(seen.values()) >= 15 and min(cases.values()) >= 15, (seen, cases)
 
 
 def test_guaranteed_bounds_hold_and_stay_within_n_n():

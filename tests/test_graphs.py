@@ -366,33 +366,3 @@ def test_leader_reachability():
     assert chain.leader_globally_reachable()
     isolated = WeightedDigraphFF(F3, 2, [(0, 1, 1)])
     assert not isolated.leader_globally_reachable()
-
-
-# ---------------------------------------------------------
-# Common degree
-# ---------------------------------------------------------
-
-def test_common_degree_uniform():
-    g = WeightedDigraphFF(F3, 2, [(0, 1, 1), (0, 2, 2), (1, 2, 2)])
-    res = g.common_degree()
-    assert res.ok and res.degree == 1
-
-
-def test_common_degree_zero_detected():
-    g = WeightedDigraphFF(F3, 2, [(0, 1, 1)])
-    res = g.common_degree()
-    assert not res.ok and res.reason == "zero_degree" and res.offenders == (2,)
-
-
-def test_common_degree_cancellation_to_zero():
-    g = WeightedDigraphFF(F3, 2, [(0, 1, 1), (0, 2, 1), (1, 2, 2)])
-    res = g.common_degree()
-    assert not res.ok and res.reason == "zero_degree" and res.offenders == (2,)
-
-
-def test_common_degree_unequal():
-    g = WeightedDigraphFF(F3, 2, [(0, 1, 1), (0, 2, 2)])
-    res = g.common_degree()
-    assert not res.ok and res.reason == "unequal"
-    assert res.offenders == (2,)
-    assert res.degrees == {1: 1, 2: 2}

@@ -11,7 +11,6 @@ from ffconsensus import (
     AnalysisReport,
     ControllabilityDecomposition,
     CycleStructure,
-    DegreeCheck,
     LeaderFollowerNetwork,
     LinearSystemFF,
     MatrixFF,
@@ -31,7 +30,6 @@ B = MatrixFF.column(F3, [0, 1])
 SYS = LinearSystemFF(A, B)
 G = WeightedDigraphFF(F3, 2, [(0, 1, 1), (1, 2, 1)])
 DECOMP = kalman_decompose(SYS)
-DC = G.common_degree()
 STATE = NetworkState(0, (0, 1), ((1, 1), (2, 2)))
 SIGNAL = SwitchingSignal("periodic", 1, (0,))
 
@@ -44,13 +42,12 @@ RECORDS = {
     ),
     CycleStructure: ({"tree_depth": 2, "cycles": {1: 1}, "total_states": 9, "transient_states": 8,
                       "factor_orders": ()}, True),
-    DegreeCheck: ({"ok": True, "degree": 1, "reason": None, "offenders": (), "degrees": {1: 1, 2: 1}}, True),
     NetworkState: ({"step": 3, "leader": (0, 1), "followers": ((1, 1), (2, 2))}, True),
     Trajectory: ({"states": (STATE,), "errors": ((1, 3),), "consensus_step": None, "signal_indices": (0,),
                   "metadata": {"trial": 0}}, True),
     LeaderFollowerNetwork: ({"sys": SYS, "graphs": (G,), "gain": MatrixFF(F3, [[1, 2]])}, True),
     SwitchingSignal: ({"kind": "random", "num_graphs": 2, "sequence": (), "seed": 7}, True),
-    _Facts: ({"a_degree": 2, "decomp": DECOMP, "dags": (True,), "degrees": (DC,), "union": G,
+    _Facts: ({"a_degree": 2, "decomp": DECOMP, "dags": (True,), "eigen": ((1, None),), "union": G,
               "union_dag": True, "r": None, "mu": None, "blocks": None}, True),
     _Decision: ({"verdict": "guaranteed", "reason": "A is nilpotent", "witness_degree": 0}, True),
     AnalysisReport: ({"verdict": "guaranteed", "mode": "static", "reason": "r", "checks": {"a": True},
