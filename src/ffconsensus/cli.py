@@ -96,10 +96,10 @@ def _residues(values, length: int, field: PrimeField, field_path: str) -> list[i
 
 
 def _edge_triples(edges: list, gi: int, field: PrimeField) -> list[tuple[int, int, int]]:
-    """The (source, target, weight) triples of ``graphs[gi]``, weights
-    reduced mod p with a warning for each one that changed.  A list of
-    int triples is reduced whole; any other is scanned edge by edge, up
-    to the first malformed edge."""
+    """The (source, target, weight) triples of ``graphs[gi]``, type-checked and
+    reduced mod p once, here (``WeightedDigraphFF._of_residues`` checks the
+    rest), with a warning for each weight that changed: a list of int triples
+    whole, any other edge by edge, up to the first malformed edge."""
     p = field.p
     if edges and set(map(type, edges)) == {list} and set(map(len, edges)) == {3}:
         srcs, tgts, raw = zip(*edges)
@@ -179,7 +179,7 @@ class ScenarioConfig(_Record):
             _require(isinstance(edges, list), f"graphs[{gi}]", "expected an edge list")
             out = _edge_triples(edges, gi, field)
             try:
-                graphs.append(WeightedDigraphFF(field, N, out))
+                graphs.append(WeightedDigraphFF._of_residues(field, N, out))
             except EdgeError as exc:
                 raise ConfigError(f"graphs[{gi}][{exc.index}]", str(exc)) from exc
             doc["graphs"].append(out)

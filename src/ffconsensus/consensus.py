@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Sequence
+from operator import mul
 
 from .field import PrimeField, _FrozenRecord, _Record
 from .graphs import WeightedDigraphFF, union
@@ -173,7 +174,7 @@ def _scc_blocks(g: WeightedDigraphFF) -> list[tuple[tuple[int, ...], int | tuple
     """The diagonal blocks H_SS of H = Dbar - Abar, one per SCC of the
     follower support, sources first, as (followers, H_SS): a singleton's
     as the int H_ii = d_i - w_ii, a larger block as its rows mod p."""
-    degs, p, w = g.in_degrees(), g.field.p, g.weight
+    degs, p, w = g._support()[0], g.field.p, g.weight
     return [
         (comp, (degs[comp[0]] - w(comp[0], comp[0])) % p if len(comp) == 1 else tuple(
             tuple(((degs[i] if i == j else 0) - w(j, i)) % p for j in comp) for i in comp))
@@ -303,10 +304,7 @@ def convergence_bound(net: LeaderFollowerNetwork) -> int:
     bound of the network's ``analyze`` report, which must be guaranteed."""
     report = analyze(net)
     if report.verdict != "guaranteed":
-        raise ValueError(
-            f"convergence bound requires a consensus-guaranteed network "
-            f"(verdict: {report.verdict})"
-        )
+        raise ValueError(f"convergence bound requires a consensus-guaranteed network (verdict: {report.verdict})")
     return report.bounds["static" if net.is_static else "switching"]
 
 
@@ -316,24 +314,13 @@ def convergence_bound(net: LeaderFollowerNetwork) -> int:
 
 
 class _Facts(_FrozenRecord):
-    """Everything the consensus rule reads, computed once per network."""
+    """Everything the consensus rule reads, computed once per network: A's
+    nilpotent degree (None unless A is nilpotent), the Krylov record, per
+    graph the DAG flag and (d, the first SCC failing at d), the union (the
+    graph itself when there is one) and its DAG flag, and under a supplied
+    gain r, mu* and, per graph, the SCC blocks as (followers, nilpotent)."""
 
     __slots__ = ("a_degree", "decomp", "dags", "eigen", "union", "union_dag", "r", "mu", "blocks")
-
-    def __init__(self, a_degree: int | None, decomp: _Krylov, dags: tuple[bool, ...],
-                 eigen: tuple[tuple[int, tuple[int, ...] | None], ...], union: WeightedDigraphFF,
-                 union_dag: bool, r: list[int] | None, mu: int | None, blocks: list[list] | None):
-        object.__setattr__(self, "a_degree", a_degree)  # A's nilpotent degree, None when A is not nilpotent
-        object.__setattr__(self, "decomp", decomp)
-        object.__setattr__(self, "dags", dags)  # per graph
-        object.__setattr__(self, "eigen", eigen)  # per graph, (d, the first SCC failing at d): ``_eigenvalue``
-        object.__setattr__(self, "union", union)  # the graph itself when there is one
-        object.__setattr__(self, "union_dag", union_dag)
-        # under a supplied gain: r = chi_(A - bK) - chi_A, mu* and, per graph,
-        # the SCC blocks as (followers, nilpotent) (``_error_block_results``)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "blocks", blocks)
 
 
 def _facts(net: LeaderFollowerNetwork) -> _Facts:
@@ -347,28 +334,21 @@ def _facts(net: LeaderFollowerNetwork) -> _Facts:
     # chi_A = mu_b chi_(A_uc) is x^n iff c = 0 and the pair is stabilizable;
     # only then is A's degree computed
     return _Facts(
-        a_degree=net.sys.A.nilpotent_degree() if kr.stabilizable and not any(kr.c) else None,
-        decomp=kr,
+        net.sys.A.nilpotent_degree() if kr.stabilizable and not any(kr.c) else None,
+        kr,
         # every subgraph of an acyclic union is acyclic
-        dags=(union_dag,) * len(graphs) if union_dag or net.is_static
-        else tuple(g.is_dag() for g in graphs),
-        eigen=tuple(_eigenvalue(net.field, b, cache) for b in graph_blocks),
-        union=u,
-        union_dag=union_dag,
-        r=r,
-        mu=mu,
-        blocks=blocks,
+        (union_dag,) * len(graphs) if union_dag or net.is_static else tuple(g.is_dag() for g in graphs),
+        tuple(_eigenvalue(net.field, b, cache) for b in graph_blocks),
+        u, union_dag, r, mu, blocks,
     )
 
 
 class _Decision(_FrozenRecord):
-    __slots__ = ("verdict", "reason", "witness_degree")
+    """The verdict ("guaranteed" | "impossible" | "inconclusive"), its reason
+    and the witness gain: 0 the zero gain, d the deadbeat gain for d, None
+    no gain."""
 
-    def __init__(self, verdict: str, reason: str, witness_degree: int | None):
-        object.__setattr__(self, "verdict", verdict)  # "guaranteed" | "impossible" | "inconclusive"
-        object.__setattr__(self, "reason", reason)
-        # the witness gain: 0 the zero gain, d the deadbeat gain for d, None no gain
-        object.__setattr__(self, "witness_degree", witness_degree)
+    __slots__ = ("verdict", "reason", "witness_degree")
 
 
 def _decide(f: _Facts, graph_indices: Sequence[int]) -> _Decision:
@@ -476,6 +456,27 @@ def _decide(f: _Facts, graph_indices: Sequence[int]) -> _Decision:
     ), base.witness_degree)
 
 
+def _loop_degree(net: LeaderFollowerNetwork, kr: _Krylov, k: list[int], mu: int) -> int | None:
+    """The nilpotent degree of F = A - mu bK for the gain row k, or None.
+
+    When s = n, b is a cyclic vector of F: as F v = A v - mu (K v) b,
+    F^j b = A^j b + a combination of b, ..., A^(j-1) b, so b, Fb, ...,
+    F^(n-1) b is a basis like b, ..., A^(n-1) b; F^n = 0 iff F^n b = 0
+    (F^n F^j b = F^j F^n b), and F^(n-1) b != 0.  So F is nilpotent iff n
+    steps v <- A v - mu (K v) b on A's rows end at 0, and its degree is
+    then exactly n.  When s < n, F's rows are built and their powers taken.
+    """
+    p, n, a_rows, b = net.field.p, net.sys.dim, net.sys.A.to_rows(), kr.vectors[0]
+    if kr.s == n:
+        v = b
+        for _ in range(n):
+            kv = mu * sum(map(mul, k, v))
+            v = [(sum(map(mul, row, v)) - kv * bi) % p for row, bi in zip(a_rows, b)]
+        return None if any(v) else n
+    f_rows = [a - mu * bi * kj for row, bi in zip(a_rows, b) for a, kj in zip(row, k)]
+    return MatrixFF.from_flat(net.field, n, n, f_rows).nilpotent_degree()
+
+
 def _witness_gain(net: LeaderFollowerNetwork, f: _Facts, dec: _Decision) -> tuple[MatrixFF, int | None]:
     """The decision's witness gain and the nilpotent degree of its closed
     loop: A's for the zero gain, A - d*bK's for a deadbeat gain (None if,
@@ -483,8 +484,8 @@ def _witness_gain(net: LeaderFollowerNetwork, f: _Facts, dec: _Decision) -> tupl
     d = dec.witness_degree
     if d == 0:
         return MatrixFF.zeros(net.field, 1, net.sys.dim), f.a_degree
-    k = MatrixFF.row_vector(net.field, f.decomp.deadbeat(d))
-    return k, (net.sys.A - (net.sys.b @ k).scale(d)).nilpotent_degree()
+    k = f.decomp.deadbeat(d)
+    return MatrixFF.row_vector(net.field, k), _loop_degree(net, f.decomp, k, d)
 
 
 def _bound(net: LeaderFollowerNetwork, f: _Facts, certificate: int | None) -> int:
@@ -502,9 +503,8 @@ def _bound(net: LeaderFollowerNetwork, f: _Facts, certificate: int | None) -> in
     product of N_sigma's and identities, Q of bK's and F's in the same
     places: P vanishes with N factors N_sigma, else Q has at most N - 1
     factors bK, so a run of f factors F = 0.  The witness's F is its
-    deadbeat loop (mu* = d), so f is its certificate.  When s = n,
-    f = n: span(b, ..., F^j b) = span(b, ..., A^j b) for every j, so b
-    is a cyclic vector of the nilpotent F.
+    deadbeat loop (mu* = d), so f is its certificate; f = n when s = n
+    (``_loop_degree``).
 
     r = 0: T = max(deg A, s + kappa), kappa the first j with K A^j = 0.
     A gain passing with r = 0 needs A nilpotent (claim 2 of
@@ -517,11 +517,11 @@ def _bound(net: LeaderFollowerNetwork, f: _Facts, certificate: int | None) -> in
     j < kappa, annihilate the Krylov space of b.  The zero gain has
     kappa = 0 and s <= deg A, so its bound is deg A, its certificate.
     """
-    N, n = net.num_followers, net.sys.dim
+    N = net.num_followers
     if net.gain is None:
         return certificate if f.a_degree is not None else N * certificate
     if any(f.r):
-        return N * (n if f.decomp.s == n else (net.sys.A - (net.sys.b @ net.gain).scale(f.mu)).nilpotent_degree())
+        return N * _loop_degree(net, f.decomp, net.gain.to_rows()[0], f.mu)
     k, kappa = net.gain, 0
     while not k.is_zero():
         k, kappa = k @ net.sys.A, kappa + 1
@@ -554,9 +554,7 @@ class AnalysisReport(_Record):
 
 def analyze(net: LeaderFollowerNetwork) -> AnalysisReport:
     """Dispatch to the static or switching analysis."""
-    if net.is_static:
-        return check_static(net)
-    return check_switching(net)
+    return check_static(net) if net.is_static else check_switching(net)
 
 
 def _report(net: LeaderFollowerNetwork, mode: str, f: _Facts, checks: dict, witness: dict) -> AnalysisReport:

@@ -118,9 +118,17 @@ class _Record:
 class _FrozenRecord(_Record):
     """An immutable record, hashed by value.  Assigning or deleting a field
     raises AttributeError, so ``__init__`` sets them with
-    ``object.__setattr__``."""
+    ``object.__setattr__``; a class without an ``__init__`` of its own
+    takes its ``__slots__`` by position, then by keyword."""
 
     __slots__ = ()
+
+    def __init__(self, *values, **named):
+        if len(values) + len(named) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self.__slots__)}")
+        values += tuple(map(named.pop, self.__slots__[len(values):]))
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __hash__(self) -> int:
         return hash(self._values())

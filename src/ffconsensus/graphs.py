@@ -12,11 +12,14 @@ weights, including the leader's edge, reduced mod p; this
 leader-inclusive convention is what the error-dynamics derivation
 requires and is used consistently everywhere in the package.
 
-The strongly connected components of the follower support (Tarjan) are
-the one graph-order computation: the DAG flag and the topological
-permutation are read off them, and they are computed at most once per
-graph object.  They depend on the edge support only, never on mod-p
-weight sums.
+The support facts are computed at most once per graph object, lazily,
+as lists indexed by node: one pass over the edges gives the in-degrees
+(``in_degrees``) and the successor lists, which the strongly connected
+components of the follower support (Tarjan) and leader reachability
+read.  The DAG flag and the topological permutation are read off the
+components, which depend on the edge support only, never on mod-p
+weight sums.  The config loader and ``union`` hand over edges that are
+already checked (``_of_residues``, ``_hold``).
 """
 
 from __future__ import annotations
@@ -39,29 +42,33 @@ class EdgeError(ValueError):
 class WeightedDigraphFF:
     """Digraph on {0, 1, ..., N} with weights in F_p; node 0 is the leader."""
 
-    __slots__ = ("field", "num_followers", "_edges", "_sccs")
+    __slots__ = ("field", "num_followers", "_edges", "_degs", "_succ", "_sccs", "_reach")
 
-    def __init__(
-        self,
-        field: PrimeField,
-        num_followers: int,
-        edges: Iterable[tuple[int, int, int]] = (),
-    ):
+    def __init__(self, field: PrimeField, num_followers: int, edges: Iterable[tuple[int, int, int]] = ()):
         if num_followers < 1:
             raise ValueError("at least one follower is required")
-        self.field = field
-        self.num_followers = num_followers
         edges = list(edges)
-        edge_map = self._edge_map(field, num_followers, edges)
+        self._hold(field, num_followers, edges, self._edge_map(field, num_followers, edges))
+
+    def _hold(self, field: PrimeField, num_followers: int, edges, edge_map: dict | None) -> None:
+        """Keep ``edge_map``, or ``_scan``'s of ``edges`` when it is None."""
+        self.field, self.num_followers = field, num_followers
         self._edges = self._scan(field, num_followers, edges) if edge_map is None else edge_map
-        self._sccs: tuple[tuple[int, ...], ...] | None = None
+        self._degs = self._succ = self._sccs = self._reach = None
+
+    @classmethod
+    def _of_residues(cls, field: PrimeField, num_followers: int, edges: list[tuple[int, int, int]]):
+        """The graph on int triples with weights reduced mod p, as the config
+        loader checks them: only ranges, zero weights and repeats are checked."""
+        g = object.__new__(cls)
+        g._hold(field, num_followers, edges, _checked_map(num_followers, *zip(*edges)) if edges else {})
+        return g
 
     @staticmethod
     def _edge_map(field: PrimeField, N: int, edges: list) -> dict[tuple[int, int], int] | None:
         """The edges as {(source, target): weight mod p} in sorted order,
-        checked as whole lists: int entries (no bools), sources in 0..N
-        and targets in 1..N by ``min``/``max``, no zero weight and no
-        repeated pair; None when any check fails, for ``_scan`` to name
+        checked as whole lists: int entries (no bools), then
+        ``_checked_map``; None when any check fails, for ``_scan`` to name
         the first bad edge."""
         if not edges:
             return {}
@@ -71,14 +78,7 @@ class WeightedDigraphFF:
         if set(map(type, srcs + tgts + raw)) != {int}:
             return None
         p = field.p
-        weights = [w % p for w in raw]
-        if min(srcs) < 0 or max(srcs) > N or min(tgts) < 1 or max(tgts) > N or 0 in weights:
-            return None
-        keys = list(zip(srcs, tgts))
-        edge_map = dict(zip(keys, weights))
-        if len(edge_map) < len(keys):
-            return None
-        return edge_map if all(map(lt, keys, keys[1:])) else dict(sorted(edge_map.items()))
+        return _checked_map(N, srcs, tgts, [w % p for w in raw])
 
     @staticmethod
     def _scan(field: PrimeField, num_followers: int, edges: list) -> dict[tuple[int, int], int]:
@@ -142,26 +142,29 @@ class WeightedDigraphFF:
         for (src, tgt), w in self._edges.items():
             if src >= 1:
                 a_bar[tgt - 1][src - 1] = w
-        degs = self.in_degrees()
+        degs = self._support()[0]
         d_bar = [[degs[i + 1] if i == j else 0 for j in range(N)] for i in range(N)]
         return MatrixFF(self.field, a_bar), MatrixFF(self.field, d_bar)
 
     def in_degrees(self) -> dict[int, int]:
         """Leader-inclusive in-degree of each follower, mod p."""
-        totals = {i: 0 for i in range(1, self.num_followers + 1)}
-        for (_, tgt), w in self._edges.items():
-            totals[tgt] += w
-        p = self.field.p
-        return {i: v % p for i, v in totals.items()}
+        degs = self._support()[0]
+        return {i: degs[i] for i in range(1, self.num_followers + 1)}
 
     # -- structure --------------------------------------------------------
 
-    def follower_successors(self) -> dict[int, list[int]]:
-        succ: dict[int, list[int]] = {i: [] for i in range(1, self.num_followers + 1)}
-        for (src, tgt), _ in self._edges.items():
-            if src >= 1:
+    def _support(self) -> tuple[list[int], list[list[int]]]:
+        """(in-degrees mod p, successor lists), indexed by node 0..N, from one
+        pass over the sorted edges (the leader's in-degree is 0; successors
+        ascend, a self-loop included).  Kept: the graph is immutable."""
+        if self._degs is None:
+            N, p = self.num_followers, self.field.p
+            degs, succ = [0] * (N + 1), [[] for _ in range(N + 1)]
+            for (src, tgt), w in self._edges.items():
+                degs[tgt] += w
                 succ[src].append(tgt)
-        return succ
+            self._degs, self._succ = [d % p for d in degs], succ
+        return self._degs, self._succ
 
     def strongly_connected_components(self) -> list[tuple[int, ...]]:
         """Strongly connected components of the follower support, each a
@@ -181,43 +184,40 @@ class WeightedDigraphFF:
         return list(self._sccs)
 
     def _tarjan(self) -> list[tuple[int, ...]]:
-        succ = self.follower_successors()
-        index: dict[int, int] = {}
-        low: dict[int, int] = {}
-        on_stack: set[int] = set()
-        stack: list[int] = []
-        components: list[tuple[int, ...]] = []
-        for root in succ:
-            if root in index:
+        """Roots and successors in ascending order; index 0: not visited yet."""
+        succ, N = self._support()[1], self.num_followers
+        index, low, on_stack = [0] * (N + 1), [0] * (N + 1), bytearray(N + 1)
+        stack, components, visits = [], [], 0
+        for root in range(1, N + 1):
+            if index[root]:
                 continue
-            index[root] = low[root] = len(index)
+            visits += 1
+            index[root] = low[root] = visits
             stack.append(root)
-            on_stack.add(root)
+            on_stack[root] = 1
             work = [(root, iter(succ[root]))]
             while work:
                 v, targets = work[-1]
                 for t in targets:
-                    if t not in index:
-                        index[t] = low[t] = len(index)
+                    if not index[t]:
+                        visits += 1
+                        index[t] = low[t] = visits
                         stack.append(t)
-                        on_stack.add(t)
+                        on_stack[t] = 1
                         work.append((t, iter(succ[t])))
                         break
-                    if t in on_stack:
-                        low[v] = min(low[v], index[t])
+                    if on_stack[t] and index[t] < low[v]:
+                        low[v] = index[t]
                 else:
                     work.pop()
-                    if work:
-                        parent = work[-1][0]
-                        low[parent] = min(low[parent], low[v])
+                    if work and low[v] < low[work[-1][0]]:
+                        low[work[-1][0]] = low[v]
                     if low[v] == index[v]:
-                        component = []
-                        while True:
-                            t = stack.pop()
-                            on_stack.discard(t)
-                            component.append(t)
-                            if t == v:
-                                break
+                        component = [stack.pop()]
+                        while component[-1] != v:
+                            component.append(stack.pop())
+                        for t in component:
+                            on_stack[t] = 0
                         components.append(tuple(sorted(component)))
         components.reverse()
         return components
@@ -246,19 +246,33 @@ class WeightedDigraphFF:
         return [node - 1 for (node,) in reversed(components)]
 
     def leader_globally_reachable(self) -> bool:
-        """True iff every follower is reachable from the leader."""
-        succ: dict[int, list[int]] = {i: [] for i in range(self.num_followers + 1)}
-        for (src, tgt), _ in self._edges.items():
-            succ[src].append(tgt)
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            v = frontier.pop()
-            for t in succ[v]:
-                if t not in seen:
-                    seen.add(t)
-                    frontier.append(t)
-        return len(seen) == self.num_followers + 1
+        """True iff every follower is reachable from the leader; kept."""
+        if self._reach is None:
+            succ = self._support()[1]
+            seen = bytearray(len(succ))
+            seen[0] = 1
+            frontier = [0]
+            while frontier:
+                for t in succ[frontier.pop()]:
+                    if not seen[t]:
+                        seen[t] = 1
+                        frontier.append(t)
+            self._reach = all(seen)
+        return self._reach
+
+
+def _checked_map(N: int, srcs: Sequence[int], tgts: Sequence[int], weights: Sequence[int]
+                 ) -> dict[tuple[int, int], int] | None:
+    """{(source, target): weight} in sorted order for int columns, weights
+    reduced mod p, checked whole: sources in 0..N, targets in 1..N (by
+    ``min``/``max``), no zero weight, no repeated pair; else None."""
+    if min(srcs) < 0 or max(srcs) > N or min(tgts) < 1 or max(tgts) > N or 0 in weights:
+        return None
+    keys = list(zip(srcs, tgts))
+    edge_map = dict(zip(keys, weights))
+    if len(edge_map) < len(keys):
+        return None
+    return edge_map if all(map(lt, keys, keys[1:])) else dict(sorted(edge_map.items()))
 
 
 def union(graphs: Sequence[WeightedDigraphFF]) -> WeightedDigraphFF:
@@ -266,7 +280,8 @@ def union(graphs: Sequence[WeightedDigraphFF]) -> WeightedDigraphFF:
 
     Weights may conflict across inputs; the first graph's weight is kept
     (the union is only ever used for support questions such as DAG
-    testing, where any nonzero representative is equivalent).
+    testing, where any nonzero representative is equivalent), built
+    from the inputs' checked edge maps without checking them again.
     """
     if not graphs:
         raise ValueError("union of an empty graph list")
@@ -275,9 +290,8 @@ def union(graphs: Sequence[WeightedDigraphFF]) -> WeightedDigraphFF:
         if g.field != first.field or g.num_followers != first.num_followers:
             raise ValueError("graphs must share follower count and modulus")
     merged: dict[tuple[int, int], int] = {}
-    for g in graphs:
-        for (src, tgt), w in g._edges.items():
-            merged.setdefault((src, tgt), w)
-    return WeightedDigraphFF(
-        first.field, first.num_followers, [(s, t, w) for (s, t), w in merged.items()]
-    )
+    for g in reversed(graphs):  # the first graph's weights are written last
+        merged.update(g._edges)
+    u = object.__new__(WeightedDigraphFF)
+    u._hold(first.field, first.num_followers, (), dict(sorted(merged.items())))
+    return u

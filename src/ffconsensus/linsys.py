@@ -86,10 +86,6 @@ class _Krylov(_FrozenRecord):
 
     __slots__ = ("field", "vectors", "s", "c", "v_inv", "a_std", "chi", "stabilizable")
 
-    def __init__(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
     def gain_change(self, k) -> list[int]:
         """r = chi_(A - bK) - chi_A for the gain row k, ascending: r_t =
         sum_(j<n-t) a_(t+j+1) K A^j b with chi_A = sum_i a_i x^i, in O(n^2).

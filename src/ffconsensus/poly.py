@@ -16,7 +16,8 @@ splitting (Cantor and Zassenhaus, Math. Comp. 36, 1981) with a fixed-seed
 ``random.Random``; the factors are sorted, so the result never depends on
 the draws.  Orders of x need the primes of p^d - 1, found by Pollard-Brent
 rho (Brent, BIT 20, 1980) within ``RHO_BUDGET`` steps and certified by
-``is_prime``; when either fails, ValueError names the factor at fault.
+``is_prime``, or above its bound by Pocklington's criterion; when either
+fails, ValueError names the factor at fault.
 """
 
 from __future__ import annotations
@@ -341,8 +342,8 @@ def pow_x_mod(e: int, f: PolyFF) -> PolyFF:
 
 
 def _prime_factors(n: int) -> list[int]:
-    """The distinct primes dividing n >= 1, ascending: trial division by
-    small primes, then Pollard-Brent rho; each is certified by is_prime."""
+    """The distinct primes dividing n >= 1, ascending: trial division by small
+    primes, then Pollard-Brent rho; each certified by ``is_prime`` or ``_pocklington``."""
     out = set()
     for q in _SMALL_PRIMES:
         if n % q == 0:
@@ -352,17 +353,39 @@ def _prime_factors(n: int) -> list[int]:
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
-        if m >= PRIMALITY_BOUND and pow(2, m - 1, m) == 1:
-            raise ValueError(
-                f"cannot certify the factor {m} as prime: it exceeds {PRIMALITY_BOUND}, "
-                f"the bound up to which the primality test is proven"
-            )
-        if m < PRIMALITY_BOUND and is_prime(m):
+        if (is_prime(m) if m < PRIMALITY_BOUND else pow(2, m - 1, m) == 1 and _pocklington(m)):
             out.add(m)
         else:
             d = _rho(m)
             stack += [d, m // d]
     return sorted(out)
+
+
+def _pocklington(m: int) -> bool:
+    """Whether m, odd and free of small primes, is prime, by Pocklington's
+    criterion (Proc. Camb. Phil. Soc. 18, 1914) over the primes of m - 1
+    (``_prime_factors``, recursively): True when each prime q of m - 1 has
+    a base a in 2, 3, 5, ... with a^(m-1) = 1 mod m and
+    gcd(a^((m-1)/q) - 1, m) = 1, False when some a^(m-1) != 1 mod m or
+    such a gcd is a proper factor of m.  Proof: for a prime r | m and q^e
+    exactly dividing m - 1, the order of a mod r divides m - 1 but not
+    (m - 1)/q, so q^e divides it, and it divides r - 1: m - 1 | r - 1, so
+    r = m.  Raises ValueError when no base serves some q.
+    """
+    for q in _prime_factors(m - 1):
+        for a in _SMALL_PRIMES:
+            x = pow(a, (m - 1) // q, m)
+            g = gcd(x - 1, m)
+            if pow(x, q, m) != 1 or 1 < g < m:
+                return False
+            if g == 1:
+                break
+        else:
+            raise ValueError(
+                f"cannot certify the factor {m} as prime: no base up to {a} proves it "
+                f"by Pocklington's criterion for the prime {q} of m - 1"
+            )
+    return True
 
 
 def _rho(n: int) -> int:

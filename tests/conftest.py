@@ -1,5 +1,6 @@
 import random
 import sys
+from math import gcd, prod
 from operator import mul
 
 import pytest
@@ -13,6 +14,7 @@ from ffconsensus import (
     PrimeField,
     SwitchingSignal,
     WeightedDigraphFF,
+    is_prime,
 )
 from ffconsensus.cli import ConfigError
 from ffconsensus.matrix import _echelon
@@ -236,6 +238,82 @@ def per_entry_edges(field: PrimeField, num_followers: int, edges) -> dict[tuple[
     return dict(sorted(edge_map.items()))
 
 
+def reference_in_degrees(g: WeightedDigraphFF) -> dict[int, int]:
+    """Leader-inclusive in-degree of each follower mod p, from a dict of
+    totals: the reference for the graph's cached in-degree list."""
+    totals = {i: 0 for i in range(1, g.num_followers + 1)}
+    for _, tgt, w in g.edges():
+        totals[tgt] += w
+    return {i: v % g.field.p for i, v in totals.items()}
+
+
+def reference_successors(g: WeightedDigraphFF, leader: bool = False) -> dict[int, list[int]]:
+    """Each follower's successors (and the leader's, with ``leader``), in
+    edge order, as a dict: the reference for the cached successor lists."""
+    succ: dict[int, list[int]] = {i: [] for i in range(0 if leader else 1, g.num_followers + 1)}
+    for src, tgt, _ in g.edges():
+        if src in succ:
+            succ[src].append(tgt)
+    return succ
+
+
+def reference_sccs(g: WeightedDigraphFF) -> list[tuple[int, ...]]:
+    """Tarjan's components on dicts and a set, sources first: the
+    reference for the graph's list-based pass, order included."""
+    succ = reference_successors(g)
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    on_stack: set[int] = set()
+    stack: list[int] = []
+    components: list[tuple[int, ...]] = []
+    for root in succ:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        stack.append(root)
+        on_stack.add(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, targets = work[-1]
+            for t in targets:
+                if t not in index:
+                    index[t] = low[t] = len(index)
+                    stack.append(t)
+                    on_stack.add(t)
+                    work.append((t, iter(succ[t])))
+                    break
+                if t in on_stack:
+                    low[v] = min(low[v], index[t])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    component = []
+                    while True:
+                        t = stack.pop()
+                        on_stack.discard(t)
+                        component.append(t)
+                        if t == v:
+                            break
+                    components.append(tuple(sorted(component)))
+    components.reverse()
+    return components
+
+
+def reference_reachable(g: WeightedDigraphFF) -> bool:
+    """Whether the leader reaches every follower, by a search over a set."""
+    succ = reference_successors(g, leader=True)
+    seen, frontier = {0}, [0]
+    while frontier:
+        for t in succ[frontier.pop()]:
+            if t not in seen:
+                seen.add(t)
+                frontier.append(t)
+    return len(seen) == g.num_followers + 1
+
+
 def _require(cond, field_path, message):
     if not cond:
         raise ConfigError(field_path, message)
@@ -344,6 +422,47 @@ def per_entry_config(doc) -> dict:
     # the canonical key order of ScenarioConfig.to_dict
     order = ("p", "n", "N", "A", "b", "K", "graphs", "switching", "steps", "init")
     return {key: out[key] for key in order if key in out}
+
+
+# p^7 - 1 at p = 1000003, and the one prime of it above the proven bound of
+# is_prime: the cofactor of Phi_7(p), with the primes of its m - 1
+P7_PRIMES = {2: 1, 3: 1, 29: 1, 46229: 1, 166667: 1, 745926016100507625084977262373: 1}
+M7 = 745926016100507625084977262373
+M7_MINUS_ONE = {2: 2, 3: 1, 7: 1, 11: 1, 47: 2, 283: 1, 397: 1, 30133: 1, 735431: 1, 146779979: 1}
+
+
+def pocklington_holds(m, primes_of_m_minus_one, base):
+    """Pocklington's criterion for m with one base for every prime q of
+    m - 1, given as {q: exponent} and checked to rebuild m - 1."""
+    assert prod(q**e for q, e in primes_of_m_minus_one.items()) == m - 1
+    assert all(map(is_prime, primes_of_m_minus_one))
+    return pow(base, m - 1, m) == 1 and all(
+        gcd(pow(base, (m - 1) // q, m) - 1, m) == 1 for q in primes_of_m_minus_one)
+
+
+def naive_x_power_mod(e: int, g: list[int], p: int) -> list[int]:
+    """x^e modulo the monic g (ascending coefficients, degree d >= 2) as its
+    d ascending residues, by square-and-multiply on schoolbook products:
+    the reference for the package's polynomial arithmetic."""
+    d = len(g) - 1
+
+    def mulmod(a, b):
+        out = [0] * (2 * d - 1)
+        for i, u in enumerate(a):
+            for j, v in enumerate(b):
+                out[i + j] += u * v
+        for k in range(2 * d - 2, d - 1, -1):  # x^k = x^(k-d) (x^d - g)
+            c = out[k] % p
+            for j in range(d + 1):
+                out[k - d + j] -= c * g[j]
+        return [v % p for v in out[:d]]
+
+    result, base = [1] + [0] * (d - 1), [0, 1] + [0] * (d - 2)
+    while e:
+        if e & 1:
+            result = mulmod(result, base)
+        base, e = mulmod(base, base), e >> 1
+    return result
 
 
 def per_agent_errors(agents: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:

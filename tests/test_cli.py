@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -27,13 +28,18 @@ from ffconsensus.poly import _group_order_primes, pow_x_mod
 from ffconsensus.cli import ConfigError, ScenarioConfig, _dumps, _traj_csv, load_config, main
 
 from conftest import (
+    M7,
+    M7_MINUS_ONE,
+    P7_PRIMES,
     REF_A_ROWS,
     REF_B,
     REF_GAIN,
     REF_GRAPH1_EDGES,
     REF_GRAPH2_EDGES,
     naive_cycle_structure,
+    naive_x_power_mod,
     per_entry_config,
+    pocklington_holds,
     successors_by_matmul,
 )
 
@@ -758,17 +764,20 @@ def test_each_command_decomposes_and_analyses_once(case, command, tmp_path, monk
 
 @pytest.mark.parametrize("command", ["analyze", "synthesize", "simulate", "cycles"])
 def test_validation_builds_field_graphs_and_signal_once(command, tmp_path, monkeypatch, capsys):
-    # a constant signal: every command analyses one graph, so no union is built
+    # a constant signal: every command analyses one graph, so no union is built;
+    # every graph object, however built, passes WeightedDigraphFF._hold once
     doc = _constant_signal_configs()["cyclic_graph_0"]
     if command == "synthesize":
         doc = {k: v for k, v in doc.items() if k != "K"}
     built = {PrimeField: 0, WeightedDigraphFF: 0, SwitchingSignal: 0}
     for cls in built:
-        def counting(self, *args, _real=cls.__init__, _cls=cls, **kwargs):
+        attr = "_hold" if cls is WeightedDigraphFF else "__init__"
+
+        def counting(self, *args, _real=getattr(cls, attr), _cls=cls, **kwargs):
             built[_cls] += 1
             return _real(self, *args, **kwargs)
 
-        monkeypatch.setattr(cls, "__init__", counting)
+        monkeypatch.setattr(cls, attr, counting)
     assert main([command, _write(tmp_path, doc), "--out", str(tmp_path / "out")]) == 0
     assert built == {PrimeField: 1, WeightedDigraphFF: 2, SwitchingSignal: 1}
 
@@ -1025,16 +1034,22 @@ def test_cycles_polynomial_large_prime_orders_minimal(tmp_path, capsys):
 
 def test_cycles_polynomial_unfactorable_order_exits_one(tmp_path, ref_config_path, monkeypatch, capsys):
     # an irreducible of degree 7 over F_1000003: Phi_7(p), a factor of
-    # p^7 - 1, leaves a cofactor of 30 digits, above the proven primality bound
+    # p^7 - 1, leaves a cofactor of 30 digits, above the proven primality
+    # bound, which Pocklington's criterion certifies; the order is checked
+    # by schoolbook arithmetic over the primes of p^7 - 1, checked apart
     p, field, rng = 1000003, PrimeField(1000003), random.Random(7)
     while not is_irreducible(f := PolyFF(field, [rng.randrange(p) for _ in range(7)] + [1])):
         pass
     companion = [[int(j == i + 1) for j in range(7)] for i in range(6)] + [[-c % p for c in f.coeffs[:7]]]
     path = _write(tmp_path, _cycles_config(p, companion))
-    assert main(["cycles", path, "--poly"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: cannot factor the group order 1000003^7 - 1: cannot certify the factor ")
-    assert "Traceback" not in err
+    assert main(["cycles", path, "--poly"]) == 0
+    [row] = [line.split(" | ") for line in capsys.readouterr().out.splitlines() if line.startswith("  ")]
+    g, mult, t = json.loads(row[1]), row[2], int(row[3])
+    assert g == list(f.coeffs) and mult == "1" and (p**7 - 1) % t == 0
+    assert prod(q**e for q, e in P7_PRIMES.items()) == p**7 - 1 and pocklington_holds(M7, M7_MINUS_ONE, 2)
+    one = [1] + [0] * 6
+    assert naive_x_power_mod(t, g, p) == one
+    assert all(naive_x_power_mod(t // q, g, p) != one for q in P7_PRIMES if t % q == 0)
     # the reference A at p = 1000003 needs rho to split 250001 = 53^2 * 89, a factor of p^2 - 1
     doc = json.loads(Path(ref_config_path).read_text())
     path = _write(tmp_path, {**doc, "p": p})

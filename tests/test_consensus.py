@@ -8,6 +8,7 @@ from ffconsensus import (
     LeaderFollowerNetwork,
     LinearSystemFF,
     MatrixFF,
+    PrimeField,
     WeightedDigraphFF,
     analyze,
     blockwise_nilpotency_check,
@@ -25,6 +26,7 @@ from ffconsensus import (
     synthesize_gain,
 )
 from ffconsensus.consensus import GainSynthesisError
+from ffconsensus.linsys import _krylov
 
 from conftest import (
     F2,
@@ -757,6 +759,11 @@ def test_analyze_runs_tarjan_once_per_graph(monkeypatch):
     runs = []
     original = WeightedDigraphFF._tarjan
     monkeypatch.setattr(WeightedDigraphFF, "_tarjan", lambda g: runs.append(id(g)) or original(g))
+    checks = []
+    for name in ("_edge_map", "_scan"):
+        real = getattr(WeightedDigraphFF, name)
+        monkeypatch.setattr(WeightedDigraphFF, name, staticmethod(
+            lambda *args, _real=real: checks.append(args) or _real(*args)))
     rng = random.Random(151)
     cases = itertools.product((1, 2), (False, True), (random_dag_graph, random_scc_graph), range(5))
     for num_graphs, with_gain, make, _ in cases:
@@ -768,9 +775,61 @@ def test_analyze_runs_tarjan_once_per_graph(monkeypatch):
             gain=random_matrix(rng, field, 1, n) if with_gain else None,
         )
         runs.clear()
+        checks.clear()
         analyze(net)
         # each graph, and the union under switching, at most once
         assert runs and len(runs) == len(set(runs)) <= num_graphs + (num_graphs > 1)
+        # the union is the one graph that is not an input: one Tarjan pass,
+        # and no edge check, as it is built from the inputs' checked edges
+        assert len(set(runs) - set(map(id, net.graphs))) == (num_graphs > 1)
+        assert not checks
+
+
+def _random_pair(rng, field, n):
+    """(A, b): random, with a nilpotent A, or with b in an A-invariant
+    subspace (s < n), its complement's block nilpotent half the time."""
+    roll = rng.random()
+    if roll < 0.3:
+        return random_matrix(rng, field, n, n), random_matrix(rng, field, n, 1)
+    if roll < 0.45:
+        return random_nilpotent(rng, field, n), random_matrix(rng, field, n, 1)
+    m = rng.randint(0, n - 1)
+    low = random_nilpotent(rng, field, n - m) if rng.random() < 0.5 else random_matrix(rng, field, n - m, n - m)
+    rows = [[rng.randrange(field.p) for _ in range(n)] for _ in range(m)]
+    rows += [[0] * m + row for row in low.to_rows()]
+    t = random_invertible(rng, field, n)
+    a = t @ MatrixFF(field, rows) @ t.inverse()
+    b = t @ MatrixFF.column(field, [rng.randrange(field.p) for _ in range(m)] + [0] * (n - m))
+    return a, b
+
+
+def test_loop_degree_matches_dense_nilpotent_degree():
+    """The nilpotent degree of A - mu bK from b as a cyclic vector (s = n)
+    or from F's rows (s < n) equals that of the matrix built by MatrixFF
+    products, None included, for deadbeat, random and zero gains."""
+    rng = random.Random(20261023)
+    seen = collections.Counter()
+    fields = [PrimeField(p) for p in (2, 3, 5, 7, 101)]
+    for _ in range(2400):
+        field, n = rng.choice(fields), rng.randint(1, 8)
+        a, b = _random_pair(rng, field, n)
+        net = LeaderFollowerNetwork(sys=LinearSystemFF(a, b), graphs=(WeightedDigraphFF(field, 1, [(0, 1, 1)]),))
+        kr = _krylov(net.sys)
+        mu = rng.randrange(field.p)
+        kind = rng.choice(("deadbeat", "random", "zero"))
+        if kind == "deadbeat" and mu:
+            k = kr.deadbeat(mu)
+        elif kind == "zero":
+            k = [0] * n
+        else:
+            kind, k = "random", [rng.randrange(field.p) for _ in range(n)]
+        want = (a - (b @ MatrixFF.row_vector(field, k)).scale(mu)).nilpotent_degree()
+        assert consensus._loop_degree(net, kr, k, mu) == want, (a, b, k, mu)
+        seen["s = n" if kr.s == n else "s < n"] += 1
+        seen[(kind, want is not None)] += 1
+    print(f"cases hit: {dict(seen)}")
+    assert seen["s = n"] >= 200 and seen["s < n"] >= 200, seen
+    assert all(seen[(kind, ok)] >= 50 for kind in ("deadbeat", "random", "zero") for ok in (True, False)), seen
 
 
 def test_worst_degree_bounds_mixed_closed_loops_when_k_c_is_zero():

@@ -10,7 +10,10 @@ from ffconsensus import (
     union,
 )
 
-from conftest import F2, F3, F5, per_entry_edges, random_dag_graph, random_scc_graph
+from conftest import (
+    F2, F3, F5, per_entry_edges, random_dag_graph, random_scc_graph, reference_in_degrees, reference_reachable,
+    reference_sccs, reference_successors,
+)
 
 
 # ---------------------------------------------------------
@@ -105,6 +108,33 @@ def test_whole_list_edge_checks_match_per_entry_reference():
         assert got == _graph_outcome(reference, field, N, edges), edges
         kinds[got[0]] += 1
     assert kinds["ok"] > 300 and kinds["EdgeError"] > 300 and kinds["TypeError"] > 30, kinds
+
+
+def test_residue_constructor_matches_per_entry_reference():
+    """The config loader's constructor, given int triples with weights in
+    0..p-1, checks only ranges, zero weights and repeated pairs: the same
+    edges or the same EdgeError as checking the edges one at a time."""
+    def build(field, N, edges):
+        return WeightedDigraphFF._of_residues(field, N, edges).edges()
+
+    def reference(field, N, edges):
+        return [(s, t, w) for (s, t), w in per_entry_edges(field, N, edges).items()]
+
+    rng = random.Random(20261020)
+    kinds = Counter()
+    for _ in range(2000):
+        field = rng.choice((F2, F3, F5))
+        N = rng.randint(1, 5)
+        edges = [(rng.randint(-1, N + 1) if rng.random() < 0.05 else rng.randint(0, N),
+                  rng.randint(0, N + 1) if rng.random() < 0.05 else rng.randint(1, N),
+                  rng.randrange(field.p) if rng.random() < 0.1 else rng.randrange(1, field.p))
+                 for _ in range(rng.randint(0, 8))]
+        got = _graph_outcome(build, field, N, edges)
+        assert got == _graph_outcome(reference, field, N, edges), edges
+        if got[0] == "ok":
+            assert WeightedDigraphFF._of_residues(field, N, edges) == WeightedDigraphFF(field, N, edges)
+        kinds[got[0]] += 1
+    assert kinds["ok"] > 300 and kinds["EdgeError"] > 300, kinds
 
 
 def test_weights_reduced_canonically():
@@ -268,7 +298,7 @@ def test_is_dag_matches_support_nilpotency():
 # ---------------------------------------------------------
 
 def _reachable(g, src):
-    succ = g.follower_successors()
+    succ = reference_successors(g)
     seen, frontier = {src}, [src]
     while frontier:
         for t in succ[frontier.pop()]:
@@ -314,6 +344,47 @@ def test_scc_long_chain_is_iterative():
     assert chain.strongly_connected_components() == [(i,) for i in range(1, n + 1)]
 
 
+def _with_isolated(rng, g, extra):
+    """g with ``extra`` followers that have no edge at all, its followers
+    moved to random labels among the N + extra."""
+    N = g.num_followers + extra
+    labels = [0] + rng.sample(range(1, N + 1), g.num_followers)
+    return WeightedDigraphFF(g.field, N, [(labels[s], labels[t], w) for s, t, w in g.edges()])
+
+
+def _support_cases(rng, count):
+    for k in range(count):
+        field = (F2, F3, F5)[rng.randrange(3)]
+        make = (random_dag_graph, random_scc_graph)[k % 2]
+        g = make(rng, field, rng.randint(1, 9))
+        yield _with_isolated(rng, g, rng.randint(1, 3)) if k % 3 == 0 else g
+
+
+def test_support_facts_match_dict_references():
+    """The cached in-degree and successor lists, the list-based Tarjan
+    pass and leader reachability agree with the dict-based code, SCC
+    order included, on DAGs, SCC graphs with self-loops and graphs with
+    isolated followers."""
+    rng = random.Random(20261021)
+    seen = Counter()
+    for g in _support_cases(rng, 600):
+        N = g.num_followers
+        degs, succ = g._support()
+        assert len(degs) == len(succ) == N + 1 and degs[0] == 0
+        assert g.in_degrees() == reference_in_degrees(g) == dict(zip(range(1, N + 1), degs[1:]))
+        assert dict(enumerate(succ)) == reference_successors(g, leader=True)
+        comps = g.strongly_connected_components()
+        assert comps == reference_sccs(g)
+        assert g.strongly_connected_components() == comps and g._support() == (degs, succ)
+        assert g.leader_globally_reachable() == reference_reachable(g)
+        assert g.is_dag() == all(len(c) == 1 and c[0] not in succ[c[0]] for c in comps)
+        seen["dag" if g.is_dag() else "cyclic"] += 1
+        seen["self-loop"] += any(i in succ[i] for i in range(1, N + 1))
+        seen["isolated"] += any(not succ[i] and not any(i in t for t in succ) for i in range(1, N + 1))
+        seen["reachable"] += g.leader_globally_reachable()
+    assert min(seen.values()) >= 50, seen
+
+
 # ---------------------------------------------------------
 # Union
 # ---------------------------------------------------------
@@ -346,6 +417,28 @@ def test_union_commutative_associative_support():
         support = lambda g: {(s, t) for s, t, _ in g.edges()}
         assert support(union([gs[0], gs[1]])) == support(union([gs[1], gs[0]]))
         assert support(union([union(gs[:2]), gs[2]])) == support(union([gs[0], union(gs[1:])]))
+
+
+def test_union_equals_the_validating_constructor():
+    """union() takes the inputs' checked edge maps as they are: its graph
+    equals the one the constructor validates from the merged edges, first
+    graph's weights kept, by ==, hash, edges() and SCCs."""
+    rng = random.Random(20261022)
+    for _ in range(300):
+        field = (F2, F3, F5)[rng.randrange(3)]
+        N = rng.randint(1, 8)
+        gs = [(random_dag_graph, random_scc_graph)[rng.randrange(2)](rng, field, N) for _ in range(rng.randint(1, 3))]
+        merged = {}
+        for g in gs:
+            for src, tgt, w in g.edges():
+                merged.setdefault((src, tgt), w)
+        edges = [(s, t, w) for (s, t), w in merged.items()]
+        rng.shuffle(edges)
+        ref = WeightedDigraphFF(field, N, edges)
+        u = union(gs)
+        assert u == ref and hash(u) == hash(ref) and u.edges() == ref.edges()
+        assert u.strongly_connected_components() == ref.strongly_connected_components() == reference_sccs(ref)
+        assert u.in_degrees() == ref.in_degrees()
 
 
 def test_union_mismatched_inputs_rejected():

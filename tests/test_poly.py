@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from math import gcd, prod
 
 import pytest
 
@@ -14,9 +15,10 @@ from ffconsensus import (
     split_nilpotent_bijective,
 )
 from ffconsensus import poly
+from ffconsensus.field import PRIMALITY_BOUND
 from ffconsensus.poly import _group_order_primes, _prime_factors, pow_x_mod
 
-from conftest import F2, F3, F5
+from conftest import F2, F3, F5, M7, M7_MINUS_ONE, P7_PRIMES, pocklington_holds
 
 
 def random_poly(rng, field, max_deg):
@@ -446,12 +448,41 @@ def test_prime_factors_against_trial_division(monkeypatch):
     assert min(seen.values()) >= 10, seen
 
 
-def test_prime_factors_fail_cleanly():
-    # 2^89 - 1 is prime but above the bound of the proven primality test
-    with pytest.raises(ValueError, match="cannot certify the factor 618970019642690137449562111 as prime"):
+def test_pocklington_certifies_primes_above_the_bound():
+    # the cofactor of Phi_7(1000003) above the bound, with base 2; 2^89 - 1
+    # needs base 3 for every prime of m - 1 but 89, as 2 has order 89
+    assert M7 > PRIMALITY_BOUND and pocklington_holds(M7, M7_MINUS_ONE, 2)
+    assert prod(q**e for q, e in P7_PRIMES.items()) == 1000003**7 - 1
+    assert _prime_factors(M7) == [M7] and _prime_factors(3 * M7) == [3, M7]
+    assert _group_order_primes(1000003, 7) == sorted(P7_PRIMES)
+    m89 = 2**89 - 1
+    primes89 = {q: 1 for q in (2, 3, 5, 17, 23, 89, 353, 397, 683, 2113, 2931542417)}
+    assert not pocklington_holds(m89, primes89, 2) and pocklington_holds(m89, primes89, 3)
+    assert _prime_factors(m89) == [m89]
+    assert _prime_factors(1000003 * M7) == [1000003, M7]
+    # a Carmichael number above the bound passes base 2 but not the
+    # criterion, and rho splits it: Chernick's (6k+1)(12k+1)(18k+1)
+    k = 14000240
+    chernick = [6 * k + 1, 12 * k + 1, 18 * k + 1]
+    assert all(map(is_prime, chernick)) and prod(chernick) > PRIMALITY_BOUND
+    assert pow(2, prod(chernick) - 1, prod(chernick)) == 1
+    assert _prime_factors(prod(chernick)) == chernick
+
+
+def test_prime_factors_fail_cleanly(monkeypatch):
+    # without rho steps, the composite m - 1 of a prime above the bound
+    # cannot be split, and the error says so
+    monkeypatch.setattr(poly, "RHO_BUDGET", 0)
+    with pytest.raises(ValueError, match="rho found no factor of the composite .* within 0 steps"):
         _prime_factors(2**89 - 1)
-    with pytest.raises(ValueError, match="cannot factor the group order 1000003\\^7 - 1: cannot certify"):
+    with pytest.raises(ValueError, match="cannot factor the group order 1000003\\^7 - 1: Pollard-Brent rho"):
         _group_order_primes(1000003, 7)
+    # with 2 the only base, no prime q of m - 1 is served for 2^89 - 1
+    monkeypatch.setattr(poly, "RHO_BUDGET", 1 << 21)
+    monkeypatch.setattr(poly, "_SMALL_PRIMES", (2,))
+    with pytest.raises(ValueError, match=r"cannot certify the factor 618970019642690137449562111 as prime: "
+                                         r"no base up to 2 proves it by Pocklington's criterion for the prime 2"):
+        _prime_factors(2**89 - 1)
 
 
 def test_group_order_primes_split_cyclotomically():
