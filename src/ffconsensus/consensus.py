@@ -488,11 +488,11 @@ def _witness_gain(net: LeaderFollowerNetwork, f: _Facts, dec: _Decision) -> tupl
     return MatrixFF.row_vector(net.field, k), _loop_degree(net, f.decomp, k, d)
 
 
-def _bound(net: LeaderFollowerNetwork, f: _Facts, certificate: int | None) -> int:
-    """Convergence bound of a guaranteed network, one graph or many, for
-    the supplied gain or else the witness (``certificate``: the degree of
-    its closed loop).  Graph sigma's error matrix is
-    M_sigma = I (X) A - H_sigma (X) bK (``_error_block_results``).
+def _bound(net: LeaderFollowerNetwork, f: _Facts, witness: tuple | None) -> int:
+    """Convergence bound of a guaranteed network, one graph or many, for the
+    supplied gain or else the witness, ``witness`` = (k, d, certificate: the
+    degree of A - d bK, which serves K = k as mu* = d).  Graph sigma's error
+    matrix is M_sigma = I (X) A - H_sigma (X) bK (``_error_block_results``).
 
     r != 0: T = N*f, f the nilpotent degree of F = A - mu* bK.  Write
     M_sigma = I (X) F - N_sigma (X) bK, N_sigma = H_sigma - mu* I.  The
@@ -519,9 +519,10 @@ def _bound(net: LeaderFollowerNetwork, f: _Facts, certificate: int | None) -> in
     """
     N = net.num_followers
     if net.gain is None:
-        return certificate if f.a_degree is not None else N * certificate
+        return witness[2] if f.a_degree is not None else N * witness[2]
     if any(f.r):
-        return N * _loop_degree(net, f.decomp, net.gain.to_rows()[0], f.mu)
+        k = net.gain.to_rows()[0]
+        return N * (witness[2] if witness and witness[:2] == (k, f.mu) else _loop_degree(net, f.decomp, k, f.mu))
     k, kappa = net.gain, 0
     while not k.is_zero():
         k, kappa = k @ net.sys.A, kappa + 1
@@ -569,14 +570,14 @@ def _report(net: LeaderFollowerNetwork, mode: str, f: _Facts, checks: dict, witn
             "count": sum(len(blocks) for blocks in f.blocks),
             "max_dim": max(len(comp) for blocks in f.blocks for comp, _ in blocks) * net.sys.dim,
         }
-    certificate = None
+    loop = None
     if dec.witness_degree is not None:
         gain, certificate = _witness_gain(net, f, dec)
-        witness["synthesized_gain"] = gain.to_rows()[0]
-        witness["gain_certificate_degree"] = certificate
+        loop = (gain.to_rows()[0], dec.witness_degree, certificate)
+        witness["synthesized_gain"], witness["gain_certificate_degree"] = loop[0], certificate
     bounds: dict = {"static": None, "switching": None}
     if dec.verdict == "guaranteed":
-        bounds[mode] = _bound(net, f, certificate)
+        bounds[mode] = _bound(net, f, loop)
     if mode == "switching" and dec.verdict == "inconclusive":
         diagnostics["per_graph_static"] = [
             {"graph": gi, "verdict": _decide(f, [gi]).verdict} for gi in everything

@@ -54,6 +54,33 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _slot_reduction(top: int, p: int, slots: int, widths: tuple[int, ...] = ()):
+    """(w, s, M, LOW) to reduce mod p every slot of a packed int at once.
+
+    Slot j is bits [w*j, w*(j+1)) and must hold 0 <= v_j < top, (p-1)^2 times
+    max(n, 2), m or max(n+1, N+1), plus 1, for an n-slot row of ``matrix``, a
+    product mod a degree-m polynomial in ``poly`` or a step of ``sim``; w is the
+    smallest of ``widths`` that is at least the minimum width, else the minimum.
+    v - p * (((v * M) >> s) & LOW) leaves v_j mod p in every slot (Granlund and
+    Montgomery's division by an invariant integer).  Exact: with s the bit
+    length of top*p and M = ceil(2^s / p), slot j's quotient is
+    q_j = floor(v_j M / 2^s) = floor(v_j / p).  Write e = M p - 2^s, so
+    0 <= e < p and v_j M / 2^s = v_j / p + v_j e / (p 2^s).  As v_j e < top p
+    < 2^s, the second term is below 1/p, which cannot lift v_j / p past the
+    next integer.  No carry crosses a slot: v_j M < top M < 2^(w-1), so the
+    products stay in their slots; after the shift by s, slot j holds q_j in
+    its low w - s - 1 bits and slot j+1's remainder v_(j+1) M mod 2^s in its
+    top s bits, which the mask LOW (the low w - s bits of every slot) clears;
+    and v_j - p q_j >= 0 borrows nothing.
+    """
+    s = (top * p).bit_length()
+    M = -(-(1 << s) // p)
+    w = (top * M).bit_length() + 1
+    w = next((width for width in widths if width >= w), w)
+    LOW = ((1 << (w - s)) - 1) * (((1 << (w * slots)) - 1) // ((1 << w) - 1))
+    return w, s, M, LOW
+
+
 class PrimeField:
     """The prime field F_p.  Instances compare equal iff they share p."""
 

@@ -9,7 +9,8 @@ the factors of the characteristic polynomial.
 
 Every fact about the pair is read off one Gauss-Jordan elimination of
 [b, Ab, ..., A^n b | I] (``_krylov``), whose pivots fix a basis that is
-reproducible run to run.
+reproducible run to run.  The cycle structure's nullities of g(A)^k come
+from ``matrix``'s packed powers and packed elimination.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from math import lcm
 from operator import mul
 
 from .field import PrimeField, _FrozenRecord
-from .matrix import MatrixFF, _echelon
+from .matrix import MatrixFF, _echelon, _packed_powers, _packed_rank
 from .poly import PolyFF, factor, split_nilpotent_bijective, _lift_order, _mul, _order_mod_irreducible
 
 
@@ -223,19 +224,14 @@ def _kernel_dims(g: PolyFF, A: MatrixFF, e: int) -> list[int]:
     """dim ker g(A)^k for k = 0..e, where g^e exactly divides charpoly(A).
 
     ker g(A)^e is the whole g-primary component, of dimension
-    deg(g) * e, so only the powers below e are computed.
+    deg(g) * e, so only the powers below e are computed, none past the
+    first that fills it, all packed (``_packed_powers``: deg g < n as e > 1).
     """
-    dims = [0]
-    if e > 1:
-        eye = MatrixFF.identity(A.field, A.rows)
-        gA = MatrixFF.zeros(A.field, A.rows, A.rows)
-        for c in reversed(g.coeffs):  # Horner
-            gA = gA @ A + eye.scale(c)
-        power = eye
-        for _ in range(e - 1):
-            power = power @ gA
-            dims.append(A.rows - power.rank())
-    return dims + [g.degree * e]
+    n, p, full, dims = A.rows, A.field.p, g.degree * e, [0]
+    powers = _packed_powers(A.to_rows(), p, g.coeffs) if e > 1 else None
+    while len(dims) < e and dims[-1] < full:
+        dims.append(n - _packed_rank(next(powers), p, n))
+    return dims + [full] * (e + 1 - len(dims))
 
 
 def autonomous_cycle_structure(A: MatrixFF) -> CycleStructure:

@@ -5,15 +5,15 @@ Entries given from outside pass ``PrimeField.scalar`` (an int other
 than a bool, reduced mod p); ``MatrixFF.from_flat`` reduces the raw
 integer results of matrix arithmetic once, and ``VectorFF.from_flat``
 takes residues that are already canonical.
-Rank and inverse read one Gauss-Jordan elimination routine, ``_echelon``,
-with exact field division (the pivot is always the first nonzero entry
-in column order, so results are deterministic).  The characteristic
-polynomial comes from a reduction to Hessenberg form by similarities and
-the recurrence over its leading blocks, O(n^3) with field division.
-Nilpotency is decided from matrix powers, never from eigenvalues: F_p is
-not algebraically closed.  The powers are computed on packed rows, one
-int per row, and each row is reduced mod p slot by slot in a few
-big-int operations (``_slot_reduction``, shared with the simulator).
+The inverse reads one Gauss-Jordan elimination routine on lists,
+``_echelon``, with exact field division (the pivot is always the first
+nonzero entry in column order, so results are deterministic).  The
+characteristic polynomial comes from a reduction to Hessenberg form by
+similarities and the recurrence over its leading blocks, O(n^3) with
+field division.  Nilpotency is decided from matrix powers, never from
+eigenvalues: F_p is not algebraically closed.  Powers, a polynomial in
+A and the rank run on packed rows, one int per row reduced mod p slot by
+slot in a few big-int operations (``field._slot_reduction``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from operator import mul
 
-from .field import PrimeField
+from .field import PrimeField, _slot_reduction
 from .poly import PolyFF
 
 
@@ -207,7 +207,8 @@ class MatrixFF:
     # -- elimination-based queries -------------------------------------
 
     def rank(self) -> int:
-        return len(_echelon(self.to_rows(), self.field.p)[1])
+        p, w = self.field.p, _row_reduction(self.cols, self.field.p)[0]
+        return _packed_rank([sum(a << (w * j) for j, a in enumerate(row)) for row in self.to_rows()], p, self.cols)
 
     def inverse(self) -> "MatrixFF":
         """Gauss-Jordan elimination of [M | I]: M is invertible iff the
@@ -290,42 +291,27 @@ class MatrixFF:
                 return None
 
 
-def _slot_reduction(top: int, p: int, slots: int, widths: tuple[int, ...] = ()):
-    """(w, s, M, LOW) to reduce mod p every slot of a packed int at once.
-
-    Slot j is bits [w*j, w*(j+1)) and must hold 0 <= v_j < top (n (p-1)^2
-    + 1 for a row of a matrix power, max(n+1, N+1) (p-1)^2 + 1 for a
-    step of the simulator); w is the smallest of ``widths`` that is at
-    least the minimum width, else the minimum.  v - p * (((v * M) >> s)
-    & LOW) leaves v_j mod p in every slot (Granlund and Montgomery's
-    division by an invariant integer).  Exact: with s the bit length of
-    top*p and M = ceil(2^s / p), slot j's quotient is q_j = floor(v_j M
-    / 2^s) = floor(v_j / p).  Write e = M p - 2^s, so 0 <= e < p and
-    v_j M / 2^s = v_j / p + v_j e / (p 2^s).  As v_j e < top p < 2^s,
-    the second term is below 1/p, which cannot lift v_j / p past the
-    next integer.  No carry crosses a slot: v_j M < top M < 2^(w-1), so
-    the products stay in their slots; after the shift by s, slot j holds
-    q_j in its low w - s - 1 bits and slot j+1's remainder v_(j+1) M
-    mod 2^s in its top s bits, which the mask LOW (the low w - s bits of
-    every slot) clears; and v_j - p q_j >= 0 borrows nothing.
-    """
-    s = (top * p).bit_length()
-    M = -(-(1 << s) // p)
-    w = (top * M).bit_length() + 1
-    w = next((width for width in widths if width >= w), w)
-    LOW = sum(((1 << (w - s)) - 1) << (w * j) for j in range(slots))
-    return w, s, M, LOW
+def _row_reduction(n: int, p: int):
+    """``_slot_reduction`` for rows of n slots holding at most max(n, 2) (p-1)^2."""
+    return _slot_reduction(max(n, 2) * (p - 1) ** 2 + 1, p, n)
 
 
-def _packed_powers(rows: list[list[int]], p: int):
-    """Yield A, A^2, A^3, ... for the n x n residue rows of A, without end.
+def _packed_powers(rows: list[list[int]], p: int, coeffs: Sequence[int] = (0, 1)):
+    """Yield B, B^2, B^3, ... without end, for B = g(A): A given by n x n
+    residue rows, g by ascending ``coeffs`` (x by default, deg g < max(n, 2)).
 
-    Row i of A^k is one int with entry j in slot j, and row i of A^(k+1)
-    is sum_j a_ij (row j of A^k) over the nonzero a_ij, then reduced.
+    Row i of B^k is one int with entry j in slot j, and row i of B^(k+1) is
+    sum_j b_ij (row j of B^k) over the nonzero b_ij, then reduced; B is
+    sum_k c_k A^k over A's packed powers, at most (deg g + 1) (p-1)^2 a slot.
     """
     n = len(rows)
-    w, s, M, LOW = _slot_reduction(n * (p - 1) ** 2 + 1, p, n)
-    # each row of A as its nonzero scalars and their columns
+    w, s, M, LOW = _row_reduction(n, p)
+    if tuple(coeffs) != (0, 1):
+        acc = [coeffs[0] << (w * i) for i in range(n)]
+        for c, power in zip(coeffs[1:], _packed_powers(rows, p)):
+            acc = [x + c * y for x, y in zip(acc, power)]
+        rows = [[v >> (w * j) & ((1 << w) - 1) for j in range(n)] for v in (v - p * (((v * M) >> s) & LOW) for v in acc)]
+    # each row of B as its nonzero scalars and their columns
     terms = [([a for a in row if a], [j for j, a in enumerate(row) if a]) for row in rows]
     power = [sum(a << (w * j) for j, a in enumerate(row)) for row in rows]
     while True:
@@ -335,6 +321,21 @@ def _packed_powers(rows: list[list[int]], p: int):
             v = sum(map(mul, coeffs, map(power.__getitem__, cols)))
             nxt.append(v - p * (((v * M) >> s) & LOW))
         power = nxt
+
+
+def _packed_rank(rows: list[int], p: int, cols: int) -> int:
+    """Rank of rows of ``cols`` packed residues by forward elimination: each
+    pivot, a row at its lowest nonzero slot, clears that slot of every other
+    row (at most p (p-1) a slot), so the pivots are in echelon form."""
+    w, s, M, LOW = _row_reduction(cols, p)
+    mask, rank, rows = (1 << w) - 1, 0, [v for v in rows if v]
+    while rows:
+        piv, rank = rows.pop(), rank + 1
+        at = ((piv & -piv).bit_length() - 1) // w * w
+        neg = p - pow(piv >> at & mask, -1, p)
+        rows = [v + (v >> at & mask) * neg % p * piv for v in rows]
+        rows = [v for v in (v - p * (((v * M) >> s) & LOW) for v in rows) if v]
+    return rank
 
 
 def _echelon(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:

@@ -9,15 +9,17 @@ factorization, and the multiplicative order of x modulo a polynomial
 (the cycle-length source).
 
 All arithmetic runs on one core over ascending lists of canonical
-residues (``_mul``, ``_divmod``, ``_rem``, ``_mulmod``, ``_powmod``,
-``_gcd``, ``_monic``); ``PolyFF.from_residues`` wraps its results
-unchecked.  Factoring is square-free, distinct-degree, then equal-degree
-splitting (Cantor and Zassenhaus, Math. Comp. 36, 1981) with a fixed-seed
-``random.Random``; the factors are sorted, so the result never depends on
-the draws.  Orders of x need the primes of p^d - 1, found by Pollard-Brent
-rho (Brent, BIT 20, 1980) within ``RHO_BUDGET`` steps and certified by
-``is_prime``, or above its bound by Pocklington's criterion; when either
-fails, ValueError names the factor at fault.
+residues (``_mul``, ``_divmod``, ``_rem``, ``_powmod``, ``_gcd``,
+``_monic``); ``PolyFF.from_residues`` wraps its results unchecked.
+``_powmod`` keeps that interface but multiplies packed ints, one
+coefficient per slot (Kronecker substitution).  Factoring is square-free,
+distinct-degree, then equal-degree splitting (Cantor and Zassenhaus,
+Math. Comp. 36, 1981) with a fixed-seed ``random.Random``; the factors
+are sorted, so the result never depends on the draws.  Orders of x need
+the primes of p^d - 1, found by Pollard-Brent rho (Brent, BIT 20, 1980)
+within ``RHO_BUDGET`` steps and certified by ``is_prime``, or above its
+bound by Pocklington's criterion; when either fails, ValueError names
+the factor at fault.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import random
 from collections.abc import Iterable, Sequence
 from math import gcd, lcm, prod
 
-from .field import PRIMALITY_BOUND, PrimeField, is_prime
+from .field import PRIMALITY_BOUND, PrimeField, _slot_reduction, is_prime
 
 # rho steps allowed per composite: about 1.1 s (Python 3.11 on a
 # 2-core VM); rho takes ~1.2 sqrt(q) steps to find a prime factor q, so
@@ -94,21 +96,35 @@ def _rem(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     return _divmod(a, b, p)[1]
 
 
-def _mulmod(a: Sequence[int], b: Sequence[int], f: Sequence[int], p: int) -> list[int]:
-    return _rem(_mul(a, b, p), f, p)
-
-
 def _powmod(a: Sequence[int], e: int, f: Sequence[int], p: int) -> list[int]:
-    """a^e mod f, left-to-right binary."""
-    a = _rem(a, f, p)
-    if not e:
-        return _rem([1], f, p)
-    result = a
+    """a^e mod f, left-to-right binary on ints holding coefficient i in
+    slot i (Kronecker substitution): a product is a multiply and a slotwise
+    reduction (at most m (p-1)^2 a slot, m = deg f), its slots m + k folded
+    back against R_k = x^(m+k) mod f, built per call from R_0 =
+    -(f - f_m x^m) / f_m as R_(k+1) = x R_k."""
+    a, m = _rem(a, f, p), len(f) - 1
+    if not e or m < 1:
+        return a if e else _rem([1], f, p)
+    w, s, M, LOW = _slot_reduction(m * (p - 1) ** 2 + 1, p, 2 * m - 1)
+    mask, cut, neg = (1 << w) - 1, w * m, p - pow(f[-1], -1, p)
+    table = [sum(c * neg % p << (w * i) for i, c in enumerate(f[:-1]))]
+
+    def mulmod(u: int, v: int) -> int:
+        v *= u
+        v -= p * (((v * M) >> s) & LOW)
+        u, v = v & ((1 << cut) - 1), v >> cut
+        for r in table[:-(-v.bit_length() // w)]:  # x R_k folds its slot m only
+            u, v = u + (v & mask) * r, v >> w
+        return u - p * (((u * M) >> s) & LOW)
+
+    for _ in range(m - 2):
+        table.append(mulmod(table[-1], 1 << w))
+    base = result = sum(c << (w * i) for i, c in enumerate(a))
     for bit in bin(e)[3:]:
-        result = _mulmod(result, result, f, p)
+        result = mulmod(result, result)
         if bit == "1":
-            result = _mulmod(result, a, f, p)
-    return result
+            result = mulmod(result, base)
+    return _trim([result >> (w * i) & mask for i in range(m)])
 
 
 def _monic(a: Sequence[int], p: int) -> Sequence[int]:
@@ -324,7 +340,7 @@ def _equal_degree(f: Sequence[int], d: int, p: int, rng: random.Random) -> list[
         if p == 2:
             b = t = a
             for _ in range(d - 1):
-                t = _mulmod(t, t, f, p)
+                t = _powmod(t, 2, f, p)
                 b = _add(b, t, p)
         else:
             b = _sub(_powmod(a, (p**d - 1) // 2, f, p), [1], p)

@@ -14,7 +14,7 @@ matrix (a_ij off the diagonal, minus agent i's in-weights from other
 agents on it, so self-loops add nothing, and a zero leader row), a step
 reduces KX = sum_c k_c X_c and unpacks it into the values K x_j, reduces
 U = sum_j (K x_j) col_j(C), and reduces each X'_r = sum_c a_rc X_c +
-b_r U: n+2 slotwise reductions (``matrix._slot_reduction``) for any N.
+b_r U: n+2 slotwise reductions (``field._slot_reduction``) for any N.
 No slot carries into the next: every coefficient is a residue, so a slot
 holds at most max(n+1, N+1) products of two residues, below the bound
 top of the reduction.  The width is rounded up to 1, 2, 4 or 8 bytes and
@@ -54,8 +54,7 @@ from itertools import product, repeat
 from operator import add, lshift, mul, sub
 
 from .consensus import LeaderFollowerNetwork, SwitchingSignal
-from .field import PrimeField, _FrozenRecord
-from .matrix import _slot_reduction
+from .field import PrimeField, _FrozenRecord, _slot_reduction
 
 _ORDER = 1 if sys.byteorder == "little" else -1  # slot order of a native cast
 

@@ -11,6 +11,7 @@ from ffconsensus import (
     LeaderFollowerNetwork,
     LinearSystemFF,
     MatrixFF,
+    PolyFF,
     PrimeField,
     SwitchingSignal,
     WeightedDigraphFF,
@@ -18,6 +19,7 @@ from ffconsensus import (
 )
 from ffconsensus.cli import ConfigError
 from ffconsensus.matrix import _echelon
+from ffconsensus.poly import _mul, _rem
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -463,6 +465,108 @@ def naive_x_power_mod(e: int, g: list[int], p: int) -> list[int]:
             result = mulmod(result, base)
         base, e = mulmod(base, base), e >> 1
     return result
+
+
+def reference_powmod(a, e: int, f, p: int) -> list[int]:
+    """a^e mod f by left-to-right binary on schoolbook list products and
+    long division (``poly._mul``, ``poly._rem``): the reference for the
+    packed ``poly._powmod``."""
+    a = _rem(a, f, p)
+    if not e:
+        return _rem([1], f, p)
+    result = a
+    for bit in bin(e)[3:]:
+        result = _rem(_mul(result, result, p), f, p)
+        if bit == "1":
+            result = _rem(_mul(result, a, p), f, p)
+    return result
+
+
+def reference_rank(m: MatrixFF) -> int:
+    """Rank by Gauss-Jordan elimination on lists (``matrix._echelon``):
+    the reference for the packed ``MatrixFF.rank``."""
+    return len(_echelon(m.to_rows(), m.field.p)[1])
+
+
+def reference_kernel_dims(g: PolyFF, a: MatrixFF, e: int) -> list[int]:
+    """dim ker g(A)^k for k = 0..e (g^e exactly dividing chi_A): g(A) by
+    Horner on ``MatrixFF`` products, every power below e by a product and
+    its rank by ``reference_rank``; the reference for the packed
+    ``linsys._kernel_dims``."""
+    dims = [0]
+    if e > 1:
+        eye = MatrixFF.identity(a.field, a.rows)
+        ga = MatrixFF.zeros(a.field, a.rows, a.rows)
+        for c in reversed(g.coeffs):
+            ga = ga @ a + eye.scale(c)
+        power = eye
+        for _ in range(e - 1):
+            power = power @ ga
+            dims.append(a.rows - reference_rank(power))
+    return dims + [g.degree * e] if e else dims
+
+
+def block_diag(field: PrimeField, blocks) -> MatrixFF:
+    n = sum(b.rows for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b.to_rows()):
+            rows[at + i][at : at + b.rows] = row
+        at += b.rows
+    return MatrixFF(field, rows)
+
+
+def companion(field: PrimeField, coeffs) -> MatrixFF:
+    """Companion matrix of the monic polynomial with ascending ``coeffs``."""
+    m = len(coeffs) - 1
+    return MatrixFF(field, [[int(j == i + 1) for j in range(m)] for i in range(m - 1)]
+                    + [[-c for c in coeffs[:-1]]])
+
+
+STRUCTURED_KINDS = ("diag_bb", "g_power", "jordan", "identity", "zero", "random")
+
+
+def structured_matrix(rng: random.Random, kind: str, field: PrimeField, n: int) -> MatrixFF:
+    """A seeded n x n matrix (n >= 3) whose nullities and ranks are
+    structured: diag(B, B), plus a scalar when n is odd; the companions of
+    g^(e_i) for one irreducible g with g(0) != 0 (of degree <= 3 without a
+    root, or 1 when p > 101) and sum e_i = e >= 3, beside a random block; nilpotent Jordan blocks
+    of random sizes; the identity, zero or a random matrix.  The first
+    three are conjugated by a random basis."""
+    p = field.p
+    if kind == "identity":
+        return MatrixFF.identity(field, n)
+    if kind == "zero":
+        return MatrixFF.zeros(field, n, n)
+    if kind == "random":
+        return random_matrix(rng, field, n, n)
+    if kind == "diag_bb":
+        b = random_matrix(rng, field, n // 2, n // 2)
+        blocks = [b, b] + [random_matrix(rng, field, 1, 1)] * (n % 2)
+    elif kind == "jordan":
+        sizes = []
+        while sum(sizes) < n:
+            sizes.append(rng.randint(1, n - sum(sizes)))
+        blocks = [MatrixFF(field, [[int(j == i + 1) for j in range(k)] for i in range(k)]) for k in sizes]
+    else:
+        d = rng.randint(1, min(3 if p <= 101 else 1, n // 3))
+        while True:
+            g = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(d - 1)] + [1]
+            if d == 1 or all(map(PolyFF(field, g).eval, range(p))):
+                break
+        e, exps = rng.randint(3, n // d), []
+        while sum(exps) < e:
+            exps.append(rng.randint(1, e - sum(exps)))
+        powers = []
+        for k in exps:
+            power = [1]
+            for _ in range(k):
+                power = _mul(power, g, p)
+            powers.append(companion(field, power))
+        blocks = powers + [random_matrix(rng, field, n - d * e, n - d * e)]
+    t = random_invertible(rng, field, n)
+    return (t @ block_diag(field, blocks)) @ t.inverse()
 
 
 def per_agent_errors(agents: tuple[tuple[int, ...], ...]) -> tuple[int, ...]:

@@ -785,6 +785,33 @@ def test_analyze_runs_tarjan_once_per_graph(monkeypatch):
         assert not checks
 
 
+# large-static's ls0-chain-p101-n5-N36 (seed 41, pass 0): a controllable
+# pair whose characteristic polynomial has no zero coefficient, and a chain
+# leader -> 1 -> 35 -> ... -> 12 with every weight d = 32
+LS0_A = [[58, 7, 29, 9, 19], [88, 61, 58, 96, 22], [88, 86, 72, 55, 97], [98, 10, 97, 42, 29],
+         [66, 55, 20, 24, 9]]
+LS0_B = [3, 28, 100, 62, 58]
+LS0_CHAIN = [1, 35, 15, 27, 17, 19, 13, 21, 10, 29, 22, 5, 34, 11, 3, 33, 6, 28, 24, 26, 4, 36, 8, 14,
+             32, 16, 25, 2, 31, 20, 23, 30, 9, 7, 18, 12]
+
+
+def test_analyze_with_the_witness_gain_computes_its_loop_degree_once(monkeypatch):
+    # the supplied gain is the witness gain, so (K, mu*) = (k, d): the bound
+    # reuses the witness's certificate instead of recomputing it
+    field = PrimeField(101)
+    graph = WeightedDigraphFF(field, 36, [(s, t, 32) for s, t in zip([0] + LS0_CHAIN, LS0_CHAIN)])
+    pair = LinearSystemFF(MatrixFF(field, LS0_A), MatrixFF.column(field, LS0_B))
+    gain = synthesize_gain(LeaderFollowerNetwork(sys=pair, graphs=(graph,)))
+    calls = []
+    original = consensus._loop_degree
+    monkeypatch.setattr(consensus, "_loop_degree", lambda *args: calls.append(args[2:]) or original(*args))
+    report = analyze(LeaderFollowerNetwork(sys=pair, graphs=(graph,), gain=gain))
+    assert calls == [(gain.to_rows()[0], 32)]
+    assert report.verdict == "guaranteed"
+    assert report.witness["synthesized_gain"] == gain.to_rows()[0]
+    assert report.bounds["static"] == 36 * report.witness["gain_certificate_degree"] == 36 * 5
+
+
 def _random_pair(rng, field, n):
     """(A, b): random, with a nilpotent A, or with b in an A-invariant
     subspace (s < n), its complement's block nilpotent half the time."""

@@ -16,19 +16,25 @@ from ffconsensus import (
     is_stabilizable,
     kalman_decompose,
 )
-from ffconsensus.linsys import _krylov
+from ffconsensus.linsys import _kernel_dims, _krylov
+from ffconsensus.poly import PolyFF, factor, split_nilpotent_bijective
 from conftest import (
     F2,
     F3,
     F5,
     REF_A_ROWS,
     REF_B,
+    STRUCTURED_KINDS,
+    block_diag,
+    companion,
     naive_cycle_structure,
     random_invertible,
     random_matrix,
     random_nilpotent,
     reference_deadbeat_gain,
     reference_kalman_decompose,
+    reference_kernel_dims,
+    structured_matrix,
     successors_by_matmul,
 )
 
@@ -409,17 +415,6 @@ F7 = PrimeField(7)
 CYCLE_KINDS = ("identity", "zero", "nilpotent", "diag_bb", "permutation", "singular", "random")
 
 
-def block_diag(field, blocks):
-    n = sum(b.rows for b in blocks)
-    rows = [[0] * n for _ in range(n)]
-    at = 0
-    for b in blocks:
-        for i, row in enumerate(b.to_rows()):
-            rows[at + i][at : at + b.rows] = row
-        at += b.rows
-    return MatrixFF(field, rows)
-
-
 def cycle_test_matrix(rng, kind, field, n):
     """A seeded n x n matrix of the given kind (n >= 2 for diag_bb, singular)."""
     if kind == "identity":
@@ -547,6 +542,50 @@ def test_polynomial_mode_computes_one_base_order_per_factor(monkeypatch):
     depth, cycles, _ = assert_matches_naive(a)
     assert len(calls) == 2
     assert (cycles, depth) == ({1: 3, 3: 2, 4: 6, 12: 58}, 0)
+
+
+def test_packed_kernel_dims_match_matrix_references():
+    """Nullities of g(A)^k from packed powers and packed elimination against
+    Horner on MatrixFF products and list ranks, for x^s and every factor g^e
+    of chi_A, n <= 16; the packed path stops at the first nullity that fills
+    the g-primary component, which the references never do."""
+    rng = random.Random(2803)
+    kinds, deep, stopped = Counter(), 0, 0
+    for t in range(192):
+        kind = STRUCTURED_KINDS[t % len(STRUCTURED_KINDS)]
+        field = (F2, F3, F5, F7)[t // len(STRUCTURED_KINDS) % 4]
+        a = structured_matrix(rng, kind, field, rng.randint(3, 16))
+        s, q = split_nilpotent_bijective(a.char_poly())
+        for g, e in [(PolyFF.x(field), s)] + factor(q)[1]:
+            dims = reference_kernel_dims(g, a, e)
+            assert _kernel_dims(g, a, e) == dims, (kind, a, g, e)
+            deep += e >= 3
+            stopped += g.degree * e in dims[1:-2]
+        kinds[kind] += 1
+    assert min(kinds.values()) >= 32, kinds
+    assert deep >= 120 and stopped >= 100, (deep, stopped)
+
+
+def test_cycle_structure_takes_no_matrix_product(monkeypatch):
+    # the nullities of g(A)^k come from packed rows: no MatrixFF product and
+    # no list rank, on diag(B, B) (g^2 for each factor g of chi_B) and on a
+    # matrix with an x^2 factor (depth 2), as on the rest of the sweep
+    rng = random.Random(2804)
+    b = random_matrix(rng, F3, 3, 3)
+    t = random_invertible(rng, F3, 6)
+    cases = [
+        (t @ block_diag(F3, [b, b])) @ t.inverse(),
+        (t @ block_diag(F3, [companion(F3, [0, 0, 1]), random_invertible(rng, F3, 4)])) @ t.inverse(),
+    ]
+    naive = [naive_cycle_structure(successors_by_matmul(a)) for a in cases]
+    calls = []
+    for name in ("__matmul__", "rank"):
+        real = getattr(MatrixFF, name)
+        monkeypatch.setattr(MatrixFF, name, lambda *args, _real=real: calls.append(args) or _real(*args))
+    found = [autonomous_cycle_structure(a) for a in cases]
+    assert not calls
+    assert [(cs.tree_depth, cs.cycles, cs.transient_states) for cs in found] == naive
+    assert found[1].tree_depth == 2 and any(e == 2 for _, e, _ in found[0].factor_orders)
 
 
 def test_empty_matrix_cycle_structure():

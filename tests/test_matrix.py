@@ -23,10 +23,13 @@ from conftest import (
     REF_A_ROWS,
     REF_B,
     REF_GAIN,
+    STRUCTURED_KINDS,
     mat_power,
     random_invertible,
     random_matrix,
     random_nilpotent,
+    reference_rank,
+    structured_matrix,
 )
 
 
@@ -364,6 +367,37 @@ def test_packed_powers_match_products_on_every_degree():
                 degrees[degree] += 1
     assert all(degrees[d] >= 5 for d in range(1, 13)), degrees
     assert degrees[None] >= 250, degrees
+
+
+def test_packed_rank_matches_echelon_reference():
+    """Packed forward elimination against list Gauss-Jordan: structured
+    n x n matrices (n <= 16), their squares and (n-1)-th powers, row blocks of them (wide
+    and tall shapes with dependent rows), the all-(p-1) matrix whose
+    elimination slots are the largest, and empty shapes."""
+    rng = random.Random(2806)
+    kinds, deficient = Counter(), 0
+    for t in range(252):
+        kind = STRUCTURED_KINDS[t % len(STRUCTURED_KINDS)]
+        field = PrimeField((2, 3, 5, 7, 101, 65537, 1000003)[t // len(STRUCTURED_KINDS) % 7])
+        n = rng.randint(3, 16)
+        a = structured_matrix(rng, kind, field, n)
+        rows = a.to_rows()
+        k = rng.randint(1, n)
+        wide = MatrixFF(field, rows[:k] + rows[:k])
+        tall = MatrixFF(field, [row[:k] for row in rows] + [row[:k] for row in rows])
+        for m in (a, a @ a, mat_power(a, n - 1), wide, tall):
+            rank = m.rank()
+            assert rank == reference_rank(m), (kind, m)
+            deficient += rank < min(m.rows, m.cols)
+        kinds[kind] += 1
+    assert min(kinds.values()) >= 42, kinds
+    assert deficient >= 600, deficient
+    for p in (2, 3, 101, 1000003):
+        field = PrimeField(p)
+        for n in (1, 2, 5, 16):
+            assert MatrixFF(field, [[p - 1] * n for _ in range(n)]).rank() == 1
+            assert MatrixFF(field, [[p - 1] * n]).rank() == MatrixFF.column(field, [p - 1] * n).rank() == 1
+    assert MatrixFF.zeros(F3, 0, 0).rank() == MatrixFF.zeros(F3, 0, 4).rank() == MatrixFF.zeros(F3, 4, 0).rank() == 0
 
 
 def test_packed_nilpotency_on_large_matrices():

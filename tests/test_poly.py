@@ -18,7 +18,17 @@ from ffconsensus import poly
 from ffconsensus.field import PRIMALITY_BOUND
 from ffconsensus.poly import _group_order_primes, _prime_factors, pow_x_mod
 
-from conftest import F2, F3, F5, M7, M7_MINUS_ONE, P7_PRIMES, pocklington_holds
+from conftest import (
+    F2,
+    F3,
+    F5,
+    M7,
+    M7_MINUS_ONE,
+    P7_PRIMES,
+    naive_x_power_mod,
+    pocklington_holds,
+    reference_powmod,
+)
 
 
 def random_poly(rng, field, max_deg):
@@ -498,6 +508,36 @@ def test_group_order_primes_split_cyclotomically():
         while rest % q == 0:
             rest //= q
     assert rest == 1
+
+
+def test_packed_powmod_matches_schoolbook_references():
+    """a^e mod f on packed ints against schoolbook products with long
+    division, and x^e against ``naive_x_power_mod``: monic and non-monic f
+    of degree 1..20, e in {0, 1, 2, p, random up to 64 bits}, for x, a
+    random a of degree up to 2 deg f and the all-(p-1) a and f, whose
+    unreduced slots are the largest."""
+    rng = random.Random(2805)
+    kinds = Counter()
+    for p in (2, 3, 5, 7, 101, 65537, 1000003):
+        for m in range(1, 21):
+            for monic in (True, False) if p > 2 else (True,):
+                lead = 1 if monic else rng.randrange(2, p)
+                f = [rng.randrange(p) for _ in range(m)] + [lead]
+                for e in (0, 1, 2, p, rng.getrandbits(rng.randint(3, 64))):
+                    random_a = poly._trim([rng.randrange(p) for _ in range(rng.randint(0, 2 * m + 1))])
+                    for a, g in (([0, 1], f), (random_a, f), ([p - 1] * m, [p - 1] * m + [lead])):
+                        got = poly._powmod(a, e, g, p)
+                        assert got == reference_powmod(a, e, g, p), (a, e, g, p)
+                    if monic and m >= 2:
+                        got = poly._powmod([0, 1], e, f, p)
+                        assert got + [0] * (m - len(got)) == naive_x_power_mod(e, f, p)
+                        kinds["naive"] += 1
+                    kinds["monic" if monic else "non-monic"] += 1
+                    kinds["e=p" if e == p else f"e={e}" if e < 3 else "e random"] += 1
+    assert kinds["naive"] >= 600 and kinds["non-monic"] >= 500, kinds
+    assert min(kinds[k] for k in ("e=0", "e=1", "e=2", "e=p", "e random")) >= 220, kinds
+    # the degree-0 modulus leaves nothing, as division by a unit does
+    assert poly._powmod([1, 2], 3, [2], 5) == [] and poly._powmod([1, 2], 0, [2], 5) == []
 
 
 def test_pow_x_mod_is_canonical_when_x_is_nilpotent():
