@@ -381,14 +381,14 @@ def cmd_synthesize(args) -> int:
 
 def _traj_csv(traj) -> str:
     """The ``step,agent,error`` rows: one template per step up to agreement,
-    then one preformatted zero block per agreed step."""
+    then per agreed step k one ``str(k).join`` of the zero rows' tails."""
     agents = range(1, len(traj.errors[0]) + 1)
     row = "".join(f"%d,{a},%d\n" for a in agents)
-    agreed = "".join(f"{{0}},{a},0\n" for a in agents)
+    agreed = [""] + [f",{a},0\n" for a in agents]
     last = traj.horizon if traj.consensus_step is None else traj.consensus_step
     return "step,agent,error\n" + "".join(
         row % tuple(chain.from_iterable(zip(repeat(k), errs))) for k, errs in enumerate(traj.errors[: last + 1])
-    ) + "".join(map(agreed.format, range(last + 1, traj.horizon + 1)))
+    ) + "".join(map(str.join, map(str, range(last + 1, traj.horizon + 1)), repeat(agreed)))
 
 
 def _traj_json(traj, trial: int, bound: int | None) -> dict:
@@ -434,7 +434,7 @@ def cmd_simulate(args) -> int:
     if horizon is None:
         horizon = bound + 5 if bound is not None else 4 * N * n
     try:
-        cfg.signal().realize(horizon)  # an explicit sequence must cover the horizon
+        cfg.switching_signal._require_horizon(horizon)  # an explicit sequence must cover the horizon
     except ValueError as exc:
         raise ConfigError("switching.sequence", str(exc)) from exc
 

@@ -21,21 +21,24 @@ definition that the spectral rule is checked against.
 Every verdict, witness gain and bound comes from one pass of facts
 (``_facts``: one Krylov elimination of (A, b), ``linsys._krylov``, for
 chi_A, stabilizability, A nilpotent and the deadbeat gain; each graph's
-DAG flag and SCC blocks H_SS, built once, with the one eigenvalue d of H
-they allow; the union of the follower supports; and under a supplied
-gain r, mu* and the blocks' verdicts) and one rule over them
-(``_decide``), for any number of graphs.  A single graph is the static
-case.  Without a gain:
+shape (``_shape``) and SCC blocks H_SS, built once, with the one
+eigenvalue d of H they allow; the union of the follower supports; and
+under a supplied gain r, mu* and the blocks' verdicts) and one rule over
+them (``_decide``), for any number of graphs.  A single graph is the
+static case.  A graph or union is triangular when each of its SCCs is
+one follower, self-loops allowed: H is then triangular in the SCC order.
+Without a gain:
 
   * A nilpotent: guaranteed, the zero gain works under any graphs;
   * (A, b) not stabilizable, a graph whose H has no single nonzero
     eigenvalue (it fails on its own), or graphs whose d differ:
     impossible;
-  * acyclic graphs sharing d over an acyclic union: guaranteed, the
-    deadbeat gain for d is the witness;
-  * anything else is inconclusive: a cyclic graph whose H has the one
-    eigenvalue d (synthesis over cyclic graphs is not supported yet),
-    or a cyclic union of acyclic graphs that share d.
+  * triangular graphs sharing d over a triangular union: guaranteed,
+    the deadbeat gain for d is the witness;
+  * anything else is inconclusive: a graph with a cycle through two or
+    more followers whose H has the one eigenvalue d (synthesis over
+    cyclic graphs is not supported yet), or a cyclic union of
+    triangular graphs that share d.
 
 With a supplied gain K the verdict is about K:
 
@@ -43,7 +46,7 @@ With a supplied gain K the verdict is about K:
     signal that stays on that graph never converges); the reason points
     to ``witness.synthesized_gain`` when some other gain works;
   * otherwise guaranteed when there is one graph, r = 0 or the union is
-    acyclic, and inconclusive when r != 0 over a cyclic union.
+    triangular, and inconclusive when r != 0 over any other union.
 
 One bound for any number of graphs (``_bound``): N*f, f the nilpotent
 degree of A - mu* bK, when r != 0; max(deg A, s + kappa) when r = 0.
@@ -70,7 +73,8 @@ class LeaderFollowerNetwork(_FrozenRecord):
     """Shared dynamics (A, b), optional gain K (1 x n), and one or more
     interaction graphs (a single graph is the static case)."""
 
-    __slots__ = ("sys", "graphs", "gain")
+    __slots__ = ("sys", "graphs", "gain", "_packing")
+    _fields = ("sys", "graphs", "gain")  # ``_packing``: the simulator's, built once (``sim._packing``)
 
     def __init__(self, sys: LinearSystemFF, graphs: tuple[WeightedDigraphFF, ...], gain: MatrixFF | None = None):
         if not graphs:
@@ -89,6 +93,7 @@ class LeaderFollowerNetwork(_FrozenRecord):
         object.__setattr__(self, "sys", sys)
         object.__setattr__(self, "graphs", graphs)
         object.__setattr__(self, "gain", gain)
+        object.__setattr__(self, "_packing", None)
 
     @property
     def num_followers(self) -> int:
@@ -138,14 +143,18 @@ class SwitchingSignal(_FrozenRecord):
     def constant(cls, index: int = 0) -> "SwitchingSignal":
         return cls(kind="periodic", num_graphs=index + 1, sequence=(index,))
 
+    def _require_horizon(self, horizon: int) -> None:
+        """Raise ValueError when an explicit sequence is shorter than the horizon."""
+        if self.kind == "explicit" and len(self.sequence) < horizon:
+            raise ValueError(
+                f"explicit switching sequence has {len(self.sequence)} entries "
+                f"but the horizon is {horizon}"
+            )
+
     def realize(self, horizon: int) -> list[int]:
         """Graph index for each step 0..horizon-1."""
         if self.kind == "explicit":
-            if len(self.sequence) < horizon:
-                raise ValueError(
-                    f"explicit switching sequence has {len(self.sequence)} entries "
-                    f"but the horizon is {horizon}"
-                )
+            self._require_horizon(horizon)
             return list(self.sequence[:horizon])
         if self.kind == "periodic":
             reps = -(-horizon // len(self.sequence))
@@ -223,11 +232,13 @@ def _eigenvalue(field: PrimeField, blocks: list, cache: dict) -> tuple[int, tupl
     return d, next((comp for comp, h in blocks if not _shifted_nilpotent(field, h, d, cache)), None)
 
 
-def _error_block_results(net: LeaderFollowerNetwork, kr: _Krylov, graph_blocks: list, cache: dict
+def _error_block_results(net: LeaderFollowerNetwork, kr: _Krylov, graph_blocks: list, ds: list, cache: dict
                          ) -> tuple[list, int, list]:
     """r and mu* of claim 2 (mu* = 0 when r = 0) and, per graph's SCC
-    blocks (``_scc_blocks``), the diagonal blocks of its error matrix as
-    (followers, nilpotent) pairs, sources first; none is built.
+    blocks (``_scc_blocks``) and the d of ``_eigenvalue`` in ``ds``, the
+    diagonal blocks of its error matrix as (followers, nilpotent) pairs,
+    sources first; none is built.  nilpotent is None for a block of two
+    or more followers that claim 3 leaves untested.
 
     Claim 1: list the followers SCC by SCC, S_1, ..., S_m in a
     topological order of the condensation (Tarjan, SIAM J. Comput. 1,
@@ -256,8 +267,16 @@ def _error_block_results(net: LeaderFollowerNetwork, kr: _Krylov, graph_blocks: 
     nilpotent iff each A - mu_i bK is, which for r != 0 means that every
     mu_i is mu*, that is, H_SS - mu* I is nilpotent.
 
-    Each distinct block H_SS - mu* I costs at most one |S| x |S| test
-    (``_shifted_nilpotent``), shared with the eigenvalue tests.
+    Claim 3: if r != 0 and a graph's d is not mu*, the graph fails under
+    K.  Proof: d is read off one block H_SS (``_eigenvalue``), as
+    tr H_SS / |S| or from a coefficient of its chi.  Were H_SS - mu* I
+    nilpotent, H_SS would have the one eigenvalue mu*, so tr H_SS =
+    |S| mu* and chi = (x - mu*)^|S|, and either reading would give
+    d = mu*.  So that block fails, and the graph's larger blocks are not
+    tested; its singletons are compared as scalars.
+
+    Each distinct block H_SS - mu* I tested costs at most one |S| x |S|
+    test (``_shifted_nilpotent``), shared with the eigenvalue tests.
     """
     if net.gain is None:
         raise ValueError("error dynamics require a gain K")
@@ -270,8 +289,10 @@ def _error_block_results(net: LeaderFollowerNetwork, kr: _Krylov, graph_blocks: 
     else:
         every = True if t is None else None  # every mu does (r = 0), or mu* alone
     per_graph = [
-        [(comp, every if every is not None else _shifted_nilpotent(net.field, h, mu, cache)) for comp, h in blocks]
-        for blocks in graph_blocks
+        [(comp, every if every is not None else (
+            _shifted_nilpotent(net.field, h, mu, cache) if d == mu or type(h) is int else None))
+         for comp, h in blocks]
+        for blocks, d in zip(graph_blocks, ds)
     ]
     return r, mu, per_graph
 
@@ -290,7 +311,9 @@ def blockwise_nilpotency_check(net: LeaderFollowerNetwork, graph_index: int = 0)
             "blockwise check requires an acyclic follower graph; "
             "use is_nilpotent(error_dynamics_matrix(...)) instead"
         )
-    _, _, [blocks] = _error_block_results(net, _krylov(net.sys), [_scc_blocks(g)], {})
+    blocks = _scc_blocks(g)
+    d = _eigenvalue(net.field, blocks, {})[0]
+    _, _, [blocks] = _error_block_results(net, _krylov(net.sys), [blocks], [d], {})
     return {i: ok for (i,), ok in sorted(blocks)}
 
 
@@ -301,11 +324,14 @@ def blockwise_nilpotency_check(net: LeaderFollowerNetwork, graph_index: int = 0)
 
 def convergence_bound(net: LeaderFollowerNetwork) -> int:
     """Steps after which every admissible trajectory has zero error: the
-    bound of the network's ``analyze`` report, which must be guaranteed."""
-    report = analyze(net)
-    if report.verdict != "guaranteed":
-        raise ValueError(f"convergence bound requires a consensus-guaranteed network (verdict: {report.verdict})")
-    return report.bounds["static" if net.is_static else "switching"]
+    bound of the network's ``analyze`` report, which must be guaranteed,
+    computed from the facts and the decision alone, without the report.
+    A supplied gain's bound needs no witness (``_bound``)."""
+    f = _facts(net)
+    dec = _decide(f, range(len(net.graphs)))
+    if dec.verdict != "guaranteed":
+        raise ValueError(f"convergence bound requires a consensus-guaranteed network (verdict: {dec.verdict})")
+    return _bound(net, f, None if net.gain is not None else _witness_loop(net, f, dec))
 
 
 # ----------------------------------------------------------------------
@@ -316,30 +342,44 @@ def convergence_bound(net: LeaderFollowerNetwork) -> int:
 class _Facts(_FrozenRecord):
     """Everything the consensus rule reads, computed once per network: A's
     nilpotent degree (None unless A is nilpotent), the Krylov record, per
-    graph the DAG flag and (d, the first SCC failing at d), the union (the
-    graph itself when there is one) and its DAG flag, and under a supplied
-    gain r, mu* and, per graph, the SCC blocks as (followers, nilpotent)."""
+    graph its shape (``_shape``) and (d, the first SCC failing at d), the
+    union (the graph itself when there is one) and its shape, and under a
+    supplied gain r, mu* and, per graph, the SCC blocks as (followers,
+    nilpotent)."""
 
-    __slots__ = ("a_degree", "decomp", "dags", "eigen", "union", "union_dag", "r", "mu", "blocks")
+    __slots__ = ("a_degree", "decomp", "shapes", "eigen", "union", "union_shape", "r", "mu", "blocks")
+
+    @property
+    def union_dag(self) -> bool:
+        return self.union_shape == "dag"
+
+
+def _shape(g: WeightedDigraphFF) -> str:
+    """"dag"; "loops" when every SCC is one follower but some has a
+    self-loop (H is still triangular in the SCC order); else "cyclic"."""
+    if g.is_dag():
+        return "dag"
+    return "loops" if len(g.strongly_connected_components()) == g.num_followers else "cyclic"
 
 
 def _facts(net: LeaderFollowerNetwork) -> _Facts:
     graphs = net.graphs
     u = graphs[0] if net.is_static else union(list(graphs))
-    union_dag = u.is_dag()
+    union_shape = _shape(u)
     graph_blocks = [_scc_blocks(g) for g in graphs]
     cache: dict = {}  # H_SS - c I -> nilpotent, for the eigenvalue and the gain's tests
+    eigen = tuple(_eigenvalue(net.field, b, cache) for b in graph_blocks)
     kr = _krylov(net.sys)
-    r, mu, blocks = (None,) * 3 if net.gain is None else _error_block_results(net, kr, graph_blocks, cache)
+    r, mu, blocks = (None,) * 3 if net.gain is None else _error_block_results(
+        net, kr, graph_blocks, [d for d, _ in eigen], cache)
     # chi_A = mu_b chi_(A_uc) is x^n iff c = 0 and the pair is stabilizable;
     # only then is A's degree computed
     return _Facts(
         net.sys.A.nilpotent_degree() if kr.stabilizable and not any(kr.c) else None,
         kr,
         # every subgraph of an acyclic union is acyclic
-        (union_dag,) * len(graphs) if union_dag or net.is_static else tuple(g.is_dag() for g in graphs),
-        tuple(_eigenvalue(net.field, b, cache) for b in graph_blocks),
-        u, union_dag, r, mu, blocks,
+        (union_shape,) * len(graphs) if union_shape == "dag" or net.is_static else tuple(map(_shape, graphs)),
+        eigen, u, union_shape, r, mu, blocks,
     )
 
 
@@ -365,7 +405,7 @@ def _decide(f: _Facts, graph_indices: Sequence[int]) -> _Decision:
       graph whose H has no single nonzero eigenvalue fails under every
       K, and so does the signal that stays on it, and graphs whose d
       differ never all pass under one K;
-    * the deadbeat gain for a d shared over an acyclic union works
+    * the deadbeat gain for a d shared over a triangular union works
       (``_bound``); over cyclic graphs no gain is synthesized yet.
 
     A supplied gain K is judged on its own:
@@ -373,15 +413,15 @@ def _decide(f: _Facts, graph_indices: Sequence[int]) -> _Decision:
     * a graph whose error matrix is not nilpotent never converges under
       the signal that stays on it, so no signal family containing it
       converges: impossible;
-    * every graph passes, and there is one graph, r = 0 or an acyclic
+    * every graph passes, and there is one graph, r = 0 or a triangular
       union: guaranteed (``_bound``);
-    * a cyclic union with r != 0 is inconclusive: each graph converging
+    * any other union with r != 0 is inconclusive: each graph converging
       alone does not make the switched products vanish.
     """
     one = len(graph_indices) == 1
     alone = next((gi for gi in graph_indices if f.eigen[gi][1] is not None or not f.eigen[gi][0]), None)
     ds = sorted({f.eigen[gi][0] for gi in graph_indices})
-    cyclic = [gi for gi in graph_indices if not f.dags[gi]]
+    cyclic = [gi for gi in graph_indices if f.shapes[gi] == "cyclic"]
 
     if f.a_degree is not None:
         scope = "regardless of the graphs" if one else "under any switching"
@@ -404,18 +444,25 @@ def _decide(f: _Facts, graph_indices: Sequence[int]) -> _Decision:
             f"each graph's H = Dbar - Abar has one nonzero eigenvalue, but the eigenvalues {ds} differ: "
             "a gain working for two of them leaves chi_A unchanged, and A is not nilpotent"
         ), None)
-    elif not cyclic and (one or f.union_dag):
+    elif not cyclic and (one or f.union_shape != "cyclic"):
         [d] = ds
-        if one:
+        if one and f.shapes[graph_indices[0]] == "dag":
             reason = (
                 f"acyclic follower graph with uniform nonzero in-degree {d} and a stabilizable "
                 "pair: a gain making the error dynamics nilpotent exists"
             )
-        else:
+        elif not one and f.union_dag:
             reason = (
                 "union of follower supports is acyclic, the pair is stabilizable, and "
                 f"every follower has in-degree {d} in every graph: one gain makes "
                 "all error matrices simultaneously block-triangular and nilpotent"
+            )
+        else:
+            where = "the follower graph" if one else "the union of follower supports"
+            reason = (
+                f"every strongly connected component of {where} is one follower (self-loops allowed), the "
+                f"pair is stabilizable and every H_ii = d_i - w_ii is {d}: the deadbeat gain for {d} makes "
+                "the error matrices block-triangular and nilpotent"
             )
         base = _Decision("guaranteed", reason, d)
     elif cyclic:
@@ -443,8 +490,8 @@ def _decide(f: _Facts, graph_indices: Sequence[int]) -> _Decision:
             tail = " (verdict is for this gain; synthesis over cyclic follower graphs is not supported)"
         reason = f"{head} nilpotent for the supplied gain: some initial error recurs forever{tail}"
         return _Decision("impossible", reason, base.witness_degree)
-    if one or not any(f.r) or f.union_dag:
-        # a gain passing with r = 0 (A nilpotent) or over an acyclic union
+    if one or not any(f.r) or f.union_shape != "cyclic":
+        # a gain passing with r = 0 (A nilpotent) or over a triangular union
         # shows that the base is guaranteed
         reason = base.reason if base.verdict == "guaranteed" else (
             "supplied gain makes the error matrix nilpotent (cyclic follower graph decided directly)"
@@ -488,6 +535,15 @@ def _witness_gain(net: LeaderFollowerNetwork, f: _Facts, dec: _Decision) -> tupl
     return MatrixFF.row_vector(net.field, k), _loop_degree(net, f.decomp, k, d)
 
 
+def _witness_loop(net: LeaderFollowerNetwork, f: _Facts, dec: _Decision) -> tuple | None:
+    """(k, d, certificate) of the decision's witness gain, as ``_bound``
+    reads it, or None when the decision names no gain."""
+    if dec.witness_degree is None:
+        return None
+    gain, certificate = _witness_gain(net, f, dec)
+    return gain.to_rows()[0], dec.witness_degree, certificate
+
+
 def _bound(net: LeaderFollowerNetwork, f: _Facts, witness: tuple | None) -> int:
     """Convergence bound of a guaranteed network, one graph or many, for the
     supplied gain or else the witness, ``witness`` = (k, d, certificate: the
@@ -498,7 +554,8 @@ def _bound(net: LeaderFollowerNetwork, f: _Facts, witness: tuple | None) -> int:
     M_sigma = I (X) F - N_sigma (X) bK, N_sigma = H_sigma - mu* I.  The
     N_sigma are jointly nilpotent of index <= N: one graph's is (its
     blocks H_SS - mu* I are), and under switching they are strictly
-    triangular in the acyclic union's order (every in-degree is mu*).
+    triangular in the SCC order of the triangular union (each SCC one
+    follower), as every diagonal entry d_i - w_ii of H_sigma is mu*.
     A product of L >= N*f factors expands into terms P (X) Q, P a
     product of N_sigma's and identities, Q of bK's and F's in the same
     places: P vanishes with N factors N_sigma, else Q has at most N - 1
@@ -570,11 +627,9 @@ def _report(net: LeaderFollowerNetwork, mode: str, f: _Facts, checks: dict, witn
             "count": sum(len(blocks) for blocks in f.blocks),
             "max_dim": max(len(comp) for blocks in f.blocks for comp, _ in blocks) * net.sys.dim,
         }
-    loop = None
-    if dec.witness_degree is not None:
-        gain, certificate = _witness_gain(net, f, dec)
-        loop = (gain.to_rows()[0], dec.witness_degree, certificate)
-        witness["synthesized_gain"], witness["gain_certificate_degree"] = loop[0], certificate
+    loop = _witness_loop(net, f, dec)
+    if loop is not None:
+        witness["synthesized_gain"], witness["gain_certificate_degree"] = loop[0], loop[2]
     bounds: dict = {"static": None, "switching": None}
     if dec.verdict == "guaranteed":
         bounds[mode] = _bound(net, f, loop)

@@ -21,7 +21,15 @@ top of the reduction.  The width is rounded up to 1, 2, 4 or 8 bytes and
 a reduced int unpacked by ``to_bytes`` and a native ``memoryview`` cast;
 wider slots (p = 65537, say) are unpacked by shift and mask.
 ``simulate``, ``step`` and the brute-force oracle run it; the oracle's
-states are tuples of packed ints.
+states are tuples of packed ints.  A network's packing and its per-graph
+steppers are built once, on first use, and kept on the network
+(``_packing``), so every trial and every ``step`` on it shares them.
+
+The errors are summed on the packed columns too (``_Packing.error``):
+per coordinate, |x_i - x_0| in every slot at once with a few big-int
+operations, summed over the n columns into one int E whose slot i is e_i.
+One unpack of E gives the error tuple, and the followers agree with the
+leader exactly when E = 0.
 
 The oracle enumerates errors and needs no second stepper.  Pinned at
 0, the leader stays there (A 0 = 0), so each follower's state is its
@@ -50,8 +58,8 @@ from __future__ import annotations
 
 import random
 import sys
-from itertools import product, repeat
-from operator import add, lshift, mul, sub
+from itertools import chain, product, repeat
+from operator import lshift, mul, sub
 
 from .consensus import LeaderFollowerNetwork, SwitchingSignal
 from .field import PrimeField, _FrozenRecord, _slot_reduction
@@ -74,7 +82,7 @@ class NetworkState(_FrozenRecord):
 
     def errors(self) -> list[int]:
         """Integer error e_i per follower (componentwise |x_i - x_0| sums)."""
-        return list(_errors(zip(self.leader, *self.followers)))
+        return [sum(map(abs, map(sub, x, self.leader))) for x in self.followers]
 
 
 class Trajectory(_FrozenRecord):
@@ -123,14 +131,39 @@ def random_state(field: PrimeField, n: int, num_followers: int, rng: random.Rand
 
 
 class _Packing:
-    """One network's packed states (see the module docstring) and its
-    update rule under each graph."""
+    """One network's packed states (see the module docstring), its update
+    rule under each graph and its packed error sum.
+
+    The error sum needs no slot wider than the stepper's: the width w of
+    ``_slot_reduction`` has p <= 2^(w-1) and n(p-1) < 2^w.  Proof: with
+    top = max(n+1, N+1)(p-1)^2 + 1, s the bit length of top*p and
+    M = ceil(2^s / p), w is at least the bit length of top*M plus 1, and
+    rounding w up to 8, 16, 32 or 64 bits, or keeping the minimum above
+    64 (then unpacked by shift and mask), only widens it.  As
+    2^s > top*p, top*M >= top 2^s / p > top^2 >= top, so
+    2^(w-1) > top > (n+1)(p-1)^2, which is at least p - 1 and at least
+    n(p-1).
+
+    ``error``: for a column X (slot i holds x_i, slot 0 the leader's x_0),
+    let G set bit w-1 of every slot and ONES bit 0.  Slot i of
+    D = X + G - x_0 ONES is 2^(w-1) + x_i - x_0, in [1, 2^w) as
+    |x_i - x_0| <= p - 1 < 2^(w-1), so nothing carries or borrows across
+    slots, and its bit w-1 is set iff x_i >= x_0.  With that bit as
+    S = (D >> (w-1)) & ONES and the sign mask Sm = S (2^w - 1),
+    |x_i - x_0| = (D & Sm) - (G & Sm) + (G & ~Sm) - (D & ~Sm) slotwise;
+    as G & Sm = S << (w-1), G & ~Sm = G - (S << (w-1)) and
+    D & ~Sm = D - (D & Sm), that is 2 (D & Sm) - (S << w) + G - D, with
+    G - D = x_0 ONES - X.  These are integer identities over the slots, so
+    the packed result holds |x_i - x_0| in slot i and 0 in slot 0, and the
+    sum over the n columns holds e_i <= n(p-1) < 2^w in slot i.
+    """
 
     def __init__(self, net: LeaderFollowerNetwork):
         if net.gain is None:
             raise ValueError("stepping requires a gain K")
-        self.net = net
         p, n, slots = net.field.p, net.sys.dim, net.num_followers + 1
+        self.p, self.graphs, self.k_row = p, net.graphs, net.gain.to_rows()[0]
+        self.a_b = list(zip(net.sys.A.to_rows(), net.sys.b.col(0).entries))
         top = max(n + 1, slots) * (p - 1) ** 2 + 1
         self.width, self._s, self._M, self._LOW = _slot_reduction(top, p, slots, (8, 16, 32, 64))
         w = self.width
@@ -141,20 +174,40 @@ class _Packing:
         else:
             mask = (1 << w) - 1
             self.unpack = lambda v: [(v >> sh) & mask for sh in shifts]
+        ones = ((1 << (w * slots)) - 1) // ((1 << w) - 1)
+        high, low, wm1 = ones << (w - 1), (1 << w) - 1, w - 1
+
+        def error(X: tuple[int, ...]) -> int:
+            E = 0
+            for col in X:
+                z = (col & low) * ones
+                D = col + high - z
+                S = (D >> wm1) & ones
+                Sw = S << w
+                E += ((D & (Sw - S)) << 1) - Sw + z - col
+            return E
+
+        self.error = error
+        self._steppers = None
+
+    def steppers(self) -> list:
+        """Every graph's ``stepper``, built on first use and kept."""
+        if self._steppers is None:
+            self._steppers = [self.stepper(gi) for gi in range(len(self.graphs))]
+        return self._steppers
 
     def stepper(self, graph_index: int):
         """``advance``: a packed state to the next one under the graph."""
-        net, w = self.net, self.width
-        p, s, M, LOW, unpack = net.field.p, self._s, self._M, self._LOW, self.unpack
-        k_row = net.gain.to_rows()[0]
-        a_b = list(zip(net.sys.A.to_rows(), net.sys.b.col(0).entries))
-        lcols = [0] * (net.num_followers + 1)  # the columns of C
-        degree = [0] * (net.num_followers + 1)
-        for src, tgt, wt in net.graphs[graph_index].edges():
+        w, N = self.width, len(self._shifts) - 1
+        p, s, M, LOW, unpack = self.p, self._s, self._M, self._LOW, self.unpack
+        k_row, a_b = self.k_row, self.a_b
+        lcols = [0] * (N + 1)  # the columns of C
+        degree = [0] * (N + 1)
+        for src, tgt, wt in self.graphs[graph_index].edges():
             if src != tgt:
                 lcols[src] += wt << (w * tgt)
                 degree[tgt] += wt
-        for i in range(1, net.num_followers + 1):  # row 0, the leader's, stays zero
+        for i in range(1, N + 1):  # row 0, the leader's, stays zero
             lcols[i] += (-degree[i] % p) << (w * i)
 
         def advance(X: tuple[int, ...]) -> tuple[int, ...]:
@@ -172,13 +225,13 @@ class _Packing:
         return tuple(sum(map(lshift, col, self._shifts)) for col in zip(*agents))
 
 
-def _errors(cols) -> tuple[int, ...]:
-    """e_i = sum_c |x_i[c] - x_0[c]| per follower, from the agents' coordinates c."""
-    total = ()
-    for col in cols:
-        diff = map(abs, map(sub, col, repeat(col[0])))
-        total = map(add, total, diff) if total else diff
-    return tuple(total)[1:]
+def _packing(net: LeaderFollowerNetwork) -> _Packing:
+    """The network's ``_Packing``, built on first use and kept on it: the
+    network is immutable, and every trial, ``step`` and oracle round on
+    it then shares one packing and one stepper per graph."""
+    if net._packing is None:
+        object.__setattr__(net, "_packing", _Packing(net))
+    return net._packing
 
 
 def _agents(net: LeaderFollowerNetwork, state: NetworkState) -> tuple[tuple[int, ...], ...]:
@@ -186,9 +239,9 @@ def _agents(net: LeaderFollowerNetwork, state: NetworkState) -> tuple[tuple[int,
     agent of ``net``, each n canonical residues mod p."""
     agents = (tuple(state.leader),) + tuple(map(tuple, state.followers))
     n, p = net.sys.dim, net.field.p
-    if len(agents) != net.num_followers + 1 or any(
-        len(x) != n or not all(type(v) is int and 0 <= v < p for v in x) for x in agents
-    ):
+    values = list(chain.from_iterable(agents))
+    if (len(agents) != net.num_followers + 1 or set(map(len, agents)) != {n}
+            or set(map(type, values)) != {int} or min(values) < 0 or max(values) >= p):
         raise ValueError(
             f"a network state needs {net.num_followers + 1} agent states of {n} residues in 0..{p - 1}"
         )
@@ -197,8 +250,8 @@ def _agents(net: LeaderFollowerNetwork, state: NetworkState) -> tuple[tuple[int,
 
 def step(net: LeaderFollowerNetwork, state: NetworkState, graph_index: int = 0) -> NetworkState:
     """One synchronous update under the chosen graph."""
-    packing = _Packing(net)
-    X = packing.stepper(graph_index)(packing.pack(_agents(net, state)))
+    packing = _packing(net)
+    X = packing.steppers()[graph_index](packing.pack(_agents(net, state)))
     agents = tuple(zip(*map(packing.unpack, X)))
     return NetworkState(state.step + 1, agents[0], agents[1:])
 
@@ -225,23 +278,24 @@ def simulate(
     if signal is None:
         signal = SwitchingSignal.constant(0)
     indices = signal.realize(horizon)
-    bad = [i for i in indices if not (0 <= i < len(net.graphs))]
-    if bad:
-        raise ValueError(f"switching signal emitted invalid graph indices {bad}")
+    q = len(net.graphs)
+    if min(indices) < 0 or max(indices) >= q:
+        raise ValueError(f"switching signal emitted invalid graph indices {[i for i in indices if not 0 <= i < q]}")
 
-    packing = _Packing(net)
-    steppers = [packing.stepper(gi) for gi in range(len(net.graphs))]
-    unpack = packing.unpack
+    packing = _packing(net)
+    steppers, unpack, error = packing.steppers(), packing.unpack, packing.error
     X = packing.pack(_agents(net, init))
     snapshots = [X]
-    errors = [_errors(map(unpack, X))]
+    E = error(X)
+    errors = [tuple(unpack(E)[1:])]
     k = 0
-    while k < horizon and any(errors[-1]):
+    while k < horizon and E:
         X = steppers[indices[k]](X)
         k += 1
         snapshots.append(X)
-        errors.append(_errors(map(unpack, X)))
-    consensus_step = None if any(errors[-1]) else k
+        E = error(X)
+        errors.append(tuple(unpack(E)[1:]))
+    consensus_step = None if E else k
     if consensus_step is not None:
         errors.extend(repeat(errors[-1], horizon - k))
 
@@ -290,8 +344,8 @@ def exhaustive_consensus_oracle(
     p, n, N = net.field.p, net.sys.dim, net.num_followers
     if p ** (n * N) > state_bound:
         raise ValueError(f"error state space {p ** (n * N)} exceeds the oracle bound {state_bound}")
-    packing = _Packing(net)
-    steppers = [packing.stepper(gi) for gi in range(len(net.graphs))]
+    packing = _packing(net)
+    steppers = packing.steppers()
     if all_signals:
         rounds = repeat(steppers, horizon)
     else:

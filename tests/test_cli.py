@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from ffconsensus import (
+    LeaderFollowerNetwork,
+    LinearSystemFF,
     MatrixFF,
     NetworkState,
     PolyFF,
@@ -498,7 +500,10 @@ def test_analyze_constant_signal_treated_as_static(tmp_path, capsys):
 # checks.common_degree became checks.eigenvalue and the per-graph degree
 # checks checks.per_graph_eigenvalue; the impossible reasons of the
 # static_* and chain_* cases and of switching_cyclic_union_per_graph_static
-# (whose cyclic graph 1 now fails first) name the failing SCC
+# (whose cyclic graph 1 now fails first) name the failing SCC.  When a graph
+# whose SCCs are single followers with self-loops came to be decided like an
+# acyclic one, chain_self_loop_guaranteed gained the witness gain (its K) and
+# the reason of that rule in place of "decided directly"
 GOLDEN = json.loads((Path(__file__).parent / "data" / "analyze_golden.json").read_text())
 
 
@@ -710,20 +715,20 @@ def test_simulate_rejects_nonpositive_horizon(tmp_path, ref_config_path, capsys,
 
 
 def test_simulate_analyses_the_network_once(tmp_path, ref_config_path, monkeypatch, capsys):
-    # no `steps` and no --horizon: the horizon comes from the bound
+    # no `steps` and no --horizon: the horizon comes from the bound, read off
+    # one pass of facts without building an analyze report
     cfg = synthesized_config(tmp_path, ref_config_path)
-    calls = []
-    real_analyze = consensus.analyze
+    calls = {"_facts": [], "analyze": []}
+    for name, found in calls.items():
+        def counting(net, _real=getattr(consensus, name), _found=found):
+            _found.append(net)
+            return _real(net)
 
-    def counting_analyze(net):
-        calls.append(net)
-        return real_analyze(net)
-
-    monkeypatch.setattr(consensus, "analyze", counting_analyze)
+        monkeypatch.setattr(consensus, name, counting)
     capsys.readouterr()
     assert main(["simulate", cfg, "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert len(calls) == 1
+    assert len(calls["_facts"]) == 1 and calls["analyze"] == []
     assert doc["horizon"] == doc["bound"] + 5
 
 
@@ -750,7 +755,7 @@ def test_each_command_decomposes_and_analyses_once(case, command, tmp_path, monk
         doc = {**doc, "K": REF_GAIN}
     path = tmp_path / "case.json"
     path.write_text(json.dumps(doc))
-    calls = {"_krylov": 0, "check_static": 0, "check_switching": 0}
+    calls = {"_krylov": 0, "_facts": 0, "check_static": 0, "check_switching": 0}
     for name in calls:
         def counting(*args, _real=getattr(consensus, name), _name=name):
             calls[_name] += 1
@@ -758,8 +763,9 @@ def test_each_command_decomposes_and_analyses_once(case, command, tmp_path, monk
 
         monkeypatch.setattr(consensus, name, counting)
     main([command, str(path), "--out", str(tmp_path / "out")])
-    assert calls["_krylov"] == 1, calls
-    assert calls["check_static"] + calls["check_switching"] == 1, calls
+    assert calls["_krylov"] == calls["_facts"] == 1, calls
+    # simulate's bound comes from the facts alone, without a report
+    assert calls["check_static"] + calls["check_switching"] == (command != "simulate"), calls
 
 
 @pytest.mark.parametrize("command", ["analyze", "synthesize", "simulate", "cycles"])
@@ -923,6 +929,56 @@ def test_traj_csv_matches_a_per_row_writer(agreement):
         assert {"initially": 0, "never": None}.get(agreement, traj.consensus_step) == traj.consensus_step
         assert agreement != "mid_horizon" or 0 < traj.consensus_step < traj.horizon
         assert _traj_csv(traj) == naive_csv(traj.errors)
+
+
+def format_block_csv(traj) -> str:
+    """The CSV writer that formatted the agreed tail with one ``str.format``
+    of a preformatted zero block per step."""
+    agents = range(1, len(traj.errors[0]) + 1)
+    row = "".join(f"%d,{a},%d\n" for a in agents)
+    agreed = "".join(f"{{0}},{a},0\n" for a in agents)
+    last = traj.horizon if traj.consensus_step is None else traj.consensus_step
+    return "step,agent,error\n" + "".join(
+        row % tuple(v for e in errs for v in (k, e)) for k, errs in enumerate(traj.errors[: last + 1])
+    ) + "".join(map(agreed.format, range(last + 1, traj.horizon + 1)))
+
+
+def test_traj_csv_matches_the_format_block_writer():
+    """The agreed tail joined by ``str(k).join`` against the format-block
+    writer on the same trajectories: N up to 30, p from 2 to 1000003 and
+    agreement at step 0, within the horizon and never."""
+    rng = random.Random(67)
+    seen = set()
+    for case in range(60):
+        field = PrimeField((2, 3, 101, 65537, 1000003)[case % 5])
+        n, N = rng.randint(1, 4), rng.choice((1, 2, rng.randint(3, 30)))
+        g = WeightedDigraphFF(field, N, [(i, i + 1, 1) for i in range(N)])
+        a = MatrixFF(field, [[1 if j == i + 1 else 0 for j in range(n)] for i in range(n)])  # nilpotent
+        if case % 3 == 2:
+            a = MatrixFF.identity(field, n)  # with K = 0, errors never vanish
+        net = LeaderFollowerNetwork(LinearSystemFF(a, MatrixFF.from_flat(field, n, 1, [1] * n)), (g,),
+                                    MatrixFF.zeros(field, 1, n))
+        init = random_state(field, n, N, rng)
+        if case % 3 == 0:
+            init = NetworkState(0, init.leader, (init.leader,) * N)
+        traj = simulate(net, init, horizon=rng.randint(1, 3 * n))
+        seen.add("initially" if traj.consensus_step == 0 else "never" if traj.consensus_step is None else "later")
+        assert _traj_csv(traj) == format_block_csv(traj)
+    assert seen == {"initially", "later", "never"}
+
+
+def test_simulate_builds_one_packing_and_realizes_each_signal_once(tmp_path, ref_config_path, monkeypatch, capsys):
+    # three trials: one packing of the network, one realized signal per trial
+    # (the explicit sequence's length is checked without realizing it)
+    from ffconsensus import sim
+
+    cfg = synthesized_config(tmp_path, ref_config_path)
+    built, realized = [], []
+    real_init, real_realize = sim._Packing.__init__, SwitchingSignal.realize
+    monkeypatch.setattr(sim._Packing, "__init__", lambda self, net: built.append(net) or real_init(self, net))
+    monkeypatch.setattr(SwitchingSignal, "realize", lambda self, h: realized.append(h) or real_realize(self, h))
+    assert main(["simulate", cfg, "--trials", "3"]) == 0
+    assert len(built) == 1 and len(realized) == 3
 
 
 def test_simulate_per_trial_csv_files_match_a_per_row_writer(tmp_path, capsys):

@@ -138,10 +138,11 @@ def test_blockwise_tests_each_distinct_block_once(monkeypatch):
     assert calls == []
     # 20 chained 2-cycles with the one block H_SS = [[1, 2], [1, 0]] (d = 2):
     # one 2 x 2 test of H_SS - 2 I, shared with the gain's test when mu* = 2
-    # (the deadbeat gain [2, 1]), and a second one when mu* = 1 (gain [1, 2])
+    # (the deadbeat gain [2, 1]), and no second one when mu* = 1 (gain [1, 2]):
+    # d != mu* already fails the graph
     pairs = WeightedDigraphFF(F3, 40, [e for k in range(1, 21)
                                        for e in ((2 * k, 2 * k - 1, 1), (2 * k - 1, 2 * k, 2), (2 * k - 2, 2 * k, 1))])
-    for gain, verdict, tests in ((None, "inconclusive", [2]), ([2, 1], "guaranteed", [2]), ([1, 2], "impossible", [2, 2])):
+    for gain, verdict, tests in ((None, "inconclusive", [2]), ([2, 1], "guaranteed", [2]), ([1, 2], "impossible", [2])):
         calls.clear()
         k = None if gain is None else MatrixFF.row_vector(F3, gain)
         assert analyze(LeaderFollowerNetwork(sys=net.sys, graphs=(pairs,), gain=k)).verdict == verdict
@@ -467,17 +468,19 @@ def test_analyze_matches_the_oracle():
     every switching sequence): a guaranteed verdict converges by its
     bound, an impossible one never does (for the supplied gain, or for
     every gain), an inconclusive one with a gain converges on each graph
-    alone, and any witness gain converges within N*n."""
+    alone, and any witness gain converges within N*n.  Cyclic networks
+    have two followers or more: one follower's only cycle is a self-loop,
+    decided like an acyclic graph."""
     rng = random.Random(4093)
     seen = {"guaranteed": 0, "impossible": 0, "inconclusive": 0, "static": 0, "switching": 0,
             "cyclic": 0, "acyclic": 0, "nilpotent_a": 0, "no_gain": 0, "random_gain": 0,
             "deadbeat_gain": 0}
-    for _ in range(960):
+    for _ in range(1440):
         field = (F2, F3)[rng.randrange(2)]
-        n, N = rng.randint(1, 2), rng.randint(1, 3)
+        cyclic = rng.random() < 0.4
+        n, N = rng.randint(1, 2), rng.randint(1 + cyclic, 3)
         a = random_nilpotent(rng, field, n) if rng.random() < 0.25 else random_matrix(rng, field, n, n)
         sys_ = LinearSystemFF(a, random_matrix(rng, field, n, 1))
-        cyclic = rng.random() < 0.4
         d = rng.randrange(1, field.p)
         graphs = []
         for _ in range(rng.randint(1, 2)):
@@ -913,3 +916,194 @@ def test_block_triangular_degree_bound():
         k = composite.nilpotent_degree()
         assert k is not None
         assert k <= a1.nilpotent_degree() + a3.nilpotent_degree()
+
+
+# ---------------------------------------------------------
+# Graphs whose only cycles are self-loops
+# ---------------------------------------------------------
+
+def _self_loop_graph(rng, field, N, d):
+    """A random follower DAG with self-loops on some followers, its leader
+    weights set so that most followers have H_ii = d_i - w_ii = d (the
+    in-weight from every other node) and some keep a random H_ii."""
+    g = random_dag_graph(rng, field, N)
+    edges = [(s, t, w) for s, t, w in g.edges() if s != 0]
+    edges += [(v, v, rng.randrange(1, field.p)) for v in range(1, N + 1) if rng.random() < 0.5]
+    loops = [v for s, v, _ in edges if s == v] or [rng.randint(1, N)]
+    if not any(s == t for s, t, _ in edges):
+        edges.append((loops[0], loops[0], rng.randrange(1, field.p)))
+    for i in range(1, N + 1):
+        target = d if rng.random() < 0.9 else rng.randrange(field.p)
+        w = (target - sum(w for s, t, w in edges if t == i and s != i)) % field.p
+        if w:
+            edges.append((0, i, w))
+    return WeightedDigraphFF(field, N, edges)
+
+
+def test_self_loop_chain_has_the_deadbeat_gain():
+    # the pair A = [[1, 1], [0, 1]], b = [0, 1] over F_3 and the chain
+    # 0 -> 1 -> 2 with a self-loop of weight 2 on follower 2: H = [[1, 0], [-1, 1]]
+    # has the one eigenvalue d = 1, so the deadbeat gain for d = 1 works
+    net = single_graph_net(F3, [[1, 1], [0, 1]], [0, 1], [(0, 1, 1), (1, 2, 1), (2, 2, 2)], 2)
+    report = analyze(net)
+    assert report.verdict == "guaranteed"
+    assert report.checks["follower_graph_dag"] is False and "topo_permutation" not in report.witness
+    k = MatrixFF.row_vector(F3, report.witness["synthesized_gain"])
+    assert synthesize_gain(net) == k
+    assert exhaustive_consensus_oracle(net.with_gain(k), report.bounds["static"], all_signals=True)
+    assert convergence_bound(net) == report.bounds["static"] == 2 * report.witness["gain_certificate_degree"]
+
+
+def test_self_loop_graphs_match_the_oracle():
+    """Graphs and unions whose SCCs are single followers with self-loops
+    are decided like acyclic ones (H triangular in the SCC order), against
+    the all-signals oracle: a guaranteed verdict converges by its bound, an
+    impossible one never does for any gain (no gain) or for the supplied
+    gain, and an inconclusive one (a cyclic union of two triangular
+    graphs) converges on each graph alone, under the supplied gain or the
+    deadbeat gain for the shared d."""
+    rng = random.Random(2917)
+    seen = collections.Counter()
+    for _ in range(500):
+        while True:
+            field = (F2, F3, F5)[rng.randrange(3)]
+            n, N = rng.randint(1, 2), rng.randint(1, 3)
+            if field.p ** (n * (N + 1)) <= 2187:
+                break
+        p = field.p
+        while True:
+            sys_ = LinearSystemFF(random_matrix(rng, field, n, n), random_matrix(rng, field, n, 1))
+            if not sys_.A.is_nilpotent():
+                break
+        d = rng.randrange(1, p)
+        graphs = tuple(_self_loop_graph(rng, field, N, d) for _ in range(rng.randint(1, 2)))
+        kind = ("none", "random", "deadbeat")[rng.randrange(3)]
+        gain = None
+        if kind != "none":
+            kr = _krylov(sys_)
+            gain = MatrixFF.row_vector(field, kr.deadbeat(d)) if kind == "deadbeat" and kr.stabilizable else (
+                random_matrix(rng, field, 1, n))
+        net = LeaderFollowerNetwork(sys=sys_, graphs=graphs, gain=gain)
+        f = consensus._facts(net)
+        assert "cyclic" not in f.shapes and "loops" in f.shapes
+        report = analyze(net)
+
+        def works(k, horizon, graph_list=graphs):
+            trial = LeaderFollowerNetwork(sys=sys_, graphs=tuple(graph_list), gain=k)
+            return exhaustive_consensus_oracle(trial, horizon, all_signals=True)
+
+        verdict = report.verdict
+        if verdict == "guaranteed":
+            k = gain if gain is not None else MatrixFF.row_vector(field, report.witness["synthesized_gain"])
+            assert works(k, report.bounds[report.mode]), report.to_dict()
+            assert convergence_bound(net) == report.bounds[report.mode]
+        elif verdict == "impossible" and gain is None:
+            assert not any(works(MatrixFF.row_vector(field, k), N * n)
+                           for k in itertools.product(range(p), repeat=n))
+        elif verdict == "impossible":
+            assert not works(gain, N * n), report.to_dict()
+        else:
+            assert f.union_shape == "cyclic", report.to_dict()
+            k = gain if gain is not None else MatrixFF.row_vector(field, f.decomp.deadbeat(f.eigen[0][0]))
+            assert all(works(k, N * n, [g]) for g in graphs), report.to_dict()
+        if "synthesized_gain" in report.witness:
+            assert works(MatrixFF.row_vector(field, report.witness["synthesized_gain"]), N * n)
+        seen[verdict] += 1
+        if verdict != "inconclusive":
+            seen[verdict, kind] += 1
+        seen[f.union_shape] += 1
+    assert len(seen) == 11 and min(seen.values()) >= 5, seen
+
+
+# ---------------------------------------------------------
+# A supplied gain whose mu* is not the graph's eigenvalue
+# ---------------------------------------------------------
+
+def test_gain_off_the_eigenvalue_runs_one_test_per_cyclic_block(ref_system, monkeypatch):
+    # CI's ring of N = 400 followers (leader edge into follower 1, all
+    # in-degrees 2) with K = [2, 1, 2, 0, 1]: mu* = 1 and d = 2, so the
+    # graph fails under K from d alone, and the one 400 x 400 test is the
+    # eigenvalue's, H_SS - 2 I
+    N = 400
+    g = WeightedDigraphFF(F3, N, [(0, 1, 1), (N, 1, 1)] + [(i, i + 1, 2) for i in range(1, N)])
+    net = LeaderFollowerNetwork(sys=ref_system, graphs=(g,), gain=MatrixFF.row_vector(F3, REF_GAIN))
+    sizes = []
+    original = MatrixFF.is_nilpotent
+    monkeypatch.setattr(MatrixFF, "is_nilpotent", lambda m: sizes.append(m.rows) or original(m))
+    report = analyze(net)
+    assert sizes == [N]
+    assert report.verdict == "impossible"
+    assert report.checks["supplied_gain_error_matrix_nilpotent"] is False
+    f = consensus._facts(net)
+    assert (f.mu, f.eigen[0][0]) == (1, 2) and f.blocks == [[(tuple(range(1, N + 1)), None)]]
+
+
+def test_graphs_off_mu_star_fail_like_the_dense_test():
+    """Claim 3 of ``_error_block_results``: with r != 0, every graph whose
+    d is not mu* fails under the gain, as the dense error matrix says,
+    and its blocks of two or more followers are left untested (None)."""
+    rng = random.Random(3307)
+    seen = collections.Counter()
+    for _ in range(400):
+        field = (F2, F3, F5)[rng.randrange(3)]
+        n, N = rng.randint(1, 3), rng.randint(2, 5)
+        graphs = tuple(random_scc_graph(rng, field, N) for _ in range(rng.randint(1, 2)))
+        net = LeaderFollowerNetwork(
+            sys=LinearSystemFF(random_matrix(rng, field, n, n), random_matrix(rng, field, n, 1)),
+            graphs=graphs, gain=random_matrix(rng, field, 1, n))
+        f = consensus._facts(net)
+        if not any(f.r):
+            continue
+        for gi, ((d, _), blocks) in enumerate(zip(f.eigen, f.blocks)):
+            dense = error_dynamics_matrix(net, gi).is_nilpotent()
+            assert dense == all(ok for _, ok in blocks)
+            if d != f.mu:
+                # a larger block is untested (None) unless no mu makes A - mu bK
+                # nilpotent, when every block is False; singletons are compared
+                assert not dense
+                assert all(ok in (None, False) if len(comp) > 1 else ok is not None for comp, ok in blocks)
+                seen["off_mu", None in [ok for _, ok in blocks]] += 1
+            else:
+                assert None not in [ok for _, ok in blocks]
+                seen["at_mu", dense] += 1
+    assert len(seen) == 4 and min(seen.values()) >= 10, seen
+
+
+def test_convergence_bound_reads_the_facts_without_a_report(monkeypatch):
+    """convergence_bound against analyze's bound on random networks, with
+    and without gains, one graph or two, acyclic, with self-loops or
+    cyclic (H with one eigenvalue or not): the same value, or the same
+    ValueError text, and no report."""
+    rng = random.Random(4111)
+    reports = []
+    for name in ("check_static", "check_switching"):
+        real = getattr(consensus, name)
+        monkeypatch.setattr(consensus, name, lambda net, _real=real: reports.append(net) or _real(net))
+    seen = collections.Counter()
+    for _ in range(300):
+        field = (F2, F3, F5)[rng.randrange(3)]
+        n, N = rng.randint(1, 3), rng.randint(1, 4)
+        d = rng.randrange(1, field.p)
+        make = (lambda: random_dag_graph(rng, field, N), lambda: _self_loop_graph(rng, field, N, d),
+                lambda: random_scc_graph(rng, field, N),
+                lambda: _graph_with_laplacian(rng, field, _one_eigenvalue(rng, field, N, d)))[rng.randrange(4)]
+        a = random_nilpotent(rng, field, n) if rng.random() < 0.2 else random_matrix(rng, field, n, n)
+        sys_ = LinearSystemFF(a, random_matrix(rng, field, n, 1))
+        kr = _krylov(sys_)
+        gain = (None, random_matrix(rng, field, 1, n),
+                MatrixFF.row_vector(field, kr.deadbeat(d)) if kr.stabilizable else None)[rng.randrange(3)]
+        net = LeaderFollowerNetwork(sys=sys_, graphs=tuple(make() for _ in range(rng.randint(1, 2))), gain=gain)
+        reports.clear()
+        try:
+            bound = convergence_bound(net)
+        except ValueError as exc:
+            bound = str(exc)
+        assert reports == []
+        report = analyze(net)
+        if report.verdict == "guaranteed":
+            assert bound == report.bounds[report.mode]
+        else:
+            assert bound == ("convergence bound requires a consensus-guaranteed network "
+                             f"(verdict: {report.verdict})")
+        seen[report.verdict, gain is None] += 1
+    assert len(seen) == 6 and min(seen.values()) >= 5, seen

@@ -1,3 +1,4 @@
+import copy
 import random
 from collections import Counter
 from itertools import product
@@ -23,6 +24,7 @@ from ffconsensus import (
     step,
     synthesize_gain,
 )
+from ffconsensus.consensus import GainSynthesisError
 
 from conftest import (
     F2,
@@ -691,3 +693,97 @@ def test_signal_validation():
         SwitchingSignal(kind="random", num_graphs=2)
     with pytest.raises(ValueError):
         SwitchingSignal(kind="explicit", num_graphs=2, sequence=(0, 1)).realize(3)
+
+
+# ---------------------------------------------------------
+# Packed error sums and one packing per network
+# ---------------------------------------------------------
+
+ERROR_PRIMES = (2, 3, 101, 65537, 1000003)
+
+
+def chain_network(rng, field, n: int, N: int) -> LeaderFollowerNetwork:
+    """A random pair over the chain 0 -> 1 -> ... -> N of one weight d,
+    with the deadbeat gain for d when the pair has one (the followers then
+    agree within N*n steps), else a random gain."""
+    d = rng.randrange(1, field.p)
+    g = WeightedDigraphFF(field, N, [(i, i + 1, d) for i in range(N)])
+    net = LeaderFollowerNetwork(
+        sys=LinearSystemFF(random_matrix(rng, field, n, n), random_matrix(rng, field, n, 1)), graphs=(g,))
+    try:
+        return net.with_gain(synthesize_gain(net))
+    except GainSynthesisError:
+        return net.with_gain(random_matrix(rng, field, 1, n))
+
+
+def test_packed_errors_match_the_states_and_step():
+    """simulate's packed error sums against ``NetworkState.errors`` over
+    the states it builds and over the states ``step`` gives, for p from 2
+    to 1000003 (every slot width, and shift and mask above 64 bits), N up
+    to 30 and n up to 6, with horizons past agreement and agents at 0,
+    p - 1, the leader's state and next to it (both signs in every slot)."""
+    rng = random.Random(53)
+    seen = Counter()
+    for case in range(120):
+        field = PrimeField(ERROR_PRIMES[case % len(ERROR_PRIMES)])
+        p = field.p
+        n, N = rng.randint(1, 6), rng.choice((rng.randint(1, 5), rng.randint(20, 30)))
+        if rng.random() < 0.6:
+            net = chain_network(rng, field, n, N)
+            horizon = N * n + rng.randint(1, 5)
+        else:
+            net = LeaderFollowerNetwork(
+                sys=LinearSystemFF(random_matrix(rng, field, n, n), random_matrix(rng, field, n, 1)),
+                graphs=tuple(random_scc_graph(rng, field, N) for _ in range(rng.randint(1, 2))),
+                gain=random_matrix(rng, field, 1, n))
+            horizon = rng.randint(1, 8)
+        leader = tuple(rng.choice((0, p - 1, rng.randrange(p))) for _ in range(n))
+        near = lambda x: rng.choice((0, p - 1, x, (x + 1) % p, (x - 1) % p, rng.randrange(p)))
+        followers = tuple(leader if rng.random() < 0.1 else tuple(map(near, leader)) for _ in range(N))
+        if rng.random() < 0.05:
+            followers = (leader,) * N
+        init = NetworkState(0, leader, followers)
+        sig = SwitchingSignal(kind="random", num_graphs=len(net.graphs), seed=rng.randrange(10**6))
+        traj = simulate(net, init, signal=sig, horizon=horizon)
+
+        states = [init]
+        for gi in traj.signal_indices:
+            states.append(step(net, states[-1], gi))
+        errors = tuple(tuple(st.errors()) for st in states)
+        assert traj.errors == errors
+        assert tuple(tuple(st.errors()) for st in traj.states) == errors
+        assert traj.states == tuple(states)
+        agreed = [k for k, errs in enumerate(errors) if not any(errs)]
+        assert traj.consensus_step == (agreed[0] if agreed else None)
+
+        width = sim._Packing(net).width
+        seen[f"{width // 8}_bytes" if width <= 64 else "shift_mask"] += 1
+        seen["agrees_initially" if traj.consensus_step == 0 else "agrees_later" if traj.consensus_step
+             else "never_agrees"] += 1
+        seen["past_agreement"] += traj.consensus_step is not None and traj.consensus_step < horizon
+        seen["N_over_24"] += N > 24
+        seen["n_6"] += n == 6
+    assert len(seen) == 11 and min(seen.values()) >= 5, seen
+
+
+def test_one_packing_and_one_stepper_per_graph_per_network(monkeypatch):
+    """Trials, ``step`` and the oracle on one network share one packing and
+    one stepper per graph, kept outside the record's fields: equality, hash,
+    repr and copies do not see it."""
+    built, steppers = [], []
+    real_init, real_stepper = sim._Packing.__init__, sim._Packing.stepper
+    monkeypatch.setattr(sim._Packing, "__init__", lambda self, net: built.append(net) or real_init(self, net))
+    monkeypatch.setattr(sim._Packing, "stepper", lambda self, gi: steppers.append(gi) or real_stepper(self, gi))
+    rng = random.Random(59)
+    net = random_network(rng, F3, n=2, num_followers=2, num_graphs=2)
+    twin = LeaderFollowerNetwork(sys=net.sys, graphs=net.graphs, gain=net.gain)
+    for trial in range(3):
+        sig = SwitchingSignal(kind="random", num_graphs=2, seed=trial)
+        simulate(net, random_state(F3, 2, 2, rng), signal=sig, horizon=6)
+    for gi in (0, 1):
+        step(net, random_state(F3, 2, 2, rng), gi)
+    exhaustive_consensus_oracle(net, 3, all_signals=True)
+    assert len(built) == 1 and sorted(steppers) == [0, 1]
+    assert net._packing is not None and twin._packing is None
+    assert net == twin and hash(net) == hash(twin) and repr(net) == repr(twin)
+    assert copy.copy(net) == net and copy.copy(net)._packing is None
