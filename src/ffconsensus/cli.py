@@ -141,13 +141,6 @@ class ScenarioConfig(_Record):
 
     __slots__ = ("doc", "field", "graphs", "switching_signal")
 
-    def __init__(self, doc: dict, field: PrimeField, graphs: tuple[WeightedDigraphFF, ...],
-                 switching_signal: SwitchingSignal):
-        self.doc = doc
-        self.field = field
-        self.graphs = graphs
-        self.switching_signal = switching_signal
-
     @classmethod
     def from_dict(cls, raw: dict) -> "ScenarioConfig":
         _require(isinstance(raw, dict), "<root>", "config must be a JSON object")

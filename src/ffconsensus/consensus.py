@@ -61,7 +61,7 @@ from operator import mul
 
 from .field import PrimeField, _FrozenRecord, _Record
 from .graphs import WeightedDigraphFF, union
-from .linsys import LinearSystemFF, _Krylov, _krylov
+from .linsys import LinearSystemFF, _Krylov, _combine, _krylov
 from .matrix import MatrixFF, kron
 
 
@@ -331,7 +331,7 @@ def convergence_bound(net: LeaderFollowerNetwork) -> int:
     dec = _decide(f, range(len(net.graphs)))
     if dec.verdict != "guaranteed":
         raise ValueError(f"convergence bound requires a consensus-guaranteed network (verdict: {dec.verdict})")
-    return _bound(net, f, None if net.gain is not None else _witness_loop(net, f, dec))
+    return _bound(net, f, None if net.gain is not None else _witness(net, f, dec))
 
 
 # ----------------------------------------------------------------------
@@ -524,24 +524,19 @@ def _loop_degree(net: LeaderFollowerNetwork, kr: _Krylov, k: list[int], mu: int)
     return MatrixFF.from_flat(net.field, n, n, f_rows).nilpotent_degree()
 
 
-def _witness_gain(net: LeaderFollowerNetwork, f: _Facts, dec: _Decision) -> tuple[MatrixFF, int | None]:
-    """The decision's witness gain and the nilpotent degree of its closed
-    loop: A's for the zero gain, A - d*bK's for a deadbeat gain (None if,
-    against the construction, that loop is not nilpotent)."""
-    d = dec.witness_degree
-    if d == 0:
-        return MatrixFF.zeros(net.field, 1, net.sys.dim), f.a_degree
-    k = f.decomp.deadbeat(d)
-    return MatrixFF.row_vector(net.field, k), _loop_degree(net, f.decomp, k, d)
-
-
-def _witness_loop(net: LeaderFollowerNetwork, f: _Facts, dec: _Decision) -> tuple | None:
+def _witness(net: LeaderFollowerNetwork, f: _Facts, dec: _Decision) -> tuple | None:
     """(k, d, certificate) of the decision's witness gain, as ``_bound``
-    reads it, or None when the decision names no gain."""
-    if dec.witness_degree is None:
+    reads it: the gain row k, d = 0 for the zero gain or the d of the
+    deadbeat gain, and the nilpotent degree of its closed loop, A's or
+    A - d*bK's (None if, against the construction, that loop is not
+    nilpotent); None when the decision names no gain."""
+    d = dec.witness_degree
+    if d is None:
         return None
-    gain, certificate = _witness_gain(net, f, dec)
-    return gain.to_rows()[0], dec.witness_degree, certificate
+    if d == 0:
+        return [0] * net.sys.dim, 0, f.a_degree
+    k = f.decomp.deadbeat(d)
+    return k, d, _loop_degree(net, f.decomp, k, d)
 
 
 def _bound(net: LeaderFollowerNetwork, f: _Facts, witness: tuple | None) -> int:
@@ -577,12 +572,12 @@ def _bound(net: LeaderFollowerNetwork, f: _Facts, witness: tuple | None) -> int:
     N = net.num_followers
     if net.gain is None:
         return witness[2] if f.a_degree is not None else N * witness[2]
+    k = net.gain.to_rows()[0]
     if any(f.r):
-        k = net.gain.to_rows()[0]
         return N * (witness[2] if witness and witness[:2] == (k, f.mu) else _loop_degree(net, f.decomp, k, f.mu))
-    k, kappa = net.gain, 0
-    while not k.is_zero():
-        k, kappa = k @ net.sys.A, kappa + 1
+    kappa, a_rows = 0, net.sys.A.to_rows()
+    while any(k):
+        k, kappa = _combine(k, a_rows, net.field.p), kappa + 1
     return max(f.a_degree, f.decomp.s + kappa)
 
 
@@ -592,19 +587,12 @@ def _bound(net: LeaderFollowerNetwork, f: _Facts, witness: tuple | None) -> int:
 
 
 class AnalysisReport(_Record):
-    """Structured verdict: what was checked and what follows from it."""
+    """Structured verdict: what was checked and what follows from it.
+    ``verdict`` is "guaranteed", "impossible" or "inconclusive", ``mode``
+    "static" or "switching"."""
 
     __slots__ = ("verdict", "mode", "reason", "checks", "bounds", "witness", "diagnostics")
-
-    def __init__(self, verdict: str, mode: str, reason: str, checks: dict, bounds: dict, witness: dict,
-                 diagnostics: dict | None = None):
-        self.verdict = verdict  # "guaranteed" | "impossible" | "inconclusive"
-        self.mode = mode  # "static" | "switching"
-        self.reason = reason
-        self.checks = checks
-        self.bounds = bounds
-        self.witness = witness
-        self.diagnostics = {} if diagnostics is None else diagnostics
+    _defaults = {"diagnostics": dict}
 
     def to_dict(self) -> dict:
         return dict(zip(self._fields, self._values()))
@@ -627,7 +615,7 @@ def _report(net: LeaderFollowerNetwork, mode: str, f: _Facts, checks: dict, witn
             "count": sum(len(blocks) for blocks in f.blocks),
             "max_dim": max(len(comp) for blocks in f.blocks for comp, _ in blocks) * net.sys.dim,
         }
-    loop = _witness_loop(net, f, dec)
+    loop = _witness(net, f, dec)
     if loop is not None:
         witness["synthesized_gain"], witness["gain_certificate_degree"] = loop[0], loop[2]
     bounds: dict = {"static": None, "switching": None}
@@ -637,15 +625,7 @@ def _report(net: LeaderFollowerNetwork, mode: str, f: _Facts, checks: dict, witn
         diagnostics["per_graph_static"] = [
             {"graph": gi, "verdict": _decide(f, [gi]).verdict} for gi in everything
         ]
-    return AnalysisReport(
-        verdict=dec.verdict,
-        mode=mode,
-        reason=dec.reason,
-        checks=checks,
-        bounds=bounds,
-        witness=witness,
-        diagnostics=diagnostics,
-    )
+    return AnalysisReport(dec.verdict, mode, dec.reason, checks, bounds, witness, diagnostics)
 
 
 def check_static(net: LeaderFollowerNetwork) -> AnalysisReport:
@@ -702,9 +682,9 @@ def synthesize_gain(net: LeaderFollowerNetwork) -> MatrixFF:
     bare = LeaderFollowerNetwork(sys=net.sys, graphs=net.graphs)
     f = _facts(bare)
     dec = _decide(f, range(len(net.graphs)))
-    if dec.witness_degree is None:
+    witness = _witness(bare, f, dec)
+    if witness is None:
         raise GainSynthesisError(dec.reason)
-    k, certificate = _witness_gain(bare, f, dec)
-    if certificate is None:
+    if witness[2] is None:
         raise AssertionError("postcondition failed: deadbeat closed loop is not nilpotent")
-    return k
+    return MatrixFF.row_vector(net.field, witness[0])

@@ -117,14 +117,34 @@ class _Record:
     ``_fields``, in constructor order, with value ``==`` and ``repr``
     over them.  ``_fields`` is the ``__slots__`` unless a class names its
     fields itself (one read through a property, say).  A record equals
-    only records of its own class; a mutable one is unhashable."""
+    only records of its own class; a mutable one is unhashable.
+
+    A class without an ``__init__`` of its own takes its ``__slots__`` by
+    position, then by keyword; a field named in ``_defaults`` may be left
+    out, or given as None, and is then made by its factory there
+    (``dict``: a new dict per record)."""
 
     __slots__ = ()
     __hash__ = None
+    _defaults: dict = {}
 
     def __init_subclass__(cls):
         if "_fields" not in cls.__dict__:
             cls._fields = cls.__slots__
+
+    def __init__(self, *values, **named):
+        names, defaults = self.__slots__, self._defaults
+        if named or len(values) != len(names):
+            rest = names[len(values):]
+            if len(values) > len(names) or not set(rest) - set(defaults) <= set(named) <= set(rest):
+                raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+            values += tuple(map(named.get, rest))
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+        if defaults:
+            for name, factory in defaults.items():
+                if getattr(self, name) is None:
+                    object.__setattr__(self, name, factory())
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -145,17 +165,9 @@ class _Record:
 class _FrozenRecord(_Record):
     """An immutable record, hashed by value.  Assigning or deleting a field
     raises AttributeError, so ``__init__`` sets them with
-    ``object.__setattr__``; a class without an ``__init__`` of its own
-    takes its ``__slots__`` by position, then by keyword."""
+    ``object.__setattr__``."""
 
     __slots__ = ()
-
-    def __init__(self, *values, **named):
-        if len(values) + len(named) != len(self.__slots__):
-            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(self.__slots__)}")
-        values += tuple(map(named.pop, self.__slots__[len(values):]))
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
 
     def __hash__(self) -> int:
         return hash(self._values())

@@ -5,8 +5,9 @@ weights, field elements given as ints and kept as canonical residues by
 ``PrimeField.scalar`` (a bool or a non-int is a TypeError; a weight of
 0 mod p means "no edge" and is rejected at construction),
 no edge may point into the leader, and at most one edge exists per
-ordered pair.  An edge list is checked whole (types as one set, ranges
-by ``min``/``max``); only a list that fails is scanned edge by edge, to
+ordered pair.  The public constructor checks the edges one at a time;
+the config loader's, ``_of_residues``, checks its int triples as whole
+lists (ranges by ``min``/``max``) and scans only a list that fails, to
 name the first bad edge.  The in-degree of a follower sums ALL incoming
 weights, including the leader's edge, reduced mod p; this
 leader-inclusive convention is what the error-dynamics derivation
@@ -47,8 +48,7 @@ class WeightedDigraphFF:
     def __init__(self, field: PrimeField, num_followers: int, edges: Iterable[tuple[int, int, int]] = ()):
         if num_followers < 1:
             raise ValueError("at least one follower is required")
-        edges = list(edges)
-        self._hold(field, num_followers, edges, self._edge_map(field, num_followers, edges))
+        self._hold(field, num_followers, edges, None)
 
     def _hold(self, field: PrimeField, num_followers: int, edges, edge_map: dict | None) -> None:
         """Keep ``edge_map``, or ``_scan``'s of ``edges`` when it is None."""
@@ -65,26 +65,11 @@ class WeightedDigraphFF:
         return g
 
     @staticmethod
-    def _edge_map(field: PrimeField, N: int, edges: list) -> dict[tuple[int, int], int] | None:
-        """The edges as {(source, target): weight mod p} in sorted order,
-        checked as whole lists: int entries (no bools), then
-        ``_checked_map``; None when any check fails, for ``_scan`` to name
-        the first bad edge."""
-        if not edges:
-            return {}
-        if set(map(type, edges)) - {tuple, list} or set(map(len, edges)) != {3}:
-            return None
-        srcs, tgts, raw = zip(*edges)
-        if set(map(type, srcs + tgts + raw)) != {int}:
-            return None
-        p = field.p
-        return _checked_map(N, srcs, tgts, [w % p for w in raw])
-
-    @staticmethod
-    def _scan(field: PrimeField, num_followers: int, edges: list) -> dict[tuple[int, int], int]:
-        """The edges checked one at a time, as ``_edge_map`` gives them:
-        raises EdgeError at the first invalid edge, or TypeError for a
-        node or weight that is not an int (a bool is not one)."""
+    def _scan(field: PrimeField, num_followers: int, edges: Iterable) -> dict[tuple[int, int], int]:
+        """The edges checked one at a time, as {(source, target): weight
+        mod p} in sorted order: raises EdgeError at the first invalid edge,
+        or TypeError for a node or weight that is not an int (a bool is
+        not one)."""
         edge_map: dict[tuple[int, int], int] = {}
         for index, (src, tgt, w) in enumerate(edges):
             if not all(isinstance(v, int) and not isinstance(v, bool) for v in (src, tgt)):

@@ -57,16 +57,6 @@ class ControllabilityDecomposition(_FrozenRecord):
 
     __slots__ = ("Q", "s", "A_c", "A_cc", "A_uc", "b_c", "companion_coeffs")
 
-    def __init__(self, Q: MatrixFF, s: int, A_c: MatrixFF, A_cc: MatrixFF, A_uc: MatrixFF,
-                 b_c: MatrixFF, companion_coeffs: tuple[int, ...]):
-        object.__setattr__(self, "Q", Q)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "A_c", A_c)
-        object.__setattr__(self, "A_cc", A_cc)
-        object.__setattr__(self, "A_uc", A_uc)
-        object.__setattr__(self, "b_c", b_c)
-        object.__setattr__(self, "companion_coeffs", companion_coeffs)
-
 
 def _combine(u, rows, p: int) -> list[int]:
     """The row u times the first len(u) of ``rows``, mod p."""
@@ -210,14 +200,7 @@ class CycleStructure(_FrozenRecord):
     """
 
     __slots__ = ("tree_depth", "cycles", "total_states", "transient_states", "factor_orders")
-
-    def __init__(self, tree_depth: int, cycles: dict[int, int], total_states: int, transient_states: int,
-                 factor_orders: tuple[tuple[PolyFF, int, int], ...] = ()):
-        object.__setattr__(self, "tree_depth", tree_depth)
-        object.__setattr__(self, "cycles", cycles)
-        object.__setattr__(self, "total_states", total_states)
-        object.__setattr__(self, "transient_states", transient_states)
-        object.__setattr__(self, "factor_orders", factor_orders)
+    _defaults = {"factor_orders": tuple}
 
 
 def _kernel_dims(g: PolyFF, A: MatrixFF, e: int) -> list[int]:
@@ -290,12 +273,4 @@ def autonomous_cycle_structure(A: MatrixFF) -> CycleStructure:
         if count % length:
             raise AssertionError("period counting produced a non-integral cycle count")
         cycles[length] = count // length
-    total = p**n
-    transient = total - p ** (n - s)
-    return CycleStructure(
-        tree_depth=depth,
-        cycles=cycles,
-        total_states=total,
-        transient_states=transient,
-        factor_orders=tuple(table),
-    )
+    return CycleStructure(depth, cycles, p**n, p**n - p ** (n - s), tuple(table))

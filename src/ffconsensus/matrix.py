@@ -13,7 +13,9 @@ similarities and the recurrence over its leading blocks, O(n^3) with
 field division.  Nilpotency is decided from matrix powers, never from
 eigenvalues: F_p is not algebraically closed.  Powers, a polynomial in
 A and the rank run on packed rows, one int per row reduced mod p slot by
-slot in a few big-int operations (``field._slot_reduction``).
+slot in a few big-int operations (``field._slot_reduction``).  Products
+and ``kron`` are plain list code for the library and the dense error
+matrix (``consensus.error_dynamics_matrix``); no command runs them.
 """
 
 from __future__ import annotations
@@ -179,30 +181,14 @@ class MatrixFF:
                 raise ValueError("modulus mismatch")
             if other.dim != self.cols:
                 raise ValueError("shape mismatch for matrix-vector product")
-            e = self._e
-            c = self.cols
-            v = other.entries
             p = self.field.p
-            return VectorFF.from_flat(
-                self.field, (sum(e[i * c + k] * v[k] for k in range(c)) % p for i in range(self.rows))
-            )
+            return VectorFF.from_flat(self.field, [sum(map(mul, row, other.entries)) % p for row in self.to_rows()])
         self._check_same_field(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch for matrix product")
-        n, m, q = self.rows, self.cols, other.cols
-        a, b = self._e, other._e
-        out = [0] * (n * q)
-        for i in range(n):
-            arow = a[i * m : (i + 1) * m]
-            orow = out
-            base = i * q
-            for k in range(m):
-                aik = arow[k]
-                if aik:
-                    brow = b[k * q : (k + 1) * q]
-                    for j in range(q):
-                        orow[base + j] += aik * brow[j]
-        return MatrixFF.from_flat(self.field, n, q, out)
+        cols = [other._e[j :: other.cols] for j in range(other.cols)]
+        return MatrixFF.from_flat(self.field, self.rows, other.cols,
+                                  [sum(map(mul, row, col)) for row in self.to_rows() for col in cols])
 
     # -- elimination-based queries -------------------------------------
 
@@ -369,17 +355,5 @@ def kron(a: MatrixFF, b: MatrixFF) -> MatrixFF:
     """Kronecker product: block (i, j) is a[i][j] * B."""
     if a.field != b.field:
         raise ValueError("modulus mismatch")
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    flat = [0] * (rows * cols)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            aij = a.entry_int(i, j)
-            if not aij:
-                continue
-            for bi in range(b.rows):
-                base = (i * b.rows + bi) * cols + j * b.cols
-                for bj in range(b.cols):
-                    flat[base + bj] = aij * b.entry_int(bi, bj)
-    return MatrixFF.from_flat(a.field, rows, cols, flat)
-
+    return MatrixFF.from_flat(a.field, a.rows * b.rows, a.cols * b.cols,
+                              [x * y for arow in a.to_rows() for brow in b.to_rows() for x in arow for y in brow])

@@ -75,11 +75,6 @@ class NetworkState(_FrozenRecord):
 
     __slots__ = ("step", "leader", "followers")
 
-    def __init__(self, step: int, leader: tuple[int, ...], followers: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "step", step)
-        object.__setattr__(self, "leader", leader)
-        object.__setattr__(self, "followers", followers)
-
     def errors(self) -> list[int]:
         """Integer error e_i per follower (componentwise |x_i - x_0| sums)."""
         return [sum(map(abs, map(sub, x, self.leader))) for x in self.followers]
@@ -127,7 +122,7 @@ class Trajectory(_FrozenRecord):
 def random_state(field: PrimeField, n: int, num_followers: int, rng: random.Random) -> NetworkState:
     """Uniform initial condition over F_p^n per agent."""
     draw = lambda: tuple(rng.randrange(field.p) for _ in range(n))
-    return NetworkState(step=0, leader=draw(), followers=tuple(draw() for _ in range(num_followers)))
+    return NetworkState(0, draw(), tuple(draw() for _ in range(num_followers)))
 
 
 class _Packing:
@@ -163,7 +158,7 @@ class _Packing:
             raise ValueError("stepping requires a gain K")
         p, n, slots = net.field.p, net.sys.dim, net.num_followers + 1
         self.p, self.graphs, self.k_row = p, net.graphs, net.gain.to_rows()[0]
-        self.a_b = list(zip(net.sys.A.to_rows(), net.sys.b.col(0).entries))
+        self.a_b = list(zip(net.sys.A.to_rows(), [x for (x,) in net.sys.b.to_rows()]))
         top = max(n + 1, slots) * (p - 1) ** 2 + 1
         self.width, self._s, self._M, self._LOW = _slot_reduction(top, p, slots, (8, 16, 32, 64))
         w = self.width

@@ -482,6 +482,26 @@ def reference_powmod(a, e: int, f, p: int) -> list[int]:
     return result
 
 
+def reference_matmul(a: MatrixFF, b: MatrixFF) -> list[list[int]]:
+    """The rows of a @ b, entry (i, j) summed index by index over k: the
+    reference for ``MatrixFF.__matmul__``."""
+    p = a.field.p
+    return [[sum(a.entry_int(i, k) * b.entry_int(k, j) for k in range(a.cols)) % p for j in range(b.cols)]
+            for i in range(a.rows)]
+
+
+def reference_kron(a: MatrixFF, b: MatrixFF) -> list[list[int]]:
+    """The rows of the Kronecker product, entry (i * b.rows + k, j * b.cols
+    + l) = a_ij b_kl filled index by index: the reference for ``kron``."""
+    rows = [[0] * (a.cols * b.cols) for _ in range(a.rows * b.rows)]
+    for i in range(a.rows):
+        for j in range(a.cols):
+            for k in range(b.rows):
+                for l in range(b.cols):
+                    rows[i * b.rows + k][j * b.cols + l] = a.entry_int(i, j) * b.entry_int(k, l) % a.field.p
+    return rows
+
+
 def reference_rank(m: MatrixFF) -> int:
     """Rank by Gauss-Jordan elimination on lists (``matrix._echelon``):
     the reference for the packed ``MatrixFF.rank``."""

@@ -763,10 +763,8 @@ def test_analyze_runs_tarjan_once_per_graph(monkeypatch):
     original = WeightedDigraphFF._tarjan
     monkeypatch.setattr(WeightedDigraphFF, "_tarjan", lambda g: runs.append(id(g)) or original(g))
     checks = []
-    for name in ("_edge_map", "_scan"):
-        real = getattr(WeightedDigraphFF, name)
-        monkeypatch.setattr(WeightedDigraphFF, name, staticmethod(
-            lambda *args, _real=real: checks.append(args) or _real(*args)))
+    scan = WeightedDigraphFF._scan
+    monkeypatch.setattr(WeightedDigraphFF, "_scan", staticmethod(lambda *args: checks.append(args) or scan(*args)))
     rng = random.Random(151)
     cases = itertools.product((1, 2), (False, True), (random_dag_graph, random_scc_graph), range(5))
     for num_graphs, with_gain, make, _ in cases:

@@ -10,6 +10,7 @@ from ffconsensus import (
     MatrixFF,
     PolyFF,
     PrimeField,
+    VectorFF,
     WeightedDigraphFF,
     error_dynamics_matrix,
     kron,
@@ -28,6 +29,8 @@ from conftest import (
     random_invertible,
     random_matrix,
     random_nilpotent,
+    reference_kron,
+    reference_matmul,
     reference_rank,
     structured_matrix,
 )
@@ -460,6 +463,31 @@ def test_kron_mixed_product_property():
 # ---------------------------------------------------------
 # Vectors
 # ---------------------------------------------------------
+
+def test_products_and_kron_match_index_by_index_references():
+    """Matrix and matrix-vector products and Kronecker products, on random
+    shapes with empty ones (0 x k, k x 0) included, equal the entries
+    summed or filled index by index."""
+    rng = random.Random(20261020)
+
+    def draw(field, rows, cols):
+        return MatrixFF.from_flat(field, rows, cols, [rng.randrange(field.p) for _ in range(rows * cols)])
+
+    for field in (F2, F3, PrimeField(101), PrimeField(65537)):
+        for _ in range(60):
+            n, m, q = (rng.randint(0, 5) for _ in range(3))
+            a, b = draw(field, n, m), draw(field, m, q)
+            product = a @ b
+            assert (product.rows, product.cols) == (n, q)
+            assert product == MatrixFF.from_flat(field, n, q, sum(reference_matmul(a, b), []))
+            v = draw(field, m, 1)
+            column = lambda rows: VectorFF(field, [x for (x,) in rows])
+            assert a @ column(v.to_rows()) == column(reference_matmul(a, v))
+            c = draw(field, rng.randint(0, 3), rng.randint(0, 3))
+            k = kron(a, c)
+            assert (k.rows, k.cols) == (n * c.rows, m * c.cols)
+            assert k == MatrixFF.from_flat(field, k.rows, k.cols, sum(reference_kron(a, c), []))
+
 
 def test_vector_arithmetic_and_matvec():
     from ffconsensus import VectorFF

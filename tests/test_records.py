@@ -23,6 +23,7 @@ from ffconsensus import (
 )
 from ffconsensus.cli import ScenarioConfig
 from ffconsensus.consensus import _Decision, _Facts
+from ffconsensus.field import _Record
 
 F3, F5 = PrimeField(3), PrimeField(5)
 A = MatrixFF(F3, [[0, 1], [0, 0]])
@@ -148,6 +149,46 @@ def test_validation_messages(cls, args, message):
     with pytest.raises(ValueError) as exc:
         cls(*args)
     assert str(exc.value) == message
+
+
+# the records built by the one constructor of ``_Record``, with no ``__init__`` of their own
+GENERIC = [ControllabilityDecomposition, CycleStructure, NetworkState, AnalysisReport, ScenarioConfig, _Facts,
+           _Decision]
+
+
+@pytest.mark.parametrize("cls", GENERIC, ids=lambda cls: cls.__name__)
+def test_one_constructor_takes_fields_by_position_then_keyword(cls):
+    assert cls.__init__ is _Record.__init__
+    values, _ = RECORDS[cls]
+    names, given = list(values), list(values.values())
+    by_position = cls(*given)
+    for split in range(len(names) + 1):
+        assert cls(*given[:split], **dict(zip(names[split:], given[split:]))) == by_position
+
+
+@pytest.mark.parametrize("cls", GENERIC, ids=lambda cls: cls.__name__)
+def test_missing_extra_or_unknown_fields_raise_naming_the_fields(cls):
+    values, _ = RECORDS[cls]
+    message = f"{cls.__name__} takes the fields {', '.join(values)}"
+    first, *_ = values
+    wrong = [{"args": (*values.values(), 0)}, {"kwargs": {**values, "unknown": 0}},
+             {"args": (values[first],), "kwargs": values}]
+    wrong += [{"kwargs": {k: v for k, v in values.items() if k != name}} for name in values if name not in cls._defaults]
+    for call in wrong:
+        with pytest.raises(TypeError) as exc:
+            cls(*call.get("args", ()), **call.get("kwargs", {}))
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("cls, name, made", [(AnalysisReport, "diagnostics", {}), (CycleStructure, "factor_orders", ())],
+                         ids=["AnalysisReport", "CycleStructure"])
+def test_a_default_given_as_none_takes_its_factory(cls, name, made):
+    values, _ = RECORDS[cls]
+    given = {**values, name: None}
+    for first, second in [(cls(**given), cls(**given)), (cls(*given.values()), cls(*given.values()))]:
+        assert getattr(first, name) == made
+        if isinstance(made, dict):
+            assert getattr(first, name) is not getattr(second, name)
 
 
 def test_trajectory_is_unhashable_under_its_own_name():
