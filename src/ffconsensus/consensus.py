@@ -343,15 +343,11 @@ class _Facts(_FrozenRecord):
     """Everything the consensus rule reads, computed once per network: A's
     nilpotent degree (None unless A is nilpotent), the Krylov record, per
     graph its shape (``_shape``) and (d, the first SCC failing at d), the
-    union (the graph itself when there is one) and its shape, and under a
-    supplied gain r, mu* and, per graph, the SCC blocks as (followers,
+    shape of the union (of the graph itself when there is one), and under
+    a supplied gain r, mu* and, per graph, the SCC blocks as (followers,
     nilpotent)."""
 
-    __slots__ = ("a_degree", "decomp", "shapes", "eigen", "union", "union_shape", "r", "mu", "blocks")
-
-    @property
-    def union_dag(self) -> bool:
-        return self.union_shape == "dag"
+    __slots__ = ("a_degree", "decomp", "shapes", "eigen", "union_shape", "r", "mu", "blocks")
 
 
 def _shape(g: WeightedDigraphFF) -> str:
@@ -364,8 +360,7 @@ def _shape(g: WeightedDigraphFF) -> str:
 
 def _facts(net: LeaderFollowerNetwork) -> _Facts:
     graphs = net.graphs
-    u = graphs[0] if net.is_static else union(list(graphs))
-    union_shape = _shape(u)
+    union_shape = _shape(graphs[0] if net.is_static else union(list(graphs)))
     graph_blocks = [_scc_blocks(g) for g in graphs]
     cache: dict = {}  # H_SS - c I -> nilpotent, for the eigenvalue and the gain's tests
     eigen = tuple(_eigenvalue(net.field, b, cache) for b in graph_blocks)
@@ -379,7 +374,7 @@ def _facts(net: LeaderFollowerNetwork) -> _Facts:
         kr,
         # every subgraph of an acyclic union is acyclic
         (union_shape,) * len(graphs) if union_shape == "dag" or net.is_static else tuple(map(_shape, graphs)),
-        eigen, u, union_shape, r, mu, blocks,
+        eigen, union_shape, r, mu, blocks,
     )
 
 
@@ -451,7 +446,7 @@ def _decide(f: _Facts, graph_indices: Sequence[int]) -> _Decision:
                 f"acyclic follower graph with uniform nonzero in-degree {d} and a stabilizable "
                 "pair: a gain making the error dynamics nilpotent exists"
             )
-        elif not one and f.union_dag:
+        elif not one and f.union_shape == "dag":
             reason = (
                 "union of follower supports is acyclic, the pair is stabilizable, and "
                 f"every follower has in-degree {d} in every graph: one gain makes "
@@ -603,13 +598,33 @@ def analyze(net: LeaderFollowerNetwork) -> AnalysisReport:
     return check_static(net) if net.is_static else check_switching(net)
 
 
-def _report(net: LeaderFollowerNetwork, mode: str, f: _Facts, checks: dict, witness: dict) -> AnalysisReport:
-    """Complete a mode's checks and witness with the decision over all the
-    network's graphs, its witness gain, the bound and the diagnostics."""
+def _report(net: LeaderFollowerNetwork, mode: str) -> AnalysisReport:
+    """The one report of a network, one graph or many, from its facts and
+    the decision over all its graphs: the checks with one entry per
+    graph (shape, eigenvalue d or null, the first SCC failing at d, and
+    under a supplied gain whether its error matrix is nilpotent), the
+    witness gain, the bound of ``mode`` and the diagnostics."""
+    if mode == "static" and not net.is_static:
+        raise ValueError(f"static analysis needs one graph, not {len(net.graphs)}; use check_switching")
+    f = _facts(net)
     everything = range(len(net.graphs))
     dec = _decide(f, everything)
+    graphs = [
+        {"shape": shape, "eigenvalue": d if comp is None else None, "failing_scc": None if comp is None else list(comp)}
+        for shape, (d, comp) in zip(f.shapes, f.eigen)
+    ]
+    checks: dict = {
+        "a_nilpotent": f.a_degree is not None,
+        "stabilizable": f.decomp.stabilizable,
+        "union_shape": f.union_shape,
+        "graphs": graphs,
+    }
+    witness: dict = {}
     diagnostics: dict = {}
     if net.gain is not None:
+        for entry, blocks in zip(graphs, f.blocks):
+            entry["supplied_gain_nilpotent"] = all(ok for _, ok in blocks)
+        checks["supplied_gain_mu"] = f.mu if any(f.r) else None
         witness["supplied_gain"] = net.gain.to_rows()[0]
         diagnostics["error_matrix_blocks"] = {
             "count": sum(len(blocks) for blocks in f.blocks),
@@ -629,49 +644,14 @@ def _report(net: LeaderFollowerNetwork, mode: str, f: _Facts, checks: dict, witn
 
 
 def check_static(net: LeaderFollowerNetwork) -> AnalysisReport:
-    """Decide consensus for a network with one fixed graph."""
-    [g] = net.graphs
-    f = _facts(net)
-    checks: dict = {
-        "a_nilpotent": f.a_degree is not None,
-        "follower_graph_dag": f.union_dag,
-        "stabilizable": f.decomp.stabilizable,
-        "eigenvalue": f.eigen[0][0] if f.eigen[0][1] is None else None,
-    }
-    if net.gain is not None:
-        [blocks] = f.blocks
-        checks["supplied_gain_error_matrix_nilpotent"] = all(ok for _, ok in blocks)
-        if f.union_dag:
-            checks["per_agent_nilpotent"] = {str(i): ok for (i,), ok in sorted(blocks)}
-    witness: dict = {
-        "in_degrees": {str(i): v for i, v in g.in_degrees().items()},
-        "leader_globally_reachable": g.leader_globally_reachable(),
-    }
-    if f.union_dag:
-        witness["topo_permutation"] = g.topo_permutation()
-    return _report(net, "static", f, checks, witness)
+    """Decide consensus for a network with one fixed graph (``_report``)."""
+    return _report(net, "static")
 
 
 def check_switching(net: LeaderFollowerNetwork) -> AnalysisReport:
-    """Analysis under arbitrary switching between the graphs; when it is
-    inconclusive, the diagnostics carry each graph's static verdict."""
-    f = _facts(net)
-    checks: dict = {
-        "a_nilpotent": f.a_degree is not None,
-        "union_dag": f.union_dag,
-        "stabilizable": f.decomp.stabilizable,
-        "per_graph_eigenvalue": [d if failing is None else None for d, failing in f.eigen],
-    }
-    if net.gain is not None:
-        checks["supplied_gain_error_matrices_nilpotent"] = [
-            all(ok for _, ok in blocks) for blocks in f.blocks
-        ]
-    witness: dict = {
-        "per_graph_in_degrees": [{str(i): v for i, v in g.in_degrees().items()} for g in net.graphs],
-    }
-    if f.union_dag:
-        witness["union_topo_permutation"] = f.union.topo_permutation()
-    return _report(net, "switching", f, checks, witness)
+    """Analysis under arbitrary switching between the graphs (``_report``);
+    when it is inconclusive, the diagnostics carry each graph's static verdict."""
+    return _report(net, "switching")
 
 
 def synthesize_gain(net: LeaderFollowerNetwork) -> MatrixFF:

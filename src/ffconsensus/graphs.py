@@ -16,10 +16,9 @@ requires and is used consistently everywhere in the package.
 The support facts are computed at most once per graph object, lazily,
 as lists indexed by node: one pass over the edges gives the in-degrees
 (``in_degrees``) and the successor lists, which the strongly connected
-components of the follower support (Tarjan) and leader reachability
-read.  The DAG flag and the topological permutation are read off the
-components, which depend on the edge support only, never on mod-p
-weight sums.  The config loader and ``union`` hand over edges that are
+components of the follower support (Tarjan) read.  The DAG flag is read
+off the components, which depend on the edge support only, never on
+mod-p weight sums.  The config loader and ``union`` hand over edges that are
 already checked (``_of_residues``, ``_hold``).
 """
 
@@ -43,7 +42,7 @@ class EdgeError(ValueError):
 class WeightedDigraphFF:
     """Digraph on {0, 1, ..., N} with weights in F_p; node 0 is the leader."""
 
-    __slots__ = ("field", "num_followers", "_edges", "_degs", "_succ", "_sccs", "_reach")
+    __slots__ = ("field", "num_followers", "_edges", "_degs", "_succ", "_sccs")
 
     def __init__(self, field: PrimeField, num_followers: int, edges: Iterable[tuple[int, int, int]] = ()):
         if num_followers < 1:
@@ -54,7 +53,7 @@ class WeightedDigraphFF:
         """Keep ``edge_map``, or ``_scan``'s of ``edges`` when it is None."""
         self.field, self.num_followers = field, num_followers
         self._edges = self._scan(field, num_followers, edges) if edge_map is None else edge_map
-        self._degs = self._succ = self._sccs = self._reach = None
+        self._degs = self._succ = self._sccs = None
 
     @classmethod
     def _of_residues(cls, field: PrimeField, num_followers: int, edges: list[tuple[int, int, int]]):
@@ -207,43 +206,10 @@ class WeightedDigraphFF:
         components.reverse()
         return components
 
-    def _cyclic(self, component: tuple[int, ...]) -> bool:
-        return len(component) > 1 or (component[0], component[0]) in self._edges
-
     def is_dag(self) -> bool:
         """True iff the follower subgraph has no directed cycle: every
         strongly connected component is one follower without a self-loop."""
-        return not any(map(self._cyclic, self.strongly_connected_components()))
-
-    def topo_permutation(self) -> list[int]:
-        """0-based follower order in which every receiver precedes its
-        senders, so the follower adjacency with rows and columns in this
-        order is strictly upper triangular: the reversed component order,
-        shifted to 0-based.  Raises ValueError naming the followers of the
-        first component with a directed cycle.
-        """
-        components = self.strongly_connected_components()
-        for component in components:
-            if self._cyclic(component):
-                raise ValueError(
-                    f"follower subgraph has a directed cycle through followers {list(component)}"
-                )
-        return [node - 1 for (node,) in reversed(components)]
-
-    def leader_globally_reachable(self) -> bool:
-        """True iff every follower is reachable from the leader; kept."""
-        if self._reach is None:
-            succ = self._support()[1]
-            seen = bytearray(len(succ))
-            seen[0] = 1
-            frontier = [0]
-            while frontier:
-                for t in succ[frontier.pop()]:
-                    if not seen[t]:
-                        seen[t] = 1
-                        frontier.append(t)
-            self._reach = all(seen)
-        return self._reach
+        return all(len(c) == 1 and (c[0], c[0]) not in self._edges for c in self.strongly_connected_components())
 
 
 def _checked_map(N: int, srcs: Sequence[int], tgts: Sequence[int], weights: Sequence[int]

@@ -1,7 +1,10 @@
+import importlib.util
+import json
 import random
 import sys
 from math import gcd, prod
 from operator import mul
+from pathlib import Path
 
 import pytest
 
@@ -304,8 +307,8 @@ def reference_sccs(g: WeightedDigraphFF) -> list[tuple[int, ...]]:
     return components
 
 
-def reference_reachable(g: WeightedDigraphFF) -> bool:
-    """Whether the leader reaches every follower, by a search over a set."""
+def reference_reached(g: WeightedDigraphFF) -> set[int]:
+    """The nodes the leader reaches, itself included, by a search over a set."""
     succ = reference_successors(g, leader=True)
     seen, frontier = {0}, [0]
     while frontier:
@@ -313,7 +316,7 @@ def reference_reachable(g: WeightedDigraphFF) -> bool:
             if t not in seen:
                 seen.add(t)
                 frontier.append(t)
-    return len(seen) == g.num_followers + 1
+    return seen
 
 
 def _require(cond, field_path, message):
@@ -709,3 +712,35 @@ def random_scc_graph(rng: random.Random, field: PrimeField, num_followers: int) 
         else:
             edges.pop((0, v), None)
     return WeightedDigraphFF(field, num_followers, [(s, t, w) for (s, t), w in edges.items()])
+
+
+# ---------------------------------------------------------------------
+# CI's configs and the first config of each sweep kind (perfbench/gen.py,
+# seed 1, pass 0): every command runs on them in the command-path and
+# report tests.
+# ---------------------------------------------------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
+gen = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(gen)
+
+RING = 400
+CONFIGS = {
+    "leader_f3": json.loads((ROOT / "configs" / "leader_f3.json").read_text()),
+    "leader_f3_k": {**json.loads((ROOT / "configs" / "leader_f3.json").read_text()), "K": [2, 1, 2, 0, 1]},
+    "p2_chain": {"p": 2, "n": 3, "N": 6, "A": [[1, 1, 0], [0, 1, 1], [0, 0, 1]], "b": [0, 0, 1],
+                 "graphs": [[[i, i + 1, 1] for i in range(6)]]},
+    "p1000003": {"p": 1000003, "n": 2, "N": 30, "A": [[1, 1], [0, 1]], "b": [0, 1], "K": [1, 2],
+                 "graphs": [[[i, i + 1, 1] for i in range(30)]]},
+    "uncontrollable": {"p": 5, "n": 4, "N": 3, "A": [[2, 0, 0, 2], [1, 4, 4, 0], [3, 2, 2, 0], [2, 1, 1, 3]],
+                       "b": [2, 2, 1, 1], "graphs": [[[0, 1, 2], [1, 2, 2], [2, 3, 2]]]},
+    "ring400": {"p": 3, "n": 5, "N": RING, "A": REF_A_ROWS, "b": REF_B, "K": [2, 1, 2, 0, 1],
+                "graphs": [[[0, 1, 1], [RING, 1, 1]] + [[i, i + 1, 2] for i in range(1, RING)]]},
+    # nilpotent A and K b = 0, so r = 0: the bound's kappa, the first j with K A^j = 0, is 2
+    "r0_gain": {"p": 3, "n": 3, "N": 2, "A": [[0, 1, 0], [0, 0, 1], [0, 0, 0]], "b": [1, 0, 0], "K": [0, 1, 2],
+                "graphs": [[[0, 1, 1], [1, 2, 2]]]},
+}
+for _item in gen.sweep_pass(1, 0):
+    CONFIGS.setdefault(f"sweep_{_item['expect']['kind']}", _item["config"])
+

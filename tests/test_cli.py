@@ -343,7 +343,7 @@ def test_analyze_guaranteed_exit_zero(ref_config_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert out["verdict"] == "guaranteed"
-    assert out["checks"]["union_dag"] is True
+    assert out["checks"]["union_shape"] == "dag"
     assert out["bounds"]["switching"] is not None
 
 
@@ -396,7 +396,7 @@ def test_analyze_inconclusive_exit_three(tmp_path, capsys):
         path.write_text(json.dumps(doc))
         assert main(["analyze", str(path)]) == rc
         report = json.loads(capsys.readouterr().out)
-        assert (report["verdict"], report["checks"]["eigenvalue"]) == (verdict, d)
+        assert (report["verdict"], report["checks"]["graphs"][0]["eigenvalue"]) == (verdict, d)
         assert ("the one eigenvalue d = 2" in report["reason"]) == (rc == 3)
 
 
@@ -410,7 +410,7 @@ def test_analyze_supplied_gain_that_fails_exits_two(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert rc == 2 and out["verdict"] == "impossible"
     assert out["bounds"] == {"static": None, "switching": None}
-    assert out["checks"]["supplied_gain_error_matrix_nilpotent"] is False
+    assert out["checks"]["graphs"][0]["supplied_gain_nilpotent"] is False
     assert "supplied gain" in out["reason"] and "witness.synthesized_gain" in out["reason"]
     assert "synthesized_gain" in out["witness"]
 
@@ -485,9 +485,6 @@ def test_analyze_constant_signal_treated_as_static(tmp_path, capsys):
 # verdicts, nilpotent A under switching, unequal and zero in-degrees)
 # were recorded before one decision replaced the separate static,
 # switching and synthesis statements of the consensus rule; the
-# topo_permutation of leader_f3_with_gain_constant_signal and
-# static_unequal_degrees was re-recorded when the order came to be read
-# off the SCCs (Tarjan) instead of Kahn's smallest-first order; the
 # witness of switching_nilpotent_a gained gain_certificate_degree when the
 # report came to record the zero gain's closed-loop degree (A's).  When one
 # rule and one bound came to serve any number of graphs,
@@ -496,14 +493,18 @@ def test_analyze_constant_signal_treated_as_static(tmp_path, capsys):
 # 20 -> 16 (N*f) and the switching bound of switching_nilpotent_a 6 -> 2
 # (deg A); switching_shared_degree_cyclic_union (two acyclic graphs sharing
 # d = 1 over a cyclic union) keeps per_graph_static covered.  When every
-# graph came to be decided by the one eigenvalue d of its SCC blocks,
-# checks.common_degree became checks.eigenvalue and the per-graph degree
-# checks checks.per_graph_eigenvalue; the impossible reasons of the
-# static_* and chain_* cases and of switching_cyclic_union_per_graph_static
-# (whose cyclic graph 1 now fails first) name the failing SCC.  When a graph
-# whose SCCs are single followers with self-loops came to be decided like an
-# acyclic one, chain_self_loop_guaranteed gained the witness gain (its K) and
-# the reason of that rule in place of "decided directly"
+# graph came to be decided by the one eigenvalue d of its SCC blocks, the
+# impossible reasons of the static_* and chain_* cases and of
+# switching_cyclic_union_per_graph_static (whose cyclic graph 1 now fails
+# first) came to name the failing SCC.  When a graph whose SCCs are single
+# followers with self-loops came to be decided like an acyclic one,
+# chain_self_loop_guaranteed gained the witness gain (its K) and the reason
+# of that rule in place of "decided directly".  When one report shape came
+# to serve one graph or many, every case's checks were re-recorded as
+# union_shape and one entry per graph (shape, eigenvalue, failing_scc and,
+# with a gain, supplied_gain_nilpotent, beside supplied_gain_mu), and the
+# in-degrees, leader reachability and topological order left the witness;
+# every verdict, reason, bound, gain and diagnostic stayed as it was
 GOLDEN = json.loads((Path(__file__).parent / "data" / "analyze_golden.json").read_text())
 
 

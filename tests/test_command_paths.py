@@ -4,37 +4,12 @@ adjacency matrices or the dense error matrix.  Those serve the library
 API and the tests' oracle; the commands read packed rows, Krylov vectors
 and checked edge maps instead."""
 
-import importlib.util
 import json
-from pathlib import Path
 
 from ffconsensus import MatrixFF, WeightedDigraphFF, consensus, matrix
 from ffconsensus.cli import main
 
-from conftest import REF_A_ROWS, REF_B
-
-ROOT = Path(__file__).resolve().parents[1]
-_spec = importlib.util.spec_from_file_location("perfbench_gen", ROOT / "perfbench" / "gen.py")
-gen = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(gen)
-
-RING = 400
-CONFIGS = {
-    "leader_f3": json.loads((ROOT / "configs" / "leader_f3.json").read_text()),
-    "p2_chain": {"p": 2, "n": 3, "N": 6, "A": [[1, 1, 0], [0, 1, 1], [0, 0, 1]], "b": [0, 0, 1],
-                 "graphs": [[[i, i + 1, 1] for i in range(6)]]},
-    "p1000003": {"p": 1000003, "n": 2, "N": 30, "A": [[1, 1], [0, 1]], "b": [0, 1], "K": [1, 2],
-                 "graphs": [[[i, i + 1, 1] for i in range(30)]]},
-    "uncontrollable": {"p": 5, "n": 4, "N": 3, "A": [[2, 0, 0, 2], [1, 4, 4, 0], [3, 2, 2, 0], [2, 1, 1, 3]],
-                       "b": [2, 2, 1, 1], "graphs": [[[0, 1, 2], [1, 2, 2], [2, 3, 2]]]},
-    "ring400": {"p": 3, "n": 5, "N": RING, "A": REF_A_ROWS, "b": REF_B, "K": [2, 1, 2, 0, 1],
-                "graphs": [[[0, 1, 1], [RING, 1, 1]] + [[i, i + 1, 2] for i in range(1, RING)]]},
-    # nilpotent A and K b = 0, so r = 0: the bound's kappa, the first j with K A^j = 0, is 2
-    "r0_gain": {"p": 3, "n": 3, "N": 2, "A": [[0, 1, 0], [0, 0, 1], [0, 0, 0]], "b": [1, 0, 0], "K": [0, 1, 2],
-                "graphs": [[[0, 1, 1], [1, 2, 2]]]},
-}
-for _item in gen.sweep_pass(1, 0):
-    CONFIGS.setdefault(f"sweep_{_item['expect']['kind']}", _item["config"])
+from conftest import CONFIGS, gen
 
 WRAPPED = [
     (MatrixFF, "__matmul__"), (MatrixFF, "inverse"), (MatrixFF, "rank"), (MatrixFF, "col"),

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from ffconsensus import (
     kalman_decompose,
     kron,
     synthesize_gain,
+    union,
 )
 from ffconsensus.consensus import GainSynthesisError
 from ffconsensus.linsys import _krylov
@@ -40,6 +42,7 @@ from conftest import (
     random_network,
     random_nilpotent,
     random_scc_graph,
+    reference_reached,
 )
 
 
@@ -220,18 +223,25 @@ def test_scc_block_verdicts_match_dense_error_matrix():
     rng = random.Random(2718)
     seen = {"multi_scc_cyclic": 0, "self_loop": 0, "leaderless": 0, "zero_degree": 0,
             "switching": 0, "nilpotent": 0, "not_nilpotent": 0, "nilpotent_coupled_cycle": 0,
-            "single_eigenvalue_cycle": 0, "r_zero": 0}
+            "single_eigenvalue_cycle": 0, "r_zero": 0, "mu passes": 0}
 
     def check(net):
         graphs = net.graphs
         dense = [error_dynamics_matrix(net, gi).is_nilpotent() for gi in range(len(graphs))]
-        if net.is_static:
-            report = check_static(net)
-            assert report.checks["supplied_gain_error_matrix_nilpotent"] == dense[0]
-        else:
-            seen["switching"] += 1
-            report = check_switching(net)
-            assert report.checks["supplied_gain_error_matrices_nilpotent"] == dense
+        seen["switching"] += not net.is_static
+        report = analyze(net)
+        assert [entry["supplied_gain_nilpotent"] for entry in report.checks["graphs"]] == dense
+        # claims 2-3 of _error_block_results: mu* is null iff r = 0, and a
+        # graph passes iff A is nilpotent (r = 0), or its eigenvalue is mu*
+        # and A - mu* bK is nilpotent
+        mu, a, bk = report.checks["supplied_gain_mu"], net.sys.A, net.sys.b @ net.gain
+        assert (mu is None) == (a.char_poly() == (a - bk).char_poly())
+        for entry, nil in zip(report.checks["graphs"], dense):
+            if mu is None:
+                assert nil == a.is_nilpotent()
+            else:
+                assert nil == (entry["eigenvalue"] == mu and (a - bk.scale(mu)).is_nilpotent())
+                seen["mu passes"] += nil
         blocks = report.diagnostics["error_matrix_blocks"]
         comps = [g.strongly_connected_components() for g in graphs]
         assert blocks == {"count": sum(map(len, comps)),
@@ -308,7 +318,7 @@ def test_static_guaranteed_uniform_degree(ref_system):
     report = check_static(net)
     assert report.verdict == "guaranteed"
     assert report.checks["stabilizable"]
-    assert report.checks["eigenvalue"] == 1
+    assert report.checks["graphs"] == [{"shape": "dag", "eigenvalue": 1, "failing_scc": None}]
     assert report.bounds["static"] == 2 * 5
     assert "synthesized_gain" in report.witness
 
@@ -328,7 +338,7 @@ def test_static_impossible_zero_degree():
     net = single_graph_net(F3, [[1, 1], [0, 2]], [0, 1], [(0, 1, 1)], 2)
     report = check_static(net)
     assert report.verdict == "impossible"
-    assert report.checks["eigenvalue"] is None  # H = diag(1, 0)
+    assert report.checks["graphs"][0]["eigenvalue"] is None  # H = diag(1, 0)
 
 
 def test_static_impossible_not_stabilizable():
@@ -361,7 +371,7 @@ def test_static_cyclic_graph_without_gain_inconclusive():
     # H = Dbar - Abar = [[0, 1], [2, 1]] has the one eigenvalue 2
     net = single_graph_net(F3, [[1]], [1], [(0, 1, 1), (1, 2, 1), (2, 1, 2)], 2)
     report = check_static(net)
-    assert report.verdict == "inconclusive" and report.checks["eigenvalue"] == 2
+    assert report.verdict == "inconclusive" and report.checks["graphs"][0]["eigenvalue"] == 2
     assert "the one eigenvalue d = 2" in report.reason and "not supported yet" in report.reason
 
 
@@ -375,21 +385,22 @@ def test_static_verdict_consistent_with_checks():
         )
         report = check_static(net)
         c = report.checks
+        [graph] = c["graphs"]
         if net.gain is not None:
             # a supplied gain is judged on its own; whether some gain
             # exists still shows as the witness gain
-            ok = c["supplied_gain_error_matrix_nilpotent"]
+            ok = graph["supplied_gain_nilpotent"]
             assert report.verdict == ("guaranteed" if ok else "impossible")
-            if c["a_nilpotent"] or c["follower_graph_dag"]:
-                exists = c["a_nilpotent"] or (c["stabilizable"] and c["eigenvalue"] not in (None, 0))
+            if c["a_nilpotent"] or c["union_shape"] == "dag":
+                exists = c["a_nilpotent"] or (c["stabilizable"] and graph["eigenvalue"] not in (None, 0))
                 assert ("synthesized_gain" in report.witness) == exists
                 assert exists or not ok
         elif c["a_nilpotent"]:
             assert report.verdict == "guaranteed"
-        elif not c["stabilizable"] or c["eigenvalue"] in (None, 0):
+        elif not c["stabilizable"] or graph["eigenvalue"] in (None, 0):
             assert report.verdict == "impossible"
         else:
-            assert report.verdict == ("guaranteed" if c["follower_graph_dag"] else "inconclusive")
+            assert report.verdict == ("guaranteed" if c["union_shape"] == "dag" else "inconclusive")
 
 
 def test_facts_a_degree_matches_direct_nilpotent_degree():
@@ -423,8 +434,8 @@ def test_facts_a_degree_matches_direct_nilpotent_degree():
 def test_switching_guaranteed_reference(ref_network):
     report = check_switching(ref_network)
     assert report.verdict == "guaranteed"
-    assert report.checks["union_dag"]
-    assert report.checks["per_graph_eigenvalue"] == [1, 1]
+    assert report.checks["union_shape"] == "dag"
+    assert [graph["eigenvalue"] for graph in report.checks["graphs"]] == [1, 1]
     assert report.bounds["switching"] is not None
 
 
@@ -435,7 +446,7 @@ def test_switching_union_cycle_inconclusive():
     net = LeaderFollowerNetwork(sys=sys_, graphs=(g1, g2))
     report = check_switching(net)
     assert report.verdict == "inconclusive"
-    assert not report.checks["union_dag"]
+    assert report.checks["union_shape"] == "cyclic"
     assert report.diagnostics["per_graph_static"] == [
         {"graph": 0, "verdict": "guaranteed"}, {"graph": 1, "verdict": "guaranteed"}]
 
@@ -449,7 +460,7 @@ def test_switching_degree_mismatch_across_graphs_impossible():
     report = check_switching(net)
     assert report.verdict == "impossible"
     assert "eigenvalues [1, 2] differ" in report.reason
-    assert report.checks["per_graph_eigenvalue"] == [1, 2]
+    assert [graph["eigenvalue"] for graph in report.checks["graphs"]] == [1, 2]
 
 
 def _with_degree(field, graph, d):
@@ -564,6 +575,22 @@ def _small_network(rng, gain_kind):
     return LeaderFollowerNetwork(sys=sys_, graphs=tuple(graphs), gain=gain)
 
 
+def _p_cycle_graph(rng, field, N):
+    """Directed cycles of p followers (p dividing N) with chords back
+    along each cycle and forward to later followers, self-loops and
+    leader edges: every SCC is one of the cycles, so p divides every |S|."""
+    p, edges = field.p, {}
+    for start in range(1, N + 1, p):
+        cycle = list(range(start, start + p))
+        edges.update({(s, t): rng.randrange(1, p) for s, t in zip(cycle, cycle[1:] + cycle[:1])})
+        edges.update({(t, s): rng.randrange(1, p) for s, t in zip(cycle, cycle[1:]) if rng.random() < 0.3})
+        edges.update({(s, t): rng.randrange(1, p) for s in cycle for t in range(start + p, N + 1)
+                      if rng.random() < 0.3})
+    edges.update({(v, v): rng.randrange(1, p) for v in range(1, N + 1) if rng.random() < 0.2})
+    edges.update({(0, v): rng.randrange(1, p) for v in range(1, N + 1) if rng.random() < 0.6})
+    return WeightedDigraphFF(field, N, [(s, t, w) for (s, t), w in edges.items()])
+
+
 def _small_cyclic_network(rng):
     """A network without a gain, over a stabilizable pair with A not
     nilpotent, of one or two follower graphs with cycles, small enough to brute-force every gain (p^(n(N+1)) <= 2187),
@@ -587,16 +614,7 @@ def _small_cyclic_network(rng):
         elif kind == 1:
             graphs.append(_graph_with_laplacian(rng, field, _one_eigenvalue(rng, field, N, rng.randrange(p))))
         else:
-            edges = {}
-            for start in range(1, N + 1, p):
-                cycle = list(range(start, start + p))
-                edges.update({(s, t): rng.randrange(1, p) for s, t in zip(cycle, cycle[1:] + cycle[:1])})
-                edges.update({(t, s): rng.randrange(1, p) for s, t in zip(cycle, cycle[1:]) if rng.random() < 0.3})
-                edges.update({(s, t): rng.randrange(1, p) for s in cycle for t in range(start + p, N + 1)
-                              if rng.random() < 0.3})
-            edges.update({(v, v): rng.randrange(1, p) for v in range(1, N + 1) if rng.random() < 0.2})
-            edges.update({(0, v): rng.randrange(1, p) for v in range(1, N + 1) if rng.random() < 0.6})
-            graphs.append(WeightedDigraphFF(field, N, [(s, t, w) for (s, t), w in edges.items()]))
+            graphs.append(_p_cycle_graph(rng, field, N))
     while True:
         sys_ = LinearSystemFF(random_matrix(rng, field, n, n), random_matrix(rng, field, n, 1))
         if is_stabilizable(sys_) and not sys_.A.is_nilpotent():
@@ -664,7 +682,7 @@ def test_guaranteed_bounds_hold_and_stay_within_n_n():
         T, N, n = report.bounds[report.mode], net.num_followers, net.sys.dim
         k = net.gain if net.gain is not None else MatrixFF.row_vector(net.field, report.witness["synthesized_gain"])
         assert T <= N * n and exhaustive_consensus_oracle(net.with_gain(k), T, all_signals=True), report.to_dict()
-        seen[kind, report.mode, "acyclic" if consensus._facts(net).union_dag else "cyclic"] += 1
+        seen[kind, report.mode, "acyclic" if report.checks["union_shape"] == "dag" else "cyclic"] += 1
     assert min(seen[kind, mode, "acyclic"] for kind in ("none", "random", "r0") for mode in ("static", "switching")) >= 10, seen
     assert seen["r0", "switching", "cyclic"] >= 20, seen
 
@@ -750,15 +768,16 @@ def test_switching_bound_reads_the_scc_order_and_stays_sound():
     net = LeaderFollowerNetwork(sys=sys_, graphs=graphs, gain=MatrixFF.row_vector(F2, [0, 0, 1]))
     report = check_switching(net)
     assert report.verdict == "guaranteed"
-    assert report.witness["union_topo_permutation"] == [0, 1, 2]
+    assert report.checks["union_shape"] == "dag"
+    assert union(list(graphs)).strongly_connected_components() == [(3,), (2,), (1,)]
     assert report.bounds["switching"] == 2
     assert exhaustive_consensus_oracle(net, 2, all_signals=True)
     assert not exhaustive_consensus_oracle(net, 1, all_signals=True)
 
 
 def test_analyze_runs_tarjan_once_per_graph(monkeypatch):
-    # DAG flags, SCC blocks, the topological permutation and the switching
-    # bound all read one memoized Tarjan pass per graph object
+    # shapes, SCC blocks and the switching bound all read one memoized
+    # Tarjan pass per graph object
     runs = []
     original = WeightedDigraphFF._tarjan
     monkeypatch.setattr(WeightedDigraphFF, "_tarjan", lambda g: runs.append(id(g)) or original(g))
@@ -945,7 +964,7 @@ def test_self_loop_chain_has_the_deadbeat_gain():
     net = single_graph_net(F3, [[1, 1], [0, 1]], [0, 1], [(0, 1, 1), (1, 2, 1), (2, 2, 2)], 2)
     report = analyze(net)
     assert report.verdict == "guaranteed"
-    assert report.checks["follower_graph_dag"] is False and "topo_permutation" not in report.witness
+    assert report.checks["union_shape"] == "loops"
     k = MatrixFF.row_vector(F3, report.witness["synthesized_gain"])
     assert synthesize_gain(net) == k
     assert exhaustive_consensus_oracle(net.with_gain(k), report.bounds["static"], all_signals=True)
@@ -1031,7 +1050,7 @@ def test_gain_off_the_eigenvalue_runs_one_test_per_cyclic_block(ref_system, monk
     report = analyze(net)
     assert sizes == [N]
     assert report.verdict == "impossible"
-    assert report.checks["supplied_gain_error_matrix_nilpotent"] is False
+    assert report.checks["graphs"][0]["supplied_gain_nilpotent"] is False
     f = consensus._facts(net)
     assert (f.mu, f.eigen[0][0]) == (1, 2) and f.blocks == [[(tuple(range(1, N + 1)), None)]]
 
@@ -1105,3 +1124,108 @@ def test_convergence_bound_reads_the_facts_without_a_report(monkeypatch):
                              f"(verdict: {report.verdict})")
         seen[report.verdict, gain is None] += 1
     assert len(seen) == 6 and min(seen.values()) >= 5, seen
+
+
+# ---------------------------------------------------------
+# The report's per-graph facts
+# ---------------------------------------------------------
+
+def _power_of_x_minus(c, N, p):
+    """Ascending coefficients of (x - c)^N mod p."""
+    return [math.comb(N, k) * (-c) ** (N - k) % p for k in range(N + 1)]
+
+
+def _failing_blocks(field, h, comps, d):
+    """Per SCC, whether its block of the dense H minus d I is not nilpotent."""
+    p = field.p
+    return [not MatrixFF(field, [[(h[i - 1][j - 1] - d * (i == j)) % p for j in comp] for i in comp]).is_nilpotent()
+            for comp in comps]
+
+
+def test_per_graph_facts_match_dense_h():
+    """Each graph's eigenvalue and failing_scc against H = Dbar - Abar from
+    ``adjacency_matrices``: eigenvalue == c iff chi_H = (x - c)^N, and the
+    block of failing_scc minus d I (d the graph's candidate) is not
+    nilpotent while every earlier SCC's block is; on graphs with cycles
+    and self-loops, p in {2, 3, 5, 7} and N <= 6, some with p dividing
+    every |S|, so that d is read off a block's characteristic polynomial."""
+    rng = random.Random(3109)
+    seen = collections.Counter()
+    for _ in range(900):
+        field = (F2, F3, F5, PrimeField(7))[rng.randrange(4)]
+        p, kind = field.p, rng.randrange(3)
+        if kind == 2 and p <= 5:
+            N = p * rng.randint(1, 6 // p)
+            g = _p_cycle_graph(rng, field, N)
+        elif kind == 1:
+            N = rng.randint(1, 6)
+            g = _graph_with_laplacian(rng, field, _one_eigenvalue(rng, field, N, rng.randrange(p)))
+        else:
+            N = rng.randint(1, 6)
+            g = random_scc_graph(rng, field, N)
+        n = rng.randint(1, 2)
+        sys_ = LinearSystemFF(random_matrix(rng, field, n, n), random_matrix(rng, field, n, 1))
+        net = LeaderFollowerNetwork(sys=sys_, graphs=(g,))
+        [entry] = analyze(net).checks["graphs"]
+        [(d, _)] = consensus._facts(net).eigen
+        a_bar, d_bar = g.adjacency_matrices()
+        h = d_bar - a_bar
+        chi = list(h.char_poly().coeffs)
+        for c in range(p):
+            assert (entry["eigenvalue"] == c) == (chi == _power_of_x_minus(c, N, p)), (g, entry)
+        comps = g.strongly_connected_components()
+        fails = _failing_blocks(field, h.to_rows(), comps, d)
+        failing = entry["failing_scc"]
+        assert (failing is None) == (entry["eigenvalue"] is not None)
+        if failing is None:
+            assert not any(fails), (g, entry)
+        else:
+            k = comps.index(tuple(failing))
+            assert fails[k] and not any(fails[:k]), (g, entry)
+            seen["fails after the first SCC"] += k > 0
+        seen["p divides every |S|", failing is None] += all(len(c) % p == 0 for c in comps)
+        seen["one eigenvalue", failing is None] += 1
+        seen["self-loop"] += any(g.weight(i, i) for i in range(1, N + 1))
+        seen["cyclic"] += any(len(c) > 1 for c in comps)
+    assert len(seen) == 7 and min(seen.values()) >= 40, seen
+
+
+def test_follower_the_leader_misses_fails_by_the_spectrum():
+    """Leader reachability needs no check of its own.  The first SCC that
+    the leader does not reach has no edge in from outside it (a source of
+    the condensation), so H_SS 1 = 0, and H has the eigenvalue 0.  On
+    random networks with a stabilizable pair and A not nilpotent, a graph
+    with such a follower makes analyze impossible; its H has no single
+    nonzero eigenvalue, and its failing_scc is that SCC or an earlier one
+    unless its candidate d is 0."""
+    rng = random.Random(3119)
+    seen = collections.Counter()
+    while min(seen.get(k, 0) for k in ("unreached", "earlier", "d = 0")) < 25:
+        field = (F2, F3, F5)[rng.randrange(3)]
+        n, N = rng.randint(1, 3), rng.randint(1, 6)
+        sys_ = LinearSystemFF(random_matrix(rng, field, n, n), random_matrix(rng, field, n, 1))
+        if not is_stabilizable(sys_) or sys_.A.is_nilpotent():
+            continue
+        graphs = tuple((random_dag_graph, random_scc_graph)[rng.randrange(2)](rng, field, N)
+                       for _ in range(rng.randint(1, 2)))
+        missed = [set(range(N + 1)) - reference_reached(g) for g in graphs]
+        if not any(missed):
+            continue
+        net = LeaderFollowerNetwork(sys=sys_, graphs=graphs)
+        report = analyze(net)
+        assert report.verdict == "impossible", report.to_dict()
+        for g, out, entry, (d, _) in zip(graphs, missed, report.checks["graphs"], consensus._facts(net).eigen):
+            if not out:
+                continue
+            assert entry["eigenvalue"] in (None, 0)
+            comps = g.strongly_connected_components()
+            first = next(c for c in comps if out.issuperset(c))
+            h = g.adjacency_matrices()
+            h = (h[1] - h[0]).to_rows()
+            assert not any(sum(h[i - 1][j - 1] for j in first) % field.p for i in first)
+            if not d:
+                seen["d = 0"] += 1
+                continue
+            failing = tuple(entry["failing_scc"])
+            assert comps.index(failing) <= comps.index(first), (g, entry)
+            seen["unreached" if failing == first else "earlier"] += 1

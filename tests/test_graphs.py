@@ -1,5 +1,4 @@
 import random
-import re
 from collections import Counter
 
 import pytest
@@ -11,8 +10,8 @@ from ffconsensus import (
 )
 
 from conftest import (
-    F2, F3, F5, per_entry_edges, random_dag_graph, random_scc_graph, reference_in_degrees, reference_reachable,
-    reference_sccs, reference_successors,
+    F2, F3, F5, per_entry_edges, random_dag_graph, random_scc_graph, reference_in_degrees, reference_sccs,
+    reference_successors,
 )
 
 
@@ -178,76 +177,67 @@ def test_degrees_match_adjacency_row_sums():
 
 
 # ---------------------------------------------------------
-# DAG detection and the triangularizing permutation
+# DAG detection and the component order
 # ---------------------------------------------------------
 
 def test_chain_is_dag():
     g = WeightedDigraphFF(F3, 3, [(1, 2, 1), (2, 3, 1)])
     assert g.is_dag()
-    assert g.topo_permutation() == [2, 1, 0]
+    assert g.strongly_connected_components() == [(1,), (2,), (3,)]
 
 
 def test_two_cycle_not_dag():
     g = WeightedDigraphFF(F3, 2, [(1, 2, 1), (2, 1, 1)])
     assert not g.is_dag()
-    with pytest.raises(ValueError, match=r"followers \[1, 2\]$"):
-        g.topo_permutation()
+    assert g.strongly_connected_components() == [(1, 2)]
 
 
 def test_self_loop_not_dag():
     g = WeightedDigraphFF(F3, 2, [(1, 1, 1)])
     assert not g.is_dag()
-    with pytest.raises(ValueError, match=r"followers \[1\]$"):
-        g.topo_permutation()
+    assert g.strongly_connected_components() == [(2,), (1,)]  # no edge orders them
 
 
 def test_edgeless_graph_is_dag():
     g = WeightedDigraphFF(F3, 3)
     assert g.is_dag()
-    assert len(g.topo_permutation()) == 3
+    assert g.strongly_connected_components() == [(3,), (2,), (1,)]
 
 
-def test_topo_permutation_triangularizes_random_dags():
-    # the follower adjacency with rows and columns in this order is strictly
-    # upper triangular iff every receiver comes before its sender
+def test_scc_order_triangularizes_random_dags():
+    # claim 1 of consensus._error_block_results: with rows and columns in
+    # the component order, the follower adjacency (entry (i, j) the weight
+    # of j -> i) is strictly lower triangular, as every follower edge runs
+    # from a component to a later one
     rng = random.Random(7)
     for _ in range(40):
         field = (F2, F3)[rng.randrange(2)]
         n = rng.randrange(1, 9)
         g = random_dag_graph(rng, field, n, edge_prob=0.6)
-        perm = g.topo_permutation()
-        assert sorted(perm) == list(range(n))
-        position = {node + 1: k for k, node in enumerate(perm)}
-        for src, tgt, _ in g.edges():
-            if src >= 1:
-                assert position[tgt] < position[src]
+        order = [node for (node,) in g.strongly_connected_components()]
+        assert sorted(order) == list(range(1, n + 1))
+        a_bar = g.adjacency_matrices()[0]
+        assert not any(a_bar.entry_int(i - 1, j - 1) for k, i in enumerate(order) for j in order[k:])
 
 
 def test_cycle_witness_is_a_cycle():
-    # the ValueError names the first strongly connected component (sources
-    # first) that carries a cycle: a mutually reachable set of followers
-    # with more than one member, or one follower with a self-loop
+    # is_dag is False exactly when some strongly connected component
+    # carries a cycle: a mutually reachable set of followers with more
+    # than one member, or one follower with a self-loop
     g = WeightedDigraphFF(F3, 4, [(1, 2, 1), (2, 3, 1), (3, 1, 1), (0, 4, 1)])
-    with pytest.raises(ValueError, match=r"followers \[1, 2, 3\]$"):
-        g.topo_permutation()
+    assert not g.is_dag() and (1, 2, 3) in g.strongly_connected_components()
     rng = random.Random(139)
     seen = Counter()
     for _ in range(200):
         g = random_scc_graph(rng, (F2, F3, F5)[rng.randrange(3)], rng.randint(1, 8))
-        if g.is_dag():
-            continue
-        with pytest.raises(ValueError) as exc:
-            g.topo_permutation()
-        named = [int(v) for v in re.search(r"\[([\d, ]+)\]$", str(exc.value)).group(1).split(", ")]
-        comps = g.strongly_connected_components()
-        assert tuple(named) in comps
-        assert all(len(c) == 1 and g.weight(c[0], c[0]) == 0 for c in comps[: comps.index(tuple(named))])
-        if len(named) == 1:
-            assert g.weight(named[0], named[0]) != 0
-            seen["self-loop"] += 1
-        else:
-            assert all(set(named) <= _reachable(g, v) for v in named)
-            seen["cycle"] += 1
+        cyclic = [c for c in g.strongly_connected_components() if len(c) > 1 or g.weight(c[0], c[0])]
+        assert g.is_dag() == (not cyclic)
+        for named in cyclic:
+            if len(named) == 1:
+                seen["self-loop"] += 1
+            else:
+                assert all(set(named) <= _reachable(g, v) for v in named)
+                seen["cycle"] += 1
     print(f"cases hit: {dict(seen)}")
     assert min(seen["self-loop"], seen["cycle"]) >= 10, seen
 
@@ -361,10 +351,9 @@ def _support_cases(rng, count):
 
 
 def test_support_facts_match_dict_references():
-    """The cached in-degree and successor lists, the list-based Tarjan
-    pass and leader reachability agree with the dict-based code, SCC
-    order included, on DAGs, SCC graphs with self-loops and graphs with
-    isolated followers."""
+    """The cached in-degree and successor lists and the list-based Tarjan
+    pass agree with the dict-based code, SCC order included, on DAGs, SCC
+    graphs with self-loops and graphs with isolated followers."""
     rng = random.Random(20261021)
     seen = Counter()
     for g in _support_cases(rng, 600):
@@ -376,12 +365,10 @@ def test_support_facts_match_dict_references():
         comps = g.strongly_connected_components()
         assert comps == reference_sccs(g)
         assert g.strongly_connected_components() == comps and g._support() == (degs, succ)
-        assert g.leader_globally_reachable() == reference_reachable(g)
         assert g.is_dag() == all(len(c) == 1 and c[0] not in succ[c[0]] for c in comps)
         seen["dag" if g.is_dag() else "cyclic"] += 1
         seen["self-loop"] += any(i in succ[i] for i in range(1, N + 1))
         seen["isolated"] += any(not succ[i] and not any(i in t for t in succ) for i in range(1, N + 1))
-        seen["reachable"] += g.leader_globally_reachable()
     assert min(seen.values()) >= 50, seen
 
 
@@ -446,16 +433,3 @@ def test_union_mismatched_inputs_rejected():
         union([WeightedDigraphFF(F3, 2), WeightedDigraphFF(F3, 3)])
     with pytest.raises(ValueError):
         union([WeightedDigraphFF(F3, 2), WeightedDigraphFF(F5, 2)])
-
-
-# ---------------------------------------------------------
-# Reachability
-# ---------------------------------------------------------
-
-def test_leader_reachability():
-    star = WeightedDigraphFF(F3, 3, [(0, 1, 1), (0, 2, 1), (0, 3, 1)])
-    assert star.leader_globally_reachable()
-    chain = WeightedDigraphFF(F3, 2, [(0, 1, 1), (1, 2, 1)])
-    assert chain.leader_globally_reachable()
-    isolated = WeightedDigraphFF(F3, 2, [(0, 1, 1)])
-    assert not isolated.leader_globally_reachable()

@@ -48,7 +48,7 @@ RECORDS = {
                   "metadata": {"trial": 0}}, True),
     LeaderFollowerNetwork: ({"sys": SYS, "graphs": (G,), "gain": MatrixFF(F3, [[1, 2]])}, True),
     SwitchingSignal: ({"kind": "random", "num_graphs": 2, "sequence": (), "seed": 7}, True),
-    _Facts: ({"a_degree": 2, "decomp": DECOMP, "shapes": ("dag",), "eigen": ((1, None),), "union": G,
+    _Facts: ({"a_degree": 2, "decomp": DECOMP, "shapes": ("dag",), "eigen": ((1, None),),
               "union_shape": "dag", "r": None, "mu": None, "blocks": None}, True),
     _Decision: ({"verdict": "guaranteed", "reason": "A is nilpotent", "witness_degree": 0}, True),
     AnalysisReport: ({"verdict": "guaranteed", "mode": "static", "reason": "r", "checks": {"a": True},
