@@ -59,7 +59,7 @@ import random
 from collections.abc import Sequence
 from operator import mul
 
-from .field import PrimeField, _FrozenRecord, _Record
+from .field import PrimeField, _FrozenRecord, _Record, _randbelow
 from .graphs import WeightedDigraphFF, union
 from .linsys import LinearSystemFF, _Krylov, _combine, _krylov
 from .matrix import MatrixFF, kron
@@ -159,8 +159,7 @@ class SwitchingSignal(_FrozenRecord):
         if self.kind == "periodic":
             reps = -(-horizon // len(self.sequence))
             return list(self.sequence * reps)[:horizon]
-        rng = random.Random(self.seed)
-        return [rng.randrange(self.num_graphs) for _ in range(horizon)]
+        return _randbelow(random.Random(self.seed), self.num_graphs, horizon)
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,8 @@ shared ``PrimeField`` per object and reject mixed-modulus operations.
 
 from __future__ import annotations
 
+from itertools import islice, repeat
+
 
 # Miller-Rabin with the first 13 primes as bases is deterministic below
 # this bound, the least composite that passes all of them (Sorenson and
@@ -54,12 +56,24 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _randbelow(rng, k: int, count: int) -> list[int]:
+    """``count`` draws uniform in range(k) from the ``random.Random`` rng:
+    the values of as many ``rng.randrange(k)`` calls, leaving rng in the
+    same state, as ``randrange`` draws ``getrandbits(k.bit_length())`` and
+    rejects values >= k (CPython 3.10-3.13), here in C-level iterators.
+    Like ``randrange``, it raises ValueError for a draw below k < 1."""
+    if k < 1 and count:
+        raise ValueError(f"no integer in range({k}) to draw")
+    return list(islice(filter(k.__gt__, map(rng.getrandbits, repeat(k.bit_length()))), count))
+
+
 def _slot_reduction(top: int, p: int, slots: int, widths: tuple[int, ...] = ()):
     """(w, s, M, LOW) to reduce mod p every slot of a packed int at once.
 
-    Slot j is bits [w*j, w*(j+1)) and must hold 0 <= v_j < top, (p-1)^2 times
-    max(n, 2), m or max(n+1, N+1), plus 1, for an n-slot row of ``matrix``, a
-    product mod a degree-m polynomial in ``poly`` or a step of ``sim``; w is the
+    Slot j is bits [w*j, w*(j+1)) and must hold 0 <= v_j < top: (p-1)^2 times
+    max(n, 2) or max(n+1, N+1), plus 1, for an n-slot row of ``matrix`` or a
+    step of ``sim``; (p-1)^2 times m or n, plus p, for ``poly``'s ring of
+    degree m or the leading-block recurrence of ``char_poly``.  w is the
     smallest of ``widths`` that is at least the minimum width, else the minimum.
     v - p * (((v * M) >> s) & LOW) leaves v_j mod p in every slot (Granlund and
     Montgomery's division by an invariant integer).  Exact: with s the bit

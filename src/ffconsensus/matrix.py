@@ -9,8 +9,9 @@ The inverse reads one Gauss-Jordan elimination routine on lists,
 ``_echelon``, with exact field division (the pivot is always the first
 nonzero entry in column order, so results are deterministic).  The
 characteristic polynomial comes from a reduction to Hessenberg form by
-similarities and the recurrence over its leading blocks, O(n^3) with
-field division.  Nilpotency is decided from matrix powers, never from
+similarities on lists and the recurrence over its leading blocks on
+packed polynomials (coefficient t in slot t), O(n^3) with field
+division.  Nilpotency is decided from matrix powers, never from
 eigenvalues: F_p is not algebraically closed.  Powers, a polynomial in
 A and the rank run on packed rows, one int per row reduced mod p slot by
 slot in a few big-int operations (``field._slot_reduction``).  Products
@@ -239,22 +240,21 @@ class MatrixFF:
                     H[i] = [(a - u * b) % p for a, b in zip(H[i], H[m])]
                     for row in H:
                         row[m] = (row[m] + u * row[i]) % p
-        P = [[1]]  # ascending coefficients of P_0, P_1, ...
+        # P_k packed, coefficient t in slot t: x P_(k-1) and k multiples of
+        # some P_i by a residue sum to less than n (p-1)^2 + p a slot
+        w, s, M, LOW = _slot_reduction(n * (p - 1) ** 2 + p, p, n + 1)
+        P = [1]
         for k in range(1, n + 1):
-            new = [0] + P[-1]
-            c = H[k - 1][k - 1]
-            for t, v in enumerate(P[-1]):
-                new[t] -= c * v
+            new = (P[-1] << w) + -H[k - 1][k - 1] % p * P[-1]
             prod = 1
             for i in range(k - 1, 0, -1):
                 prod = prod * H[i][i - 1] % p
                 if not prod:
                     break
-                coef = H[i - 1][k - 1] * prod
-                for t, v in enumerate(P[i - 1]):
-                    new[t] -= coef * v
-            P.append([v % p for v in new])
-        return PolyFF.from_residues(self.field, P[n])
+                new += -H[i - 1][k - 1] * prod % p * P[i - 1]
+            P.append(new - p * (((new * M) >> s) & LOW))
+        mask = (1 << w) - 1
+        return PolyFF.from_residues(self.field, [P[n] >> (w * t) & mask for t in range(n + 1)])
 
     def is_nilpotent(self) -> bool:
         """A is nilpotent iff some power A^k with k <= n vanishes."""

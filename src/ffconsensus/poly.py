@@ -8,18 +8,21 @@ of x that carries the transient part, irreducibility testing, full
 factorization, and the multiplicative order of x modulo a polynomial
 (the cycle-length source).
 
-All arithmetic runs on one core over ascending lists of canonical
-residues (``_mul``, ``_divmod``, ``_rem``, ``_powmod``, ``_gcd``,
-``_monic``); ``PolyFF.from_residues`` wraps its results unchecked.
-``_powmod`` keeps that interface but multiplies packed ints, one
-coefficient per slot (Kronecker substitution).  Factoring is square-free,
-distinct-degree, then equal-degree splitting (Cantor and Zassenhaus,
-Math. Comp. 36, 1981) with a fixed-seed ``random.Random``; the factors
-are sorted, so the result never depends on the draws.  Orders of x need
-the primes of p^d - 1, found by Pollard-Brent rho (Brent, BIT 20, 1980)
-within ``RHO_BUDGET`` steps and certified by ``is_prime``, or above its
-bound by Pocklington's criterion; when either fails, ValueError names
-the factor at fault.
+All arithmetic runs on one packed core, ``_Ring``: a polynomial is one
+int with coefficient i in slot i (Kronecker substitution), every slot
+reduced mod p at once by ``field._slot_reduction``.  A product is one
+big-int multiply; division, gcd and monic cost a few big-int operations
+per quotient term; products mod f reduce by f's Barrett quotient, built
+once per f.  ``factor`` packs f once, at the slot width of its degree,
+runs square-free, distinct-degree and equal-degree splitting (Cantor and
+Zassenhaus, Math. Comp. 36, 1981, with a fixed-seed ``random.Random``)
+on ints and unpacks only the factors, which are sorted, so the result
+never depends on the draws; ``PolyFF.from_residues`` wraps them
+unchecked.  The order of x modulo a factor raises x under one modulus.
+It needs the primes of p^d - 1, found by Pollard-Brent rho (Brent, BIT
+20, 1980) within ``RHO_BUDGET`` steps and certified by ``is_prime``, or
+above its bound by Pocklington's criterion; when either fails,
+ValueError names the factor at fault.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import random
 from collections.abc import Iterable, Sequence
 from math import gcd, lcm, prod
 
-from .field import PRIMALITY_BOUND, PrimeField, _slot_reduction, is_prime
+from .field import PRIMALITY_BOUND, PrimeField, _randbelow, _slot_reduction, is_prime
 
 # rho steps allowed per composite: about 1.1 s (Python 3.11 on a
 # 2-core VM); rho takes ~1.2 sqrt(q) steps to find a prime factor q, so
@@ -40,105 +43,133 @@ _FACTOR_SEED = 0x5EED
 
 
 # ----------------------------------------------------------------------
-# Core: ascending lists of canonical residues mod a prime p.  Inputs are
-# sequences with a nonzero last entry (or empty); results are fresh lists
-# in the same form, except that _monic and _gcd may return their input.
+# Core: a polynomial is one int holding coefficient i in slot i, bits
+# [w i, w (i+1)), each a canonical residue; 0 is the zero polynomial.
+# Results are canonical; dividends and gcd arguments must be.
 # ----------------------------------------------------------------------
 
 
-def _trim(a: list[int]) -> list[int]:
-    while a and not a[-1]:
-        a.pop()
-    return a
+class _Ring:
+    """Packed polynomials over F_p whose divisors and moduli have degree at
+    most m, at one slot width w.
 
+    A slot may hold a residue plus m products of two residues, below
+    top = m (p-1)^2 + p, before ``reduce`` (``field._slot_reduction``, over
+    2m slots) takes every slot mod p in a few big-int operations.  Every
+    step stays below it: a product of two polynomials of degree < m sums
+    at most m products a slot, and so do the Barrett quotient and its
+    product with f in ``mulmod``; long division by b adds c (-b_j) to a
+    slot of the dividend once for each quotient term c whose shift of b's
+    tail covers the slot, at most deg b times; a monic or a difference
+    holds at most (p-1)^2 + p - 1, so m is at least 1.
+    """
 
-def _add(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if len(a) < len(b):
-        a, b = b, a
-    out = [(x + y) % p for x, y in zip(a, b)]
-    out.extend(a[len(b):])
-    return _trim(out)
+    __slots__ = ("p", "w", "mask", "_s", "_M", "_LOW")
 
+    def __init__(self, p: int, m: int):
+        m = max(m, 1)
+        self.p = p
+        self.w, self._s, self._M, self._LOW = _slot_reduction(m * (p - 1) ** 2 + p, p, 2 * m)
+        self.mask = (1 << self.w) - 1
 
-def _sub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    return _add(a, [-y % p for y in b], p)
+    def reduce(self, v: int) -> int:
+        return v - self.p * (((v * self._M) >> self._s) & self._LOW)
+
+    def pack(self, coeffs: Sequence[int]) -> int:
+        w = self.w
+        return sum(c << (w * i) for i, c in enumerate(coeffs))
+
+    def unpack(self, v: int) -> list[int]:
+        """Ascending coefficients, empty for 0."""
+        w, mask = self.w, self.mask
+        return [v >> (w * i) & mask for i in range(self.degree(v) + 1)]
+
+    def degree(self, v: int) -> int:
+        """Degree; -1 for 0."""
+        return (v.bit_length() - 1) // self.w
+
+    def monic(self, a: int) -> int:
+        lead = a >> (self.w * max(self.degree(a), 0))
+        return a if lead < 2 else self.reduce(a * pow(lead, -1, self.p))
+
+    def sub(self, a: int, b: int) -> int:
+        return self.reduce(a + (self.p - 1) * b)
+
+    def divmod(self, a: int, b: int) -> tuple[int, int]:
+        """(quotient, remainder) of a by the nonzero b, one quotient term c
+        at a time, read off the slot that b's top would cancel; c (-tail
+        of b), shifted, is added unreduced and the read slots are left as
+        they are, so one mask and one reduction end it."""
+        w, p, mask, M, s, LOW = self.w, self.p, self.mask, self._M, self._s, self._LOW
+        top = (b.bit_length() - 1) // w * w
+        lead = b >> top
+        inv = pow(lead, -1, p)
+        neg = (b ^ (lead << top)) * (p - 1)
+        neg -= p * (((neg * M) >> s) & LOW)
+        q = 0
+        for k in range((a.bit_length() - 1) // w * w - top, -1, -w):
+            c = (a >> (top + k) & mask) * inv % p
+            if c:
+                a += c * neg << k
+                q |= c << k
+        a &= (1 << top) - 1
+        return q, a - p * (((a * M) >> s) & LOW)
+
+    def quo(self, a: int, b: int) -> int:
+        return self.divmod(a, b)[0]
+
+    def rem(self, a: int, b: int) -> int:
+        return self.divmod(a, b)[1]
+
+    def gcd(self, a: int, b: int) -> int:
+        """Monic gcd; the gcd with 0 is the monic of the other argument."""
+        while b:
+            a, b = b, self.divmod(a, b)[1]
+        return self.monic(a)
+
+    def modulus(self, f: int) -> tuple:
+        """f's Barrett modulus for products mod f of degree m >= 0, as
+        (f, w m, w k, the mask of the slots below m, mu, -f below x^m) with
+        k = max(m - 2, 0) and mu = floor(x^(m+k) / f).
+
+        For c of degree <= m + k, write c = c1 x^m + c0 with deg c0 < m.
+        The polynomial part of a quotient of Laurent series in 1/x is
+        linear, and c0 / f and c1 (x^(m+k) - mu f) / (f x^k) have negative
+        degree, so floor(c / f) = floor(c1 x^m / f) = floor(c1 mu / x^k)
+        exactly, and c mod f = c0 - floor(c1 mu / x^k) f below x^m."""
+        w, m = self.w, self.degree(f)
+        cut, shift = w * m, w * max(m - 2, 0)
+        low = (1 << cut) - 1
+        return (f, cut, shift, low, self.quo(1 << (cut + shift), f), self.reduce((f & low) * (self.p - 1)))
+
+    def mulmod(self, u: int, v: int, mod: tuple) -> int:
+        """u v mod f for u, v of degree < m = deg f, by f's Barrett modulus:
+        three products, each reduced."""
+        p, M, s, LOW = self.p, self._M, self._s, self._LOW
+        _, cut, shift, low, mu, neg = mod
+        v *= u
+        v -= p * (((v * M) >> s) & LOW)
+        q = (v >> cut) * mu
+        q -= p * (((q * M) >> s) & LOW)
+        v = (v & low) + ((q >> shift) * neg & low)
+        return v - p * (((v * M) >> s) & LOW)
+
+    def powmod(self, a: int, e: int, mod: tuple) -> int:
+        """a^e mod f for a of degree < m, by left-to-right binary."""
+        if not e:
+            return self.rem(1, mod[0])
+        result = a
+        for bit in bin(e)[3:]:
+            result = self.mulmod(result, result, mod)
+            if bit == "1":
+                result = self.mulmod(result, a, mod)
+        return result
 
 
 def _mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    # the leading product is nonzero mod a prime: no trim needed
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    nb = len(b)
-    for i, x in enumerate(a):
-        if x:
-            out[i : i + nb] = [o + x * y for o, y in zip(out[i : i + nb], b)]
-    return [c % p for c in out]
-
-
-def _divmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[list[int], list[int]]:
-    """(quotient, remainder) of a by the nonzero b."""
-    db = len(b) - 1
-    if len(a) <= db:
-        return [], list(a)
-    r = list(a)
-    inv = pow(b[-1], -1, p)
-    q = [0] * (len(a) - db)
-    for k in range(len(a) - 1 - db, -1, -1):
-        c = r[k + db] * inv % p
-        if c:
-            q[k] = c
-            r[k : k + db] = [x - c * y for x, y in zip(r[k : k + db], b)]
-    return q, _trim([x % p for x in r[:db]])
-
-
-def _rem(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    return _divmod(a, b, p)[1]
-
-
-def _powmod(a: Sequence[int], e: int, f: Sequence[int], p: int) -> list[int]:
-    """a^e mod f, left-to-right binary on ints holding coefficient i in
-    slot i (Kronecker substitution): a product is a multiply and a slotwise
-    reduction (at most m (p-1)^2 a slot, m = deg f), its slots m + k folded
-    back against R_k = x^(m+k) mod f, built per call from R_0 =
-    -(f - f_m x^m) / f_m as R_(k+1) = x R_k."""
-    a, m = _rem(a, f, p), len(f) - 1
-    if not e or m < 1:
-        return a if e else _rem([1], f, p)
-    w, s, M, LOW = _slot_reduction(m * (p - 1) ** 2 + 1, p, 2 * m - 1)
-    mask, cut, neg = (1 << w) - 1, w * m, p - pow(f[-1], -1, p)
-    table = [sum(c * neg % p << (w * i) for i, c in enumerate(f[:-1]))]
-
-    def mulmod(u: int, v: int) -> int:
-        v *= u
-        v -= p * (((v * M) >> s) & LOW)
-        u, v = v & ((1 << cut) - 1), v >> cut
-        for r in table[:-(-v.bit_length() // w)]:  # x R_k folds its slot m only
-            u, v = u + (v & mask) * r, v >> w
-        return u - p * (((u * M) >> s) & LOW)
-
-    for _ in range(m - 2):
-        table.append(mulmod(table[-1], 1 << w))
-    base = result = sum(c << (w * i) for i, c in enumerate(a))
-    for bit in bin(e)[3:]:
-        result = mulmod(result, result)
-        if bit == "1":
-            result = mulmod(result, base)
-    return _trim([result >> (w * i) & mask for i in range(m)])
-
-
-def _monic(a: Sequence[int], p: int) -> Sequence[int]:
-    if not a or a[-1] == 1:
-        return a
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
-def _gcd(a: Sequence[int], b: Sequence[int], p: int) -> Sequence[int]:
-    """Monic gcd; the gcd with 0 is the monic of the other argument."""
-    while b:
-        a, b = b, _rem(a, b, p)
-    return _monic(a, p)
+    """The product of two ascending lists of residues, packed."""
+    ring = _Ring(p, max(len(a), len(b)))
+    return ring.unpack(ring.reduce(ring.pack(a) * ring.pack(b)))
 
 
 class PolyFF:
@@ -149,7 +180,10 @@ class PolyFF:
 
     def __init__(self, field: PrimeField, coeffs: Iterable[int] = ()):
         self.field = field
-        self.coeffs = tuple(_trim(list(map(field.scalar, coeffs))))
+        coeffs = list(map(field.scalar, coeffs))
+        while coeffs and not coeffs[-1]:
+            coeffs.pop()
+        self.coeffs = tuple(coeffs)
 
     # -- constructors -------------------------------------------------
 
@@ -193,8 +227,9 @@ class PolyFF:
             raise ValueError("modulus mismatch between polynomials")
         if other.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        q, r = _divmod(self.coeffs, other.coeffs, self.field.p)
-        return PolyFF.from_residues(self.field, q), PolyFF.from_residues(self.field, r)
+        ring = _Ring(self.field.p, other.degree)
+        q, r = ring.divmod(ring.pack(self.coeffs), ring.pack(other.coeffs))
+        return PolyFF.from_residues(self.field, ring.unpack(q)), PolyFF.from_residues(self.field, ring.unpack(r))
 
     def eval(self, point: int) -> int:
         """Horner evaluation at a field element."""
@@ -274,87 +309,100 @@ def factor(f: PolyFF) -> tuple[int, list[tuple[PolyFF, int]]]:
     The product of the unit and all factor powers reconstructs f exactly.
     The factors are sorted by degree, then by their ascending
     coefficients, so the order does not depend on the random draws of
-    the equal-degree split.
+    the equal-degree split.  f is packed once, at the slot width of its
+    degree, and only the factors are unpacked.
     """
     if f.is_zero:
         raise ValueError("cannot factor the zero polynomial")
-    p = f.field.p
+    ring = _Ring(f.field.p, f.degree)
     rng = random.Random(_FACTOR_SEED)
     found = [
-        (g, m)
-        for part, m in _squarefree(_monic(f.coeffs, p), p)
-        for block, d in _distinct_degree(part, p)
-        for g in _equal_degree(block, d, p, rng)
+        (ring.unpack(g), m)
+        for part, m in _squarefree(ring, ring.monic(ring.pack(f.coeffs)))
+        for block, d, mod in _distinct_degree(ring, part)
+        for g in _equal_degree(ring, block, d, rng, mod)
     ]
-    found.sort(key=lambda gm: (len(gm[0]), tuple(gm[0])))
+    found.sort(key=lambda gm: (len(gm[0]), gm[0]))
     return f.leading, [(PolyFF.from_residues(f.field, g), m) for g, m in found]
 
 
-def _squarefree(f: Sequence[int], p: int) -> list[tuple[Sequence[int], int]]:
+def _squarefree(ring: _Ring, f: int) -> list[tuple[int, int]]:
     """[(g, m)] with f = prod g^m for the monic f; the g are monic,
     square-free, pairwise coprime and of degree >= 1."""
-    out = []
-    c = _gcd(f, _trim([k * a % p for k, a in enumerate(f)][1:]), p)
-    w = _divmod(f, c, p)[0]
-    m = 1
-    while len(w) > 1:  # w: the factors of multiplicity >= m and prime to p
-        y = _gcd(w, c, p)
-        g = _divmod(w, y, p)[0]
-        if len(g) > 1:
+    p = ring.p
+    c = ring.gcd(f, ring.pack([k * a % p for k, a in enumerate(ring.unpack(f))][1:]))
+    if c == 1:  # f is square-free
+        return [(f, 1)] if f != 1 else []
+    out, w, m = [], ring.quo(f, c), 1
+    while w != 1:  # w: the factors of multiplicity >= m and prime to p
+        y = ring.gcd(w, c)
+        g = ring.quo(w, y)
+        if g != 1:
             out.append((g, m))
-        w, c, m = y, _divmod(c, y, p)[0], m + 1
-    if len(c) > 1:  # c = h^p: every exponent of c is a multiple of p
-        out += [(g, k * p) for g, k in _squarefree(c[::p], p)]
+        w, c, m = y, ring.quo(c, y), m + 1
+    if c != 1:  # c = h^p: every exponent of c is a multiple of p
+        out += [(g, k * p) for g, k in _squarefree(ring, ring.pack(ring.unpack(c)[::p]))]
     return out
 
 
-def _distinct_degree(f: Sequence[int], p: int) -> list[tuple[Sequence[int], int]]:
-    """[(g, d)]: g is the product of the irreducible factors of degree d
-    of the square-free monic f (x^(p^d) - x is the product of all monic
-    irreducibles of degree dividing d)."""
-    out = []
-    h = [0, 1]
-    d = 0
-    while len(f) - 1 >= 2 * (d + 1):
+def _distinct_degree(ring: _Ring, f: int) -> list[tuple[int, int, tuple | None]]:
+    """[(g, d, modulus of g or None)]: g is the product of the irreducible
+    factors of degree d of the square-free monic f (x^(p^d) - x is the
+    product of all monic irreducibles of degree dividing d).  Each f has
+    one modulus, passed on with g when g is all of f."""
+    x = 1 << ring.w
+    out, h, d, mod = [], x, 0, None
+    while ring.degree(f) >= 2 * (d + 1):
         d += 1
-        h = _powmod(h, p, f, p)
-        g = _gcd(f, _sub(h, [0, 1], p), p)
-        if len(g) > 1:
-            out.append((g, d))
-            f = _divmod(f, g, p)[0]
-            h = _rem(h, f, p)
-    if len(f) > 1:
-        out.append((f, len(f) - 1))
+        mod = mod or ring.modulus(f)
+        h = ring.powmod(h, ring.p, mod)
+        g = ring.gcd(f, ring.sub(h, x))
+        if g != 1:
+            f = ring.quo(f, g)
+            out.append((g, d, mod if f == 1 else None))
+            h, mod = ring.rem(h, f), None
+    if f != 1:
+        out.append((f, ring.degree(f), None))
     return out
 
 
-def _equal_degree(f: Sequence[int], d: int, p: int, rng: random.Random) -> list[Sequence[int]]:
+def _equal_degree(ring: _Ring, f: int, d: int, rng: random.Random, mod: tuple | None = None) -> list[int]:
     """The monic irreducible factors of f, a product of distinct monic
     irreducibles of degree d, by random splits: a^((p^d - 1)/2) - 1
-    for odd p, the trace a + a^2 + ... + a^(2^(d-1)) for p = 2."""
-    n = len(f) - 1
+    for odd p, the trace a + a^2 + ... + a^(2^(d-1)) for p = 2.  ``mod``
+    is f's modulus, built here when None."""
+    n, p = ring.degree(f), ring.p
     if n == d:
         return [f]
+    if mod is None and (p > 2 or d > 1):  # a trace of degree 1 is a itself
+        mod = ring.modulus(f)
     while True:
-        a = _trim([rng.randrange(p) for _ in range(n)])
+        a = ring.pack(_randbelow(rng, p, n))
         if p == 2:
             b = t = a
             for _ in range(d - 1):
-                t = _powmod(t, 2, f, p)
-                b = _add(b, t, p)
+                t = ring.mulmod(t, t, mod)
+                b ^= t  # slots of 0s and 1s: the sum mod 2
         else:
-            b = _sub(_powmod(a, (p**d - 1) // 2, f, p), [1], p)
-        g = _gcd(f, b, p)
-        if 1 < len(g) < len(f):
-            h = _divmod(f, g, p)[0]
-            return _equal_degree(g, d, p, rng) + _equal_degree(h, d, p, rng)
+            b = ring.sub(ring.powmod(a, (p**d - 1) // 2, mod), 1)
+        g = ring.gcd(f, b)
+        if 0 < ring.degree(g) < n:
+            return _equal_degree(ring, g, d, rng) + _equal_degree(ring, ring.quo(f, g), d, rng)
+
+
+def _powers_of_x(f: PolyFF) -> tuple[_Ring, tuple, int]:
+    """(ring, modulus, x mod f) for powers of x modulo f, deg f >= 1."""
+    ring = _Ring(f.field.p, f.degree)
+    mod = ring.modulus(ring.pack(f.coeffs))
+    return ring, mod, ring.rem(1 << ring.w, mod[0])
 
 
 def pow_x_mod(e: int, f: PolyFF) -> PolyFF:
     """x^e reduced modulo f, by square-and-multiply."""
     if f.degree < 1:
         raise ValueError("modulus polynomial must have degree >= 1")
-    return PolyFF.from_residues(f.field, _powmod((0, 1), e, f.coeffs, f.field.p))
+    ring, mod, x = _powers_of_x(f)
+    return PolyFF.from_residues(f.field, ring.unpack(ring.powmod(x, e, mod)))
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -460,9 +508,10 @@ def _order_mod_irreducible(g: PolyFF) -> int:
     The order divides p^m - 1; descend through that group order's prime
     factors until no factor can be removed.
     """
+    ring, mod, x = _powers_of_x(g)
     t = g.field.p**g.degree - 1
     for q in _group_order_primes(g.field.p, g.degree):
-        while t % q == 0 and pow_x_mod(t // q, g).coeffs == (1,):
+        while t % q == 0 and ring.powmod(x, t // q, mod) == 1:
             t //= q
     return t
 

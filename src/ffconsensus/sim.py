@@ -62,7 +62,7 @@ from itertools import chain, product, repeat
 from operator import lshift, mul, sub
 
 from .consensus import LeaderFollowerNetwork, SwitchingSignal
-from .field import PrimeField, _FrozenRecord, _slot_reduction
+from .field import PrimeField, _FrozenRecord, _randbelow, _slot_reduction
 
 _ORDER = 1 if sys.byteorder == "little" else -1  # slot order of a native cast
 
@@ -120,9 +120,10 @@ class Trajectory(_FrozenRecord):
 
 
 def random_state(field: PrimeField, n: int, num_followers: int, rng: random.Random) -> NetworkState:
-    """Uniform initial condition over F_p^n per agent."""
-    draw = lambda: tuple(rng.randrange(field.p) for _ in range(n))
-    return NetworkState(0, draw(), tuple(draw() for _ in range(num_followers)))
+    """Uniform initial condition over F_p^n per agent, leader first."""
+    draws = _randbelow(rng, field.p, n * (num_followers + 1))
+    agents = [tuple(draws[i * n:(i + 1) * n]) for i in range(num_followers + 1)]
+    return NetworkState(0, agents[0], tuple(agents[1:]))
 
 
 class _Packing:

@@ -22,7 +22,6 @@ from ffconsensus import (
 )
 from ffconsensus.cli import ConfigError
 from ffconsensus.matrix import _echelon
-from ffconsensus.poly import _mul, _rem
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -470,19 +469,136 @@ def naive_x_power_mod(e: int, g: list[int], p: int) -> list[int]:
     return result
 
 
+# ---------------------------------------------------------------------
+# List references for the packed polynomial core (``poly._Ring``): ascending
+# lists of canonical residues with a nonzero last entry, [] for zero, one
+# Python operation per coefficient.  The factoring below is the list-core
+# pipeline that ``poly.factor`` ran before it moved to packed ints.
+# ---------------------------------------------------------------------
+
+
+def list_trim(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def list_add(a, b, p: int) -> list[int]:
+    if len(a) < len(b):
+        a, b = b, a
+    out = [(x + y) % p for x, y in zip(a, b)]
+    out.extend(a[len(b):])
+    return list_trim(out)
+
+
+def list_sub(a, b, p: int) -> list[int]:
+    return list_add(a, [-y % p for y in b], p)
+
+
+def list_mul(a, b, p: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return [c % p for c in out]
+
+
+def list_divmod(a, b, p: int) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of a by the nonzero b, by long division."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return [], list(a)
+    r, inv = list(a), pow(b[-1], -1, p)
+    q = [0] * (len(a) - db)
+    for k in range(len(a) - 1 - db, -1, -1):
+        c = q[k] = r[k + db] * inv % p
+        r[k : k + db + 1] = [x - c * y for x, y in zip(r[k : k + db + 1], b)]
+    return q, list_trim([x % p for x in r[:db]])
+
+
+def list_rem(a, b, p: int) -> list[int]:
+    return list_divmod(a, b, p)[1]
+
+
+def list_monic(a, p: int) -> list[int]:
+    inv = pow(a[-1], -1, p) if a else 0
+    return [c * inv % p for c in a]
+
+
+def list_gcd(a, b, p: int) -> list[int]:
+    """Monic gcd; the gcd with 0 is the monic of the other argument."""
+    while b:
+        a, b = b, list_rem(a, b, p)
+    return list_monic(a, p)
+
+
 def reference_powmod(a, e: int, f, p: int) -> list[int]:
     """a^e mod f by left-to-right binary on schoolbook list products and
-    long division (``poly._mul``, ``poly._rem``): the reference for the
-    packed ``poly._powmod``."""
-    a = _rem(a, f, p)
+    long division: the reference for the packed ``poly._Ring.powmod``."""
+    a = list_rem(a, f, p)
     if not e:
-        return _rem([1], f, p)
+        return list_rem([1], f, p)
     result = a
     for bit in bin(e)[3:]:
-        result = _rem(_mul(result, result, p), f, p)
+        result = list_rem(list_mul(result, result, p), f, p)
         if bit == "1":
-            result = _rem(_mul(result, a, p), f, p)
+            result = list_rem(list_mul(result, a, p), f, p)
     return result
+
+
+def reference_factor(f, p: int) -> list[tuple[list[int], int]]:
+    """The monic irreducible factors of the nonzero f with their
+    multiplicities, sorted by degree and coefficients: square-free,
+    distinct-degree and Cantor-Zassenhaus equal-degree splitting on lists."""
+    def squarefree(f):
+        out, m = [], 1
+        c = list_gcd(f, list_trim([k * a % p for k, a in enumerate(f)][1:]), p)
+        w = list_divmod(f, c, p)[0]
+        while len(w) > 1:
+            y = list_gcd(w, c, p)
+            g = list_divmod(w, y, p)[0]
+            if len(g) > 1:
+                out.append((g, m))
+            w, c, m = y, list_divmod(c, y, p)[0], m + 1
+        if len(c) > 1:
+            out += [(g, k * p) for g, k in squarefree(c[::p])]
+        return out
+
+    def distinct_degree(f):
+        out, h, d = [], [0, 1], 0
+        while len(f) - 1 >= 2 * (d + 1):
+            d += 1
+            h = reference_powmod(h, p, f, p)
+            g = list_gcd(f, list_sub(h, [0, 1], p), p)
+            if len(g) > 1:
+                out.append((g, d))
+                f = list_divmod(f, g, p)[0]
+                h = list_rem(h, f, p)
+        return out + [(f, len(f) - 1)] if len(f) > 1 else out
+
+    def equal_degree(f, d, rng):
+        n = len(f) - 1
+        if n == d:
+            return [f]
+        while True:
+            a = list_trim([rng.randrange(p) for _ in range(n)])
+            if p == 2:
+                b = t = a
+                for _ in range(d - 1):
+                    t = reference_powmod(t, 2, f, p)
+                    b = list_add(b, t, p)
+            else:
+                b = list_sub(reference_powmod(a, (p**d - 1) // 2, f, p), [1], p)
+            g = list_gcd(f, b, p)
+            if 1 < len(g) < len(f):
+                return equal_degree(g, d, rng) + equal_degree(list_divmod(f, g, p)[0], d, rng)
+
+    rng = random.Random(1)
+    found = [(g, m) for part, m in squarefree(list_monic(f, p))
+             for block, d in distinct_degree(part) for g in equal_degree(block, d, rng)]
+    return sorted(found, key=lambda gm: (len(gm[0]), gm[0]))
 
 
 def reference_matmul(a: MatrixFF, b: MatrixFF) -> list[list[int]]:
@@ -585,7 +701,7 @@ def structured_matrix(rng: random.Random, kind: str, field: PrimeField, n: int) 
         for k in exps:
             power = [1]
             for _ in range(k):
-                power = _mul(power, g, p)
+                power = list_mul(power, g, p)
             powers.append(companion(field, power))
         blocks = powers + [random_matrix(rng, field, n - d * e, n - d * e)]
     t = random_invertible(rng, field, n)

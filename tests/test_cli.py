@@ -1141,6 +1141,26 @@ def test_cycles_past_a_million_states_runs_with_and_without_poly(tmp_path, capsy
     assert capsys.readouterr().out == captured.out
 
 
+# cycles output (exit code, stdout, stderr) recorded while factoring, orders
+# and the characteristic polynomial ran on the list core, before they moved
+# to packed polynomials: seeded matrices at p in {2, 3, 5, 7, 11, 101, 65537,
+# 1000003} with n <= 16, each a random matrix (two of them), a conjugated
+# companion, diag(B, B), powers of one irreducible g, nilpotent Jordan
+# blocks and a random nilpotent matrix (``conftest.structured_matrix`` and
+# ``random_nilpotent``), the identity and zero; CI's two 3^6 maps; and the
+# companions of x^4 + x^2 + 1 over F_2 (f' = 0) and of (x^3 + 1)(x^2 + 1)
+# over F_3 (a square-free part and a p-th power)
+CYCLES_GOLDEN = json.loads((Path(__file__).parent / "data" / "cycles_golden.json").read_text())
+
+
+def test_cycles_output_unchanged(tmp_path, capsys):
+    for case, expected in CYCLES_GOLDEN.items():
+        path = _write(tmp_path, expected["config"])
+        assert main(["cycles", path]) == expected["exit"], case
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (expected["stdout"], expected["stderr"]), case
+
+
 # ---------------------------------------------------------
 # JSON output: byte-identical to json.dumps(indent=2)
 # ---------------------------------------------------------

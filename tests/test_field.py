@@ -14,7 +14,7 @@ from ffconsensus import (
     is_prime,
     kalman_decompose,
 )
-from ffconsensus.field import PRIMALITY_BOUND
+from ffconsensus.field import PRIMALITY_BOUND, _randbelow
 
 from conftest import mat_power
 
@@ -232,3 +232,22 @@ def test_no_zero_divisors(p):
         for b in range(p):
             if (e(f, a) @ e(f, b)).is_zero():
                 assert a == 0 or b == 0
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 7, 101, 65537, 1000003, 2**64 + 13])
+def test_randbelow_draws_what_randrange_draws(k):
+    """``_randbelow`` gives the values of as many ``randrange(k)`` calls and
+    leaves the generator in the same state, on every supported version of
+    Python (the initial states of ``simulate`` and random switching rest on
+    it), for counts that include 0."""
+    for seed, count in ((0, 0), (1, 1), (2, 17), (3, 1000)):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        assert _randbelow(ours, k, count) == [theirs.randrange(k) for _ in range(count)]
+        assert ours.getstate() == theirs.getstate()
+
+
+def test_randbelow_refuses_an_empty_range():
+    # randrange(0) raises; an endless rejection loop would hang instead
+    assert _randbelow(random.Random(0), 0, 0) == []
+    with pytest.raises(ValueError, match="range"):
+        _randbelow(random.Random(0), 0, 3)

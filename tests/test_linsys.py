@@ -544,6 +544,22 @@ def test_polynomial_mode_computes_one_base_order_per_factor(monkeypatch):
     assert (cycles, depth) == ({1: 3, 3: 2, 4: 6, 12: 58}, 0)
 
 
+def test_polynomial_mode_builds_one_modulus_per_polynomial(monkeypatch):
+    # the same [[B, I], [0, B]]: chi = (x - 1)^2 (x^2 + 1)^2, whose square-free
+    # part (x - 1)(x^2 + 1) is split by degree under one modulus; each of the
+    # two order descents raises x under one modulus, x - 1 and x^2 + 1
+    from ffconsensus import poly
+
+    b = [[0, 1, 0], [0, 0, 1], [1, 2, 1]]
+    a = MatrixFF(F3, [row + [int(i == j) for j in range(3)] for i, row in enumerate(b)]
+                 + [[0] * 3 + row for row in b])
+    built = []
+    real_modulus = poly._Ring.modulus
+    monkeypatch.setattr(poly._Ring, "modulus", lambda ring, f: built.append(ring.unpack(f)) or real_modulus(ring, f))
+    autonomous_cycle_structure(a)
+    assert built == [[2, 1, 2, 1], [2, 1], [1, 0, 1]]
+
+
 def test_packed_kernel_dims_match_matrix_references():
     """Nullities of g(A)^k from packed powers and packed elimination against
     Horner on MatrixFF products and list ranks, for x^s and every factor g^e

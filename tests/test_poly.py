@@ -25,8 +25,16 @@ from conftest import (
     M7,
     M7_MINUS_ONE,
     P7_PRIMES,
+    list_add,
+    list_divmod,
+    list_gcd,
+    list_monic,
+    list_mul,
+    list_sub,
+    list_trim,
     naive_x_power_mod,
     pocklington_holds,
+    reference_factor,
     reference_powmod,
 )
 
@@ -38,10 +46,10 @@ def random_poly(rng, field, max_deg):
 
 def product_of(field, *fs):
     """The product of the polynomials fs over field (1 for none), by the
-    arithmetic core's _mul."""
+    list reference's product."""
     out = [1]
     for f in fs:
-        out = poly._mul(out, f.coeffs, field.p)
+        out = list_mul(out, f.coeffs, field.p)
     return PolyFF.from_residues(field, out)
 
 
@@ -51,7 +59,7 @@ def expand(field, unit, factors):
 
 
 def monic_of(f):
-    return PolyFF.from_residues(f.field, poly._monic(f.coeffs, f.field.p))
+    return PolyFF.from_residues(f.field, list_monic(f.coeffs, f.field.p))
 
 
 # ---------------------------------------------------------
@@ -80,7 +88,7 @@ def test_divmod_reconstruction_random():
             if g.is_zero:
                 continue
             q, r = divmod(f, g)
-            assert poly._add(product_of(field, g, q).coeffs, r.coeffs, field.p) == list(f.coeffs)
+            assert list_add(product_of(field, g, q).coeffs, r.coeffs, field.p) == list(f.coeffs)
             assert r.degree < g.degree
 
 
@@ -90,10 +98,11 @@ def test_division_by_zero_rejected():
 
 
 def test_gcd_monic_and_zero_case():
-    assert poly._gcd([2, 2], [], 3) == [1, 1]  # 2x + 2 = 2(x + 1)
-    a = poly._mul([1, 1], [2, 1], 3)
-    b = poly._mul([1, 1], [1, 0, 1], 3)
-    assert poly._gcd(a, b, 3) == [1, 1]
+    ring = poly._Ring(3, 3)
+    assert ring.gcd(ring.pack([2, 2]), 0) == ring.pack([1, 1])  # 2x + 2 = 2(x + 1)
+    a = ring.pack(poly._mul([1, 1], [2, 1], 3))
+    b = ring.pack(poly._mul([1, 1], [1, 0, 1], 3))
+    assert ring.gcd(a, b) == ring.gcd(b, a) == ring.pack([1, 1])
 
 
 def test_eval_horner():
@@ -157,7 +166,7 @@ def _irreducible_by_frobenius(f: PolyFF) -> bool:
     if pow_x_mod(p**m, f) != divmod(x, f)[1]:
         return False
     for q in {d for d in range(2, m + 1) if m % d == 0 and all(d % e for e in range(2, d))}:
-        g = poly._gcd(poly._sub(pow_x_mod(p ** (m // q), f).coeffs, x.coeffs, p), f.coeffs, p)
+        g = list_gcd(list_sub(pow_x_mod(p ** (m // q), f).coeffs, x.coeffs, p), f.coeffs, p)
         if len(g) != 1:
             return False
     return True
@@ -511,25 +520,29 @@ def test_group_order_primes_split_cyclotomically():
 
 
 def test_packed_powmod_matches_schoolbook_references():
-    """a^e mod f on packed ints against schoolbook products with long
-    division, and x^e against ``naive_x_power_mod``: monic and non-monic f
-    of degree 1..20, e in {0, 1, 2, p, random up to 64 bits}, for x, a
-    random a of degree up to 2 deg f and the all-(p-1) a and f, whose
-    unreduced slots are the largest."""
+    """a^e mod f on packed ints (``_Ring.powmod``, one modulus per f)
+    against schoolbook products with long division, and x^e against
+    ``naive_x_power_mod``: monic and non-monic f of degree 1..20, e in
+    {0, 1, 2, p, random up to 64 bits}, for x, a random a of degree up to
+    2 deg f and the all-(p-1) a and f, whose unreduced slots are the
+    largest."""
     rng = random.Random(2805)
     kinds = Counter()
     for p in (2, 3, 5, 7, 101, 65537, 1000003):
         for m in range(1, 21):
+            ring = poly._Ring(p, m)
             for monic in (True, False) if p > 2 else (True,):
                 lead = 1 if monic else rng.randrange(2, p)
                 f = [rng.randrange(p) for _ in range(m)] + [lead]
+                mods = {tuple(g): ring.modulus(ring.pack(g)) for g in (f, [p - 1] * m + [lead])}
                 for e in (0, 1, 2, p, rng.getrandbits(rng.randint(3, 64))):
-                    random_a = poly._trim([rng.randrange(p) for _ in range(rng.randint(0, 2 * m + 1))])
+                    random_a = list_trim([rng.randrange(p) for _ in range(rng.randint(0, 2 * m + 1))])
                     for a, g in (([0, 1], f), (random_a, f), ([p - 1] * m, [p - 1] * m + [lead])):
-                        got = poly._powmod(a, e, g, p)
+                        base = ring.rem(ring.pack(a), ring.pack(g))
+                        got = ring.unpack(ring.powmod(base, e, mods[tuple(g)]))
                         assert got == reference_powmod(a, e, g, p), (a, e, g, p)
                     if monic and m >= 2:
-                        got = poly._powmod([0, 1], e, f, p)
+                        got = ring.unpack(ring.powmod(1 << ring.w, e, mods[tuple(f)]))
                         assert got + [0] * (m - len(got)) == naive_x_power_mod(e, f, p)
                         kinds["naive"] += 1
                     kinds["monic" if monic else "non-monic"] += 1
@@ -537,7 +550,130 @@ def test_packed_powmod_matches_schoolbook_references():
     assert kinds["naive"] >= 600 and kinds["non-monic"] >= 500, kinds
     assert min(kinds[k] for k in ("e=0", "e=1", "e=2", "e=p", "e random")) >= 220, kinds
     # the degree-0 modulus leaves nothing, as division by a unit does
-    assert poly._powmod([1, 2], 3, [2], 5) == [] and poly._powmod([1, 2], 0, [2], 5) == []
+    ring = poly._Ring(5, 0)
+    mod = ring.modulus(2)
+    base = ring.rem(ring.pack([1, 2]), 2)
+    assert base == 0 and ring.powmod(base, 3, mod) == 0 and ring.powmod(base, 0, mod) == 0
+
+
+def _random_list(rng, p, degree):
+    """Ascending residues of the given degree (a nonzero leading one)."""
+    return [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)] if degree >= 0 else []
+
+
+def test_packed_core_matches_list_references():
+    """Division, gcd, monic, difference and product of the packed core
+    against the list references of conftest, at p in {2, 3, 5, 7, 101,
+    65537, 1000003} (slots wider than 64 bits at the last two) and degrees
+    0-20; the division runs in the narrowest ring its divisor allows, and
+    the gcds include pairs with a common factor."""
+    rng = random.Random(3202)
+    seen = Counter()
+    for p in (2, 3, 5, 7, 101, 65537, 1000003):
+        for _ in range(60):
+            a = _random_list(rng, p, rng.randint(-1, 20))
+            b = _random_list(rng, p, rng.randint(0, 20))
+            ring = poly._Ring(p, len(b) - 1)
+            q, r = ring.divmod(ring.pack(a), ring.pack(b))
+            assert [ring.unpack(q), ring.unpack(r)] == list(list_divmod(a, b, p)), (a, b, p)
+            assert ring.rem(ring.pack(a), ring.pack(b)) == r and ring.quo(ring.pack(a), ring.pack(b)) == q
+            common = _random_list(rng, p, rng.randint(0, 6))
+            u, v = list_mul(a, common, p), list_mul(b, common, p)
+            ring = poly._Ring(p, max(len(u), len(v)))
+            expected = list_gcd(u, v, p)
+            assert ring.unpack(ring.gcd(ring.pack(u), ring.pack(v))) == expected, (u, v, p)
+            assert ring.unpack(ring.monic(ring.pack(u))) == list_monic(u, p)
+            assert ring.unpack(ring.sub(ring.pack(u), ring.pack(v))) == list_sub(u, v, p)
+            assert poly._mul(a, b, p) == list_mul(a, b, p)
+            seen[p] += 1
+            seen["quotient of degree >= 10"] += len(a) - len(b) >= 10
+            seen["constant divisor"] += len(b) == 1
+            seen["gcd of degree >= 3"] += len(expected) > 3
+    print(f"cases hit: {dict(seen)}")
+    assert min(seen.values()) >= 10, seen
+
+
+def test_factor_matches_list_reference():
+    """``factor`` on packed ints against the list pipeline of conftest,
+    exactly, at p in {2, 3, 5, 7, 101, 65537, 1000003} and degrees 0-20:
+    random polynomials and products of powers of small ones."""
+    rng = random.Random(3203)
+    seen = Counter()
+    for p, count in ((2, 40), (3, 40), (5, 30), (7, 30), (101, 20), (65537, 12), (1000003, 12)):
+        field = PrimeField(p)
+        for t in range(count):
+            f = PolyFF(field, _random_list(rng, p, rng.randint(0, 20))) if t % 2 else _random_factored(rng, field, 20)
+            if f.is_zero:
+                continue
+            unit, factors = factor(f)
+            assert unit == f.leading
+            assert [(list(g.coeffs), e) for g, e in factors] == reference_factor(f.coeffs, p), (f, p)
+            seen[p] += 1
+            seen["repeated factor"] += any(e > 1 for _, e in factors)
+            seen["degree >= 15"] += f.degree >= 15
+    print(f"cases hit: {dict(seen)}")
+    assert min(seen.values()) >= 10, seen
+
+
+def test_squarefree_fast_path_and_pth_root(monkeypatch):
+    """gcd(f, f') = 1 returns f at once, with no division; f' = 0 takes the
+    p-th root: x^4 + x^2 + 1 = (x^2 + x + 1)^2 over F_2, x^6 + x^3 + 1 =
+    (x + 2)^6 and (x^3 + 1)(x^2 + 1) = (x^2 + 1)(x + 1)^3 over F_3."""
+    quotients = []
+    real_quo = poly._Ring.quo
+    monkeypatch.setattr(poly._Ring, "quo", lambda self, a, b: quotients.append(b) or real_quo(self, a, b))
+
+    def squarefree(p, coeffs):
+        ring = poly._Ring(p, len(coeffs) - 1)
+        return [(ring.unpack(g), m) for g, m in poly._squarefree(ring, ring.pack(coeffs))]
+
+    for p, f in ((2, [1, 1, 0, 1]), (3, [1, 0, 1]), (101, [5, 0, 7, 3, 1]), (65537, [1, 2])):
+        assert squarefree(p, f) == [(f, 1)] and quotients == []
+    assert squarefree(3, [1]) == []
+    assert squarefree(2, [1, 0, 1, 0, 1]) == [([1, 1, 1], 2)]
+    assert squarefree(3, [1, 0, 0, 1, 0, 0, 1]) == [([2, 1], 6)]
+    assert squarefree(3, list_mul([1, 0, 0, 1], [1, 0, 1], 3)) == [([1, 0, 1], 1), ([1, 1], 3)]
+    assert quotients
+
+
+def test_one_modulus_per_polynomial(monkeypatch):
+    """Within a ``factor`` call every modulus used is built once, also when
+    a distinct-degree block is all of f and goes on to the equal-degree
+    split; an order descent builds one modulus for all its powers."""
+    built, used = [], []
+    real_modulus, real_mulmod = poly._Ring.modulus, poly._Ring.mulmod
+    monkeypatch.setattr(poly._Ring, "modulus", lambda self, f: built.append(f) or real_modulus(self, f))
+    monkeypatch.setattr(poly._Ring, "mulmod", lambda self, u, v, mod: used.append(mod[0]) or real_mulmod(self, u, v, mod))
+    rng = random.Random(3204)
+    seen = Counter()
+    for p in (2, 3, 5, 101):
+        field = PrimeField(p)
+        for t in range(25):
+            f = PolyFF(field, _random_list(rng, p, rng.randint(4, 16))) if t % 2 else _random_factored(rng, field, 16)
+            built.clear(), used.clear()
+            factor(f)
+            assert len(built) == len(set(built)) and set(used) <= set(built), f
+            seen["two or more moduli"] += len(built) >= 2
+        # two irreducibles of degree d: the block of degree d is all of f
+        d = 3 if p == 2 else 2
+        g = product_of(field, *[PolyFF(field, c) for c in _two_irreducibles(field, d)])
+        built.clear(), used.clear()
+        assert [h.degree for h, _ in factor(g)[1]] == [d, d]
+        assert len(built) == len(set(built)) == 1 and set(used) == set(built)
+        for h, _ in factor(g)[1]:
+            built.clear(), used.clear()
+            poly._order_mod_irreducible(h)
+            assert len(built) == 1 and set(used) <= set(built)
+            seen["order descent"] += 1
+    print(f"cases hit: {dict(seen)}")
+    assert min(seen.values()) >= 4, seen
+
+
+def _two_irreducibles(field, degree):
+    """The first two monic irreducibles of degree 2 or 3 (those without a
+    root), by coefficients."""
+    return [list(g.coeffs) for g in itertools.islice(
+        (g for g in monic_polys(field, degree) if all(map(g.eval, range(field.p)))), 2)]
 
 
 def test_pow_x_mod_is_canonical_when_x_is_nilpotent():
