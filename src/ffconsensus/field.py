@@ -70,7 +70,7 @@ def _randbelow(rng, k: int, count: int) -> list[int]:
 def _slot_reduction(top: int, p: int, slots: int, widths: tuple[int, ...] = ()):
     """(w, s, M, LOW) to reduce mod p every slot of a packed int at once.
 
-    Slot j is bits [w*j, w*(j+1)) and must hold 0 <= v_j < top: (p-1)^2 times
+    Slot j is bits [w*j, w*(j+1)) and must hold 0 <= v_j <= top: (p-1)^2 times
     max(n, 2) or max(n+1, N+1), plus 1, for an n-slot row of ``matrix`` or a
     step of ``sim``; (p-1)^2 times m or n, plus p, for ``poly``'s ring of
     degree m or the leading-block recurrence of ``char_poly``.  w is the
@@ -81,7 +81,7 @@ def _slot_reduction(top: int, p: int, slots: int, widths: tuple[int, ...] = ()):
     q_j = floor(v_j M / 2^s) = floor(v_j / p).  Write e = M p - 2^s, so
     0 <= e < p and v_j M / 2^s = v_j / p + v_j e / (p 2^s).  As v_j e < top p
     < 2^s, the second term is below 1/p, which cannot lift v_j / p past the
-    next integer.  No carry crosses a slot: v_j M < top M < 2^(w-1), so the
+    next integer.  No carry crosses a slot: v_j M <= top M < 2^(w-1), so the
     products stay in their slots; after the shift by s, slot j holds q_j in
     its low w - s - 1 bits and slot j+1's remainder v_(j+1) M mod 2^s in its
     top s bits, which the mask LOW (the low w - s bits of every slot) clears;

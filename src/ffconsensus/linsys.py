@@ -7,10 +7,10 @@ controller-companion block plus an uncontrollable block, stabilizability
 and the cycle/tree structure of the autonomous map x -> Ax, counted from
 the factors of the characteristic polynomial.
 
-Every fact about the pair is read off one Gauss-Jordan elimination of
+Every fact about the pair is read off the reduced row echelon form of
 [b, Ab, ..., A^n b | I] (``_krylov``), whose pivots fix a basis that is
 reproducible run to run.  The cycle structure's nullities of g(A)^k come
-from ``matrix``'s packed powers and packed elimination.
+from ``matrix``'s packed powers and the same packed elimination.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from math import lcm
 from operator import mul
 
 from .field import PrimeField, _FrozenRecord
-from .matrix import MatrixFF, _echelon, _packed_powers, _packed_rank
+from .matrix import MatrixFF, _echelon, _packed_powers, _row_reduction
 from .poly import PolyFF, factor, split_nilpotent_bijective, _lift_order, _mul, _order_mod_irreducible
 
 
@@ -101,8 +101,8 @@ class _Krylov(_FrozenRecord):
 
 
 def _krylov(sys: LinearSystemFF) -> _Krylov:
-    """The pair (A, b) from one Gauss-Jordan elimination of
-    [b, Ab, ..., A^n b | I].
+    """The pair (A, b) from the reduced row echelon form of
+    [b, Ab, ..., A^n b | I], on packed rows (``matrix._echelon``).
 
     The pivots are the Krylov vectors b, ..., A^(s-1) b, independent up to
     the first dependence A^s b = sum_j c_j A^j b, then the first standard
@@ -119,13 +119,14 @@ def _krylov(sys: LinearSystemFF) -> _Krylov:
     vectors = [[x for (x,) in sys.b.to_rows()]]
     for _ in range(n):
         vectors.append([sum(map(mul, row, vectors[-1])) % p for row in a_rows])
-    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(zip(*vectors))]
-    reduced, pivots = _echelon(aug, p)
+    w = _row_reduction(2 * n + 1, p)[0]
+    aug = [sum(a << (w * j) for j, a in enumerate(row)) + (1 << w * (n + 1 + i)) for i, row in enumerate(zip(*vectors))]
+    pivots, reduced = _echelon(aug, p, 2 * n + 1)
     s = sum(j <= n for j in pivots)
     a_cols = [[row[j - n - 1] for j in pivots[s:]] for row in a_rows]
-    v_inv = [row[n + 1:] for row in reduced]
+    v_inv = [[v >> (w * j) & (1 << w) - 1 for j in range(n + 1, 2 * n + 1)] for v in reduced]
     a_std = [_combine(v, a_cols, p) for v in v_inv]
-    c = tuple(reduced[i][s] for i in range(s))
+    c = tuple(v >> (w * s) & (1 << w) - 1 for v in reduced[:s])
     chi_uc = MatrixFF.from_flat(field, n - s, n - s, sum(a_std[s:], [])).char_poly().coeffs if s < n else (1,)
     chi = _mul([-x % p for x in c] + [1], chi_uc, p)
     return _Krylov(field, vectors, s, c, v_inv, a_std, chi, not any(chi_uc[:-1]))
@@ -213,7 +214,7 @@ def _kernel_dims(g: PolyFF, A: MatrixFF, e: int) -> list[int]:
     n, p, full, dims = A.rows, A.field.p, g.degree * e, [0]
     powers = _packed_powers(A.to_rows(), p, g.coeffs) if e > 1 else None
     while len(dims) < e and dims[-1] < full:
-        dims.append(n - _packed_rank(next(powers), p, n))
+        dims.append(n - len(_echelon(next(powers), p, n)[0]))
     return dims + [full] * (e + 1 - len(dims))
 
 

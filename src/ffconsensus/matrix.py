@@ -5,18 +5,17 @@ Entries given from outside pass ``PrimeField.scalar`` (an int other
 than a bool, reduced mod p); ``MatrixFF.from_flat`` reduces the raw
 integer results of matrix arithmetic once, and ``VectorFF.from_flat``
 takes residues that are already canonical.
-The inverse reads one Gauss-Jordan elimination routine on lists,
-``_echelon``, with exact field division (the pivot is always the first
-nonzero entry in column order, so results are deterministic).  The
-characteristic polynomial comes from a reduction to Hessenberg form by
-similarities on lists and the recurrence over its leading blocks on
+The characteristic polynomial comes from a reduction to Hessenberg form
+by similarities on lists and the recurrence over its leading blocks on
 packed polynomials (coefficient t in slot t), O(n^3) with field
 division.  Nilpotency is decided from matrix powers, never from
 eigenvalues: F_p is not algebraically closed.  Powers, a polynomial in
-A and the rank run on packed rows, one int per row reduced mod p slot by
-slot in a few big-int operations (``field._slot_reduction``).  Products
-and ``kron`` are plain list code for the library and the dense error
-matrix (``consensus.error_dynamics_matrix``); no command runs them.
+A, the rank and the inverse run on packed rows, one int per row reduced
+mod p slot by slot in a few big-int operations (``field._slot_reduction``);
+the rank and the inverse read one reduced row echelon form, ``_echelon``,
+which ``linsys`` reads too.  Products and ``kron`` are plain list code for
+the library and the dense error matrix (``consensus.error_dynamics_matrix``);
+no command runs them.
 """
 
 from __future__ import annotations
@@ -194,20 +193,22 @@ class MatrixFF:
     # -- elimination-based queries -------------------------------------
 
     def rank(self) -> int:
-        p, w = self.field.p, _row_reduction(self.cols, self.field.p)[0]
-        return _packed_rank([sum(a << (w * j) for j, a in enumerate(row)) for row in self.to_rows()], p, self.cols)
+        w = _row_reduction(self.cols, self.field.p)[0]
+        rows = [sum(a << (w * j) for j, a in enumerate(row)) for row in self.to_rows()]
+        return len(_echelon(rows, self.field.p, self.cols)[0])
 
     def inverse(self) -> "MatrixFF":
-        """Gauss-Jordan elimination of [M | I]: M is invertible iff the
+        """The reduced echelon form of [M | I]: M is invertible iff the
         pivots are columns 0..n-1, and then the right half is M^-1."""
         if not self.is_square:
             raise ValueError("inverse requires a square matrix")
-        n = self.rows
-        aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(self.to_rows())]
-        reduced, pivots = _echelon(aug, self.field.p)
+        n, p = self.rows, self.field.p
+        w = _row_reduction(2 * n, p)[0]
+        rows = [sum(a << (w * j) for j, a in enumerate(row)) + (1 << w * (n + i)) for i, row in enumerate(self.to_rows())]
+        pivots, reduced = _echelon(rows, p, 2 * n)
         if pivots != list(range(n)):
             raise ValueError("matrix is singular")
-        return MatrixFF.from_flat(self.field, n, n, [x for row in reduced for x in row[n:]])
+        return MatrixFF.from_flat(self.field, n, n, [v >> (w * j) & (1 << w) - 1 for v in reduced for j in range(n, 2 * n)])
 
     # -- characteristic polynomial & nilpotency -------------------------
 
@@ -278,7 +279,7 @@ class MatrixFF:
 
 
 def _row_reduction(n: int, p: int):
-    """``_slot_reduction`` for rows of n slots holding at most max(n, 2) (p-1)^2."""
+    """``_slot_reduction`` for rows of n slots holding at most max(n, 2) (p-1)^2 + 1."""
     return _slot_reduction(max(n, 2) * (p - 1) ** 2 + 1, p, n)
 
 
@@ -309,46 +310,36 @@ def _packed_powers(rows: list[list[int]], p: int, coeffs: Sequence[int] = (0, 1)
         power = nxt
 
 
-def _packed_rank(rows: list[int], p: int, cols: int) -> int:
-    """Rank of rows of ``cols`` packed residues by forward elimination: each
-    pivot, a row at its lowest nonzero slot, clears that slot of every other
-    row (at most p (p-1) a slot), so the pivots are in echelon form."""
-    w, s, M, LOW = _row_reduction(cols, p)
-    mask, rank, rows = (1 << w) - 1, 0, [v for v in rows if v]
-    while rows:
-        piv, rank = rows.pop(), rank + 1
-        at = ((piv & -piv).bit_length() - 1) // w * w
-        neg = p - pow(piv >> at & mask, -1, p)
-        rows = [v + (v >> at & mask) * neg % p * piv for v in rows]
-        rows = [v for v in (v - p * (((v * M) >> s) & LOW) for v in rows) if v]
-    return rank
+def _echelon(rows: list[int], p: int, cols: int) -> tuple[list[int], list[int]]:
+    """Reduced row echelon form of rows of ``cols`` packed residues (entry j
+    in slot j of ``_row_reduction(cols, p)``'s width): the pivot columns and
+    the reduced pivot rows, in column order.  The form is unique, so the
+    order in which rows become pivots does not change it.
 
-
-def _echelon(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
-    """Gauss-Jordan elimination of integer rows of residues mod p.
-
-    Returns (reduced rows, pivot columns).  Each column's pivot is the
-    first nonzero entry at or below the current row, so the result is
-    deterministic.  The list ``rows`` is reordered in place.
+    A row is reduced only when it becomes a pivot, at its lowest nonzero
+    slot; it is scaled to a leading 1 (at most (p-1)^2 a slot), reduced
+    again, and clears that slot of every other row, pivots included.  The
+    pivots are reduced once more at the end.  From its last reduction on,
+    slot j of a row takes at most (p-1)^2 from each pivot found before the
+    one at column j (from each of the at most cols - 1 pivots if there is
+    none), at most p-1 from that pivot (its slot j is 1) and nothing after
+    it (later pivots are 0 there), so it holds at most 2(p-1) + (cols-1)
+    (p-1)^2 = cols (p-1)^2 + 1 - (p-2)^2, within ``_row_reduction``'s top.
     """
-    pivots: list[int] = []
-    for col in range(len(rows[0]) if rows else 0):
-        r = len(pivots)
-        if r == len(rows):
-            break
-        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        if piv != r:
-            rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][col], p - 2, p)
-        rows[r] = pivot_row = [x * inv % p for x in rows[r]]
-        for i, row in enumerate(rows):
-            f = row[col]
-            if f and i != r:
-                rows[i] = [(x - f * y) % p for x, y in zip(row, pivot_row)]
-        pivots.append(col)
-    return rows, pivots
+    w, s, M, LOW = _row_reduction(cols, p)
+    mask, pivots, rows = (1 << w) - 1, [], list(rows)
+    while len(rows) > len(pivots):  # the pivots first, in the order they are found
+        v = rows.pop()
+        v -= p * (((v * M) >> s) & LOW)
+        if v:
+            at = ((v & -v).bit_length() - 1) // w * w
+            v *= pow(v >> at & mask, -1, p)
+            v -= p * (((v * M) >> s) & LOW)
+            rows = [u + -(u >> at & mask) % p * v for u in rows]
+            rows.insert(len(pivots), v)
+            pivots.append(at // w)
+    done = sorted(zip(pivots, rows))
+    return [j for j, _ in done], [v - p * (((v * M) >> s) & LOW) for _, v in done]
 
 
 def kron(a: MatrixFF, b: MatrixFF) -> MatrixFF:

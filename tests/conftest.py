@@ -21,7 +21,6 @@ from ffconsensus import (
     is_prime,
 )
 from ffconsensus.cli import ConfigError
-from ffconsensus.matrix import _echelon
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -178,7 +177,7 @@ def reference_kalman_decompose(sys_: LinearSystemFF) -> ControllabilityDecomposi
         cols.append(sys_.A @ cols[-1])
     ctrb = MatrixFF.from_flat(field, n, n, [cols[j].entries[i] for i in range(n) for j in range(n)])
     aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(ctrb.to_rows())]
-    reduced, pivots = _echelon(aug, p)
+    reduced, pivots = reference_echelon(aug, p)
     s = sum(j < n for j in pivots)
     std = [j - n for j in pivots[s:]]
     V_inv = MatrixFF.from_flat(field, n, n, [x for row in reduced for x in row[n:]])
@@ -621,10 +620,38 @@ def reference_kron(a: MatrixFF, b: MatrixFF) -> list[list[int]]:
     return rows
 
 
+def reference_echelon(rows: list[list[int]], p: int) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan elimination of integer rows of residues mod p: the
+    reference for the packed ``matrix._echelon``.
+
+    Returns (reduced rows, pivot columns).  Each column's pivot is the
+    first nonzero entry at or below the current row, so the result is
+    deterministic.  The list ``rows`` is reordered in place.
+    """
+    pivots: list[int] = []
+    for col in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][col], p - 2, p)
+        rows[r] = pivot_row = [x * inv % p for x in rows[r]]
+        for i, row in enumerate(rows):
+            f = row[col]
+            if f and i != r:
+                rows[i] = [(x - f * y) % p for x, y in zip(row, pivot_row)]
+        pivots.append(col)
+    return rows, pivots
+
+
 def reference_rank(m: MatrixFF) -> int:
-    """Rank by Gauss-Jordan elimination on lists (``matrix._echelon``):
+    """Rank by Gauss-Jordan elimination on lists (``reference_echelon``):
     the reference for the packed ``MatrixFF.rank``."""
-    return len(_echelon(m.to_rows(), m.field.p)[1])
+    return len(reference_echelon(m.to_rows(), m.field.p)[1])
 
 
 def reference_kernel_dims(g: PolyFF, a: MatrixFF, e: int) -> list[int]:

@@ -1,6 +1,7 @@
 import itertools
 import random
 from collections import Counter
+from operator import mul
 
 import pytest
 
@@ -15,6 +16,7 @@ from ffconsensus import (
     error_dynamics_matrix,
     kron,
 )
+from ffconsensus.matrix import _echelon, _row_reduction
 
 from conftest import (
     F2,
@@ -24,12 +26,14 @@ from conftest import (
     REF_B,
     REF_GAIN,
     STRUCTURED_KINDS,
+    block_diag,
     mat_power,
     random_invertible,
     random_matrix,
     random_nilpotent,
     reference_kron,
     reference_matmul,
+    reference_echelon,
     reference_rank,
     list_add,
     list_mul,
@@ -375,11 +379,29 @@ def test_packed_powers_match_products_on_every_degree():
     assert degrees[None] >= 250, degrees
 
 
+def assert_echelon_matches_reference(m: MatrixFF) -> int:
+    """The packed ``_echelon`` of m's rows against list Gauss-Jordan: the
+    same pivots, the same reduced rows, the reference's other rows zero;
+    returns the rank, which ``MatrixFF.rank`` must also give."""
+    p = m.field.p
+    w = _row_reduction(m.cols, p)[0]
+    pivots, packed = _echelon([sum(a << (w * j) for j, a in enumerate(row)) for row in m.to_rows()], p, m.cols)
+    reduced, ref_pivots = reference_echelon(m.to_rows(), p)
+    assert pivots == ref_pivots, m
+    assert [[v >> (w * j) & (1 << w) - 1 for j in range(m.cols)] for v in packed] == reduced[:len(pivots)], m
+    assert not any(map(any, reduced[len(pivots):])), m
+    assert m.rank() == len(pivots) == reference_rank(m), m
+    return len(pivots)
+
+
 def test_packed_rank_matches_echelon_reference():
-    """Packed forward elimination against list Gauss-Jordan: structured
-    n x n matrices (n <= 16), their squares and (n-1)-th powers, row blocks of them (wide
-    and tall shapes with dependent rows), the all-(p-1) matrix whose
-    elimination slots are the largest, and empty shapes."""
+    """The packed reduced echelon form against list Gauss-Jordan, pivots and
+    every reduced row: structured n x n matrices (n <= 16), their squares
+    and (n-1)-th powers, row blocks of them (wide and tall shapes with
+    dependent rows), Krylov-shaped [b, ..., A^n b | I] with b in an
+    invariant subspace (s < n), tall all-(p-1) matrices whose non-pivot rows
+    take every pivot's clearing (the largest slots), and empty shapes; for
+    p up to 1000003, whose slots are wider than 64 bits."""
     rng = random.Random(2806)
     kinds, deficient = Counter(), 0
     for t in range(252):
@@ -392,18 +414,30 @@ def test_packed_rank_matches_echelon_reference():
         wide = MatrixFF(field, rows[:k] + rows[:k])
         tall = MatrixFF(field, [row[:k] for row in rows] + [row[:k] for row in rows])
         for m in (a, a @ a, mat_power(a, n - 1), wide, tall):
-            rank = m.rank()
-            assert rank == reference_rank(m), (kind, m)
+            rank = assert_echelon_matches_reference(m)
             deficient += rank < min(m.rows, m.cols)
         kinds[kind] += 1
     assert min(kinds.values()) >= 42, kinds
     assert deficient >= 600, deficient
-    for p in (2, 3, 101, 1000003):
+    for p in (2, 3, 5, 7, 101, 65537, 1000003):
         field = PrimeField(p)
-        for n in (1, 2, 5, 16):
+        for n in (1, 2, 5, 9, 16):
+            # [b, Ab, ..., A^n b | I] for A = diag(X, Y), b zero below X: s <= k < n if n > 1
+            k = rng.randint(1, max(n - 1, 1))
+            a = block_diag(field, [random_matrix(rng, field, k, k), random_matrix(rng, field, n - k, n - k)])
+            vectors = [[rng.randrange(p) for _ in range(k)] + [0] * (n - k)]
+            for _ in range(n):
+                vectors.append([sum(map(mul, row, vectors[-1])) % p for row in a.to_rows()])
+            krylov = MatrixFF(field, [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(zip(*vectors))])
+            assert_echelon_matches_reference(krylov)
+            # p-1 on and above the diagonal of an n x n block, under and over n all-(p-1) rows
+            upper = [[p - 1 if j >= i else 0 for j in range(n)] for i in range(n)]
+            for rows in (upper + [[p - 1] * n] * n, [[p - 1] * n] * n + upper):
+                assert assert_echelon_matches_reference(MatrixFF(field, rows)) == n
             assert MatrixFF(field, [[p - 1] * n for _ in range(n)]).rank() == 1
             assert MatrixFF(field, [[p - 1] * n]).rank() == MatrixFF.column(field, [p - 1] * n).rank() == 1
-    assert MatrixFF.zeros(F3, 0, 0).rank() == MatrixFF.zeros(F3, 0, 4).rank() == MatrixFF.zeros(F3, 4, 0).rank() == 0
+    for rows, cols in ((0, 0), (0, 3), (3, 0), (0, 4), (4, 0)):
+        assert assert_echelon_matches_reference(MatrixFF.from_flat(F3, rows, cols, [])) == 0
 
 
 def test_packed_nilpotency_on_large_matrices():
