@@ -6,15 +6,19 @@ changed a value).  The loader checks only the JSON shape and types; the
 modulus, the edges and the switching sequence are validated by the
 ``PrimeField``, ``WeightedDigraphFF`` and ``SwitchingSignal`` it builds,
 and their errors are reported with the config's field path.  Lists are
-checked whole (their types as one set, their range by ``min``/``max``);
-only a list that fails is scanned entry by entry, to name the first bad
+checked whole (their types as one set, their range by ``min``/``max``),
+a matrix as one list after its rows' types and lengths; only a list that
+fails is scanned, row by row and entry by entry, to name the first bad
 entry.  JSON output is written by ``_dumps``, byte-identical to
 ``json.dumps(obj, indent=2)`` but without its pure-Python encoder.  Every
-command analyses ``ScenarioConfig.analysed_network``: the one graph of
-a constant signal, else every graph.  Exit codes for ``analyze``: 0
-consensus guaranteed, 2 impossible, 3 inconclusive; malformed or
-unreadable configs, an unwritable ``--out`` and usage errors exit 1
-with one line on stderr, as does a run whose reader closes stdout early.
+command analyses ``ScenarioConfig.analysed_network``: the one graph of a
+constant signal, else every graph; ``cycles`` builds A alone.  ``main``
+parses with the command's own parser (no command, an unknown one or
+``-h``: the top parser).  Exit codes for ``analyze``: 0 consensus
+guaranteed, 2 impossible, 3 inconclusive; malformed or unreadable
+configs, an unwritable ``--out`` and usage errors (argparse's 2) exit 1
+with one line on stderr or argparse's usage text, as does a run whose
+reader closes stdout early.
 """
 
 from __future__ import annotations
@@ -95,11 +99,24 @@ def _residues(values, length: int, field: PrimeField, field_path: str) -> list[i
     return out
 
 
-def _edge_triples(edges: list, gi: int, field: PrimeField) -> list[tuple[int, int, int]]:
+def _rows(values, count: int, length: int, field: PrimeField, field_path: str) -> list[list[int]]:
+    """``count`` rows of ``length`` field elements: lists of ints already
+    in 0..p-1 are taken whole (one set of row types, one of lengths, one
+    of entry types, one ``min``/``max``), any other rows by ``_residues``."""
+    _require(isinstance(values, list) and len(values) == count, field_path, f"expected {count} rows")
+    if set(map(type, values)) == {list} and set(map(len, values)) == {length}:
+        flat = list(chain.from_iterable(values))
+        if set(map(type, flat)) == {int} and min(flat) >= 0 and max(flat) < field.p:
+            return list(map(list.copy, values))
+    return [_residues(row, length, field, f"{field_path}[{i}]") for i, row in enumerate(values)]
+
+
+def _edge_triples(edges: list, gi: int, field: PrimeField) -> tuple[list[tuple[int, int, int]], tuple | None]:
     """The (source, target, weight) triples of ``graphs[gi]``, type-checked and
     reduced mod p once, here (``WeightedDigraphFF._of_residues`` checks the
     rest), with a warning for each weight that changed: a list of int triples
-    whole, any other edge by edge, up to the first malformed edge."""
+    whole, any other edge by edge, up to the first malformed edge; and their
+    source, target and weight columns when checked whole, else None."""
     p = field.p
     if edges and set(map(type, edges)) == {list} and set(map(len, edges)) == {3}:
         srcs, tgts, raw = zip(*edges)
@@ -109,7 +126,7 @@ def _edge_triples(edges: list, gi: int, field: PrimeField) -> list[tuple[int, in
                 for ei, (w_raw, w) in enumerate(zip(raw, weights)):
                     if w != w_raw:
                         _warn(f"graphs[{gi}][{ei}]: reduced weight {w_raw} to {w} (mod {p})")
-            return list(zip(srcs, tgts, weights))
+            return list(zip(srcs, tgts, weights)), (srcs, tgts, weights)
     out = []
     for ei, e in enumerate(edges):
         if not (isinstance(e, list) and len(e) == 3):
@@ -122,7 +139,7 @@ def _edge_triples(edges: list, gi: int, field: PrimeField) -> list[tuple[int, in
         if w != w_raw:
             _warn(f"graphs[{gi}][{ei}]: reduced weight {w_raw} to {w} (mod {p})")
         out.append((src, tgt, w))
-    return out
+    return out, None
 
 
 class ScenarioConfig(_Record):
@@ -157,10 +174,7 @@ class ScenarioConfig(_Record):
         N = _int_at(raw["N"], "N")
         _require(N >= 1, "N", "follower count must be >= 1")
 
-        a_in = raw["A"]
-        _require(isinstance(a_in, list) and len(a_in) == n, "A", f"expected {n} rows")
-        doc = {"p": p, "n": n, "N": N, "A": [_residues(row, n, field, f"A[{i}]") for i, row in enumerate(a_in)],
-               "b": _residues(raw["b"], n, field, "b")}
+        doc = {"p": p, "n": n, "N": N, "A": _rows(raw["A"], n, n, field, "A"), "b": _residues(raw["b"], n, field, "b")}
         if raw.get("K") is not None:
             doc["K"] = _residues(raw["K"], n, field, "K")
 
@@ -170,9 +184,9 @@ class ScenarioConfig(_Record):
         graphs = []
         for gi, edges in enumerate(graphs_in):
             _require(isinstance(edges, list), f"graphs[{gi}]", "expected an edge list")
-            out = _edge_triples(edges, gi, field)
+            out, columns = _edge_triples(edges, gi, field)
             try:
-                graphs.append(WeightedDigraphFF._of_residues(field, N, out))
+                graphs.append(WeightedDigraphFF._of_residues(field, N, out, columns))
             except EdgeError as exc:
                 raise ConfigError(f"graphs[{gi}][{exc.index}]", str(exc)) from exc
             doc["graphs"].append(out)
@@ -212,10 +226,7 @@ class ScenarioConfig(_Record):
                 st = init["states"]
                 _require(isinstance(st, dict), "init.states", "expected an object")
                 lead = _residues(st.get("leader"), n, field, "init.states.leader")
-                followers = st.get("followers")
-                _require(isinstance(followers, list) and len(followers) == N, "init.states.followers",
-                         f"expected {N} rows")
-                fols = [_residues(row, n, field, f"init.states.followers[{fi}]") for fi, row in enumerate(followers)]
+                fols = _rows(st.get("followers"), N, n, field, "init.states.followers")
                 doc["init"] = {"states": {"leader": lead, "followers": fols}}
             elif "seed" in init:
                 doc["init"] = {"seed": _int_at(init["seed"], "init.seed")}
@@ -236,14 +247,17 @@ class ScenarioConfig(_Record):
 
     # -- object construction ---------------------------------------------
 
+    @property
+    def A(self) -> MatrixFF:
+        """The matrix A alone, from the entries the loader already reduced."""
+        n = self.doc["n"]
+        return MatrixFF.from_flat(self.field, n, n, tuple(chain.from_iterable(self.doc["A"])))
+
     def network(self) -> LeaderFollowerNetwork:
         """The scenario over every graph, its matrices built from the
         entries the loader already reduced."""
         field, n, k = self.field, self.doc["n"], self.doc.get("K")
-        sys_pair = LinearSystemFF(
-            MatrixFF.from_flat(field, n, n, list(chain.from_iterable(self.doc["A"]))),
-            MatrixFF.from_flat(field, n, 1, self.doc["b"]),
-        )
+        sys_pair = LinearSystemFF(self.A, MatrixFF.from_flat(field, n, 1, self.doc["b"]))
         gain = MatrixFF.from_flat(field, 1, n, k) if k is not None else None
         return LeaderFollowerNetwork(sys=sys_pair, graphs=self.graphs, gain=gain)
 
@@ -485,7 +499,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_cycles(args) -> int:
-    A = load_config(args.config).network().sys.A
+    A = load_config(args.config).A  # ConfigError is a ValueError: not in the try below
     try:
         cs = autonomous_cycle_structure(A)
     except ValueError as exc:  # a p^d - 1 whose primes cannot be found or certified
@@ -505,7 +519,11 @@ def cmd_cycles(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top parser and each command's parser by name, built on the first
+    call and reused: building them costs about a millisecond, paid once per
+    process, not per command."""
     parser = argparse.ArgumentParser(
         prog="ffconsensus",
         description="Leader-follower consensus over prime finite fields: "
@@ -538,18 +556,23 @@ def build_parser() -> argparse.ArgumentParser:
                     help="accepted and ignored: the characteristic-polynomial route is the only one")
     pc.add_argument("--out", help="write the report to this path")
     pc.set_defaults(func=cmd_cycles)
-    return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first ``main`` call and reused: building
-    it costs about a millisecond, paid once per process, not per command."""
-    return build_parser()
+    return parser, {"analyze": pa, "synthesize": ps, "simulate": pm, "cycles": pc}
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = build_parser()
+    try:
+        if argv and argv[0] in commands:
+            args, extra = commands[argv[0]].parse_known_args(argv[1:])
+            if extra:  # the top parser names them, as in a two-level parse
+                parser.error("unrecognized arguments: " + " ".join(extra))
+        else:
+            args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 after -h
+        if exc.code != 2:
+            raise
+        return EXIT_CONFIG
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -56,11 +56,13 @@ class WeightedDigraphFF:
         self._degs = self._succ = self._sccs = None
 
     @classmethod
-    def _of_residues(cls, field: PrimeField, num_followers: int, edges: list[tuple[int, int, int]]):
+    def _of_residues(cls, field: PrimeField, num_followers: int, edges: list[tuple[int, int, int]],
+                     columns: tuple | None = None):
         """The graph on int triples with weights reduced mod p, as the config
-        loader checks them: only ranges, zero weights and repeats are checked."""
+        loader checks them: only ranges, zero weights and repeats are checked.
+        ``columns``: the triples' sources, targets and weights, if split."""
         g = object.__new__(cls)
-        g._hold(field, num_followers, edges, _checked_map(num_followers, *zip(*edges)) if edges else {})
+        g._hold(field, num_followers, edges, _checked_map(num_followers, *(columns or zip(*edges))) if edges else {})
         return g
 
     @staticmethod

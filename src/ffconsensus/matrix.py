@@ -3,7 +3,8 @@
 Matrices and vectors are immutable tuples of canonical int residues.
 Entries given from outside pass ``PrimeField.scalar`` (an int other
 than a bool, reduced mod p); ``MatrixFF.from_flat`` reduces the raw
-integer results of matrix arithmetic once, and ``VectorFF.from_flat``
+integer results of matrix arithmetic once, and takes entries that
+``min``/``max`` show to be residues as they are; ``VectorFF.from_flat``
 takes residues that are already canonical.
 The characteristic polynomial comes from a reduction to Hessenberg form
 by similarities on lists and the recurrence over its leading blocks on
@@ -86,12 +87,16 @@ class MatrixFF:
 
     @classmethod
     def from_flat(cls, field: PrimeField, rows: int, cols: int, flat: Sequence[int]) -> "MatrixFF":
+        """The matrix of the int entries ``flat``, row after row, reduced mod
+        p entry by entry only when ``min``/``max`` find one outside 0..p-1."""
         m = object.__new__(cls)
         m.field = field
         m.rows = rows
         m.cols = cols
-        m._e = tuple(v % field.p for v in flat)
-        if len(m._e) != rows * cols:
+        e = tuple(flat)
+        p = field.p
+        m._e = tuple(v % p for v in e) if e and (min(e) < 0 or max(e) >= p) else e
+        if len(e) != rows * cols:
             raise ValueError("entry count does not match shape")
         return m
 

@@ -339,6 +339,14 @@ def _per_entry_residues(values, length, field, field_path):
     return out
 
 
+def per_row_matrix(values, count, length, field, field_path):
+    """``count`` rows of ``length`` field elements, checked and reduced row
+    by row, each row entry by entry: the reference for the loader's
+    whole-matrix check (``cli._rows``) of A and of the follower states."""
+    _require(isinstance(values, list) and len(values) == count, field_path, f"expected {count} rows")
+    return [_per_entry_residues(row, length, field, f"{field_path}[{i}]") for i, row in enumerate(values)]
+
+
 def per_entry_config(doc) -> dict:
     """A scenario config validated and reduced one entry at a time, as
     the canonical dict ``ScenarioConfig.doc`` holds: the reference
@@ -356,8 +364,7 @@ def per_entry_config(doc) -> dict:
     _require(n >= 1, "n", "state dimension must be >= 1")
     N = _int_at(doc["N"], "N")
     _require(N >= 1, "N", "follower count must be >= 1")
-    _require(isinstance(doc["A"], list) and len(doc["A"]) == n, "A", f"expected {n} rows")
-    out = {"p": p, "n": n, "N": N, "A": [_per_entry_residues(row, n, field, f"A[{i}]") for i, row in enumerate(doc["A"])],
+    out = {"p": p, "n": n, "N": N, "A": per_row_matrix(doc["A"], n, n, field, "A"),
            "b": _per_entry_residues(doc["b"], n, field, "b")}
     if doc.get("K") is not None:
         out["K"] = _per_entry_residues(doc["K"], n, field, "K")
@@ -413,10 +420,7 @@ def per_entry_config(doc) -> dict:
             st = raw["states"]
             _require(isinstance(st, dict), "init.states", "expected an object")
             lead = _per_entry_residues(st.get("leader"), n, field, "init.states.leader")
-            followers = st.get("followers")
-            _require(isinstance(followers, list) and len(followers) == N, "init.states.followers", f"expected {N} rows")
-            fols = [_per_entry_residues(row, n, field, f"init.states.followers[{fi}]")
-                    for fi, row in enumerate(followers)]
+            fols = per_row_matrix(st.get("followers"), N, n, field, "init.states.followers")
             out["init"] = {"states": {"leader": lead, "followers": fols}}
         elif "seed" in raw:
             out["init"] = {"seed": _int_at(raw["seed"], "init.seed")}

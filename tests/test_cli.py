@@ -27,7 +27,7 @@ from ffconsensus import (
     simulate,
 )
 from ffconsensus.poly import _group_order_primes, pow_x_mod
-from ffconsensus.cli import ConfigError, ScenarioConfig, _dumps, _traj_csv, load_config, main
+from ffconsensus.cli import ConfigError, ScenarioConfig, _dumps, _rows, _traj_csv, build_parser, load_config, main
 
 from conftest import (
     M7,
@@ -41,6 +41,7 @@ from conftest import (
     naive_cycle_structure,
     naive_x_power_mod,
     per_entry_config,
+    per_row_matrix,
     pocklington_holds,
     successors_by_matmul,
 )
@@ -332,6 +333,122 @@ def test_whole_list_loader_matches_per_entry_reference_on_bad_edges(bad, capsys)
         doc["graphs"][0].insert(position, list(REF_GRAPH1_EDGES[position - 1]))
         kinds.add(assert_loads_like_per_entry_reference(doc, capsys))
     assert "ConfigError" in kinds, kinds
+
+
+def _malformed_rows(rng, count, length, p):
+    """``count`` rows of ``length`` residues with zero to three faults: a
+    bool, a float, a string, an entry out of 0..p-1 (reduced with a
+    warning), a short or long row, a row that is not a list, or one row
+    too few or too many."""
+    rows = [[rng.randrange(p) for _ in range(length)] for _ in range(count)]
+    for _ in range(rng.choice((0, 1, 1, 2, 3))):
+        if not rows:
+            break
+        i, j = rng.randrange(len(rows)), rng.randrange(length)
+        kind = rng.choice(("bool", "float", "str", "short", "long", "row", "count", "range", "range", "range"))
+        if kind == "row":
+            rows[i] = rng.choice((None, 5, "row", {"0": 1}, tuple(range(length))))
+        elif kind == "count":
+            rng.choice((rows.pop, lambda: rows.append([0] * length)))()
+        elif not isinstance(rows[i], list) or j >= len(rows[i]):
+            continue
+        elif kind in ("short", "long"):
+            rows[i] = rows[i][:j] if kind == "short" else rows[i] + [0]
+        else:
+            rows[i][j] = {"bool": rng.choice((True, False)), "float": rng.choice((1.0, 2.5)), "str": "1",
+                          "range": rng.choice((-1, p, p + 2, -p - 1, 10**20))}[kind]
+    return rows
+
+
+def test_whole_matrix_check_fails_like_the_per_row_reference(capsys):
+    rng = random.Random(34)
+    outcomes = {}
+    for _ in range(3000):
+        p = rng.choice((2, 3, 5, 101))
+        count, length = rng.randint(1, 4), rng.randint(1, 4)
+        rows, field = _malformed_rows(rng, count, length, p), PrimeField(p)
+        got = _load_outcome(lambda v: _rows(v, count, length, field, "A"), rows, capsys)
+        assert got == _load_outcome(lambda v: per_row_matrix(v, count, length, field, "A"), rows, capsys), rows
+        kind = got[0][0] if got[0][0] != "ok" else "warned" if got[1] else "ok"
+        outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert min(outcomes.get(k, 0) for k in ("ok", "warned", "ConfigError")) > 300, outcomes
+
+
+def test_loader_matches_per_entry_reference_on_malformed_matrices_and_vectors(capsys):
+    """A, b, K and init.states malformed one at a time, through the whole
+    loader: the field path and the warnings, in order, are the reference's."""
+    rng = random.Random(3434)
+    outcomes = {}
+    for _ in range(1500):
+        doc = ref_config_dict(K=REF_GAIN[:], init={"states": {"leader": [0] * 5, "followers": [[1] * 5] * 4}})
+        states = doc["init"]["states"]
+        target = rng.choice(("A", "b", "K", "leader", "followers"))
+        if target in ("A", "followers"):
+            rows = _malformed_rows(rng, 5 if target == "A" else 4, 5, 3)
+            doc["A"] = rows if target == "A" else doc["A"]
+            states["followers"] = rows if target == "followers" else states["followers"]
+        else:
+            row = _malformed_rows(rng, 1, 5, 3)
+            row = row[0] if row else None
+            if target == "leader":
+                states["leader"] = row
+            else:
+                doc[target] = row
+        kind = assert_loads_like_per_entry_reference(doc, capsys)
+        outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert outcomes.get("ok", 0) > 300 and outcomes.get("ConfigError", 0) > 300, outcomes
+
+
+def _dispatch(call, argv):
+    """(how ``call(argv)`` ended, its code): returned, or raised SystemExit."""
+    try:
+        return "return", call(argv)
+    except SystemExit as exc:
+        return "exit", exc.code
+
+
+def _two_level(argv):
+    """The two-level dispatch: the top parser's ``parse_args``, which parses
+    again with the command's parser, then the command."""
+    args = build_parser()[0].parse_args(argv)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
+
+
+DISPATCH_ARGVS = [[], ["-h"], ["--help"], ["bogus"], ["--bogus"], ["analyse", "{cfg}"], ["-h", "analyze"]]
+for _command in ("analyze", "synthesize", "simulate", "cycles"):
+    DISPATCH_ARGVS += [[_command, "-h"], [_command, "{cfg}", "--help"], [_command], [_command, "--out"],
+                       [_command, "{cfg}", "--bogus"], [_command, "{cfg}", "extra", "--bogus=1"],
+                       [_command, "{cfg}", "--out", "{tmp}/out.txt"], [_command, "{tmp}/absent.json"]]
+DISPATCH_ARGVS += [
+    ["analyze", "{cfg}"], ["analyze", "{impossible}"], ["synthesize", "{cfg}"], ["cycles", "{cfg}"],
+    ["cycles", "{cfg}", "--poly"], ["cycles", "{cfg}", "--po"], ["simulate", "{gain}"],
+    ["simulate", "{gain}", "--trials", "x"], ["simulate", "{gain}", "--format", "xml"],
+    ["simulate", "{gain}", "--trials", "2", "--seed", "-3", "--horizon", "4", "--format", "json"],
+    ["simulate", "{gain}", "--trials", "0"], ["simulate", "--trials", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGVS, ids=" ".join)
+def test_one_level_dispatch_prints_what_two_level_prints(argv, tmp_path, capsys):
+    paths = {"cfg": _write(tmp_path, ref_config_dict()), "tmp": str(tmp_path)}
+    impossible = ref_config_dict(N=2, graphs=[[[0, 1, 1], [0, 2, 2]]])  # exit 2 as a verdict
+    for name, doc in (("gain", ref_config_dict(K=REF_GAIN)), ("impossible", impossible)):
+        paths[name] = str(tmp_path / f"{name}.json")
+        Path(paths[name]).write_text(json.dumps(doc))
+    argv = [a.format(**paths) for a in argv]
+    want = _dispatch(_two_level, argv), capsys.readouterr()
+    out_file = tmp_path / "out.txt"
+    want_file = out_file.read_text() if out_file.exists() else None
+    out_file.unlink(missing_ok=True)
+    got = _dispatch(main, argv), capsys.readouterr()
+    assert got[1] == want[1]
+    assert (out_file.read_text() if out_file.exists() else None) == want_file
+    # argparse's usage error exits 2, the `impossible` verdict's code: main returns 1
+    assert got[0] == (("return", 1) if want[0] == ("exit", 2) else want[0])
 
 
 # ---------------------------------------------------------
