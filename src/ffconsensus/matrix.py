@@ -93,10 +93,9 @@ class MatrixFF:
         m.field = field
         m.rows = rows
         m.cols = cols
-        e = tuple(flat)
         p = field.p
-        m._e = tuple(v % p for v in e) if e and (min(e) < 0 or max(e) >= p) else e
-        if len(e) != rows * cols:
+        m._e = tuple(flat) if flat and min(flat) >= 0 and max(flat) < p else tuple(v % p for v in flat)
+        if len(m._e) != rows * cols:
             raise ValueError("entry count does not match shape")
         return m
 
