@@ -11,9 +11,10 @@ condition is exactly nilpotency of that error matrix M.
 No Kronecker block is built on the analysis paths.  Ordered by the
 strongly connected components (SCCs) of the follower support, M is
 block-triangular with one diagonal block I (X) A - H_SS (X) bK per SCC
-S (H = Dbar - Abar, the grounded Laplacian); as bK has rank one, chi_A,
-r = chi_(A - bK) - chi_A and at most one |S| x |S| nilpotency test of
-H_SS - mu* I per distinct block decide M (``_error_block_results``).
+S (H = Dbar - Abar, the grounded Laplacian).  As bK has rank one, M
+is decided by chi_A, r = chi_(A - bK) - chi_A and one spectral fact of
+the graph: the one eigenvalue d of H, or the first SCC where H_SS - d I
+is not nilpotent (``_eigenvalue``, proofs in ``_gain_results``).
 
 ``error_dynamics_matrix`` builds the full Nn x Nn matrix; it is the
 definition that the spectral rule is checked against.
@@ -21,10 +22,10 @@ definition that the spectral rule is checked against.
 Every verdict, witness gain and bound comes from one pass of facts
 (``_facts``: one Krylov elimination of (A, b), ``linsys._krylov``, for
 chi_A, stabilizability, A nilpotent and the deadbeat gain; each graph's
-shape (``_shape``) and SCC blocks H_SS, built once, with the one
-eigenvalue d of H they allow; the union of the follower supports; and
-under a supplied gain r, mu* and the blocks' verdicts) and one rule over
-them (``_decide``), for any number of graphs.  A single graph is the
+shape (``_shape``) and its d and first failing SCC, from one walk over
+its SCC blocks (``_eigenvalue``); the union of the follower supports;
+and under a supplied gain r, mu* and each graph's verdict) and one rule
+over them (``_decide``), for any number of graphs.  A single graph is the
 static case.  A graph or union is triangular when each of its SCCs is
 one follower, self-loops allowed: H is then triangular in the SCC order.
 Without a gain:
@@ -178,66 +179,53 @@ def error_dynamics_matrix(net: LeaderFollowerNetwork, graph_index: int = 0) -> M
     return kron(eye, net.sys.A) + kron(a_bar - d_bar, bk)
 
 
-def _scc_blocks(g: WeightedDigraphFF) -> list[tuple[tuple[int, ...], int | tuple]]:
-    """The diagonal blocks H_SS of H = Dbar - Abar, one per SCC of the
-    follower support, sources first, as (followers, H_SS): a singleton's
-    as the int H_ii = d_i - w_ii, a larger block as its rows mod p."""
-    degs, p, w = g._support()[0], g.field.p, g.weight
-    return [
-        (comp, (degs[comp[0]] - w(comp[0], comp[0])) % p if len(comp) == 1 else tuple(
-            tuple(((degs[i] if i == j else 0) - w(j, i)) % p for j in comp) for i in comp))
-        for comp in g.strongly_connected_components()
-    ]
-
-
-def _shifted_nilpotent(field: PrimeField, h: int | tuple, c: int, cache: dict) -> bool:
-    """Whether the block H_SS - c I is nilpotent: a singleton by comparing
-    scalars, a larger block by one test per distinct shifted block
-    (``cache``, shared across an analysis)."""
-    if type(h) is int:
-        return h == c
-    p = field.p
-    key = tuple(tuple((v - c) % p if i == j else v for j, v in enumerate(row)) for i, row in enumerate(h))
-    if key not in cache:
-        cache[key] = MatrixFF(field, key).is_nilpotent()
-    return cache[key]
-
-
-def _eigenvalue(field: PrimeField, blocks: list, cache: dict) -> tuple[int, tuple[int, ...] | None]:
-    """(d, S): the one eigenvalue d that H = Dbar - Abar can have, read
-    off its SCC blocks (``_scc_blocks``), and the first SCC S whose block
-    H_SS - d I is not nilpotent (None when H has the one eigenvalue d).
+def _eigenvalue(g: WeightedDigraphFF) -> tuple[int, tuple[int, ...] | None]:
+    """(d, S), read off the SCCs sources first: the one eigenvalue d that
+    H = Dbar - Abar can have, and the first SCC S whose H_SS - d I is not
+    nilpotent (None when H has the one eigenvalue d).
 
     If H_SS has the one eigenvalue d, then tr H_SS = |S| d, which gives d
-    from the first SCC with p not dividing |S| (every singleton does).
-    When p divides every |S|, write |S| = q m' with q the power of p in
-    |S|: in characteristic p, chi = (x - d)^|S| = (x^q - d)^m' (d^q = d
-    in F_p), whose coefficient of x^(|S| - q) is -m' d, so d is read off
-    the first block's chi.  H has one eigenvalue iff every block minus
-    d I is nilpotent.
+    from the diagonal d_i - w_ii of the first SCC with p not dividing |S|
+    (every singleton does).  When p divides every |S|, write |S| = q m'
+    with q the power of p in |S|: in characteristic p, chi = (x - d)^|S|
+    = (x^q - d)^m' (d^q = d in F_p), whose coefficient of x^(|S| - q) is
+    -m' d, so d is read off the first block's chi.  H has one eigenvalue
+    iff every block minus d I is nilpotent: a singleton's when
+    d_i - w_ii = d, a larger block's by one test per distinct block of
+    the graph, built as its flat residues.
     """
-    p = field.p
-    for comp, h in blocks:
-        m = len(comp)
-        if m % p:
-            d = (h if m == 1 else sum(row[i] for i, row in enumerate(h))) * pow(m, p - 2, p) % p
-            break
+    field, p, w = g.field, g.field.p, g.weight
+    degs, comps = g._support()[0], g.strongly_connected_components()
+
+    def block(comp, c):  # H_SS - c I, row after row, mod p; a list first, so the tuple is sized once
+        return tuple([((degs[i] - c if i == j else 0) - w(j, i)) % p for i in comp for j in comp])
+
+    first = next((comp for comp in comps if len(comp) % p), None)
+    if first is not None:
+        d = sum(degs[i] - w(i, i) for i in first) * pow(len(first), p - 2, p) % p
     else:
-        comp, h = blocks[0]
-        m = m1 = len(comp)
+        m = m1 = len(comps[0])
         while m1 % p == 0:
             m1 //= p
-        d = -MatrixFF(field, h).char_poly()[m - m // m1] * pow(m1, p - 2, p) % p
-    return d, next((comp for comp, h in blocks if not _shifted_nilpotent(field, h, d, cache)), None)
+        d = -MatrixFF.from_flat(field, m, m, block(comps[0], 0)).char_poly()[m - m // m1] * pow(m1, p - 2, p) % p
+    tested: dict = {}
+    for comp in comps:
+        if len(comp) == 1:
+            ok = (degs[comp[0]] - w(comp[0], comp[0])) % p == d
+        else:
+            h = block(comp, d)
+            if h not in tested:
+                tested[h] = MatrixFF.from_flat(field, len(comp), len(comp), h).is_nilpotent()
+            ok = tested[h]
+        if not ok:
+            return d, comp
+    return d, None
 
 
-def _error_block_results(net: LeaderFollowerNetwork, kr: _Krylov, graph_blocks: list, ds: list, cache: dict
-                         ) -> tuple[list, int, list]:
-    """r and mu* of claim 2 (mu* = 0 when r = 0) and, per graph's SCC
-    blocks (``_scc_blocks``) and the d of ``_eigenvalue`` in ``ds``, the
-    diagonal blocks of its error matrix as (followers, nilpotent) pairs,
-    sources first; none is built.  nilpotent is None for a block of two
-    or more followers that claim 3 leaves untested.
+def _gain_results(net: LeaderFollowerNetwork, kr: _Krylov, eigen: Sequence[tuple]) -> tuple[list, int, tuple]:
+    """r and mu* of claim 2 (mu* = 0 when r = 0) and, for each graph's
+    (d, S) of ``_eigenvalue`` in ``eigen``, whether its error matrix is
+    nilpotent under the supplied gain; no block is built or tested.
 
     Claim 1: list the followers SCC by SCC, S_1, ..., S_m in a
     topological order of the condensation (Tarjan, SIAM J. Comput. 1,
@@ -266,16 +254,13 @@ def _error_block_results(net: LeaderFollowerNetwork, kr: _Krylov, graph_blocks: 
     nilpotent iff each A - mu_i bK is, which for r != 0 means that every
     mu_i is mu*, that is, H_SS - mu* I is nilpotent.
 
-    Claim 3: if r != 0 and a graph's d is not mu*, the graph fails under
-    K.  Proof: d is read off one block H_SS (``_eigenvalue``), as
-    tr H_SS / |S| or from a coefficient of its chi.  Were H_SS - mu* I
-    nilpotent, H_SS would have the one eigenvalue mu*, so tr H_SS =
-    |S| mu* and chi = (x - mu*)^|S|, and either reading would give
-    d = mu*.  So that block fails, and the graph's larger blocks are not
-    tested; its singletons are compared as scalars.
-
-    Each distinct block H_SS - mu* I tested costs at most one |S| x |S|
-    test (``_shifted_nilpotent``), shared with the eigenvalue tests.
+    Claim 3: if r != 0 and A - mu* bK is nilpotent, a graph passes under
+    K iff its (d, S) is (mu*, None).  Proof: by claims 1 and 2 it passes
+    iff every H_SS - mu* I is nilpotent.  Then every H_SS has the one
+    eigenvalue mu*, so tr H_SS = |S| mu* and chi = (x - mu*)^|S|, and
+    either reading of d gives d = mu*; every block minus d I is then
+    nilpotent, so S is None.  Conversely, (d, S) = (mu*, None) says that
+    every H_SS - mu* I is nilpotent.
     """
     if net.gain is None:
         raise ValueError("error dynamics require a gain K")
@@ -284,16 +269,12 @@ def _error_block_results(net: LeaderFollowerNetwork, kr: _Krylov, graph_blocks: 
     t = next((k for k, v in enumerate(r) if v), None)
     mu = 0 if t is None else -chi_a[t] * pow(r[t], p - 2, p) % p
     if any((u + mu * v) % p for u, v in zip(chi_a, r)):
-        every = False  # no mu makes A - mu bK nilpotent
+        passes = (False,) * len(eigen)  # no mu makes A - mu bK nilpotent
+    elif t is None:
+        passes = (True,) * len(eigen)  # every mu does (r = 0, A nilpotent)
     else:
-        every = True if t is None else None  # every mu does (r = 0), or mu* alone
-    per_graph = [
-        [(comp, every if every is not None else (
-            _shifted_nilpotent(net.field, h, mu, cache) if d == mu or type(h) is int else None))
-         for comp, h in blocks]
-        for blocks, d in zip(graph_blocks, ds)
-    ]
-    return r, mu, per_graph
+        passes = tuple(e == (mu, None) for e in eigen)
+    return r, mu, passes
 
 
 def blockwise_nilpotency_check(net: LeaderFollowerNetwork, graph_index: int = 0) -> dict[int, bool]:
@@ -310,10 +291,9 @@ def blockwise_nilpotency_check(net: LeaderFollowerNetwork, graph_index: int = 0)
             "blockwise check requires an acyclic follower graph; "
             "use is_nilpotent(error_dynamics_matrix(...)) instead"
         )
-    blocks = _scc_blocks(g)
-    d = _eigenvalue(net.field, blocks, {})[0]
-    _, _, [blocks] = _error_block_results(net, _krylov(net.sys), [blocks], [d], {})
-    return {i: ok for (i,), ok in sorted(blocks)}
+    # each follower is a 1 x 1 block H_ii = d_i, which has the one eigenvalue d_i
+    eigen = [(d, None) for d in g._support()[0][1:]]
+    return dict(enumerate(_gain_results(net, _krylov(net.sys), eigen)[2], 1))
 
 
 # ----------------------------------------------------------------------
@@ -343,10 +323,10 @@ class _Facts(_FrozenRecord):
     nilpotent degree (None unless A is nilpotent), the Krylov record, per
     graph its shape (``_shape``) and (d, the first SCC failing at d), the
     shape of the union (of the graph itself when there is one), and under
-    a supplied gain r, mu* and, per graph, the SCC blocks as (followers,
-    nilpotent)."""
+    a supplied gain r, mu* and, per graph, whether its error matrix is
+    nilpotent (``_gain_results``)."""
 
-    __slots__ = ("a_degree", "decomp", "shapes", "eigen", "union_shape", "r", "mu", "blocks")
+    __slots__ = ("a_degree", "decomp", "shapes", "eigen", "union_shape", "r", "mu", "passes")
 
 
 def _shape(g: WeightedDigraphFF) -> str:
@@ -360,12 +340,9 @@ def _shape(g: WeightedDigraphFF) -> str:
 def _facts(net: LeaderFollowerNetwork) -> _Facts:
     graphs = net.graphs
     union_shape = _shape(graphs[0] if net.is_static else union(list(graphs)))
-    graph_blocks = [_scc_blocks(g) for g in graphs]
-    cache: dict = {}  # H_SS - c I -> nilpotent, for the eigenvalue and the gain's tests
-    eigen = tuple(_eigenvalue(net.field, b, cache) for b in graph_blocks)
+    eigen = tuple(map(_eigenvalue, graphs))
     kr = _krylov(net.sys)
-    r, mu, blocks = (None,) * 3 if net.gain is None else _error_block_results(
-        net, kr, graph_blocks, [d for d, _ in eigen], cache)
+    r, mu, passes = (None,) * 3 if net.gain is None else _gain_results(net, kr, eigen)
     # chi_A = mu_b chi_(A_uc) is x^n iff c = 0 and the pair is stabilizable;
     # only then is A's degree computed
     return _Facts(
@@ -373,7 +350,7 @@ def _facts(net: LeaderFollowerNetwork) -> _Facts:
         kr,
         # every subgraph of an acyclic union is acyclic
         (union_shape,) * len(graphs) if union_shape == "dag" or net.is_static else tuple(map(_shape, graphs)),
-        eigen, union_shape, r, mu, blocks,
+        eigen, union_shape, r, mu, passes,
     )
 
 
@@ -393,12 +370,11 @@ def _decide(f: _Facts, graph_indices: Sequence[int]) -> _Decision:
       error evolve by A_uc, whatever K and graphs;
     * take any K.  If r = 0, A - mu bK is nilpotent for no mu, as A is
       not.  If r != 0, it fixes one mu*, and mu* != 0, as mu* = 0 would
-      give chi_A = x^n (claim 2 of ``_error_block_results``).  By claim
-      2 a graph passes under K iff all its blocks have H_SS - mu* I
-      nilpotent, that is, iff its d (``_eigenvalue``) is mu*.  So a
-      graph whose H has no single nonzero eigenvalue fails under every
-      K, and so does the signal that stays on it, and graphs whose d
-      differ never all pass under one K;
+      give chi_A = x^n (claim 2 of ``_gain_results``).  By claim 3
+      there a graph passes under K only if its (d, S) (``_eigenvalue``)
+      is (mu*, None).  So a graph whose H has no single nonzero
+      eigenvalue fails under every K, and so does the signal that stays
+      on it, and graphs whose d differ never all pass under one K;
     * the deadbeat gain for a d shared over a triangular union works
       (``_bound``); over cyclic graphs no gain is synthesized yet.
 
@@ -469,11 +445,11 @@ def _decide(f: _Facts, graph_indices: Sequence[int]) -> _Decision:
         base = _Decision("inconclusive", (
             "sufficiency conditions not met: union of follower supports has a directed cycle"
         ), None)
-    if f.blocks is None:
+    if f.passes is None:
         return base
 
     pointer = "; the gain in witness.synthesized_gain works" if base.witness_degree is not None else ""
-    failing = [gi for gi in graph_indices if not all(ok for _, ok in f.blocks[gi])]
+    failing = [gi for gi in graph_indices if not f.passes[gi]]
     if failing:
         head = "error matrix is not" if one else f"error matrices of graphs {failing} are not"
         if base.verdict == "impossible":
@@ -537,7 +513,7 @@ def _bound(net: LeaderFollowerNetwork, f: _Facts, witness: tuple | None) -> int:
     """Convergence bound of a guaranteed network, one graph or many, for the
     supplied gain or else the witness, ``witness`` = (k, d, certificate: the
     degree of A - d bK, which serves K = k as mu* = d).  Graph sigma's error
-    matrix is M_sigma = I (X) A - H_sigma (X) bK (``_error_block_results``).
+    matrix is M_sigma = I (X) A - H_sigma (X) bK (``_gain_results``).
 
     r != 0: T = N*f, f the nilpotent degree of F = A - mu* bK.  Write
     M_sigma = I (X) F - N_sigma (X) bK, N_sigma = H_sigma - mu* I.  The
@@ -554,7 +530,7 @@ def _bound(net: LeaderFollowerNetwork, f: _Facts, witness: tuple | None) -> int:
 
     r = 0: T = max(deg A, s + kappa), kappa the first j with K A^j = 0.
     A gain passing with r = 0 needs A nilpotent (claim 2 of
-    ``_error_block_results``), so chi_A = x^n and r_t = K A^(n-1-t) b
+    ``_gain_results``), so chi_A = x^n and r_t = K A^(n-1-t) b
     (``_Krylov.gain_change``): K A^j b = 0 for every j, bK A^j bK = 0,
     and no term has two factors bK.  The term with none is I (X) A^L,
     zero for L >= deg A; one with a single bK has the factor A^i bK A^j,
@@ -586,7 +562,6 @@ class AnalysisReport(_Record):
     "static" or "switching"."""
 
     __slots__ = ("verdict", "mode", "reason", "checks", "bounds", "witness", "diagnostics")
-    _defaults = {"diagnostics": dict}
 
     def to_dict(self) -> dict:
         return dict(zip(self._fields, self._values()))
@@ -621,14 +596,12 @@ def _report(net: LeaderFollowerNetwork, mode: str) -> AnalysisReport:
     witness: dict = {}
     diagnostics: dict = {}
     if net.gain is not None:
-        for entry, blocks in zip(graphs, f.blocks):
-            entry["supplied_gain_nilpotent"] = all(ok for _, ok in blocks)
+        for entry, ok in zip(graphs, f.passes):
+            entry["supplied_gain_nilpotent"] = ok
         checks["supplied_gain_mu"] = f.mu if any(f.r) else None
         witness["supplied_gain"] = net.gain.to_rows()[0]
-        diagnostics["error_matrix_blocks"] = {
-            "count": sum(len(blocks) for blocks in f.blocks),
-            "max_dim": max(len(comp) for blocks in f.blocks for comp, _ in blocks) * net.sys.dim,
-        }
+        sizes = [len(comp) for g in net.graphs for comp in g.strongly_connected_components()]
+        diagnostics["error_matrix_blocks"] = {"count": len(sizes), "max_dim": max(sizes) * net.sys.dim}
     loop = _witness(net, f, dec)
     if loop is not None:
         witness["synthesized_gain"], witness["gain_certificate_degree"] = loop[0], loop[2]

@@ -134,31 +134,24 @@ class _Record:
     only records of its own class; a mutable one is unhashable.
 
     A class without an ``__init__`` of its own takes its ``__slots__`` by
-    position, then by keyword; a field named in ``_defaults`` may be left
-    out, or given as None, and is then made by its factory there
-    (``dict``: a new dict per record)."""
+    position, then by keyword, every one of them."""
 
     __slots__ = ()
     __hash__ = None
-    _defaults: dict = {}
 
     def __init_subclass__(cls):
         if "_fields" not in cls.__dict__:
             cls._fields = cls.__slots__
 
     def __init__(self, *values, **named):
-        names, defaults = self.__slots__, self._defaults
+        names = self.__slots__
         if named or len(values) != len(names):
             rest = names[len(values):]
-            if len(values) > len(names) or not set(rest) - set(defaults) <= set(named) <= set(rest):
+            if len(values) > len(names) or set(named) != set(rest):
                 raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
             values += tuple(map(named.get, rest))
         for name, value in zip(names, values):
             object.__setattr__(self, name, value)
-        if defaults:
-            for name, factory in defaults.items():
-                if getattr(self, name) is None:
-                    object.__setattr__(self, name, factory())
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

@@ -201,7 +201,6 @@ class CycleStructure(_FrozenRecord):
     """
 
     __slots__ = ("tree_depth", "cycles", "total_states", "transient_states", "factor_orders")
-    _defaults = {"factor_orders": tuple}
 
 
 def _kernel_dims(g: PolyFF, A: MatrixFF, e: int) -> list[int]:

@@ -1,6 +1,7 @@
-"""No CLI command runs the dense library code: matrix products, Kronecker
-products, inverse, rank, columns, the public graph constructor, the
-adjacency matrices or the dense error matrix.  Those serve the library
+"""No CLI command runs the dense library code: the validating matrix
+constructor, matrix products, Kronecker products, inverse, rank, columns,
+the public graph constructor, the adjacency matrices or the dense error
+matrix.  Those serve the library
 API and the tests' oracle; the commands read packed rows, Krylov vectors
 and checked edge maps instead.  ``cycles`` builds A alone, and no
 command reduces the loader's residues a second time."""
@@ -16,7 +17,7 @@ from ffconsensus.cli import main
 from conftest import CONFIGS, gen
 
 WRAPPED = [
-    (MatrixFF, "__matmul__"), (MatrixFF, "inverse"), (MatrixFF, "rank"), (MatrixFF, "col"),
+    (MatrixFF, "__init__"), (MatrixFF, "__matmul__"), (MatrixFF, "inverse"), (MatrixFF, "rank"), (MatrixFF, "col"),
     (matrix, "kron"), (consensus, "kron"), (WeightedDigraphFF, "__init__"),
     (WeightedDigraphFF, "adjacency_matrices"), (consensus, "error_dynamics_matrix"),
 ]

@@ -140,9 +140,10 @@ def test_blockwise_tests_each_distinct_block_once(monkeypatch):
     assert blockwise_nilpotency_check(net) == {i: True for i in range(1, 41)}
     assert calls == []
     # 20 chained 2-cycles with the one block H_SS = [[1, 2], [1, 0]] (d = 2):
-    # one 2 x 2 test of H_SS - 2 I, shared with the gain's test when mu* = 2
-    # (the deadbeat gain [2, 1]), and no second one when mu* = 1 (gain [1, 2]):
-    # d != mu* already fails the graph
+    # one 2 x 2 test of H_SS - 2 I, the eigenvalue's, with or without a gain.
+    # The gain is never tested on its own: the graph passes under the deadbeat
+    # gain [2, 1] as its (d, S) is (mu*, None) = (2, None), and fails under
+    # [1, 2], whose mu* = 1 is not d
     pairs = WeightedDigraphFF(F3, 40, [e for k in range(1, 21)
                                        for e in ((2 * k, 2 * k - 1, 1), (2 * k - 1, 2 * k, 2), (2 * k - 2, 2 * k, 1))])
     for gain, verdict, tests in ((None, "inconclusive", [2]), ([2, 1], "guaranteed", [2]), ([1, 2], "impossible", [2])):
@@ -198,21 +199,27 @@ def _one_eigenvalue(rng, field, N, mu):
 
 def test_eigenvalue_read_off_chi_when_p_divides_the_block():
     """d = -c_(m-q) / m' for a block of size m = q m', q the power of p in
-    m, on T (d I + strictly upper) T^-1 (one eigenvalue d, 0 included);
-    with one diagonal entry of d I + strictly upper changed (two
-    eigenvalues) the block fails."""
+    m, on strongly connected graphs whose H is T (d I + strictly upper)
+    T^-1 (one eigenvalue d, 0 included); with one diagonal entry of
+    d I + strictly upper changed (two eigenvalues) some SCC fails, the
+    whole graph's when it is strongly connected."""
     rng = random.Random(3301)
     for field, m in ((F2, 2), (F2, 4), (F2, 6), (F2, 8), (F3, 3), (F3, 6), (F3, 9), (F5, 5), (F5, 10)):
         p, comp = field.p, tuple(range(1, m + 1))
         for d in range(p):
             for _ in range(3):
-                h = _one_eigenvalue(rng, field, m, d)
-                assert consensus._eigenvalue(field, [(comp, tuple(map(tuple, h.to_rows())))], {}) == (d, None)
+                g = _graph_with_laplacian(rng, field, _one_eigenvalue(rng, field, m, d))
+                while len(g.strongly_connected_components()) > 1:  # rare for a random conjugate
+                    g = _graph_with_laplacian(rng, field, _one_eigenvalue(rng, field, m, d))
+                assert consensus._eigenvalue(g) == (d, None)
             upper = [[d if j == i else rng.randrange(p) if j > i else 0 for j in range(m)] for i in range(m)]
             upper[0][0] = (d + rng.randrange(1, p)) % p
             t = random_invertible(rng, field, m)
-            h = t @ MatrixFF(field, upper) @ t.inverse()
-            assert consensus._eigenvalue(field, [(comp, tuple(map(tuple, h.to_rows())))], {})[1] == comp
+            g = _graph_with_laplacian(rng, field, t @ MatrixFF(field, upper) @ t.inverse())
+            failing = consensus._eigenvalue(g)[1]
+            assert failing is not None
+            if len(g.strongly_connected_components()) == 1:
+                assert failing == comp
 
 
 def test_scc_block_verdicts_match_dense_error_matrix():
@@ -231,7 +238,7 @@ def test_scc_block_verdicts_match_dense_error_matrix():
         seen["switching"] += not net.is_static
         report = analyze(net)
         assert [entry["supplied_gain_nilpotent"] for entry in report.checks["graphs"]] == dense
-        # claims 2-3 of _error_block_results: mu* is null iff r = 0, and a
+        # claims 2-3 of _gain_results: mu* is null iff r = 0, and a
         # graph passes iff A is nilpotent (r = 0), or its eigenvalue is mu*
         # and A - mu* bK is nilpotent
         mu, a, bk = report.checks["supplied_gain_mu"], net.sys.A, net.sys.b @ net.gain
@@ -1052,38 +1059,87 @@ def test_gain_off_the_eigenvalue_runs_one_test_per_cyclic_block(ref_system, monk
     assert report.verdict == "impossible"
     assert report.checks["graphs"][0]["supplied_gain_nilpotent"] is False
     f = consensus._facts(net)
-    assert (f.mu, f.eigen[0][0]) == (1, 2) and f.blocks == [[(tuple(range(1, N + 1)), None)]]
+    assert (f.mu, f.eigen[0][0], f.passes) == (1, 2, (False,))
+
+
+def _random_cyclic_graph(rng, field, N):
+    """A random SCC graph, a graph whose H has one eigenvalue, or, when p
+    divides N, one whose SCCs all have p followers."""
+    p = field.p
+    return (lambda: random_scc_graph(rng, field, N),
+            lambda: _graph_with_laplacian(rng, field, _one_eigenvalue(rng, field, N, rng.randrange(p))),
+            lambda: _p_cycle_graph(rng, field, N))[rng.randrange(2 if N % p else 3)]()
+
+
+def test_a_supplied_gain_adds_no_nilpotency_test(monkeypatch):
+    """analyze with a supplied gain runs exactly the MatrixFF.is_nilpotent
+    tests, of the same sizes, as analyze of the same network without it:
+    each graph's verdict under the gain is read off its (d, S)."""
+    rng = random.Random(3313)
+    sizes = []
+    original = MatrixFF.is_nilpotent
+    monkeypatch.setattr(MatrixFF, "is_nilpotent", lambda m: sizes.append(m.rows) or original(m))
+    tested = 0
+    for _ in range(200):
+        field = (F2, F3, F5)[rng.randrange(3)]
+        p, n = field.p, rng.randint(1, 3)
+        N = p * rng.randint(1, 5 // p) if rng.random() < 0.3 else rng.randint(2, 5)
+        sys_ = LinearSystemFF(random_matrix(rng, field, n, n), random_matrix(rng, field, n, 1))
+        kr = _krylov(sys_)
+        d = rng.randrange(1, p)
+        gain = MatrixFF.row_vector(field, kr.deadbeat(d)) if kr.stabilizable and rng.random() < 0.5 else (
+            random_matrix(rng, field, 1, n))
+        graphs = tuple(_random_cyclic_graph(rng, field, N) for _ in range(rng.randint(1, 2)))
+        net = LeaderFollowerNetwork(sys=sys_, graphs=graphs, gain=gain)
+        sizes.clear()
+        analyze(LeaderFollowerNetwork(sys=sys_, graphs=net.graphs))
+        bare = list(sizes)
+        sizes.clear()
+        analyze(net)
+        assert sizes == bare
+        tested += bool(bare)
+    assert tested >= 50, tested
 
 
 def test_graphs_off_mu_star_fail_like_the_dense_test():
-    """Claim 3 of ``_error_block_results``: with r != 0, every graph whose
-    d is not mu* fails under the gain, as the dense error matrix says,
-    and its blocks of two or more followers are left untested (None)."""
+    """Each graph's verdict under a supplied gain (``_gain_results``) against
+    the dense error matrix: with r != 0 and some mu* making A - mu* bK
+    nilpotent, a graph passes iff its (d, S) is (mu*, None); else every
+    graph passes iff r = 0 and A is nilpotent.  On random SCC graphs,
+    graphs with one eigenvalue and graphs whose SCCs all have p
+    followers, under random, zero and deadbeat gains."""
     rng = random.Random(3307)
     seen = collections.Counter()
-    for _ in range(400):
+    for _ in range(300):
         field = (F2, F3, F5)[rng.randrange(3)]
-        n, N = rng.randint(1, 3), rng.randint(2, 5)
-        graphs = tuple(random_scc_graph(rng, field, N) for _ in range(rng.randint(1, 2)))
-        net = LeaderFollowerNetwork(
-            sys=LinearSystemFF(random_matrix(rng, field, n, n), random_matrix(rng, field, n, 1)),
-            graphs=graphs, gain=random_matrix(rng, field, 1, n))
-        f = consensus._facts(net)
-        if not any(f.r):
+        p, n = field.p, rng.randint(1, 3)
+        N = p * rng.randint(1, 5 // p) if rng.random() < 0.3 else rng.randint(2, 5)
+        graphs = tuple(_random_cyclic_graph(rng, field, N) for _ in range(rng.randint(1, 2)))
+        a = random_nilpotent(rng, field, n) if rng.random() < 0.2 else random_matrix(rng, field, n, n)
+        sys_ = LinearSystemFF(a, random_matrix(rng, field, n, 1))
+        kr, d0 = _krylov(sys_), consensus._eigenvalue(graphs[0])[0]
+        gain = [random_matrix(rng, field, 1, n), MatrixFF.zeros(field, 1, n),
+                MatrixFF.row_vector(field, kr.deadbeat(d0)) if kr.stabilizable and d0 else None][rng.randrange(3)]
+        if gain is None:
             continue
-        for gi, ((d, _), blocks) in enumerate(zip(f.eigen, f.blocks)):
+        net = LeaderFollowerNetwork(sys=sys_, graphs=graphs, gain=gain)
+        f = consensus._facts(net)
+        some_mu = (a - (sys_.b @ gain).scale(f.mu)).is_nilpotent()
+        entries = analyze(net).checks["graphs"]
+        for gi, (g, (d, failing)) in enumerate(zip(graphs, f.eigen)):
             dense = error_dynamics_matrix(net, gi).is_nilpotent()
-            assert dense == all(ok for _, ok in blocks)
-            if d != f.mu:
-                # a larger block is untested (None) unless no mu makes A - mu bK
-                # nilpotent, when every block is False; singletons are compared
+            assert f.passes[gi] == entries[gi]["supplied_gain_nilpotent"] == dense
+            if not any(f.r):
+                assert dense == a.is_nilpotent()
+                seen["r = 0"] += 1
+            elif not some_mu:
                 assert not dense
-                assert all(ok in (None, False) if len(comp) > 1 else ok is not None for comp, ok in blocks)
-                seen["off_mu", None in [ok for _, ok in blocks]] += 1
+                seen["no mu"] += 1
             else:
-                assert None not in [ok for _, ok in blocks]
-                seen["at_mu", dense] += 1
-    assert len(seen) == 4 and min(seen.values()) >= 10, seen
+                assert dense == (d == f.mu and failing is None)
+                seen["d != mu*" if d != f.mu else "d = mu*, fails" if failing else "d = mu*, passes"] += 1
+            seen["p divides every |S|"] += all(len(c) % p == 0 for c in g.strongly_connected_components())
+    assert len(seen) == 6 and min(seen.values()) >= 10, seen
 
 
 def test_convergence_bound_reads_the_facts_without_a_report(monkeypatch):

@@ -205,7 +205,7 @@ def test_edgeless_graph_is_dag():
 
 
 def test_scc_order_triangularizes_random_dags():
-    # claim 1 of consensus._error_block_results: with rows and columns in
+    # claim 1 of consensus._gain_results: with rows and columns in
     # the component order, the follower adjacency (entry (i, j) the weight
     # of j -> i) is strictly lower triangular, as every follower edge runs
     # from a component to a later one

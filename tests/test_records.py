@@ -1,7 +1,8 @@
 """The package's records are plain classes: construction by position or
-keyword with defaults, value equality and repr, a hash and read-only
-fields on the frozen ones, a fresh dict default per instance, and the
-constructors' validation messages."""
+keyword, with defaults where a record has a constructor of its own, value
+equality and repr, a hash and read-only fields on the frozen ones, a
+fresh dict default per instance, and the constructors' validation
+messages."""
 
 import copy
 
@@ -49,7 +50,7 @@ RECORDS = {
     LeaderFollowerNetwork: ({"sys": SYS, "graphs": (G,), "gain": MatrixFF(F3, [[1, 2]])}, True),
     SwitchingSignal: ({"kind": "random", "num_graphs": 2, "sequence": (), "seed": 7}, True),
     _Facts: ({"a_degree": 2, "decomp": DECOMP, "shapes": ("dag",), "eigen": ((1, None),),
-              "union_shape": "dag", "r": None, "mu": None, "blocks": None}, True),
+              "union_shape": "dag", "r": None, "mu": None, "passes": None}, True),
     _Decision: ({"verdict": "guaranteed", "reason": "A is nilpotent", "witness_degree": 0}, True),
     AnalysisReport: ({"verdict": "guaranteed", "mode": "static", "reason": "r", "checks": {"a": True},
                       "bounds": {"static": 4, "switching": None}, "witness": {}, "diagnostics": {"x": 1}}, False),
@@ -58,17 +59,13 @@ RECORDS = {
                       "field": F3, "graphs": (G,), "switching_signal": SIGNAL}, False),
 }
 
-# (class, the other fields by keyword, the defaults left out)
+# (class with a constructor of its own, the other fields by keyword, the defaults left out)
 DEFAULTS = [
     (LeaderFollowerNetwork, {"sys": SYS, "graphs": (G,)}, {"gain": None}),
     (SwitchingSignal, {"kind": "random", "num_graphs": 2, "seed": 1}, {"sequence": ()}),
     (SwitchingSignal, {"kind": "periodic", "num_graphs": 2, "sequence": (1,)}, {"seed": None}),
-    (CycleStructure, {"tree_depth": 0, "cycles": {1: 1}, "total_states": 1, "transient_states": 0},
-     {"factor_orders": ()}),
     (Trajectory, {"states": (STATE,), "errors": ((0,),), "consensus_step": 0, "signal_indices": ()},
      {"metadata": {}}),
-    (AnalysisReport, {"verdict": "impossible", "mode": "static", "reason": "r", "checks": {}, "bounds": {},
-                      "witness": {}}, {"diagnostics": {}}),
 ]
 
 INVALID = [
@@ -173,22 +170,11 @@ def test_missing_extra_or_unknown_fields_raise_naming_the_fields(cls):
     first, *_ = values
     wrong = [{"args": (*values.values(), 0)}, {"kwargs": {**values, "unknown": 0}},
              {"args": (values[first],), "kwargs": values}]
-    wrong += [{"kwargs": {k: v for k, v in values.items() if k != name}} for name in values if name not in cls._defaults]
+    wrong += [{"kwargs": {k: v for k, v in values.items() if k != name}} for name in values]
     for call in wrong:
         with pytest.raises(TypeError) as exc:
             cls(*call.get("args", ()), **call.get("kwargs", {}))
         assert str(exc.value) == message
-
-
-@pytest.mark.parametrize("cls, name, made", [(AnalysisReport, "diagnostics", {}), (CycleStructure, "factor_orders", ())],
-                         ids=["AnalysisReport", "CycleStructure"])
-def test_a_default_given_as_none_takes_its_factory(cls, name, made):
-    values, _ = RECORDS[cls]
-    given = {**values, name: None}
-    for first, second in [(cls(**given), cls(**given)), (cls(*given.values()), cls(*given.values()))]:
-        assert getattr(first, name) == made
-        if isinstance(made, dict):
-            assert getattr(first, name) is not getattr(second, name)
 
 
 def test_trajectory_is_unhashable_under_its_own_name():
